@@ -148,6 +148,21 @@ def _table_payload(table) -> dict:
     }
 
 
+def _cone_payload(report) -> dict:
+    return {
+        "verdict": report.verdict,
+        "basis": list(report.basis) if report.basis else None,
+        "generators": list(report.generators) if report.generators else None,
+        "witness": list(report.witness) if report.witness else None,
+        "classes": [
+            {"coordinates": [str(c.coordinates[0]), str(c.coordinates[1])],
+             "members": list(c.members)}
+            for c in report.classes
+        ],
+        "notes": list(report.notes),
+    }
+
+
 def _print_table(table, out):
     labels = table.labels
     width = max(2, *(len(str(x)) for row in table.pairing for x in row),
@@ -176,19 +191,7 @@ def cmd_cone(cfg: RunConfig, out) -> int:
     surface, _, table = _compute_table(cfg)
     report = cone_report(table)
     if cfg.output_format == "record":
-        payload = {
-            "verdict": report.verdict,
-            "basis": list(report.basis) if report.basis else None,
-            "generators": list(report.generators) if report.generators else None,
-            "witness": list(report.witness) if report.witness else None,
-            "classes": [
-                {"coordinates": [str(c.coordinates[0]), str(c.coordinates[1])],
-                 "members": list(c.members)}
-                for c in report.classes
-            ],
-            "notes": list(report.notes),
-        }
-        out.write(_record_dump(payload))
+        out.write(_record_dump(_cone_payload(report)))
         return EXIT_OK
     out.write(f"verdict: {report.verdict}\n")
     if report.basis:
