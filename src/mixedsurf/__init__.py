@@ -19,16 +19,15 @@ from .perm import (FiniteGroup, GroupFingerprint, Permutation, Subgroup,
 from .words import Presentation, Word, evaluate_word, parse_word, print_word
 from .coset import todd_coxeter
 from .covering import (CoverType, CoveringData, GeneratingVector,
-                       covering_data, fixed_point_count, fixed_point_table,
+                       covering_data, fixed_point_table,
                        hurwitz_genus, parse_cover_type,
                        search_generating_vectors, stabilizer_set,
                        validate_generating_vector)
 from .surface import (FreenessReport, MixedAction, SurfaceData,
                       assemble_surface, build_mixed_action, check_free_action,
-                      derive_induced_vectors, surface_invariants,
-                      transport_structure)
-from .divisors import (IntersectionTable, OrbitDivisor, act_on_graph,
-                       graph_intersection, graph_orbits, intersection_table)
+                      derive_induced_vectors)
+from .divisors import (IntersectionTable, OrbitDivisor, graph_intersection,
+                       graph_orbits, intersection_table)
 from .cone import (ConeReport, NumericalClass, VERDICT_INCONCLUSIVE,
                    VERDICT_MORI_DREAM, choose_basis, cone_report,
                    find_divfq_quadruple, numerical_classes)

@@ -9,7 +9,7 @@ Commands::
     mixedsurf cone <spec> [--format table|record]
     mixedsurf reproduce <1|2|3|4|5> [--expect-divisors N]
 
-Global flags: --parallel N, --budget-closure N, --budget-cosets N.
+Global flag: --budget-closure N.
 
 Exit codes: 0 success; 2 parse error; 3 validation error; 4 internal
 exactness assertion; 5 mismatch (fingerprint or reproduction diff).
@@ -20,16 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 from .cone import cone_report
-from .coset import DEFAULT_COSET_BUDGET
 from .covering import parse_cover_type, search_generating_vectors
 from .divisors import graph_orbits, intersection_table
-from .errors import (InputParseError, IntegrityError, MismatchError,
-                     MixedSurfError, ValidationError)
+from .errors import InputParseError, IntegrityError, MismatchError, ValidationError
 from .expected import FAMILY_EXPECTATIONS, FAMILY_FILES, compare_family
 from .files import load_group, load_group_record, realize_group, build_surface
 from .perm import DEFAULT_CLOSURE_BUDGET, fingerprint
@@ -44,16 +42,13 @@ EXIT_MISMATCH = 5
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     paths: tuple[str, ...]
     output_format: str
-    parallel: int
     closure_budget: int
-    coset_budget: int
 
     def __post_init__(self):
-        if self.parallel < 1 or self.closure_budget < 1 or self.coset_budget < 1:
-            raise ValidationError("budgets and parallelism width must be positive")
+        if self.closure_budget < 1:
+            raise ValidationError("the closure budget must be positive")
         if self.output_format not in ("table", "record"):
             raise ValidationError(f"unknown output format {self.output_format!r}")
 
@@ -104,7 +99,7 @@ def cmd_genvec_search(cfg: RunConfig, type_text: str, limit: int | None, out) ->
 
 def _load_pipeline(cfg: RunConfig, use_extra: bool = True):
     surface = build_surface(cfg.paths[0], closure_budget=cfg.closure_budget,
-                            parallel=cfg.parallel, use_extra=use_extra)
+                            use_extra=use_extra)
     freeness = check_free_action(surface)
     return surface, freeness
 
@@ -132,7 +127,7 @@ def _compute_table(cfg: RunConfig, use_extra: bool = True):
     if not freeness.ok:
         raise ValidationError("the action is not free; no smooth quotient surface")
     orbits = graph_orbits(surface.h_group, surface)
-    table = intersection_table(orbits, surface, surface.h_covering, parallel=cfg.parallel)
+    table = intersection_table(orbits, surface, surface.h_covering)
     return surface, freeness, table
 
 
@@ -217,9 +212,7 @@ def bundled_spec_path(family: int) -> Path:
 
 def cmd_reproduce(cfg: RunConfig, family: int, expect_divisors: int | None, out) -> int:
     spec_path = bundled_spec_path(family)
-    sub_cfg = RunConfig(cfg.command, (str(spec_path),), cfg.output_format,
-                        cfg.parallel, cfg.closure_budget, cfg.coset_budget)
-    surface, freeness, table = _compute_table(sub_cfg)
+    surface, freeness, table = _compute_table(replace(cfg, paths=(str(spec_path),)))
     report = cone_report(table)
     items = compare_family(FAMILY_EXPECTATIONS[family], surface, freeness, table,
                            report, orbit_count_override=expect_divisors)
@@ -236,12 +229,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedsurf",
         description="Orbit divisors and cone verdicts for mixed product-quotient surfaces")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="parallelism width hint (results are identical for any N)")
     parser.add_argument("--budget-closure", type=int, default=DEFAULT_CLOSURE_BUDGET,
                         metavar="N", help="element budget for group closures")
-    parser.add_argument("--budget-cosets", type=int, default=DEFAULT_COSET_BUDGET,
-                        metavar="N", help="coset budget for presentation enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", help="validate a group data file against its fingerprint")
@@ -283,8 +272,7 @@ def run(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     paths = tuple(getattr(args, name) for name in ("file", "spec") if hasattr(args, name))
     try:
-        cfg = RunConfig(args.command, paths, getattr(args, "format", "table"),
-                        args.parallel, args.budget_closure, args.budget_cosets)
+        cfg = RunConfig(paths, getattr(args, "format", "table"), args.budget_closure)
         if args.command == "group":
             return cmd_group(cfg, out)
         if args.command == "genvec":

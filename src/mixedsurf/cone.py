@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .divisors import IntersectionTable
-from .errors import ValidationError
+from .errors import IntegrityError, ValidationError
 
 VERDICT_MORI_DREAM = "MoriDream_EffEqNefEqSAmp"
 VERDICT_INCONCLUSIVE = "Inconclusive"
@@ -80,7 +80,8 @@ def numerical_classes(table: IntersectionTable, basis: tuple[int, int]) -> list[
                for coords, members in grouped.items()]
     classes.sort(key=lambda c: c.coordinates)
     covered = sorted(lbl for c in classes for lbl in c.members)
-    assert covered == sorted(table.labels)
+    if covered != sorted(table.labels):
+        raise IntegrityError("numerical classes do not partition the divisor labels")
     return classes
 
 
@@ -139,7 +140,7 @@ def cone_report(table: IntersectionTable) -> ConeReport:
     if quad is None:
         return ConeReport(basis, classes, None, None, VERDICT_INCONCLUSIVE, tuple(notes))
     if not divfq_conditions_hold(table, quad):
-        raise ValidationError("witness failed re-verification")
+        raise IntegrityError("witness failed re-verification")
     d1, d2, d3, d4 = quad
     witness = (d1, d4, d2, d3)
     return ConeReport(basis, classes, witness, (witness[0], witness[2]),

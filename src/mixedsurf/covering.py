@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .errors import IntegrityError, ValidationError
 from .perm import FiniteGroup, conjugacy_class, subgroup_generated
-from .util import pmap
 
 
 @dataclass(frozen=True)
@@ -173,32 +172,11 @@ def _membership_counter(G: FiniteGroup, powers: tuple[int, ...]) -> dict[int, in
     return counter
 
 
-def fixed_point_count(f: int, v: GeneratingVector) -> int:
-    """Exact number of fixed points of the non-trivial automorphism f on C."""
-    if f == 0:
-        raise ValidationError("fixed-point counts are defined for non-identity elements only")
-    G = v.group
-    total = Fraction(0)
-    for h, mj in zip(v.entries, v.cover_type.m):
-        cyclic = {0}
-        k = h
-        while k != 0:
-            cyclic.add(k)
-            k = G.mul(k, h)
-        # f in gKg^-1 for as many g as g f g^-1 in K (g <-> g^-1 is a bijection)
-        member = sum(1 for g in range(G.order) if G.conj(g, f) in cyclic)
-        total += Fraction(member, mj)
-    if total.denominator != 1:
-        raise IntegrityError(f"fixed-point count for element {f} is non-integral: {total}")
-    return int(total)
-
-
-def fixed_point_table(v: GeneratingVector, parallel: int = 1) -> dict[int, int]:
+def fixed_point_table(v: GeneratingVector) -> dict[int, int]:
     """Fixed-point counts for every non-identity element, in one pass."""
     _require_genus_zero_quotient(v.cover_type)
     G = v.group
-    stabs = branch_stabilizers(v)
-    counters = pmap(lambda powers: _membership_counter(G, powers), stabs, parallel)
+    counters = [_membership_counter(G, powers) for powers in branch_stabilizers(v)]
     table: dict[int, int] = {}
     for f in range(1, G.order):
         total = Fraction(0)
@@ -224,18 +202,17 @@ class CoveringData:
         if f == 0:
             raise ValidationError("the identity has no fixed-point count")
         if self.fix_table is None:
-            return fixed_point_count(f, self.vector)
+            raise ValidationError("this covering was built without a fixed-point table")
         return self.fix_table[f]
 
 
-def covering_data(v: GeneratingVector, with_fix_table: bool = True,
-                  parallel: int = 1) -> CoveringData:
+def covering_data(v: GeneratingVector, with_fix_table: bool = True) -> CoveringData:
     report = validate_generating_vector(v)
     if not report.ok:
         raise ValidationError("invalid generating vector: " + "; ".join(report.failures))
     genus = hurwitz_genus(v.group.order, v.cover_type)
     sigma = stabilizer_set(v)
-    table = fixed_point_table(v, parallel) if with_fix_table else None
+    table = fixed_point_table(v) if with_fix_table else None
     if table is not None:
         ram = sum(table.values())
         expected = sum((v.group.order // mj) * (mj - 1) for mj in v.cover_type.m)

@@ -28,7 +28,6 @@ from .covering import CoveringData
 from .errors import IntegrityError, ValidationError
 from .perm import FiniteGroup
 from .surface import SurfaceData
-from .util import pmap
 
 # A graph class is addressed by the index of its automorphism in h_group.
 GraphClass = int
@@ -46,35 +45,15 @@ class OrbitDivisor:
         return len(self.members)
 
 
-def act_on_graph(S: SurfaceData, h: int, f: GraphClass, mixed: bool = False) -> GraphClass:
-    """Image of graph(f) under h in G0 (or under tau' h when ``mixed``).
-
-    ``h`` is a G-element index lying in G0; ``f`` and the result are
-    h_group indices.  The computation happens entirely inside h_group.
-    """
-    if S.embedding is None or S.h_covering is None:
-        raise ValidationError("surface has no embedding into a covering group")
-    H = S.h_group
-    if h not in S.action.G0:
-        raise ValidationError("the acting element must lie in G0")
-    hh = S.embedding[S.to_g0[h]]
-    ph = S.phi_h[hh]
-    if not mixed:
-        return H.mul(H.mul(ph, f), H.inv(hh))
-    return H.mul(H.mul(H.mul(S.tau_h, hh), H.inv(f)), H.inv(ph))
-
-
 def graph_orbits(H: FiniteGroup, S: SurfaceData) -> list[OrbitDivisor]:
     """Partition the |H| graph classes into G-orbits, deterministically labeled."""
     if H is not S.h_group:
         raise ValidationError("H must be the surface's covering group")
-    image = sorted(S.embedding[i] for i in range(S.g0_group.order))
-    if any(S.phi_h.get(i) is None for i in image) or S.tau_h not in set(image):
-        raise IntegrityError("transported action tables are incomplete")
+    act = S.action
+    pairs = [(S.to_h[h], S.to_h[act.phi[h]]) for h in act.G0.members]
+    tau = S.to_h[act.tau]
     inv = H.inv
     mul = H.mul
-    phi = S.phi_h
-    tau = S.tau_h
     assigned: dict[int, int] = {}
     orbit_sets: list[tuple[int, ...]] = []
     for f in range(H.order):
@@ -82,8 +61,7 @@ def graph_orbits(H: FiniteGroup, S: SurfaceData) -> list[OrbitDivisor]:
             continue
         orb = set()
         inv_f = inv(f)
-        for hh in image:
-            ph = phi[hh]
+        for hh, ph in pairs:
             orb.add(mul(mul(ph, f), inv(hh)))
             orb.add(mul(mul(mul(tau, hh), inv_f), inv(ph)))
         if f not in orb:
@@ -151,8 +129,7 @@ class IntersectionTable:
         return rank
 
 
-def intersection_table(orbits, S: SurfaceData, cover: CoveringData,
-                       parallel: int = 1) -> IntersectionTable:
+def intersection_table(orbits, S: SurfaceData, cover: CoveringData) -> IntersectionTable:
     """Full symmetric pairing plus the K_S row, all integrality-asserted."""
     if cover.fix_table is None:
         raise ValidationError("intersection counting needs a covering with a fixed-point table")
@@ -192,7 +169,7 @@ def intersection_table(orbits, S: SurfaceData, cover: CoveringData,
         return total
 
     tasks = [(i, j) for i in range(norb) for j in range(i, norb)]
-    sums = pmap(pair_sum, tasks, parallel)
+    sums = [pair_sum(task) for task in tasks]
 
     pairing = [[0] * norb for _ in range(norb)]
     for (i, j), total in zip(tasks, sums):

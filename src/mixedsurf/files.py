@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .covering import CoverType, parse_cover_type, search_generating_vectors
-from .errors import InputParseError, MismatchError, MixedSurfError, ValidationError
+from .errors import InputParseError, MismatchError, ValidationError
 from .perm import (DEFAULT_CLOSURE_BUDGET, FiniteGroup, GroupFingerprint,
                    Permutation, closure, fingerprint)
 from .surface import SurfaceData, assemble_surface
@@ -107,12 +107,11 @@ def verify_group(record: GroupFile, group: FiniteGroup) -> GroupFingerprint:
     return computed
 
 
-def load_group(path: str | Path, verify: bool = True,
+def load_group(path: str | Path,
                budget: int = DEFAULT_CLOSURE_BUDGET) -> tuple[FiniteGroup, GroupFile]:
     record = load_group_record(path)
     group = realize_group(record, budget=budget)
-    if verify:
-        verify_group(record, group)
+    verify_group(record, group)
     return group, record
 
 
@@ -219,17 +218,16 @@ def _resolve_path(base: Path | None, rel: str) -> Path:
     return base.parent / p
 
 
-def build_surface(spec: str | Path | SurfaceFile, verify: bool = True,
+def build_surface(spec: str | Path | SurfaceFile,
                   closure_budget: int = DEFAULT_CLOSURE_BUDGET,
-                  parallel: int = 1, use_extra: bool = True) -> SurfaceData:
+                  use_extra: bool = True) -> SurfaceData:
     """Load a surface file and assemble the full SurfaceData pipeline.
 
     ``use_extra=False`` ignores the extra-automorphism block, forcing the
     covering group down to G0.
     """
     record = spec if isinstance(spec, SurfaceFile) else load_surface_record(spec)
-    G, _ = load_group(_resolve_path(record.path, record.group_file),
-                      verify=verify, budget=closure_budget)
+    G, _ = load_group(_resolve_path(record.path, record.group_file), budget=closure_budget)
     seeds = [resolve_word(G, w) for w in record.g0_generators]
     tau_prime = resolve_word(G, record.tau_prime)
     vector = [resolve_word(G, w) for w in record.vector]
@@ -238,26 +236,26 @@ def build_surface(spec: str | Path | SurfaceFile, verify: bool = True,
     h_vector = None
     if use_extra and record.extra is not None:
         h_group, _ = load_group(_resolve_path(record.path, record.extra.group_file),
-                                verify=verify, budget=closure_budget)
+                                budget=closure_budget)
         if record.extra.vector is not None:
             h_vector = tuple(resolve_word(h_group, w) for w in record.extra.vector)
         else:
             h_vector = _search_matching_vector(h_group, G, seeds, tau_prime, vector,
-                                               record.cover_type, parallel)
+                                               record.cover_type)
     return assemble_surface(G, seeds, tau_prime, vector, record.cover_type,
-                            h_group=h_group, h_vector=h_vector, parallel=parallel)
+                            h_group=h_group, h_vector=h_vector)
 
 
 def _search_matching_vector(h_group: FiniteGroup, G: FiniteGroup, seeds, tau_prime,
-                            vector, cover_type: CoverType, parallel: int):
+                            vector, cover_type: CoverType):
     """First [0;2,3,8] vector of H whose induced vector transports onto the
     surface's defining vector."""
     candidates = search_generating_vectors(h_group, CoverType(0, (2, 3, 8)))
     for cand in candidates:
         try:
             assemble_surface(G, seeds, tau_prime, vector, cover_type,
-                             h_group=h_group, h_vector=cand.entries, parallel=parallel)
-        except MixedSurfError:
+                             h_group=h_group, h_vector=cand.entries)
+        except ValidationError:
             continue
         return cand.entries
     raise ValidationError(

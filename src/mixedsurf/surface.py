@@ -16,7 +16,7 @@ where Sigma_V is the stabilizer set of the generating vector V of G0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .covering import CoverType, CoveringData, GeneratingVector, covering_data
@@ -75,26 +75,28 @@ class SurfaceData:
 
     ``g0_group`` is the standalone realization of G0 acting on C; the
     defining generating vector lives there.  ``h_group`` is the (possibly
-    larger) automorphism group used to build orbit divisors, reached
-    through ``embedding``; for surfaces without extra automorphisms it is
-    ``g0_group`` itself and the embedding is the identity.
+    larger) automorphism group used to build orbit divisors; for surfaces
+    without extra automorphisms it is ``g0_group`` itself.  ``to_h`` sends
+    the G-index of each G0 member to its h_group index.
     """
 
     action: MixedAction
-    g0_group: FiniteGroup
-    to_g0: dict[int, int]          # G-index of a G0 member -> g0_group index
-    from_g0: dict[int, int]
     covering: CoveringData         # cover C -> C/G0 (no fixed-point table needed)
-    h_group: FiniteGroup
-    embedding: dict[int, int]      # g0_group index -> h_group index
-    phi_h: dict[int, int]
-    tau_h: int
-    h_covering: CoveringData | None  # cover used for intersection counts
+    h_covering: CoveringData       # cover C -> C/H used for intersection counts
+    to_h: dict[int, int]
     chi: int
     k2: int
     euler: int
     q: int
     pg: int
+
+    @property
+    def g0_group(self) -> FiniteGroup:
+        return self.covering.vector.group
+
+    @property
+    def h_group(self) -> FiniteGroup:
+        return self.h_covering.vector.group
 
 
 def invariants_from(genus: int, order_g: int, g_prime: int) -> tuple[int, int, int, int, int]:
@@ -108,15 +110,13 @@ def invariants_from(genus: int, order_g: int, g_prime: int) -> tuple[int, int, i
     return chi, 8 * chi, 4 * chi, q, chi - 1 + q
 
 
-def surface_invariants(S: SurfaceData) -> tuple[int, int, int, int, int]:
-    return invariants_from(S.covering.genus, S.action.G.order, S.covering.vector.cover_type.g_prime)
-
-
 def check_free_action(S: SurfaceData) -> FreenessReport:
     """Evaluate the two freeness conditions, with witnesses on failure."""
     act = S.action
     G = act.G
-    sigma_g = frozenset(S.from_g0[s] for s in S.covering.sigma_v)
+    # Sigma_V in G-indices: the G0 members with fixed points on C.
+    fix = S.h_covering.fix_table
+    sigma_g = frozenset(g for g in act.G0.members if g == 0 or fix[S.to_h[g]] > 0)
     isolated = None
     for s in sorted(sigma_g):
         if s != 0 and act.phi[s] in sigma_g:
@@ -230,8 +230,7 @@ def transport_embedding(src: FiniteGroup, src_gens, dst: FiniteGroup, dst_gens) 
 
 def assemble_surface(G: FiniteGroup, g0_seeds, tau_prime: int, vector_entries,
                      cover_type: CoverType, h_group: FiniteGroup | None = None,
-                     h_vector: tuple[int, int, int] | None = None,
-                     parallel: int = 1) -> SurfaceData:
+                     h_vector: tuple[int, int, int] | None = None) -> SurfaceData:
     """Build the full surface bundle from raw group data.
 
     ``vector_entries`` are G-element indices (inside G0) of the defining
@@ -246,37 +245,28 @@ def assemble_surface(G: FiniteGroup, g0_seeds, tau_prime: int, vector_entries,
             raise ValidationError("generating-vector entry outside G0")
 
     g0_group = subgroup_as_group(G0)
-    to_g0 = {i: g0_group.index_of(G.element(i)) for i in G0.members}
-    from_g0 = {v: k for k, v in to_g0.items()}
+    # G-index -> g0_group index; composed with the embedding when H is larger.
+    to_h = {i: g0_group.index_of(G.element(i)) for i in G0.members}
 
     defining = GeneratingVector(g0_group, cover_type,
-                                tuple(to_g0[v] for v in vector_entries))
+                                tuple(to_h[v] for v in vector_entries))
 
     if h_group is None:
-        covering = covering_data(defining, with_fix_table=True, parallel=parallel)
-        embedding = {i: i for i in range(g0_group.order)}
-        h_grp = g0_group
-        h_covering = covering
+        covering = h_covering = covering_data(defining)
     else:
         covering = covering_data(defining, with_fix_table=False)
         tower = derive_induced_vectors(h_group, *h_vector)
         embedding = transport_embedding(g0_group, defining.entries, h_group, tower.second)
-        h_grp = h_group
         h_covering = covering_data(
-            GeneratingVector(h_group, CoverType(0, (2, 3, 8)), h_vector),
-            with_fix_table=True, parallel=parallel)
+            GeneratingVector(h_group, CoverType(0, (2, 3, 8)), h_vector))
         if h_covering.genus != covering.genus:
             raise IntegrityError(
                 f"genus mismatch between covers: {covering.genus} vs {h_covering.genus}")
         _check_sigma_consistency(covering, embedding, h_covering)
-
-    phi_g0 = {to_g0[h]: to_g0[action.phi[h]] for h in G0.members}
-    phi_h = {embedding[i]: embedding[phi_g0[i]] for i in range(g0_group.order)}
-    tau_h = embedding[to_g0[action.tau]]
+        to_h = {g: embedding[k] for g, k in to_h.items()}
 
     chi, k2, euler, q, pg = invariants_from(covering.genus, G.order, cover_type.g_prime)
-    return SurfaceData(action, g0_group, to_g0, from_g0, covering, h_grp,
-                       embedding, phi_h, tau_h, h_covering, chi, k2, euler, q, pg)
+    return SurfaceData(action, covering, h_covering, to_h, chi, k2, euler, q, pg)
 
 
 def _check_sigma_consistency(covering: CoveringData, embedding: dict[int, int],
@@ -285,24 +275,8 @@ def _check_sigma_consistency(covering: CoveringData, embedding: dict[int, int],
     # points for one exactly when it does for the other.
     image_sigma = {embedding[s] for s in covering.sigma_v if s != 0}
     h_fix = h_covering.fix_table
-    from_h = {embedding[i] for i in embedding}
-    h_side = {f for f in from_h if f != 0 and h_fix[f] > 0}
+    h_side = {f for f in embedding.values() if f != 0 and h_fix[f] > 0}
     if image_sigma != h_side:
         raise IntegrityError(
             "stabilizer set of the subgroup cover disagrees with the fixed-point "
             "table of the ambient cover")
-
-
-def transport_structure(S: SurfaceData, h_group: FiniteGroup,
-                        induced_vector: GeneratingVector,
-                        h_covering: CoveringData | None = None) -> SurfaceData:
-    """Re-attach S to a bigger automorphism group along its defining vector."""
-    embedding = transport_embedding(S.g0_group, S.covering.vector.entries,
-                                    h_group, induced_vector.entries)
-    phi_g0 = {S.to_g0[h]: S.to_g0[S.action.phi[h]] for h in S.action.G0.members}
-    phi_h = {embedding[i]: embedding[phi_g0[i]] for i in range(S.g0_group.order)}
-    tau_h = embedding[S.to_g0[S.action.tau]]
-    if h_covering is not None:
-        _check_sigma_consistency(S.covering, embedding, h_covering)
-    return replace(S, h_group=h_group, embedding=embedding, phi_h=phi_h,
-                   tau_h=tau_h, h_covering=h_covering)

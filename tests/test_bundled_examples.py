@@ -30,7 +30,7 @@ def test_h768_fingerprint_and_series(data_dir):
 def test_vector_entries_generate_index_two_subgroup(family1):
     S = family1.surface
     G = S.action.G
-    entries = [S.from_g0[e] for e in S.covering.vector.entries]
+    entries = [g for g, k in S.to_h.items() if k in S.covering.vector.entries]
     sub = subgroup_generated(G, entries)
     assert sub.order == 32 and G.order == 64
 

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 
 import pytest
 
+from mixedsurf import cli, cone
 from mixedsurf.cone import (VERDICT_INCONCLUSIVE, VERDICT_MORI_DREAM,
-                            choose_basis, cone_report, divfq_conditions_hold,
-                            find_divfq_quadruple, numerical_classes)
+                            NumericalClass, choose_basis, cone_report,
+                            divfq_conditions_hold, find_divfq_quadruple,
+                            numerical_classes)
 from mixedsurf.divisors import IntersectionTable, OrbitDivisor
-from mixedsurf.errors import ValidationError
+from mixedsurf.errors import IntegrityError, ValidationError
 
 
 def _synthetic_table(pairing, kdot=None):
@@ -137,3 +140,21 @@ def test_verdict_monotone_under_added_divisors(family1):
     pairing.append(first_row + [t.pairing[0][0]])
     bigger = _synthetic_table(pairing, kdot=list(t.kdot) + [t.kdot[0]])
     assert cone_report(bigger).verdict == VERDICT_MORI_DREAM
+
+
+def test_numerical_classes_partition_failure_is_integrity_error(family1, monkeypatch):
+    # A class that loses a member no longer covers every label.
+    monkeypatch.setattr(cone, "NumericalClass",
+                        lambda coords, members: NumericalClass(coords, members[1:]))
+    with pytest.raises(IntegrityError):
+        numerical_classes(family1.table, family1.report.basis)
+
+
+def test_witness_reverification_failure_is_integrity_error(family1, data_dir, monkeypatch):
+    monkeypatch.setattr(cone, "find_divfq_quadruple", lambda table: (1, 1, 2, 3))
+    with pytest.raises(IntegrityError):
+        cone_report(family1.table)
+    out = io.StringIO()
+    code = cli.run(["cone", str(data_dir / "family1.json")], out=out)
+    assert code == cli.EXIT_ASSERTION
+    assert "witness failed re-verification" in out.getvalue()

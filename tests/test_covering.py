@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CosetFiberOracle
+from oracles import CosetFiberOracle, fixed_point_count
 from mixedsurf.covering import (CoverType, GeneratingVector, covering_data,
-                                fixed_point_count, fixed_point_table,
+                                fixed_point_table,
                                 hurwitz_genus, parse_cover_type,
                                 search_generating_vectors, stabilizer_set,
                                 validate_generating_vector)

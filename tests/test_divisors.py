@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import CosetFiberOracle
-from mixedsurf.divisors import act_on_graph, graph_intersection
+from oracles import CosetFiberOracle, act_on_graph
+from mixedsurf.divisors import graph_intersection
 from mixedsurf.errors import ValidationError
 
 
@@ -19,19 +19,20 @@ def test_act_identity_mixed_sends_f_to_tau_f_inverse(family1):
     S = family1.surface
     H = S.h_group
     for f in range(0, H.order, 3):
-        assert act_on_graph(S, 0, f, mixed=True) == H.mul(S.tau_h, H.inv(f))
+        assert act_on_graph(S, 0, f, mixed=True) == H.mul(S.to_h[S.action.tau], H.inv(f))
 
 
 def test_act_matches_direct_multiplication(family1):
     S = family1.surface
     H = S.h_group
     h = S.action.G0.members[3]
-    hh = S.embedding[S.to_g0[h]]
+    hh = S.to_h[h]
+    ph = S.to_h[S.action.phi[h]]
+    tau = S.to_h[S.action.tau]
     for f in (1, 7, 20):
-        expected = H.mul(H.mul(S.phi_h[hh], f), H.inv(hh))
+        expected = H.mul(H.mul(ph, f), H.inv(hh))
         assert act_on_graph(S, h, f) == expected
-        expected_mixed = H.mul(H.mul(H.mul(S.tau_h, hh), H.inv(f)),
-                               H.inv(S.phi_h[hh]))
+        expected_mixed = H.mul(H.mul(H.mul(tau, hh), H.inv(f)), H.inv(ph))
         assert act_on_graph(S, h, f, mixed=True) == expected_mixed
 
 

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from mixedsurf import cli
-from mixedsurf.errors import InputParseError, MismatchError
+from mixedsurf import cli, files
+from mixedsurf.errors import InputParseError, IntegrityError, MismatchError
 from mixedsurf.files import (load_group, load_group_record, load_surface_record,
                              resolve_word, save_group_file)
 
@@ -138,16 +138,6 @@ def test_divisors_cmd_family1_record(data_dir):
     assert all(d["kdot"] == 4 for d in payload["divisors"])
 
 
-def test_divisors_record_byte_stable_across_parallel(data_dir):
-    outs = []
-    for width in ("1", "8"):
-        code, text = run_cli("--parallel", width, "divisors",
-                             str(data_dir / "family1.json"), "--format", "record")
-        assert code == cli.EXIT_OK
-        outs.append(text.encode())
-    assert outs[0] == outs[1]
-
-
 def test_cone_cmd_family1(data_dir):
     code, text = run_cli("cone", str(data_dir / "family1.json"), "--format", "record")
     assert code == cli.EXIT_OK
@@ -197,5 +187,20 @@ def test_load_presentation_record(tmp_path):
 
 
 def test_invalid_budget_flag_maps_to_validation_exit(data_dir):
-    code, text = run_cli("--parallel", "0", "group", str(data_dir / "g64.json"))
+    code, text = run_cli("--budget-closure", "0", "group", str(data_dir / "g64.json"))
     assert code == cli.EXIT_VALIDATION
+
+
+def test_vector_search_propagates_integrity_errors(data_dir, monkeypatch):
+    # Only a ValidationError means "this candidate does not match"; corrupted
+    # data must surface as exit 4 instead of being skipped.
+    def corrupted(*args, **kwargs):
+        raise IntegrityError("corrupted candidate")
+
+    monkeypatch.setattr(files, "assemble_surface", corrupted)
+    spec = data_dir / "family2_search.json"
+    with pytest.raises(IntegrityError, match="corrupted candidate"):
+        files.build_surface(spec)
+    code, text = run_cli("surface", str(spec))
+    assert code == cli.EXIT_ASSERTION
+    assert "corrupted candidate" in text

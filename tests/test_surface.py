@@ -12,8 +12,7 @@ from mixedsurf.files import build_surface, load_group
 from mixedsurf.perm import Permutation, closure, subgroup_generated
 from mixedsurf.surface import (assemble_surface, build_mixed_action,
                                check_free_action, derive_induced_vectors,
-                               invariants_from, surface_invariants,
-                               transport_embedding)
+                               invariants_from, transport_embedding)
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +49,10 @@ def test_invariants_from_table_values():
 
 
 def test_surface_invariants_on_families(family1, family2):
-    assert surface_invariants(family1.surface) == (1, 8, 4, 0, 0)
-    assert family1.surface.covering.genus == 9
-    assert surface_invariants(family2.surface) == (1, 8, 4, 0, 0)
-    assert family2.surface.covering.genus == 17
+    for bundle, genus in ((family1, 9), (family2, 17)):
+        S = bundle.surface
+        assert (S.chi, S.k2, S.euler, S.q, S.pg) == (1, 8, 4, 0, 0)
+        assert S.covering.genus == genus
 
 
 def test_phi_squared_is_conjugation_by_tau(family1, family2):
@@ -68,6 +67,13 @@ def test_families_are_free(family1, family2):
     assert family2.freeness.ok
 
 
+def _sigma_in_g(surface):
+    # Stabilizer set of the defining vector, moved from g0_group indices to
+    # G-indices (h_group is g0_group for surfaces without extra automorphisms).
+    from_h = {k: g for g, k in surface.to_h.items()}
+    return {from_h[s] for s in surface.covering.sigma_v}
+
+
 def test_toy_z4_fails_condition_one(data_dir):
     surface = build_surface(data_dir / "toy_z4.json")
     report = check_free_action(surface)
@@ -76,7 +82,7 @@ def test_toy_z4_fails_condition_one(data_dir):
     w = report.isolated_witness
     assert w is not None and w != 0
     # verify the witness by direct membership
-    sigma_g = {surface.from_g0[s] for s in surface.covering.sigma_v}
+    sigma_g = _sigma_in_g(surface)
     assert w in sigma_g and surface.action.phi[w] in sigma_g
 
 
@@ -84,7 +90,7 @@ def test_nonfree_fixture_fails_with_verified_witness(data_dir):
     surface = build_surface(data_dir / "family1_nonfree.json")
     report = check_free_action(surface)
     assert not report.ok
-    sigma_g = {surface.from_g0[s] for s in surface.covering.sigma_v}
+    sigma_g = _sigma_in_g(surface)
     if report.isolated_witness is not None:
         w = report.isolated_witness
         assert w != 0 and w in sigma_g and surface.action.phi[w] in sigma_g
@@ -103,11 +109,16 @@ def test_freeness_monotone_in_sigma(data_dir):
     base = check_free_action(surface)
     assert not base.ok
 
+    # Sigma is read from the covering group's fixed-point table, so an element
+    # joins it by getting a positive count.
+    cover = surface.h_covering
+
     @settings(max_examples=25, deadline=None)
-    @given(st.sets(st.integers(min_value=0, max_value=31), max_size=5))
+    @given(st.sets(st.sampled_from(surface.action.G0.members[1:]), max_size=5))
     def enlarge(extra):
-        bigger = frozenset(surface.covering.sigma_v) | frozenset(extra)
-        bumped = replace(surface, covering=replace(surface.covering, sigma_v=bigger))
+        fix = dict(cover.fix_table)
+        fix.update({surface.to_h[g]: 1 for g in extra})
+        bumped = replace(surface, h_covering=replace(cover, fix_table=fix))
         report = check_free_action(bumped)
         assert not (report.ok and not base.ok)
         if not base.no_isolated_fixed_points:
@@ -144,18 +155,19 @@ def test_derive_induced_vectors_rejects_bad_input(data_dir):
 def test_transport_identity_embedding(family1):
     S = family1.surface
     assert S.h_group is S.g0_group
-    assert all(S.embedding[i] == i for i in range(S.g0_group.order))
+    G = S.action.G
+    assert all(S.to_h[g] == S.g0_group.index_of(G.element(g)) for g in S.action.G0.members)
 
 
 def test_transport_verifies_homomorphism(family2):
     S = family2.surface
+    G = S.action.G
     H = S.h_group
-    n = S.g0_group.order
-    assert len(set(S.embedding.values())) == n
-    for x in range(n):
-        for y in range(n):
-            assert S.embedding[S.g0_group.mul(x, y)] == H.mul(S.embedding[x],
-                                                              S.embedding[y])
+    members = S.action.G0.members
+    assert len(set(S.to_h[g] for g in members)) == S.g0_group.order == len(members)
+    for x in members:
+        for y in members:
+            assert S.to_h[G.mul(x, y)] == H.mul(S.to_h[x], S.to_h[y])
 
 
 def test_transport_rejects_order_mismatch(family1):
@@ -194,14 +206,3 @@ def test_assemble_rejects_entries_outside_g0(z4):
 
 def test_genus_consistency_between_covers(family2):
     assert family2.surface.covering.genus == family2.surface.h_covering.genus == 17
-
-
-def test_transport_structure_reattaches(family1):
-    from mixedsurf.surface import transport_structure
-    from mixedsurf.covering import GeneratingVector
-    S = family1.surface
-    induced = GeneratingVector(S.g0_group, S.covering.vector.cover_type,
-                               S.covering.vector.entries)
-    again = transport_structure(S, S.g0_group, induced, h_covering=S.h_covering)
-    assert again.embedding == S.embedding
-    assert again.tau_h == S.tau_h and again.phi_h == S.phi_h
