@@ -257,7 +257,7 @@ def iso_test(GA: FiniteGroup, GB: FiniteGroup) -> bool:
     """Exhaustive generator-image isomorphism search (order-pruned)."""
     if GA.order != GB.order:
         return False
-    gA = [GA.index_of(p) for p in GA.generators]
+    gA = list(GA.generator_indices)
 
     def word_ord(G, gens, w):
         acc = 0
@@ -422,7 +422,7 @@ def make_families_2_to_5(out: Path):
     def vector_words_in_ext(ext: FiniteGroup, vec):
         # Express an induced vector (H-indices inside G0) in the extension's
         # generators g1..g3 (the images of V0) via words over V0.
-        ext_g0 = [ext.index_of(p) for p in ext.generators[:3]]
+        ext_g0 = list(ext.generator_indices[:3])
         words = []
         for v in vec:
             w = subgroup_word(H, V0, v)
@@ -606,7 +606,7 @@ def make_family_1(out: Path):
         if bad:
             break
     assert bad is not None
-    ext_gens = [G.index_of(p) for p in G.generators[:4]]
+    ext_gens = list(G.generator_indices[:4])
 
     def in_ext(x):
         w = subgroup_word(G0, V[:4], x)

@@ -139,9 +139,22 @@ def cone_report(table: IntersectionTable) -> ConeReport:
     quad = find_divfq_quadruple(table)
     if quad is None:
         return ConeReport(basis, classes, None, None, VERDICT_INCONCLUSIVE, tuple(notes))
-    if not divfq_conditions_hold(table, quad):
-        raise IntegrityError("witness failed re-verification")
+    _recheck_witness(table, quad)
     d1, d2, d3, d4 = quad
     witness = (d1, d4, d2, d3)
     return ConeReport(basis, classes, witness, (witness[0], witness[2]),
                       VERDICT_MORI_DREAM, tuple(notes))
+
+
+def _recheck_witness(table: IntersectionTable, quad: tuple[int, int, int, int]):
+    """Re-read the pairing block of (D1, D2, D3, D4) straight from the matrix.
+
+    Independent of :func:`divfq_conditions_hold`: the block must be
+    [[0,p,p,0],[p,0,0,p],[p,0,0,p],[0,p,p,0]] with p > 0, on four distinct labels.
+    """
+    if len(set(quad)) != 4 or not set(quad) <= set(table.labels):
+        raise IntegrityError(f"witness failed re-verification: labels {quad}")
+    block = [[table.pairing[a - 1][b - 1] for b in quad] for a in quad]
+    p = block[0][1]
+    if p <= 0 or block != [[0, p, p, 0], [p, 0, 0, p], [p, 0, 0, p], [0, p, p, 0]]:
+        raise IntegrityError(f"witness failed re-verification: pairing block {block}")

@@ -292,4 +292,7 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
             descend(position + 1, prefix + (h,), G.mul(product, h), new_span)
 
     descend(0, (), 0, frozenset({0}))
+    # descend's closure cell refers to descend itself; emptying it breaks the
+    # cycle, so G is freed now instead of whenever the cyclic collector runs.
+    del descend
     return found

@@ -134,9 +134,10 @@ def intersection_table(orbits, S: SurfaceData, cover: CoveringData) -> Intersect
     if cover.fix_table is None:
         raise ValidationError("intersection counting needs a covering with a fixed-point table")
     H = cover.vector.group
+    H._ensure_tables()
+    rows = H._mul_rows
+    inv = H._inv
     fix = cover.fix_table
-    inv = H.inv
-    mul = H.mul
     gm1 = cover.genus - 1
     order_g = S.action.G.order
 
@@ -154,19 +155,12 @@ def intersection_table(orbits, S: SurfaceData, cover: CoveringData) -> Intersect
         i, j = task
         mi = divisors[i].members
         mj = divisors[j].members
+        # graph_x . graph_y = fix[x^-1 y], summed over a row of the Cayley table.
         if i == j:
-            total = 0
-            for a in range(len(mi)):
-                ia = inv(mi[a])
-                for b in range(a + 1, len(mi)):
-                    total += fix[mul(ia, mi[b])]
-            return total
-        total = 0
-        for x in mi:
-            ix = inv(x)
-            for y in mj:
-                total += fix[mul(ix, y)]
-        return total
+            return sum(sum(map(fix.__getitem__, map(rows[inv[x]].__getitem__, mi[a + 1:])))
+                       for a, x in enumerate(mi))
+        return sum(sum(map(fix.__getitem__, map(rows[inv[x]].__getitem__, mj)))
+                   for x in mi)
 
     tasks = [(i, j) for i in range(norb) for j in range(i, norb)]
     sums = [pair_sum(task) for task in tasks]

@@ -76,7 +76,10 @@ def load_group_record(path: str | Path) -> GroupFile:
         degree = int(raw["degree"])
         gens = []
         for row in raw["generators"]:
-            images = tuple(int(x) for x in row)
+            # JSON integers only: int() would also take 2.0, "2" and true.
+            if not isinstance(row, list) or any(type(x) is not int for x in row):
+                raise InputParseError(f"{path}: generator images must be integers: {row!r}")
+            images = tuple(row)
             if len(images) != degree:
                 raise InputParseError(
                     f"{path}: generator has {len(images)} images, expected {degree}")
@@ -201,7 +204,7 @@ def save_surface_file(path: str | Path, record: dict):
 
 
 def generator_alphabet(group: FiniteGroup) -> dict[str, int]:
-    return {f"g{i + 1}": group.index_of(g) for i, g in enumerate(group.generators)}
+    return {f"g{i + 1}": g for i, g in enumerate(group.generator_indices)}
 
 
 def resolve_word(group: FiniteGroup, text: str) -> int:

@@ -10,10 +10,16 @@ Conventions used throughout the package:
   within a BFS layer broken by lexicographic image sequence.  The identity
   always has index 0.
 
-Groups of order up to a few thousand are the target; multiplication is
-backed by an index-level Cayley table built in O(|G|^2) from the BFS
-parent structure, so downstream code works with integer element indices
-and never composes image arrays in inner loops.
+Bijectivity is checked once, when a :class:`Permutation` is built from
+outside data (a group file, a coset table, a test).  :func:`closure` then
+composes raw image tuples: a product of bijections is a bijection, so the
+elements it finds are wrapped without re-checking.  While it walks the BFS
+it records each element's step under each generator; the index-level
+Cayley table is built from those steps and the BFS parents, so downstream
+code works with integer element indices and never composes image arrays
+in inner loops.
+
+Groups of order up to a few thousand are the target.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, IntegrityError, ValidationError
@@ -42,6 +49,13 @@ class Permutation:
     @property
     def degree(self) -> int:
         return len(self.images)
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple already known to be a bijection (no check)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
@@ -71,7 +85,7 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*map(len, self.cycles()))
 
     def is_identity(self) -> bool:
         return all(img == i + 1 for i, img in enumerate(self.images))
@@ -111,16 +125,17 @@ class FiniteGroup:
     """
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
-                 elements: tuple[Permutation, ...], parents: tuple[tuple[int, int], ...],
-                 gen_step: list[array]):
+                 elements: tuple[Permutation, ...], index: dict[tuple[int, ...], int],
+                 parents: tuple[tuple[int, int], ...], gen_step: list[array]):
         self.degree = degree
         self.generators = generators
         self.elements = elements
-        self.index = {e.images: i for i, e in enumerate(elements)}
+        self.index = index  # image sequence -> element index
         # parents[i] = (j, c) with elements[i] == elements[j] * generators[c];
         # parents[0] is (-1, -1) for the identity.
         self._parents = parents
         self._gen_step = gen_step  # gen_step[c][k] = index(elements[k] * generators[c])
+        self.generator_indices = tuple(step[0] for step in gen_step)
         self._mul_rows: list[array] | None = None
         self._inv: array | None = None
         self._orders: list[int] | None = None
@@ -145,21 +160,26 @@ class FiniteGroup:
         if self._mul_rows is not None:
             return
         n = self.order
-        rows = []
         parents = self._parents
-        steps = self._gen_step
-        for i in range(n):
+        # left[c][j] = index(generators[c] * elements[j]), walked along the BFS
+        # parents: generators[c] * e_j == (generators[c] * e_p) * generators[cj].
+        left = []
+        for c in range(len(self.generators)):
             row = array("i", bytes(4 * n))
-            row[0] = i
+            row[0] = self.generator_indices[c]
             for j in range(1, n):
                 pj, cj = parents[j]
-                row[j] = steps[cj][row[pj]]
-            rows.append(row)
+                row[j] = self._gen_step[cj][row[pj]]
+            left.append(row)
+        # Row i maps j to index(e_i * e_j); with e_i == e_p * generators[c] it
+        # is row p read through left[c], one C-level gather per row.
+        read_left = [itemgetter(*row) for row in left]
+        rows = [array("i", range(n))]
+        for i in range(1, n):
+            p, c = parents[i]
+            rows.append(array("i", read_left[c](rows[p])))
         self._mul_rows = rows
-        inv = array("i", bytes(4 * n))
-        for i in range(n):
-            inv[i] = rows[i].index(0)
-        self._inv = inv
+        self._inv = array("i", [row.index(0) for row in rows])
 
     def mul(self, i: int, j: int) -> int:
         self._ensure_tables()
@@ -226,41 +246,50 @@ def closure(generators: Sequence[Permutation], budget: int = DEFAULT_CLOSURE_BUD
     if any(g.degree != degree for g in gens):
         raise ValidationError("generators have mismatched degrees")
 
-    ident = Permutation.identity(degree)
-    elements: list[Permutation] = [ident]
-    index: dict[tuple[int, ...], int] = {ident.images: 0}
+    # (e * g).images == tuple(pad[x] for x in e.images) with pad = (0,) + g.images.
+    pads = [(0,) + g.images for g in gens]
+    ident = tuple(range(1, degree + 1))
+    images: list[tuple[int, ...]] = [ident]
+    # Image sequence -> element index; a member of the layer being discovered
+    # maps to ~(its discovery number) until the layer is sorted.
+    index: dict[tuple[int, ...], int] = {ident: 0}
     parents: list[tuple[int, int]] = [(-1, -1)]
-    gen_step: list[list[int]] = [[] for _ in gens]
+    gen_step = [array("i") for _ in gens]
 
-    frontier = [0]
-    while frontier:
-        discovered: dict[tuple[int, ...], tuple[int, int]] = {}
-        for i in frontier:
-            e = elements[i]
-            for c, g in enumerate(gens):
-                prod = e * g
-                if prod.images not in index and prod.images not in discovered:
-                    discovered[prod.images] = (i, c)
-        new_images = sorted(discovered)
-        if len(elements) + len(new_images) > budget:
-            raise BudgetExceeded(f"group closure exceeded the element budget of {budget}")
-        next_frontier = []
-        for images in new_images:
-            idx = len(elements)
-            elements.append(Permutation(images))
-            index[images] = idx
-            parents.append(discovered[images])
-            next_frontier.append(idx)
-        frontier = next_frontier
+    start = 0
+    while start < len(images):
+        end = len(images)
+        layer: list[tuple[int, ...]] = []
+        for i in range(start, end):
+            e = images[i]
+            for c, pad in enumerate(pads):
+                prod = tuple(map(pad.__getitem__, e))
+                j = index.get(prod)
+                if j is None:
+                    if end + len(layer) >= budget:
+                        raise BudgetExceeded(
+                            f"group closure exceeded the element budget of {budget}")
+                    j = ~len(layer)
+                    index[prod] = j
+                    layer.append(prod)
+                    parents.append((i, c))
+                gen_step[c].append(j)
+        # Index the new layer in lexicographic order, then resolve the steps
+        # of this layer that pointed into it.
+        order = sorted(range(len(layer)), key=layer.__getitem__)
+        final = [0] * len(layer)
+        for rank, t in enumerate(order):
+            final[t] = end + rank
+            index[layer[t]] = end + rank
+        images.extend(layer[t] for t in order)
+        parents[end:] = [parents[end + t] for t in order]
+        for step in gen_step:
+            step[start:end] = array("i", [final[~j] if j < 0 else j
+                                          for j in step[start:end]])
+        start = end
 
-    # Generator step tables, recorded once the element list is final.
-    for c, g in enumerate(gens):
-        step = array("i", bytes(4 * len(elements)))
-        for i, e in enumerate(elements):
-            step[i] = index[(e * g).images]
-        gen_step[c] = step
-
-    return FiniteGroup(degree, gens, tuple(elements), tuple(parents), gen_step)
+    elements = tuple(map(Permutation._trusted, images))
+    return FiniteGroup(degree, gens, elements, index, tuple(parents), gen_step)
 
 
 @dataclass(frozen=True)
@@ -320,27 +349,32 @@ def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
 
 
 def derived_subgroup(G: FiniteGroup | Subgroup) -> Subgroup:
-    """Commutator subgroup [G,G], as a Subgroup of G (or of a subgroup's parent)."""
+    """Commutator subgroup [G,G], as a Subgroup of G (or of a subgroup's parent).
+
+    [G,G] is the normal closure in G of the commutators of G's generators
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*): start
+    from those commutators and add the conjugates of the subgroup's
+    generators by G's generators until conjugation adds nothing.
+    """
     if isinstance(G, Subgroup):
-        parent, members = G.parent, G.members
+        parent, gens = G.parent, G.generators
     else:
-        parent, members = G, range(G.order)
+        parent, gens = G, G.generator_indices
     parent._ensure_tables()
     rows = parent._mul_rows
     inv = parent._inv
-    comms = set()
-    for a in members:
-        ra = rows[a]
-        ia = inv[a]
-        for b in members:
-            # [a,b] = a b a^-1 b^-1
-            comms.add(rows[rows[ra[b]][ia]][inv[b]])
-    sub = subgroup_generated(parent, sorted(comms))
+    # [a,b] = a b a^-1 b^-1
+    sub = subgroup_generated(parent, [rows[rows[rows[a][b]][inv[a]]][inv[b]]
+                                      for a in gens for b in gens])
+    while True:
+        outside = sorted({rows[rows[g][m]][inv[g]] for g in gens for m in sub.generators}
+                         - sub.member_set)
+        if not outside:
+            break
+        sub = subgroup_generated(parent, sub.generators + tuple(outside))
     # Normality in the ambient scope: conjugation by every generating element
     # of the ambient (sub)group must preserve the member set.
-    conj_gens = (G.generators if isinstance(G, Subgroup)
-                 else tuple(parent.index_of(g) for g in parent.generators))
-    for g in conj_gens:
+    for g in gens:
         for m in sub.members:
             if parent.conj(g, m) not in sub.member_set:
                 raise IntegrityError("derived subgroup failed its normality check")
@@ -350,14 +384,15 @@ def derived_subgroup(G: FiniteGroup | Subgroup) -> Subgroup:
 def conjugacy_class(G: FiniteGroup, f: int) -> frozenset[int]:
     """The conjugacy class {g f g^-1 : g in G} as a set of element indices."""
     G._ensure_tables()
-    gens = [G.index_of(g) for g in G.generators]
+    rows = G._mul_rows
+    by_gen = [(rows[g], G._inv[g]) for g in G.generator_indices]
     cls = {f}
     frontier = [f]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = G.conj(g, x)
+            for row_g, inv_g in by_gen:
+                y = rows[row_g[x]][inv_g]
                 if y not in cls:
                     cls.add(y)
                     nxt.append(y)
@@ -381,7 +416,7 @@ def conjugacy_classes(G: FiniteGroup) -> list[frozenset[int]]:
 
 def center_order(G: FiniteGroup) -> int:
     G._ensure_tables()
-    gens = [G.index_of(g) for g in G.generators]
+    gens = G.generator_indices
     rows = G._mul_rows
     return sum(1 for x in range(G.order) if all(rows[x][g] == rows[g][x] for g in gens))
 
@@ -482,18 +517,15 @@ def fingerprint(G: FiniteGroup) -> GroupFingerprint:
         o = G.order_of(i)
         hist[o] = hist.get(o, 0) + 1
 
-    series = [G.order]
-    current: FiniteGroup | Subgroup = G
-    while True:
-        nxt = derived_subgroup(current)
-        if nxt.order == series[-1]:
-            break
-        series.append(nxt.order)
-        if nxt.order == 1:
-            break
-        current = nxt
-
     first_derived = derived_subgroup(G)
+    series = [G.order]
+    current = first_derived
+    while current.order < series[-1]:
+        series.append(current.order)
+        if current.order == 1:
+            break
+        current = derived_subgroup(current)
+
     ab = _abelianization_table(G, first_derived)
     invf = _abelian_invariant_factors(ab)
 

@@ -5,7 +5,9 @@ counted fiber by fiber over explicit coset partitions (no 1/m weighting),
 or one element at a time by conjugating into each branch stabilizer
 (no shared membership counters); graphs are moved one group element at a
 time rather than orbit by orbit; and the D_{2,8,5} comparison group is
-built directly as a semidirect product rather than by coset enumeration.
+built directly as a semidirect product rather than by coset enumeration;
+and the commutator subgroup is generated by every commutator rather than
+as a normal closure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from mixedsurf.covering import GeneratingVector
 from mixedsurf.errors import IntegrityError, ValidationError
-from mixedsurf.perm import FiniteGroup, Permutation, closure
+from mixedsurf.perm import FiniteGroup, Permutation, Subgroup, closure
 from mixedsurf.surface import SurfaceData
 
 
@@ -36,6 +38,38 @@ def fixed_point_count(f: int, v: GeneratingVector) -> int:
     if total.denominator != 1:
         raise IntegrityError(f"fixed-point count for element {f} is non-integral: {total}")
     return int(total)
+
+
+def commutator_subgroup_members(G: FiniteGroup | Subgroup) -> frozenset[int]:
+    """[G,G] as the set generated by all |G|^2 commutators a b a^-1 b^-1.
+
+    Works on element indices of G (or of a subgroup's parent), closing the
+    commutator set under multiplication by a plain breadth-first search.
+    """
+    if isinstance(G, Subgroup):
+        parent, members = G.parent, G.members
+    else:
+        parent, members = G, range(G.order)
+    parent._ensure_tables()
+    rows, inv = parent._mul_rows, parent._inv
+    comms = set()
+    for a in members:
+        ra, ia = rows[a], inv[a]
+        for b in members:
+            comms.add(rows[rows[ra[b]][ia]][inv[b]])
+    span = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row = rows[x]
+            for c in comms:
+                y = row[c]
+                if y not in span:
+                    span.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(span)
 
 
 def act_on_graph(S: SurfaceData, h: int, f: int, mixed: bool = False) -> int:

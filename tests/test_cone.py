@@ -158,3 +158,15 @@ def test_witness_reverification_failure_is_integrity_error(family1, data_dir, mo
     code = cli.run(["cone", str(data_dir / "family1.json")], out=out)
     assert code == cli.EXIT_ASSERTION
     assert "witness failed re-verification" in out.getvalue()
+
+
+def test_witness_with_distinct_labels_and_wrong_pattern_is_integrity_error(family1,
+                                                                           monkeypatch):
+    table = family1.table
+    d1, d4, d2, d3 = family1.report.witness
+    # D3 and D4 swapped: four distinct labels and D1.D2 > 0, but D1.D3 = 0.
+    wrong = (d1, d2, d4, d3)
+    assert table.entry(d1, d2) > 0 and table.entry(d1, d4) == 0
+    monkeypatch.setattr(cone, "find_divfq_quadruple", lambda t: wrong)
+    with pytest.raises(IntegrityError, match="pairing block"):
+        cone_report(table)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,3 +195,20 @@ def test_fixed_point_count_matches_table(data):
     f = data.draw(st.integers(min_value=1, max_value=v.group.order - 1))
     table = fixed_point_table(v)
     assert fixed_point_count(f, v) == table[f]
+
+
+def test_search_frees_its_group_without_the_cyclic_collector():
+    # A long-lived process must not keep each searched group alive until the
+    # next full collection.
+    G = closure([Permutation.from_cycles(4, [(1, 2, 3, 4)]),
+                 Permutation.from_cycles(4, [(1, 3)])])
+    ref = weakref.ref(G)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert search_generating_vectors(G, CoverType(0, (2, 2, 4)))
+        del G
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

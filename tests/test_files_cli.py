@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedsurf import cli, files
 from mixedsurf.errors import InputParseError, IntegrityError, MismatchError
@@ -51,6 +53,60 @@ def test_non_bijective_generator_is_parse_error(tmp_path):
         load_group_record(path)
     code, text = run_cli("group", str(path))
     assert code == cli.EXIT_PARSE
+
+
+TRIVIAL_FINGERPRINT = {"order": 1, "element_orders": [[1, 1]], "abelianization": [],
+                       "derived_series": [1], "center_order": 1, "class_count": 1}
+
+
+@st.composite
+def corrupted_generator_rows(draw):
+    """Generator rows of a degree <= 8 group file, one of them corrupted."""
+    degree = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(st.lists(st.permutations(range(1, degree + 1)), min_size=1, max_size=3))
+    rows = [list(r) for r in rows]
+    bad = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+    pos = draw(st.integers(min_value=0, max_value=degree - 1))
+    kinds = ["out_of_range", "wrong_length", "not_integer"] + (["non_bijective"]
+                                                               if degree > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "non_bijective":
+        bad[pos] = bad[(pos + 1) % degree]
+    elif kind == "out_of_range":
+        bad[pos] = draw(st.integers(max_value=0) | st.integers(min_value=degree + 1))
+    elif kind == "wrong_length":
+        if draw(st.booleans()):
+            del bad[pos]
+        else:
+            bad.append(draw(st.integers(min_value=1, max_value=degree)))
+    else:
+        bad[pos] = draw(st.sampled_from([float(bad[pos]), str(bad[pos]), True, None,
+                                         [bad[pos]], {"x": 1}, 1.5]))
+    return degree, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(corrupted_generator_rows())
+def test_corrupted_generator_rows_exit_cleanly(tmp_path_factory, case):
+    degree, rows = case
+    path = tmp_path_factory.getbasetemp() / "fuzz_group.json"
+    path.write_text(json.dumps({"name": "fuzz", "claimed_id": "?", "degree": degree,
+                                "generators": rows, "fingerprint": TRIVIAL_FINGERPRINT,
+                                "provenance": "test"}))
+    code, text = run_cli("group", str(path))
+    assert code in (cli.EXIT_PARSE, cli.EXIT_VALIDATION, cli.EXIT_ASSERTION,
+                    cli.EXIT_MISMATCH), text
+
+
+@pytest.mark.parametrize("row", [[2.0, 1.0, 3.0], ["2", "1", "3"], [2, True, 3], "213"])
+def test_non_integer_generator_images_are_parse_errors(tmp_path, row):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "claimed_id": "?", "degree": 3,
+                                "generators": [row], "fingerprint": TRIVIAL_FINGERPRINT,
+                                "provenance": "test"}))
+    with pytest.raises(InputParseError):
+        load_group_record(path)
+    assert run_cli("group", str(path))[0] == cli.EXIT_PARSE
 
 
 def test_missing_field_is_parse_error(tmp_path):

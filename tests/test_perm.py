@@ -5,9 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedsurf.errors import BudgetExceeded, ValidationError
+from mixedsurf.files import load_group_record, realize_group
 from mixedsurf.perm import (Permutation, closure, conjugacy_class,
                             conjugacy_classes, derived_subgroup, fingerprint,
                             subgroup_as_group, subgroup_generated)
+from oracles import commutator_subgroup_members
+
+BUNDLED = ("g64", "g256a", "g256b", "h768", "toy_z4_group")
+
+
+@pytest.fixture(scope="module")
+def bundled(data_dir):
+    return {name: realize_group(load_group_record(data_dir / f"{name}.json"))
+            for name in BUNDLED}
+
+
+S6 = closure([Permutation.from_cycles(6, [(1, 2)]),
+              Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)])])
 
 
 def test_permutation_validation():
@@ -16,6 +30,7 @@ def test_permutation_validation():
     p = Permutation.from_cycles(4, [(1, 2, 3)])
     assert p(1) == 2 and p(3) == 1 and p(4) == 4
     assert p.order() == 3
+    assert Permutation.identity(4).order() == 1
     assert (p * p.inverse()).is_identity()
 
 
@@ -63,6 +78,29 @@ def test_mul_matches_permutation_arithmetic(d4):
         assert (d4.element(i) * d4.element(d4.inv(i))).is_identity()
 
 
+@pytest.mark.parametrize("name", ["g64", "h768"])
+def test_cayley_table_matches_permutation_arithmetic(bundled, name):
+    G = bundled[name]
+    step = 1 if G.order <= 64 else 17   # every pair of g64, a grid of h768 pairs
+    for i in range(0, G.order, step):
+        for j in range(0, G.order, step):
+            assert G.element(G.mul(i, j)).images == (G.element(i) * G.element(j)).images
+        assert G.mul(i, G.inv(i)) == 0
+
+
+def test_generator_indices(bundled, d4):
+    for G in (d4, *bundled.values()):
+        assert G.generator_indices == tuple(G.index_of(g) for g in G.generators)
+
+
+def test_closure_with_identity_and_repeated_generators():
+    r = Permutation.from_cycles(4, [(1, 2, 3, 4)])
+    G = closure([Permutation.identity(4), r, r])
+    assert G.order == 4
+    assert G.generator_indices[0] == 0
+    assert G.generator_indices[1] == G.generator_indices[2] == G.index_of(r)
+
+
 def test_order_of_matches_cycle_orders(d4):
     for i in range(d4.order):
         assert d4.order_of(i) == d4.element(i).order()
@@ -102,6 +140,35 @@ def test_derived_subgroup_d4_is_center(d4):
     assert der.order == 2
     z = [m for m in der.members if m != 0][0]
     assert all(d4.mul(z, i) == d4.mul(i, z) for i in range(d4.order))
+
+
+def test_derived_subgroup_matches_oracle_small(d4, s4):
+    for G in (d4, s4):
+        assert derived_subgroup(G).member_set == commutator_subgroup_members(G)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_derived_subgroup_matches_oracle_bundled(bundled, name):
+    G = bundled[name]
+    assert derived_subgroup(G).member_set == commutator_subgroup_members(G)
+
+
+def test_h768_derived_series_matches_oracle(bundled):
+    current = bundled["h768"]
+    orders = [current.order]
+    while orders[-1] > 1:
+        nxt = derived_subgroup(current)
+        assert nxt.member_set == commutator_subgroup_members(current)
+        orders.append(nxt.order)
+        current = nxt
+    assert orders == [768, 384, 128, 8, 1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=719), min_size=1, max_size=3))
+def test_derived_subgroup_of_random_s6_subgroup_matches_oracle(seeds):
+    sub = subgroup_generated(S6, seeds)
+    assert derived_subgroup(sub).member_set == commutator_subgroup_members(sub)
 
 
 def test_conjugacy_classes(d4):
