@@ -536,23 +536,22 @@ def make_family_1(out: Path):
     log(f"family 1: {sum(map(len, buckets.values()))} tuples in {len(buckets)} "
         f"stabilizer-set buckets ({time.time() - t0:.1f}s)")
 
+    def free(S, phi, tau) -> bool:
+        """Conditions (i) and (ii) for the stabilizer set S under (phi, tau)."""
+        return ((S & {phi[x] for x in S}) == {0} and tau not in S
+                and all(G0.mul(G0.mul(h, phi[h]), tau) not in S for h in range(n)))
+
     t0 = time.time()
     chosen = None
     for S, tuples in sorted(buckets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-        for phi, tau in pairs:
-            if tau in S:
-                continue
-            if (S & {phi[x] for x in S}) != {0}:
-                continue
-            if not all(G0.mul(G0.mul(h, phi[h]), tau) not in S for h in range(n)):
-                continue
-            for V in tuples:
-                if subgroup_generated(G0, V).order == n:
-                    chosen = (phi, tau, V, S)
-                    break
-            if chosen:
-                break
-        if chosen:
+        # The first generating V of a bucket does not depend on (phi, tau),
+        # so the bucket's first free pair decides it.
+        pair = next(((phi, tau) for phi, tau in pairs if free(S, phi, tau)), None)
+        if pair is None:
+            continue
+        V = next((V for V in tuples if subgroup_generated(G0, V).order == n), None)
+        if V is not None:
+            chosen = (*pair, V, S)
             break
     assert chosen is not None, "no free family-1 data found"
     phi, tau, V, S = chosen
@@ -589,11 +588,7 @@ def make_family_1(out: Path):
                     Vb = (h1, h2, h3, h4, h5)
                     Sb = frozenset({0} | class_of[h1] | class_of[h2] | class_of[h3]
                                    | class_of[h4] | class_of[h5])
-                    cond1 = (Sb & {phi[x] for x in Sb}) == {0}
-                    cond2 = (tau not in Sb and
-                             all(G0.mul(G0.mul(h, phi[h]), tau) not in Sb
-                                 for h in range(n)))
-                    if cond1 and cond2:
+                    if free(Sb, phi, tau):
                         continue
                     if subgroup_generated(G0, Vb).order != n:
                         continue

@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -225,7 +226,13 @@ def cmd_reproduce(cfg: RunConfig, family: int, expect_divisors: int | None, out)
     return EXIT_OK
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    A parser holds its actions and formatters in reference cycles; building
+    one per ``run`` left them for the cyclic collector on every call.
+    """
     parser = argparse.ArgumentParser(
         prog="mixedsurf",
         description="Orbit divisors and cone verdicts for mixed product-quotient surfaces")

@@ -15,8 +15,11 @@ accumulated in exact rationals with integrality asserted.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 from .errors import IntegrityError, ValidationError
 from .perm import FiniteGroup, conjugacy_class, subgroup_generated
@@ -235,14 +238,27 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
     forced as the inverse of the leading product.  Results are reported in
     scan order, deduplicated up to simultaneous conjugation, and truncated
     at ``limit`` (``None`` = no bound).
+
+    The span of the entries chosen so far is kept as a bit mask of element
+    indices.  The span of ``prefix + (h,)`` depends only on the span of
+    ``prefix`` and on ``h``, so each such join is computed once per search.
+
+    Two vectors are duplicates when their lexicographically smallest
+    simultaneous conjugates are equal.  Each representative is the smallest
+    index in its conjugacy class, so every conjugate g f g^-1 of a first
+    entry f is at least f, with equality exactly when g centralizes f.  The
+    minimum over all of G therefore keeps f in front and is taken over the
+    centralizer of f alone; this relies on the representatives being class
+    minima.
     """
     _require_genus_zero_quotient(cover_type)
     if cover_type.r < 2:
         raise ValidationError("a genus-0 vector needs at least two branch points")
     G = group
+    n = G.order
     by_order: dict[int, list[int]] = {}
     for mi in set(cover_type.m):
-        by_order[mi] = [i for i in range(G.order) if G.order_of(i) == mi]
+        by_order[mi] = [i for i in range(n) if G.order_of(i) == mi]
 
     first_reps = []
     seen: set[int] = set()
@@ -253,28 +269,51 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
         seen |= cls
         first_reps.append(i)
 
+    G._ensure_tables()
+    rows, inv = G._mul_rows, G._inv
+    full = (1 << n) - 1
+    joins: dict[tuple[int, int], int] = {}
+
+    def join(span: int, prefix: tuple[int, ...], h: int) -> int:
+        """Bit mask of <prefix, h>, given the bit mask ``span`` of <prefix>."""
+        if span >> h & 1:
+            return span
+        new_span = joins.get((span, h))
+        if new_span is None:
+            new_span = 0
+            for m in subgroup_generated(G, prefix + (h,)).members:
+                new_span |= 1 << m
+            joins[span, h] = new_span
+        return new_span
+
+    # centralizer_maps[f]: for each g != 1 centralizing f, x -> g x g^-1 as a row.
+    centralizer_maps: dict[int, list[array]] = {}
+
     def canonical(entries: tuple[int, ...]) -> tuple[int, ...]:
-        best = entries
-        for g in range(G.order):
-            cand = tuple(G.conj(g, h) for h in entries)
-            if cand < best:
-                best = cand
-        return best
+        f = entries[0]
+        maps = centralizer_maps.get(f)
+        if maps is None:
+            row_f = rows[f]
+            maps = centralizer_maps[f] = [array("i", [rows[y][inv[g]] for y in rows[g]])
+                                          for g in range(1, n) if rows[g][f] == row_f[g]]
+        # entries itself stands for the identity and goes first, so a vector
+        # that is already minimal is its own key and no copy is kept.
+        return min(chain((entries,), map(itemgetter(*entries), maps)))
 
     found: list[GeneratingVector] = []
     found_keys: set[tuple[int, ...]] = set()
     r = cover_type.r
+    m_last = cover_type.m[-1]
 
-    def descend(position: int, prefix: tuple[int, ...], product: int, span: frozenset[int]):
+    def descend(position: int, prefix: tuple[int, ...], product: int, span: int):
         if limit is not None and len(found) >= limit:
             return
         if position == r - 1:
-            last = G.inv(product)
-            if G.order_of(last) != cover_type.m[-1]:
+            last = inv[product]
+            if G.order_of(last) != m_last:
                 return
-            if span != frozenset(range(G.order)):
-                if subgroup_generated(G, prefix + (last,)).order != G.order:
-                    return
+            if span != full and join(span, prefix, last) != full:
+                return
             entries = prefix + (last,)
             key = canonical(entries)
             if key in found_keys:
@@ -283,15 +322,13 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
             found.append(GeneratingVector(G, cover_type, entries))
             return
         pool = first_reps if position == 0 else by_order[cover_type.m[position]]
+        row = rows[product]
         for h in pool:
             if limit is not None and len(found) >= limit:
                 return
-            new_span = span
-            if h not in span:
-                new_span = subgroup_generated(G, prefix + (h,)).member_set
-            descend(position + 1, prefix + (h,), G.mul(product, h), new_span)
+            descend(position + 1, prefix + (h,), row[h], join(span, prefix, h))
 
-    descend(0, (), 0, frozenset({0}))
+    descend(0, (), 0, 1)
     # descend's closure cell refers to descend itself; emptying it breaks the
     # cycle, so G is freed now instead of whenever the cyclic collector runs.
     del descend

@@ -73,21 +73,25 @@ def load_group_record(path: str | Path) -> GroupFile:
     if missing:
         raise InputParseError(f"{path}: missing group-file fields {missing}")
     try:
-        degree = int(raw["degree"])
+        # JSON integers only: int() would also take 2.0, "2" and true.
+        degree = raw["degree"]
+        if type(degree) is not int:
+            raise InputParseError(f"degree must be an integer: {degree!r}")
         gens = []
         for row in raw["generators"]:
-            # JSON integers only: int() would also take 2.0, "2" and true.
             if not isinstance(row, list) or any(type(x) is not int for x in row):
-                raise InputParseError(f"{path}: generator images must be integers: {row!r}")
+                raise InputParseError(f"generator images must be integers: {row!r}")
             images = tuple(row)
             if len(images) != degree:
                 raise InputParseError(
-                    f"{path}: generator has {len(images)} images, expected {degree}")
+                    f"generator has {len(images)} images, expected {degree}")
             try:
                 gens.append(Permutation(images))
             except ValidationError as exc:
-                raise InputParseError(f"{path}: {exc}") from exc
+                raise InputParseError(str(exc)) from exc
         fp = GroupFingerprint.from_dict(raw["fingerprint"])
+    except InputParseError as exc:
+        raise InputParseError(f"{path}: {exc}") from exc
     except (TypeError, KeyError, ValueError) as exc:
         raise InputParseError(f"{path}: malformed group file: {exc}") from exc
     if not gens:

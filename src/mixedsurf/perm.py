@@ -30,7 +30,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceeded, IntegrityError, ValidationError
+from .errors import BudgetExceeded, InputParseError, IntegrityError, ValidationError
 
 DEFAULT_CLOSURE_BUDGET = 10**6
 
@@ -444,14 +444,22 @@ class GroupFingerprint:
 
     @staticmethod
     def from_dict(d: dict) -> "GroupFingerprint":
+        """Read the group-file form; every value must be a JSON integer."""
         return GroupFingerprint(
-            order=int(d["order"]),
-            element_orders=tuple((int(a), int(b)) for a, b in d["element_orders"]),
-            abelianization=tuple(int(x) for x in d["abelianization"]),
-            derived_series=tuple(int(x) for x in d["derived_series"]),
-            center_order=int(d["center_order"]),
-            class_count=int(d["class_count"]),
+            order=_json_int(d["order"]),
+            element_orders=tuple((_json_int(a), _json_int(b)) for a, b in d["element_orders"]),
+            abelianization=tuple(map(_json_int, d["abelianization"])),
+            derived_series=tuple(map(_json_int, d["derived_series"])),
+            center_order=_json_int(d["center_order"]),
+            class_count=_json_int(d["class_count"]),
         )
+
+
+def _json_int(x) -> int:
+    # int() would also take 2.0, "2" and true.
+    if type(x) is not int:
+        raise InputParseError(f"fingerprint values must be integers, got {x!r}")
+    return x
 
 
 def _abelian_invariant_factors(mul_table: list[list[int]]) -> list[int]:

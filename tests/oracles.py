@@ -6,17 +6,22 @@ or one element at a time by conjugating into each branch stabilizer
 (no shared membership counters); graphs are moved one group element at a
 time rather than orbit by orbit; and the D_{2,8,5} comparison group is
 built directly as a semidirect product rather than by coset enumeration;
-and the commutator subgroup is generated by every commutator rather than
-as a normal closure.
+the commutator subgroup is generated by every commutator rather than
+as a normal closure; and generating vectors are found by testing every
+candidate tuple with ``subgroup_generated`` and deduplicated by the
+minimum over conjugation by all of G, with no shared spans and no
+centralizer argument.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from mixedsurf.covering import GeneratingVector
+from mixedsurf.covering import CoverType, GeneratingVector
 from mixedsurf.errors import IntegrityError, ValidationError
-from mixedsurf.perm import FiniteGroup, Permutation, Subgroup, closure
+from mixedsurf.perm import (FiniteGroup, Permutation, Subgroup, closure, conjugacy_class,
+                            subgroup_generated)
 from mixedsurf.surface import SurfaceData
 
 
@@ -70,6 +75,37 @@ def commutator_subgroup_members(G: FiniteGroup | Subgroup) -> frozenset[int]:
                     nxt.append(y)
         frontier = nxt
     return frozenset(span)
+
+
+def generating_vector_entries(G: FiniteGroup, cover_type: CoverType) -> list[tuple[int, ...]]:
+    """Every genus-0 generating vector of the type, one per simultaneous
+    conjugacy class, in the library's scan order.
+
+    The first entry runs over the smallest index of each conjugacy class of
+    its order, the middle entries over all elements of their orders, in
+    lexicographic order, and the last entry is the inverse of the product
+    before it.  Each candidate that generates G is kept unless its minimum
+    over conjugation by every element of G was already seen.
+    """
+    reps = sorted({min(conjugacy_class(G, x)) for x in range(G.order)
+                   if G.order_of(x) == cover_type.m[0]})
+    pools = [reps] + [[x for x in range(G.order) if G.order_of(x) == mi]
+                      for mi in cover_type.m[1:-1]]
+    found, keys = [], set()
+    for head in product(*pools):
+        acc = 0
+        for h in head:
+            acc = G.mul(acc, h)
+        entries = head + (G.inv(acc),)
+        if G.order_of(entries[-1]) != cover_type.m[-1]:
+            continue
+        if subgroup_generated(G, entries).order != G.order:
+            continue
+        key = min(tuple(G.conj(g, h) for h in entries) for g in range(G.order))
+        if key not in keys:
+            keys.add(key)
+            found.append(entries)
+    return found
 
 
 def act_on_graph(S: SurfaceData, h: int, f: int, mixed: bool = False) -> int:

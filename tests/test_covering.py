@@ -4,17 +4,18 @@ import gc
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import CosetFiberOracle, fixed_point_count
+from oracles import CosetFiberOracle, fixed_point_count, generating_vector_entries
 from mixedsurf.covering import (CoverType, GeneratingVector, covering_data,
                                 fixed_point_table,
                                 hurwitz_genus, parse_cover_type,
                                 search_generating_vectors, stabilizer_set,
                                 validate_generating_vector)
 from mixedsurf.errors import ValidationError
-from mixedsurf.perm import Permutation, closure
+from mixedsurf.files import load_group_record, realize_group, resolve_word
+from mixedsurf.perm import Permutation, closure, subgroup_as_group, subgroup_generated
 
 
 def test_parse_cover_type():
@@ -212,3 +213,79 @@ def test_search_frees_its_group_without_the_cyclic_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+# The searches behind scripts/make_data.py: (group file, words generating the
+# searched subgroup or None for the whole group, type, count, first vector).
+REGENERATE_SEARCHES = [
+    ("g64", "g1,g2,g3,g4", "[0;2^5]", 11520, (1, 2, 3, 4, 28)),
+    ("g256b", "g1,g2,g3", "[0;4^3]", 192, (1, 2, 3)),
+    ("h768", "g1*g2*g1^-1,g2,(g2*g2*g1)^2", "[0;3,3,4]", 16, (1, 2, 26)),
+    ("h768", None, "[0;2,3,8]", 4, (1, 2, 7)),
+]
+
+
+@pytest.fixture(scope="module")
+def search_group(data_dir):
+    whole = {name: realize_group(load_group_record(data_dir / f"{name}.json"))
+             for name in ("g64", "g256b", "h768")}
+
+    def group(name, words):
+        G = whole[name]
+        if words is None:
+            return G
+        seeds = [resolve_word(G, w) for w in words.split(",")]
+        return subgroup_as_group(subgroup_generated(G, seeds))
+
+    return group
+
+
+@pytest.mark.parametrize("name,words,type_text,count,first", REGENERATE_SEARCHES,
+                         ids=lambda x: str(x))
+def test_regenerate_searches_are_pinned(search_group, name, words, type_text, count, first):
+    found = search_generating_vectors(search_group(name, words), parse_cover_type(type_text))
+    assert len(found) == count
+    assert found[0].entries == first
+
+
+LIMITS = (None, 1, 2, 5)
+
+
+@pytest.mark.parametrize("fixture,type_text", [
+    ("d4", "[0;2,2,4]"), ("d4", "[0;2,2,2,2]"), ("d4", "[0;4,4,2]"),
+    ("s3", "[0;2,2,3]"), ("s3", "[0;2,3,2]"), ("s3", "[0;3,3,3]"), ("s3", "[0;2,2,2,2]"),
+    ("s4", "[0;2,3,4]"), ("s4", "[0;2,4,4]"), ("s4", "[0;3,3,4]"), ("s4", "[0;2,2,2,3]"),
+])
+def test_search_matches_exhaustive_oracle(request, fixture, type_text):
+    G = request.getfixturevalue(fixture)
+    ctype = parse_cover_type(type_text)
+    expected = generating_vector_entries(G, ctype)
+    for limit in LIMITS:
+        found = search_generating_vectors(G, ctype, limit=limit)
+        assert [v.entries for v in found] == expected[:limit]
+
+
+@pytest.mark.parametrize("name,words,type_text", [case[:3] for case in REGENERATE_SEARCHES[1:]],
+                         ids=lambda x: str(x))
+def test_regenerate_searches_match_exhaustive_oracle(search_group, name, words, type_text):
+    G = search_group(name, words)
+    ctype = parse_cover_type(type_text)
+    expected = generating_vector_entries(G, ctype)
+    for limit in LIMITS:
+        found = search_generating_vectors(G, ctype, limit=limit)
+        assert [v.entries for v in found] == expected[:limit]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_search_matches_exhaustive_oracle_on_random_groups(data):
+    degree = data.draw(st.integers(min_value=2, max_value=5))
+    gens = data.draw(st.lists(st.permutations(range(1, degree + 1)), min_size=1, max_size=2))
+    G = closure([Permutation(tuple(g)) for g in gens])
+    orders = sorted({G.order_of(i) for i in range(1, G.order)})
+    assume(orders)
+    ctype = CoverType(0, tuple(data.draw(st.lists(st.sampled_from(orders),
+                                                  min_size=2, max_size=4))))
+    limit = data.draw(st.sampled_from(LIMITS))
+    found = search_generating_vectors(G, ctype, limit=limit)
+    assert [v.entries for v in found] == generating_vector_entries(G, ctype)[:limit]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 
@@ -107,6 +108,68 @@ def test_non_integer_generator_images_are_parse_errors(tmp_path, row):
     with pytest.raises(InputParseError):
         load_group_record(path)
     assert run_cli("group", str(path))[0] == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("field,value", [
+    ("degree", "64"), ("degree", 64.0), ("degree", True),
+    ("order", "64"), ("element_orders", 0.9), ("abelianization", "2"),
+    ("derived_series", 32.0), ("center_order", [4]), ("class_count", None),
+])
+def test_non_integer_group_fields_are_parse_errors(tmp_path, data_dir, field, value):
+    # int() would accept "64" and truncate 2.9, so such a file used to print
+    # "fingerprint: match" and exit 0.
+    raw = json.loads((data_dir / "g64.json").read_text())
+    fp = raw["fingerprint"]
+    if field == "degree":
+        raw["degree"] = value
+    elif field == "element_orders":
+        fp["element_orders"][1][0] += value
+    elif field in ("abelianization", "derived_series"):
+        fp[field][-1] = value
+    else:
+        fp[field] = value
+    path = tmp_path / "g64_bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(InputParseError):
+        load_group_record(path)
+    assert run_cli("group", str(path))[0] == cli.EXIT_PARSE
+
+
+NON_INTEGERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+                         st.none(), st.text(max_size=3), st.integers().map(str),
+                         st.integers().map(float), st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_non_integer_group_fields_exit_as_parse_errors(tmp_path_factory, data_dir, data):
+    raw = json.loads((data_dir / "toy_z4_group.json").read_text())
+    fp = raw["fingerprint"]
+    slots = [(raw, "degree")] + [(fp, key) for key in ("order", "center_order", "class_count")]
+    slots += [(pair, i) for pair in fp["element_orders"] for i in (0, 1)]
+    slots += [(fp[key], i) for key in ("abelianization", "derived_series")
+              for i in range(len(fp[key]))]
+    container, key = data.draw(st.sampled_from(slots))
+    container[key] = data.draw(NON_INTEGERS)
+    path = tmp_path_factory.getbasetemp() / "fuzz_fields.json"
+    path.write_text(json.dumps(raw))
+    code, text = run_cli("group", str(path))
+    assert code == cli.EXIT_PARSE, text
+
+
+def test_warm_run_leaves_no_cyclic_garbage(data_dir):
+    argv = ["group", str(data_dir / "toy_z4_group.json")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_cli(*argv)
+        gc.collect()
+        assert run_cli(*argv)[0] == cli.EXIT_OK
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_missing_field_is_parse_error(tmp_path):
