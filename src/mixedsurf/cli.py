@@ -30,7 +30,8 @@ from .covering import parse_cover_type, search_generating_vectors
 from .divisors import graph_orbits, intersection_table
 from .errors import InputParseError, IntegrityError, MismatchError, ValidationError
 from .expected import FAMILY_EXPECTATIONS, FAMILY_FILES, compare_family
-from .files import load_group, load_group_record, realize_group, build_surface
+from .files import (build_surface, element_word, load_group, load_group_record,
+                    realize_group)
 from .perm import DEFAULT_CLOSURE_BUDGET, fingerprint
 from .surface import check_free_action
 
@@ -56,13 +57,6 @@ class RunConfig:
 
 def _record_dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _word_of(group, index: int) -> str:
-    word = group.word_for(index)
-    if not word:
-        return "1"
-    return "*".join(f"g{c + 1}" for c in word)
 
 
 def cmd_group(cfg: RunConfig, out) -> int:
@@ -91,7 +85,7 @@ def cmd_genvec_search(cfg: RunConfig, type_text: str, limit: int | None, out) ->
     ctype = parse_cover_type(type_text)
     found = search_generating_vectors(group, ctype, limit=limit)
     for k, vec in enumerate(found, start=1):
-        words = ", ".join(_word_of(group, e) for e in vec.entries)
+        words = ", ".join(element_word(group, e) for e in vec.entries)
         out.write(f"{k}: {words}\n")
     out.write(f"found {len(found)} generating vector(s) of type {ctype}"
               f" up to simultaneous conjugation\n")
@@ -114,10 +108,10 @@ def cmd_surface(cfg: RunConfig, out) -> int:
               f"no fixed curves = {freeness.no_fixed_curves}\n")
     if freeness.isolated_witness is not None:
         out.write(f"  witness (isolated fixed point): element "
-                  f"{_word_of(surface.action.G, freeness.isolated_witness)}\n")
+                  f"{element_word(surface.action.G, freeness.isolated_witness)}\n")
     if freeness.curve_witness is not None:
         out.write(f"  witness (fixed curve): element "
-                  f"{_word_of(surface.action.G, freeness.curve_witness)}\n")
+                  f"{element_word(surface.action.G, freeness.curve_witness)}\n")
     if not freeness.ok:
         raise ValidationError("the action is not free")
     return EXIT_OK

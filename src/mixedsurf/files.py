@@ -57,13 +57,15 @@ class GroupFile:
 
 
 def _load_json(path: Path) -> dict:
+    """The file's JSON document, which must be an object."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputParseError(f"{path}: invalid JSON: {exc}") from exc
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable path, bad UTF-8 or bad JSON
+        raise InputParseError(f"{path}: cannot read a JSON document: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputParseError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def load_group_record(path: str | Path) -> GroupFile:
@@ -171,6 +173,18 @@ class SurfaceFile:
     path: Path | None = None
 
 
+def _strings(value, field: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or any(type(w) is not str for w in value):
+        raise InputParseError(f"{field} must be a list of word strings: {value!r}")
+    return tuple(value)
+
+
+def _string(value, field: str) -> str:
+    if type(value) is not str:
+        raise InputParseError(f"{field} must be a string: {value!r}")
+    return value
+
+
 def load_surface_record(path: str | Path) -> SurfaceFile:
     path = Path(path)
     raw = _load_json(path)
@@ -179,26 +193,27 @@ def load_surface_record(path: str | Path) -> SurfaceFile:
     if missing:
         raise InputParseError(f"{path}: missing surface-file fields {missing}")
     try:
-        ctype = parse_cover_type(str(raw["type"]))
-    except ValidationError as exc:
+        name, group_file, tau_prime, type_text = (
+            _string(raw[f], f) for f in ("name", "group_file", "tau_prime", "type"))
+        g0_generators = _strings(raw["g0_generators"], "g0_generators")
+        vector = _strings(raw["vector"], "vector")
+        extra = None
+        block = raw.get("extra_automorphisms")
+        if block is not None:
+            if not isinstance(block, dict) or "group_file" not in block or "vector" not in block:
+                raise InputParseError(f"malformed extra_automorphisms block: {block!r}")
+            vec = block["vector"]
+            if vec == "search":
+                vec = None
+            else:
+                vec = _strings(vec, "extra-automorphism vector")
+                if len(vec) != 3:
+                    raise InputParseError("extra-automorphism vector needs 3 words")
+            extra = ExtraBlock(_string(block["group_file"], "extra group_file"), vec)
+        ctype = parse_cover_type(type_text)
+    except (InputParseError, ValidationError) as exc:
         raise InputParseError(f"{path}: {exc}") from exc
-    extra = None
-    if raw.get("extra_automorphisms"):
-        block = raw["extra_automorphisms"]
-        if "group_file" not in block or "vector" not in block:
-            raise InputParseError(f"{path}: malformed extra_automorphisms block")
-        vec = block["vector"]
-        if vec == "search":
-            vec = None
-        else:
-            vec = tuple(str(w) for w in vec)
-            if len(vec) != 3:
-                raise InputParseError(f"{path}: extra-automorphism vector needs 3 words")
-        extra = ExtraBlock(str(block["group_file"]), vec)
-    return SurfaceFile(str(raw["name"]), str(raw["group_file"]),
-                       tuple(str(w) for w in raw["g0_generators"]),
-                       str(raw["tau_prime"]), tuple(str(w) for w in raw["vector"]),
-                       ctype, extra, path)
+    return SurfaceFile(name, group_file, g0_generators, tau_prime, vector, ctype, extra, path)
 
 
 def save_surface_file(path: str | Path, record: dict):
@@ -216,6 +231,14 @@ def resolve_word(group: FiniteGroup, text: str) -> int:
     assignment = generator_alphabet(group)
     word = parse_word(text, assignment.keys())
     return evaluate_word_index(group, word, assignment)
+
+
+def element_word(group: FiniteGroup, index: int) -> str:
+    """The element's canonical word (its BFS path) in the g1..gk symbols."""
+    word = group.word_for(index)
+    if not word:
+        return "1"
+    return "*".join(f"g{c + 1}" for c in word)
 
 
 def _resolve_path(base: Path | None, rel: str) -> Path:

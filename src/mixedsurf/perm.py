@@ -348,6 +348,41 @@ def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
     return grp
 
 
+def extend_homomorphism(src: FiniteGroup, src_gens, dst: FiniteGroup,
+                        dst_gens) -> dict[int, int] | None:
+    """Extend src_gens[i] -> dst_gens[i] multiplicatively over <src_gens>.
+
+    Walks <src_gens> breadth first, setting img(x s) = img(x) t for every
+    generator pair (s, t).  When no element gets two different images this
+    is a homomorphism: every y in the span is a positive word w in the
+    generators, so img(x y) = img(x) img(w) by induction on w.  Returns the
+    map as a dict on the span, or None when the matching is not well defined
+    or the map is not injective.
+    """
+    src._ensure_tables()
+    dst._ensure_tables()
+    src_rows, dst_rows = src._mul_rows, dst._mul_rows
+    pairs = tuple(zip(src_gens, dst_gens))
+    img = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row_x, row_img = src_rows[x], dst_rows[img[x]]
+            for s, t in pairs:
+                y, iy = row_x[s], row_img[t]
+                known = img.get(y)
+                if known is None:
+                    img[y] = iy
+                    nxt.append(y)
+                elif known != iy:
+                    return None
+        frontier = nxt
+    if len(set(img.values())) != len(img):
+        return None
+    return img
+
+
 def derived_subgroup(G: FiniteGroup | Subgroup) -> Subgroup:
     """Commutator subgroup [G,G], as a Subgroup of G (or of a subgroup's parent).
 

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from .covering import CoverType, CoveringData, GeneratingVector, covering_data
 from .errors import IntegrityError, ValidationError
-from .perm import FiniteGroup, Subgroup, derived_subgroup, subgroup_as_group, subgroup_generated
+from .perm import (FiniteGroup, Subgroup, derived_subgroup, extend_homomorphism,
+                   subgroup_as_group, subgroup_generated)
 
 
 @dataclass(frozen=True)
@@ -110,24 +111,36 @@ def invariants_from(genus: int, order_g: int, g_prime: int) -> tuple[int, int, i
     return chi, 8 * chi, 4 * chi, q, chi - 1 + q
 
 
+def isolated_point_witness(sigma, phi) -> int | None:
+    """Condition (i): the smallest s != 1 of sigma with phi(s) in sigma, or None.
+
+    ``sigma`` is a stabilizer set (a set of element indices of G0, identity
+    included) and ``phi`` maps each member of G0 to its image.
+    """
+    return min((s for s in sigma if s != 0 and phi[s] in sigma), default=None)
+
+
+def fixed_curve_witness(G: FiniteGroup, members, sigma, phi, tau: int) -> int | None:
+    """Condition (ii): the first h of ``members`` with phi(h) tau h in sigma, or None.
+
+    For any tau' with tau'^2 = tau and phi = conjugation by tau',
+    (tau' h)^2 = phi(h) tau h, so tau' h is then a mixed element whose square
+    lies in sigma.  ``members`` lists G0 and ``sigma`` is a union of G0
+    conjugacy classes, all as element indices of G.
+    """
+    mul = G.mul
+    return next((h for h in members if mul(mul(phi[h], tau), h) in sigma), None)
+
+
 def check_free_action(S: SurfaceData) -> FreenessReport:
     """Evaluate the two freeness conditions, with witnesses on failure."""
     act = S.action
-    G = act.G
     # Sigma_V in G-indices: the G0 members with fixed points on C.
     fix = S.h_covering.fix_table
     sigma_g = frozenset(g for g in act.G0.members if g == 0 or fix[S.to_h[g]] > 0)
-    isolated = None
-    for s in sorted(sigma_g):
-        if s != 0 and act.phi[s] in sigma_g:
-            isolated = s
-            break
-    curve = None
-    for h in act.G0.members:
-        g = G.mul(act.tau_prime, h)
-        if G.mul(g, g) in sigma_g:
-            curve = g
-            break
+    isolated = isolated_point_witness(sigma_g, act.phi)
+    h = fixed_curve_witness(act.G, act.G0.members, sigma_g, act.phi, act.tau)
+    curve = None if h is None else act.G.mul(act.tau_prime, h)
     return FreenessReport(isolated is None, curve is None, isolated, curve)
 
 
@@ -201,24 +214,9 @@ def transport_embedding(src: FiniteGroup, src_gens, dst: FiniteGroup, dst_gens) 
     if subgroup_generated(src, src_gens).order != src.order:
         raise ValidationError("source entries do not generate the source group")
 
-    img = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s, t in zip(src_gens, dst_gens):
-                y = src.mul(x, s)
-                iy = dst.mul(img[x], t)
-                if y in img:
-                    if img[y] != iy:
-                        raise ValidationError(
-                            "generator matching does not extend to a homomorphism")
-                else:
-                    img[y] = iy
-                    nxt.append(y)
-        frontier = nxt
-    if len(img) != src.order or set(img.values()) != span.member_set:
-        raise ValidationError("generator matching does not extend to a bijection")
+    img = extend_homomorphism(src, src_gens, dst, dst_gens)
+    if img is None:
+        raise ValidationError("generator matching does not extend to an injective homomorphism")
     for x in range(src.order):
         for y in range(src.order):
             if img[src.mul(x, y)] != dst.mul(img[x], img[y]):

@@ -10,7 +10,8 @@ the commutator subgroup is generated by every commutator rather than
 as a normal closure; and generating vectors are found by testing every
 candidate tuple with ``subgroup_generated`` and deduplicated by the
 minimum over conjugation by all of G, with no shared spans and no
-centralizer argument.
+centralizer argument; and the freeness conditions are tested as set
+identities, with h phi(h) tau in place of the library's (tau' h)^2.
 """
 
 from __future__ import annotations
@@ -106,6 +107,18 @@ def generating_vector_entries(G: FiniteGroup, cover_type: CoverType) -> list[tup
             keys.add(key)
             found.append(entries)
     return found
+
+
+def free_pair(G: FiniteGroup, members, sigma, phi, tau: int) -> bool:
+    """Conditions (i) and (ii) in set form: Sigma and phi(Sigma) meet in 1,
+    and no h in G0 has h phi(h) tau in Sigma.
+
+    h phi(h) tau is the conjugate by h of (tau' h)^2 = phi(h) tau h, so for a
+    Sigma closed under G0-conjugation this decides the same two conditions.
+    """
+    sigma = set(sigma)
+    return ((sigma & {phi[s] for s in sigma}) == {0}
+            and all(G.mul(G.mul(h, phi[h]), tau) not in sigma for h in members))
 
 
 def act_on_graph(S: SurfaceData, h: int, f: int, mixed: bool = False) -> int:

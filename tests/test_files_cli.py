@@ -323,3 +323,93 @@ def test_vector_search_propagates_integrity_errors(data_dir, monkeypatch):
     code, text = run_cli("surface", str(spec))
     assert code == cli.EXIT_ASSERTION
     assert "corrupted candidate" in text
+
+
+# ----------------------------------------------------------------------
+# malformed JSON documents and surface-file fields
+
+@pytest.mark.parametrize("content", ["5", '"x"', "null"])
+@pytest.mark.parametrize("command", ["group", "surface"])
+def test_non_object_json_is_parse_error(tmp_path, command, content):
+    path = tmp_path / "doc.json"
+    path.write_text(content)
+    code, text = run_cli(command, str(path))
+    assert code == cli.EXIT_PARSE, text
+    assert "expected a JSON object" in text
+
+
+@pytest.mark.parametrize("content", ["5", '"x"', "null"])
+def test_non_object_presentation_is_parse_error(tmp_path, content):
+    from mixedsurf.files import load_presentation_record
+    path = tmp_path / "pres.json"
+    path.write_text(content)
+    with pytest.raises(InputParseError, match="expected a JSON object"):
+        load_presentation_record(path)
+
+
+def test_non_utf8_file_is_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xe9"}')
+    assert run_cli("group", str(path))[0] == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("field,value", [
+    ("vector", 5),
+    ("vector", ["g1", 2, "g3"]),
+    ("g0_generators", 5),
+    ("g0_generators", "g1"),
+    ("tau_prime", 4),
+    ("type", ["[0;4^3]"]),
+    ("extra_automorphisms", 5),
+    ("extra_automorphisms", ["group_file", "vector"]),
+    ("extra_automorphisms", {"group_file": "h768.json", "vector": 5}),
+    ("extra_automorphisms", {"group_file": "h768.json", "vector": "g1"}),
+    ("extra_automorphisms", {"group_file": 7, "vector": "search"}),
+])
+def test_malformed_surface_fields_are_parse_errors(tmp_path, data_dir, field, value):
+    raw = json.loads((data_dir / "family2.json").read_text())
+    raw[field] = value
+    path = tmp_path / "family2_bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(InputParseError):
+        load_surface_record(path)
+    code, text = run_cli("surface", str(path))
+    assert code == cli.EXIT_PARSE, text
+
+
+SURFACE_FIELDS = ("name", "group_file", "g0_generators", "tau_prime", "vector", "type",
+                  "extra_automorphisms")
+WORDS = st.sampled_from(["g1", "g1^2", "g1^-1", "(g1*g1)^3", "1", "g2", "g1*", ""])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6) | WORDS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+SURFACE_VALUES = st.one_of(
+    JSON_VALUES,
+    st.lists(WORDS, max_size=9),
+    st.sampled_from(["toy_z4_group.json", "toy_z4.json", "[0;2^8]", "[0;4,4]", "search"]),
+    st.fixed_dictionaries({"group_file": st.sampled_from(["toy_z4_group.json", "nope.json"]),
+                           "vector": st.just("search") | st.lists(WORDS, max_size=4)}),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.sampled_from(SURFACE_FIELDS), SURFACE_VALUES | st.just(...),
+                       min_size=1, max_size=3))
+def test_fuzzed_surface_fields_exit_cleanly(tmp_path_factory, data_dir, changes):
+    # Each drawn field is replaced by a JSON value, or deleted (...).
+    base = tmp_path_factory.getbasetemp()
+    (base / "toy_z4_group.json").write_bytes((data_dir / "toy_z4_group.json").read_bytes())
+    raw = json.loads((data_dir / "toy_z4.json").read_text())
+    for field, value in changes.items():
+        if value is ...:
+            raw.pop(field)
+        else:
+            raw[field] = value
+    path = base / "fuzz_surface.json"
+    path.write_text(json.dumps(raw))
+    code, text = run_cli("surface", str(path))
+    assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION, cli.EXIT_ASSERTION,
+                    cli.EXIT_MISMATCH), text

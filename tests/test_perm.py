@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from mixedsurf.errors import BudgetExceeded, ValidationError
 from mixedsurf.files import load_group_record, realize_group
 from mixedsurf.perm import (Permutation, closure, conjugacy_class,
-                            conjugacy_classes, derived_subgroup, fingerprint,
-                            subgroup_as_group, subgroup_generated)
+                            conjugacy_classes, derived_subgroup, extend_homomorphism,
+                            fingerprint, subgroup_as_group, subgroup_generated)
 from oracles import commutator_subgroup_members
 
 BUNDLED = ("g64", "g256a", "g256b", "h768", "toy_z4_group")
@@ -169,6 +169,65 @@ def test_h768_derived_series_matches_oracle(bundled):
 def test_derived_subgroup_of_random_s6_subgroup_matches_oracle(seeds):
     sub = subgroup_generated(S6, seeds)
     assert derived_subgroup(sub).member_set == commutator_subgroup_members(sub)
+
+
+# Klein four-group <a, b> with a = (1 2), b = (3 4).
+V4 = closure([Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(3, 4)])])
+A, B = V4.generator_indices
+AB = V4.mul(A, B)
+S4 = closure([Permutation.from_cycles(4, [(1, 2)]),
+              Permutation.from_cycles(4, [(1, 2, 3, 4)])])
+
+
+def test_extend_homomorphism_rejects_non_homomorphic_matching():
+    # a b = ab, but the images multiply to b, not to the image a of ab.
+    assert extend_homomorphism(V4, (A, B, AB), V4, (A, B, A)) is None
+
+
+def test_extend_homomorphism_rejects_non_injective_matching():
+    # a -> a, b -> a is a homomorphism V4 -> V4 with kernel {1, ab}.
+    assert extend_homomorphism(V4, (A, B), V4, (A, A)) is None
+    z4 = closure([Permutation.from_cycles(4, [(1, 2, 3, 4)])])
+    g = z4.generator_indices[0]
+    assert extend_homomorphism(z4, (g,), z4, (z4.mul(g, g),)) is None
+
+
+def test_extend_homomorphism_on_a_subgroup_span(bundled):
+    # Only <src_gens> is mapped: here the cyclic subgroup <x> of h768 onto
+    # <x^-1>, by x^k -> x^-k.
+    H = bundled["h768"]
+    x = next(i for i in range(H.order) if H.order_of(i) == 8)
+    img = extend_homomorphism(H, (x,), H, (H.inv(x),))
+    assert img == {H.power(x, k): H.power(x, -k) for k in range(8)}
+
+
+def _pair(s: Permutation, t: Permutation) -> Permutation:
+    """(s, t) acting on 1..2n, s on the first n points and t on the rest."""
+    n = s.degree
+    return Permutation(s.images + tuple(n + y for y in t.images))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=23), min_size=5, max_size=5),
+       st.booleans())
+def test_extend_homomorphism_matches_graph_subgroup_oracle(picks, conjugate):
+    # s_i -> t_i extends to a homomorphism on <s> exactly when the graph
+    # subgroup <(s_i, t_i)> of S4 x S4 projects bijectively onto <s>, and it
+    # is injective exactly when the projection onto <t> is bijective too.
+    # Random targets rarely embed, so half the cases conjugate the sources.
+    src_gens, g = picks[:2], picks[2]
+    dst_gens = [S4.conj(g, s) for s in src_gens] if conjugate else picks[3:]
+    img = extend_homomorphism(S4, src_gens, S4, dst_gens)
+    graph = closure([_pair(S4.element(s), S4.element(t)) for s, t in zip(src_gens, dst_gens)])
+    span_s = subgroup_generated(S4, src_gens)
+    embeds = graph.order == span_s.order == subgroup_generated(S4, dst_gens).order
+    assert (img is not None) == embeds
+    if img is not None:
+        assert sorted(img) == list(span_s.members)
+        assert len(set(img.values())) == len(img)
+        for x in img:
+            for y in img:
+                assert img[S4.mul(x, y)] == S4.mul(img[x], img[y])
 
 
 def test_conjugacy_classes(d4):

@@ -12,7 +12,9 @@ from mixedsurf.files import build_surface, load_group
 from mixedsurf.perm import Permutation, closure, subgroup_generated
 from mixedsurf.surface import (assemble_surface, build_mixed_action,
                                check_free_action, derive_induced_vectors,
-                               invariants_from, transport_embedding)
+                               fixed_curve_witness, invariants_from,
+                               isolated_point_witness, transport_embedding)
+from oracles import free_pair
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +131,55 @@ def test_freeness_monotone_in_sigma(data_dir):
     enlarge()
 
 
+def _sigma_from_fix_table(surface):
+    # Sigma_V in G-indices, read the way check_free_action reads it.
+    fix = surface.h_covering.fix_table
+    return frozenset(g for g in surface.action.G0.members
+                     if g == 0 or fix[surface.to_h[g]] > 0)
+
+
+def _helpers_say_free(G, members, sigma, phi, tau) -> bool:
+    return (isolated_point_witness(sigma, phi) is None
+            and fixed_curve_witness(G, members, sigma, phi, tau) is None)
+
+
+@pytest.mark.parametrize("name", ["family1", "family1_nonfree", "toy_z4"])
+def test_freeness_helpers_match_set_form_oracle(data_dir, name):
+    surface = build_surface(data_dir / f"{name}.json")
+    act = surface.action
+    sigma = _sigma_from_fix_table(surface)
+    expected = free_pair(act.G, act.G0.members, sigma, act.phi, act.tau)
+    assert _helpers_say_free(act.G, act.G0.members, sigma, act.phi, act.tau) == expected
+    assert check_free_action(surface).ok == expected == (name == "family1")
+
+
+def test_curve_witness_squares_into_sigma(data_dir):
+    # (tau' h)^2 = phi(h) tau h: the helper's h gives the reported witness.
+    surface = build_surface(data_dir / "toy_z4.json")
+    act = surface.action
+    sigma = _sigma_from_fix_table(surface)
+    h = fixed_curve_witness(act.G, act.G0.members, sigma, act.phi, act.tau)
+    g = act.G.mul(act.tau_prime, h)
+    assert check_free_action(surface).curve_witness == g
+    assert g not in act.G0 and act.G.mul(g, g) in sigma
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_freeness_helpers_match_oracle_on_random_pairs(family1, data):
+    # phi is conjugation by any element of G (an automorphism of G0), tau any
+    # member of G0, and Sigma the identity plus a few G0-conjugacy classes.
+    act = family1.surface.action
+    G, members = act.G, act.G0.members
+    g = data.draw(st.sampled_from(range(G.order)), label="g")
+    phi = {h: G.conj(g, h) for h in members}
+    tau = data.draw(st.sampled_from(members), label="tau")
+    seeds = data.draw(st.lists(st.sampled_from(members), max_size=3), label="classes")
+    sigma = frozenset({0}).union(*({G.conj(h, x) for h in members} for x in seeds))
+    assert (_helpers_say_free(G, members, sigma, phi, tau)
+            == free_pair(G, members, sigma, phi, tau))
+
+
 def test_derive_induced_vectors_tower(data_dir):
     from mixedsurf.files import load_surface_record, resolve_word
     H, _ = load_group(data_dir / "h768.json")
@@ -196,6 +247,25 @@ def test_transport_rejects_non_homomorphic_matching(family1):
     for x in range(g0.order):
         for y in range(g0.order):
             assert img[g0.mul(x, y)] == g0.mul(img[x], img[y])
+
+
+@pytest.fixture(scope="module")
+def v4():
+    return closure([Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(3, 4)])])
+
+
+def test_transport_rejects_matching_that_is_not_a_homomorphism(v4):
+    # Orders and spans agree, but a b = ab while the images give b != a.
+    a, b = v4.generator_indices
+    ab = v4.mul(a, b)
+    with pytest.raises(ValidationError, match="injective homomorphism"):
+        transport_embedding(v4, (a, b, ab), v4, (a, b, a))
+
+
+def test_transport_rejects_non_injective_matching(v4):
+    a, b = v4.generator_indices
+    with pytest.raises(ValidationError):
+        transport_embedding(v4, (a, b), v4, (a, a))
 
 
 def test_assemble_rejects_entries_outside_g0(z4):
