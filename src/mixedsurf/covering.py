@@ -48,6 +48,9 @@ class CoverType:
 
 _TYPE_RE = re.compile(r"^\[\s*(\d+)\s*;(.*)\]$")
 _ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+# The bundled types have at most 8 branch points.  The bound is checked
+# before "^k" is expanded, so a short type cannot ask for a huge list.
+MAX_BRANCH_POINTS = 256
 
 
 def parse_cover_type(text: str) -> CoverType:
@@ -55,13 +58,20 @@ def parse_cover_type(text: str) -> CoverType:
     m = _TYPE_RE.match(text.strip())
     if not m:
         raise ValidationError(f"malformed cover type {text!r}")
-    indices: list[int] = []
-    for part in m.group(2).split(","):
-        em = _ENTRY_RE.match(part.strip())
-        if not em:
-            raise ValidationError(f"malformed branching index {part.strip()!r}")
-        indices.extend([int(em.group(1))] * int(em.group(2) or 1))
-    return CoverType(int(m.group(1)), tuple(indices))
+    entries: list[tuple[int, int]] = []
+    try:
+        g_prime = int(m.group(1))
+        for part in m.group(2).split(","):
+            em = _ENTRY_RE.match(part.strip())
+            if not em:
+                raise ValidationError(f"malformed branching index {part.strip()!r}")
+            entries.append((int(em.group(1)), int(em.group(2) or 1)))
+    except ValueError:  # a digit string longer than int() converts
+        raise ValidationError(f"cover type {text[:40]!r}... has a number too long to read") from None
+    if sum(k for _, k in entries) > MAX_BRANCH_POINTS:
+        raise ValidationError(
+            f"cover type {text[:40]!r} has more than {MAX_BRANCH_POINTS} branch points")
+    return CoverType(g_prime, tuple(mi for mi, k in entries for _ in range(k)))
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,8 @@ def load_group_record(path: str | Path) -> GroupFile:
     if missing:
         raise InputParseError(f"{path}: missing group-file fields {missing}")
     try:
+        name, claimed_id, provenance = (
+            _string(raw[f], f) for f in ("name", "claimed_id", "provenance"))
         # JSON integers only: int() would also take 2.0, "2" and true.
         degree = raw["degree"]
         if type(degree) is not int:
@@ -98,8 +100,7 @@ def load_group_record(path: str | Path) -> GroupFile:
         raise InputParseError(f"{path}: malformed group file: {exc}") from exc
     if not gens:
         raise InputParseError(f"{path}: group file lists no generators")
-    return GroupFile(str(raw["name"]), str(raw["claimed_id"]), degree, tuple(gens),
-                     fp, str(raw["provenance"]), path)
+    return GroupFile(name, claimed_id, degree, tuple(gens), fp, provenance, path)
 
 
 def realize_group(record: GroupFile, budget: int = DEFAULT_CLOSURE_BUDGET) -> FiniteGroup:

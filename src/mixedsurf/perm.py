@@ -13,11 +13,13 @@ Conventions used throughout the package:
 Bijectivity is checked once, when a :class:`Permutation` is built from
 outside data (a group file, a coset table, a test).  :func:`closure` then
 composes raw image tuples: a product of bijections is a bijection, so the
-elements it finds are wrapped without re-checking.  While it walks the BFS
-it records each element's step under each generator; the index-level
-Cayley table is built from those steps and the BFS parents, so downstream
-code works with integer element indices and never composes image arrays
-in inner loops.
+elements it finds are wrapped without re-checking.  It walks the BFS by
+left products g * e, each one C-level gather, and records every element's
+left step under each generator.  Integer passes along that search tree
+give the right steps e * g and the BFS parents.  The index-level Cayley
+table is built from the left steps and the parents, so downstream code
+works with integer element indices and never composes image arrays in
+inner loops.
 
 Groups of order up to a few thousand are the target.
 """
@@ -126,7 +128,8 @@ class FiniteGroup:
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
                  elements: tuple[Permutation, ...], index: dict[tuple[int, ...], int],
-                 parents: tuple[tuple[int, int], ...], gen_step: list[array]):
+                 parents: tuple[tuple[int, int], ...], gen_step: list[array],
+                 left_step: list[array]):
         self.degree = degree
         self.generators = generators
         self.elements = elements
@@ -135,6 +138,7 @@ class FiniteGroup:
         # parents[0] is (-1, -1) for the identity.
         self._parents = parents
         self._gen_step = gen_step  # gen_step[c][k] = index(elements[k] * generators[c])
+        self._left_step = left_step  # left_step[c][k] = index(generators[c] * elements[k])
         self.generator_indices = tuple(step[0] for step in gen_step)
         self._mul_rows: list[array] | None = None
         self._inv: array | None = None
@@ -161,19 +165,10 @@ class FiniteGroup:
             return
         n = self.order
         parents = self._parents
-        # left[c][j] = index(generators[c] * elements[j]), walked along the BFS
-        # parents: generators[c] * e_j == (generators[c] * e_p) * generators[cj].
-        left = []
-        for c in range(len(self.generators)):
-            row = array("i", bytes(4 * n))
-            row[0] = self.generator_indices[c]
-            for j in range(1, n):
-                pj, cj = parents[j]
-                row[j] = self._gen_step[cj][row[pj]]
-            left.append(row)
         # Row i maps j to index(e_i * e_j); with e_i == e_p * generators[c] it
-        # is row p read through left[c], one C-level gather per row.
-        read_left = [itemgetter(*row) for row in left]
+        # is row p read through the left steps of generators[c], one C-level
+        # gather per row.
+        read_left = [itemgetter(*row) for row in self._left_step]
         rows = [array("i", range(n))]
         for i in range(1, n):
             p, c = parents[i]
@@ -238,6 +233,14 @@ def closure(generators: Sequence[Permutation], budget: int = DEFAULT_CLOSURE_BUD
     inside each layer broken by lexicographic image sequence; the identity is
     element 0.  Raises :class:`BudgetExceeded` if the closure grows past
     ``budget`` elements.
+
+    The search multiplies by generators on the left: layer k holds the
+    products of k generators and no fewer, the same set on either side, so
+    the order is the same as a search by right products.  Each left product
+    is one gather.  The right steps come from the left ones along the left
+    search tree: if e_k == g_a * e_p then e_k * g_c == g_a * (e_p * g_c).
+    The parent of each element is the first (j, c) in scan order whose
+    right step reaches it from the layer before.
     """
     gens = tuple(generators)
     if not gens:
@@ -246,24 +249,28 @@ def closure(generators: Sequence[Permutation], budget: int = DEFAULT_CLOSURE_BUD
     if any(g.degree != degree for g in gens):
         raise ValidationError("generators have mismatched degrees")
 
-    # (e * g).images == tuple(pad[x] for x in e.images) with pad = (0,) + g.images.
-    pads = [(0,) + g.images for g in gens]
+    # (g * e).images is e read at g's images, one C-level gather.  In degree
+    # 0 and 1 every permutation is the identity, and itemgetter would take
+    # no index or return a bare item instead of a tuple.
+    gathers = [itemgetter(*[x - 1 for x in g.images]) if degree > 1 else tuple
+               for g in gens]
     ident = tuple(range(1, degree + 1))
     images: list[tuple[int, ...]] = [ident]
     # Image sequence -> element index; a member of the layer being discovered
     # maps to ~(its discovery number) until the layer is sorted.
     index: dict[tuple[int, ...], int] = {ident: 0}
-    parents: list[tuple[int, int]] = [(-1, -1)]
-    gen_step = [array("i") for _ in gens]
+    # left_parents[k] = (p, a) with elements[k] == generators[a] * elements[p]
+    left_parents: list[tuple[int, int]] = [(-1, -1)]
+    left_step = [array("i") for _ in gens]
+    layer_ends: list[int] = []
 
     start = 0
     while start < len(images):
         end = len(images)
         layer: list[tuple[int, ...]] = []
-        for i in range(start, end):
-            e = images[i]
-            for c, pad in enumerate(pads):
-                prod = tuple(map(pad.__getitem__, e))
+        for a, gather in enumerate(gathers):
+            found = []
+            for p, prod in enumerate(map(gather, images[start:end]), start):
                 j = index.get(prod)
                 if j is None:
                     if end + len(layer) >= budget:
@@ -272,8 +279,9 @@ def closure(generators: Sequence[Permutation], budget: int = DEFAULT_CLOSURE_BUD
                     j = ~len(layer)
                     index[prod] = j
                     layer.append(prod)
-                    parents.append((i, c))
-                gen_step[c].append(j)
+                    left_parents.append((p, a))
+                found.append(j)
+            left_step[a].extend(found)
         # Index the new layer in lexicographic order, then resolve the steps
         # of this layer that pointed into it.
         order = sorted(range(len(layer)), key=layer.__getitem__)
@@ -282,14 +290,37 @@ def closure(generators: Sequence[Permutation], budget: int = DEFAULT_CLOSURE_BUD
             final[t] = end + rank
             index[layer[t]] = end + rank
         images.extend(layer[t] for t in order)
-        parents[end:] = [parents[end + t] for t in order]
-        for step in gen_step:
+        left_parents[end:] = [left_parents[end + t] for t in order]
+        for step in left_step:
             step[start:end] = array("i", [final[~j] if j < 0 else j
                                           for j in step[start:end]])
+        layer_ends.append(end)
         start = end
 
+    # Right steps in index order, so e_p's are known before e_k's; a right
+    # step out of k's layer lands in the next one, and the first such (k, c)
+    # in scan order is the BFS parent of where it lands.
+    n = len(images)
+    gen_step = [array("i", [step[0]]) * n for step in left_step]
+    parents: list[tuple[int, int] | None] = [None] * n
+    parents[0] = (-1, -1)
+    ends = iter(layer_ends)
+    end = next(ends)
+    for k in range(n):
+        if k == end:
+            end = next(ends)
+        if k:
+            p, a = left_parents[k]
+            step = left_step[a]
+            for right in gen_step:
+                right[k] = step[right[p]]
+        for c, right in enumerate(gen_step):
+            t = right[k]
+            if t >= end and parents[t] is None:
+                parents[t] = (k, c)
+
     elements = tuple(map(Permutation._trusted, images))
-    return FiniteGroup(degree, gens, elements, index, tuple(parents), gen_step)
+    return FiniteGroup(degree, gens, elements, index, tuple(parents), gen_step, left_step)
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,23 @@ as a normal closure; and generating vectors are found by testing every
 candidate tuple with ``subgroup_generated`` and deduplicated by the
 minimum over conjugation by all of G, with no shared spans and no
 centralizer argument; and the freeness conditions are tested as set
-identities, with h phi(h) tau in place of the library's (tau' h)^2.
+identities, with h phi(h) tau in place of the library's (tau' h)^2; and
+group closure is a breadth-first search by right products e * g, one
+Python-level composition per edge, with each element's left steps walked
+afterwards along its BFS parents.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 from mixedsurf.covering import CoverType, GeneratingVector
-from mixedsurf.errors import IntegrityError, ValidationError
-from mixedsurf.perm import (FiniteGroup, Permutation, Subgroup, closure, conjugacy_class,
-                            subgroup_generated)
+from mixedsurf.errors import BudgetExceeded, IntegrityError, ValidationError
+from mixedsurf.perm import (DEFAULT_CLOSURE_BUDGET, FiniteGroup, Permutation, Subgroup, closure,
+                            conjugacy_class, subgroup_generated)
 from mixedsurf.surface import SurfaceData
 
 
@@ -44,6 +49,80 @@ def fixed_point_count(f: int, v: GeneratingVector) -> int:
     if total.denominator != 1:
         raise IntegrityError(f"fixed-point count for element {f} is non-integral: {total}")
     return int(total)
+
+
+def right_product_closure(generators: Sequence[Permutation],
+                          budget: int = DEFAULT_CLOSURE_BUDGET) -> FiniteGroup:
+    """Generate the group closure of ``generators`` by right products e * g.
+
+    Element ordering is breadth-first over words in the generators with ties
+    inside each layer broken by lexicographic image sequence; the identity is
+    element 0.  Raises :class:`BudgetExceeded` if the closure grows past
+    ``budget`` elements.
+    """
+    gens = tuple(generators)
+    if not gens:
+        raise ValidationError("at least one generator is required")
+    degree = gens[0].degree
+    if any(g.degree != degree for g in gens):
+        raise ValidationError("generators have mismatched degrees")
+
+    # (e * g).images == tuple(pad[x] for x in e.images) with pad = (0,) + g.images.
+    pads = [(0,) + g.images for g in gens]
+    ident = tuple(range(1, degree + 1))
+    images: list[tuple[int, ...]] = [ident]
+    # Image sequence -> element index; a member of the layer being discovered
+    # maps to ~(its discovery number) until the layer is sorted.
+    index: dict[tuple[int, ...], int] = {ident: 0}
+    parents: list[tuple[int, int]] = [(-1, -1)]
+    gen_step = [array("i") for _ in gens]
+
+    start = 0
+    while start < len(images):
+        end = len(images)
+        layer: list[tuple[int, ...]] = []
+        for i in range(start, end):
+            e = images[i]
+            for c, pad in enumerate(pads):
+                prod = tuple(map(pad.__getitem__, e))
+                j = index.get(prod)
+                if j is None:
+                    if end + len(layer) >= budget:
+                        raise BudgetExceeded(
+                            f"group closure exceeded the element budget of {budget}")
+                    j = ~len(layer)
+                    index[prod] = j
+                    layer.append(prod)
+                    parents.append((i, c))
+                gen_step[c].append(j)
+        # Index the new layer in lexicographic order, then resolve the steps
+        # of this layer that pointed into it.
+        order = sorted(range(len(layer)), key=layer.__getitem__)
+        final = [0] * len(layer)
+        for rank, t in enumerate(order):
+            final[t] = end + rank
+            index[layer[t]] = end + rank
+        images.extend(layer[t] for t in order)
+        parents[end:] = [parents[end + t] for t in order]
+        for step in gen_step:
+            step[start:end] = array("i", [final[~j] if j < 0 else j
+                                          for j in step[start:end]])
+        start = end
+
+    # left[c][j] = index(generators[c] * elements[j]), walked along the BFS
+    # parents: generators[c] * e_j == (generators[c] * e_p) * generators[cj].
+    n = len(images)
+    left = []
+    for c in range(len(gens)):
+        row = array("i", bytes(4 * n))
+        row[0] = gen_step[c][0]
+        for j in range(1, n):
+            pj, cj = parents[j]
+            row[j] = gen_step[cj][row[pj]]
+        left.append(row)
+
+    elements = tuple(map(Permutation._trusted, images))
+    return FiniteGroup(degree, gens, elements, index, tuple(parents), gen_step, left)
 
 
 def commutator_subgroup_members(G: FiniteGroup | Subgroup) -> frozenset[int]:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import CosetFiberOracle, fixed_point_count, generating_vector_entries
-from mixedsurf.covering import (CoverType, GeneratingVector, covering_data,
+from mixedsurf.covering import (MAX_BRANCH_POINTS, CoverType, GeneratingVector, covering_data,
                                 fixed_point_table,
                                 hurwitz_genus, parse_cover_type,
                                 search_generating_vectors, stabilizer_set,
@@ -23,7 +23,8 @@ def test_parse_cover_type():
     assert parse_cover_type("[0; 2^5]") == CoverType(0, (2, 2, 2, 2, 2))
     assert parse_cover_type("[1;4^3]") == CoverType(1, (4, 4, 4))
     assert str(CoverType(0, (2, 2))) == "[0;2,2]"
-    for bad in ["[0]", "0;2,2", "[0;1,2]", "[0;x]"]:
+    assert parse_cover_type(f"[0;2^{MAX_BRANCH_POINTS}]").r == MAX_BRANCH_POINTS
+    for bad in ["[0]", "0;2,2", "[0;1,2]", "[0;x]", f"[0;3,2^{MAX_BRANCH_POINTS}]"]:
         with pytest.raises(ValidationError):
             parse_cover_type(bad)
 

@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedsurf import cli, files
@@ -58,6 +58,18 @@ def test_non_bijective_generator_is_parse_error(tmp_path):
 
 TRIVIAL_FINGERPRINT = {"order": 1, "element_orders": [[1, 1]], "abelianization": [],
                        "derived_series": [1], "center_order": 1, "class_count": 1}
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_trivial_degree_group_files(tmp_path, degree):
+    # The identity is the only permutation of degree 0 or 1.
+    path = tmp_path / f"degree{degree}.json"
+    path.write_text(json.dumps({"name": "trivial", "claimed_id": "1", "degree": degree,
+                                "generators": [list(range(1, degree + 1))],
+                                "fingerprint": TRIVIAL_FINGERPRINT, "provenance": "test"}))
+    code, text = run_cli("group", str(path))
+    assert code == cli.EXIT_OK, text
+    assert "fingerprint: match" in text
 
 
 @st.composite
@@ -156,6 +168,21 @@ def test_non_integer_group_fields_exit_as_parse_errors(tmp_path_factory, data_di
     path.write_text(json.dumps(raw))
     code, text = run_cli("group", str(path))
     assert code == cli.EXIT_PARSE, text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["name", "claimed_id", "provenance"]),
+       st.one_of(st.text(max_size=8), NON_INTEGERS))
+@example("name", {"a": [1]})
+@example("claimed_id", None)
+def test_fuzzed_group_string_fields_exit_cleanly(tmp_path_factory, data_dir, field, value):
+    # str() used to turn any JSON value into a name, and such a file loaded.
+    raw = json.loads((data_dir / "toy_z4_group.json").read_text())
+    raw[field] = value
+    path = tmp_path_factory.getbasetemp() / "fuzz_strings.json"
+    path.write_text(json.dumps(raw))
+    code, text = run_cli("group", str(path))
+    assert code == (cli.EXIT_OK if isinstance(value, str) else cli.EXIT_PARSE), text
 
 
 def test_warm_run_leaves_no_cyclic_garbage(data_dir):
@@ -270,6 +297,26 @@ def test_genvec_search_cmd(data_dir):
                          "--type", "[0;4,4]")
     assert code == cli.EXIT_OK
     assert "found 2 generating vector(s)" in text
+
+
+@pytest.mark.parametrize("type_text", ["[0;2^999999999]", "[0;4^3,2^254]",
+                                       "[0;" + "9" * 5000 + "]"])
+def test_genvec_search_rejects_oversized_type(data_dir, type_text):
+    # "^k" used to be expanded before any check: 15 bytes asked for gigabytes.
+    code, text = run_cli("genvec", "search", str(data_dir / "toy_z4_group.json"),
+                         "--type", type_text)
+    assert code == cli.EXIT_VALIDATION, text
+
+
+def test_surface_file_with_oversized_type_is_parse_error(tmp_path, data_dir):
+    (tmp_path / "toy_z4_group.json").write_bytes((data_dir / "toy_z4_group.json").read_bytes())
+    raw = json.loads((data_dir / "toy_z4.json").read_text())
+    raw["type"] = "[0;2^999999999]"
+    path = tmp_path / "big_type.json"
+    path.write_text(json.dumps(raw))
+    code, text = run_cli("surface", str(path))
+    assert code == cli.EXIT_PARSE, text
+    assert "branch points" in text
 
 
 def test_reproduce_family1(data_dir):
