@@ -16,8 +16,10 @@ Construction outline:
 * The order-256 mixed groups arise as index-2 extensions of the second
   derived subgroup by pairs (phi, tau), phi an automorphism with
   phi^2 = conj_tau and phi(tau) = tau, filtered by the two freeness
-  conditions and deduplicated; a backtracking isomorphism test splits the
-  survivors into their two isomorphism types.
+  conditions and deduplicated.  The survivors fall into two isomorphism
+  types, told apart through G0: an isomorphism maps G0 onto an index-2
+  subgroup and is fixed there by an automorphism of G0, so each test is
+  one set lookup per automorphism.
 * The order-64 group is the analogous extension of Z2^2 x D4 found by
   exhaustive search over automorphisms and [0;2^5] generating vectors.
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -41,7 +44,7 @@ from mixedsurf.errors import IntegrityError, MismatchError
 from mixedsurf.expected import FAMILY_EXPECTATIONS, compare_family
 from mixedsurf.files import build_surface, element_word, save_group_file, save_surface_file
 from mixedsurf.perm import (FiniteGroup, Permutation, closure, conjugacy_classes,
-                            extend_homomorphism, subgroup_generated)
+                            extend_homomorphism, homomorphisms, subgroup_generated)
 from mixedsurf.surface import (check_free_action, derive_induced_vectors,
                                fixed_curve_witness, isolated_point_witness)
 from mixedsurf.coset import todd_coxeter
@@ -81,64 +84,26 @@ def embedding(src: FiniteGroup, src_gens, dst: FiniteGroup, dst_gens) -> dict[in
     return img
 
 
-def automorphisms_of_span(G: FiniteGroup, members, gens) -> list[dict[int, int]]:
-    """All automorphisms of the subgroup spanned by ``gens`` (a generating
-    vector with product 1, so the last image is forced)."""
-    pools = []
-    for g in gens[:-1]:
-        o = G.order_of(g)
-        pools.append([m for m in members if G.order_of(m) == o])
-    last_order = G.order_of(gens[-1])
-    out = []
-
-    def rec(position, chosen, product):
-        if position == len(gens) - 1:
-            last = G.inv(product)
-            if G.order_of(last) != last_order:
-                return
-            # An injective homomorphism of the span into itself is onto.
-            m = extend_homomorphism(G, gens, G, chosen + [last])
-            if m is not None:
-                out.append(m)
-            return
-        for t in pools[position]:
-            rec(position + 1, chosen + [t], G.mul(product, t))
-
-    rec(0, [], 0)
-    return out
+def extension_pairs(G: FiniteGroup, members, gens, auts):
+    """(phi, tau) with phi^2 = conj_tau and phi(tau) = tau."""
+    return [(phi, tau) for phi in auts for tau in members
+            if phi[tau] == tau and all(phi[phi[g]] == G.conj(tau, g) for g in gens)]
 
 
-def free_extension_pairs(G: FiniteGroup, members, gens, auts, sigma):
-    """(phi, tau) with phi^2 = conj_tau, phi(tau) = tau, and both freeness
-    conditions satisfied."""
-    out = []
-    for phi in auts:
-        if isolated_point_witness(sigma, phi) is not None:
-            continue
-        for tau in members:
-            if (phi[tau] == tau and all(phi[phi[g]] == G.conj(tau, g) for g in gens)
-                    and fixed_curve_witness(G, members, sigma, phi, tau) is None):
-                out.append((phi, tau))
-    return out
-
-
-def canon_ext_key(G: FiniteGroup, members, phi, tau):
-    """Canonical form of (phi, tau) modulo re-choosing tau' inside its coset."""
-    best = None
-    for h in members:
-        key = (tuple(G.conj(h, phi[m]) for m in members),
-               G.mul(G.mul(h, phi[h]), tau))
-        if best is None or key < best:
-            best = key
-    return best
+def free(G: FiniteGroup, members, sigma, phi, tau) -> bool:
+    """Conditions (i) and (ii) for the stabilizer set sigma under (phi, tau)."""
+    return (isolated_point_witness(sigma, phi) is None
+            and fixed_curve_witness(G, members, sigma, phi, tau) is None)
 
 
 def dedup_extensions(G: FiniteGroup, members, pairs):
+    """One (phi, tau) per class modulo re-choosing tau' inside its coset, in
+    order of the classes' canonical forms."""
     reps = {}
     for phi, tau in pairs:
-        key = canon_ext_key(G, members, phi, tau)
-        if key not in reps:
-            reps[key] = (phi, tau)
+        key = min((tuple(G.conj(h, phi[m]) for m in members), G.mul(G.mul(h, phi[h]), tau))
+                  for h in members)
+        reps.setdefault(key, (phi, tau))
     return [reps[k] for k in sorted(reps)]
 
 
@@ -173,45 +138,67 @@ def build_extension(G: FiniteGroup, members, phi, tau, vec_gens) -> FiniteGroup:
     return ext
 
 
-def iso_test(GA: FiniteGroup, GB: FiniteGroup) -> bool:
-    """Exhaustive generator-image isomorphism search (order-pruned)."""
-    if GA.order != GB.order:
-        return False
-    gA = list(GA.generator_indices)
+def index_two_subgroups(G: FiniteGroup) -> list[list[int]]:
+    """Kernels of the nonzero homomorphisms G -> Z/2: signs on the generators
+    that give each element the sign of its word, when every step by a
+    generator adds that generator's sign."""
+    out = []
+    for signs in product((0, 1), repeat=len(G.generators)):
+        sign = [sum(signs[c] for c in G.word_for(k)) % 2 for k in range(G.order)]
+        if any(signs) and all(sign[G.mul(k, g)] == sign[k] ^ s for k in range(G.order)
+                              for g, s in zip(G.generator_indices, signs)):
+            out.append([k for k in range(G.order) if not sign[k]])
+    return out
 
-    def word_ord(G, gens, w):
-        acc = 0
-        for q in w:
-            acc = G.mul(acc, gens[q])
-        return G.order_of(acc)
 
-    probes = [(0, 1), (0, 3), (1, 3), (0, 1, 3), (0, 0, 1), (1, 1, 3)]
-    cons = {w: word_ord(GA, gA, w) for w in probes}
-    pool4 = [i for i in range(GB.order) if GB.order_of(i) == GA.order_of(gA[0])]
-    poolt = [i for i in range(GB.order) if GB.order_of(i) == GA.order_of(gA[3])]
+def extension_signatures(H: FiniteGroup, V0, GB: FiniteGroup) -> set:
+    """What an extension of G0 = <V0> must match to be isomorphic to GB.
 
-    for t1 in pool4:
-        for t2 in pool4:
-            p12 = GB.mul(t1, t2)
-            if GB.order_of(p12) != cons[(0, 1)]:
-                continue
-            t3 = GB.inv(p12)
-            if GB.order_of(t3) != GA.order_of(gA[2]):
-                continue
-            if word_ord(GB, [t1, t2, t3, 0], (0, 0, 1)) != cons[(0, 0, 1)]:
-                continue
-            for t4 in poolt:
-                if GB.order_of(GB.mul(t1, t4)) != cons[(0, 3)]:
-                    continue
-                if GB.order_of(GB.mul(t2, t4)) != cons[(1, 3)]:
-                    continue
-                if word_ord(GB, [t1, t2, t3, t4], (0, 1, 3)) != cons[(0, 1, 3)]:
-                    continue
-                if word_ord(GB, [t1, t2, t3, t4], (1, 1, 3)) != cons[(1, 1, 3)]:
-                    continue
-                if extend_homomorphism(GA, gA, GB, (t1, t2, t3, t4)) is not None:
-                    return True
-    return False
+    An isomorphism GA -> GB of index-2 extensions of G0 by (phi, tau) maps
+    G0 onto an index-2 subgroup M of GB.  On G0 it is psi0 alpha, with
+    psi0: G0 -> M one fixed isomorphism and alpha in Aut(G0), and it sends
+    t_A to an x outside M with x psi0(v) x^-1 = psi0(alpha phi alpha^-1(v))
+    on V0 and x^2 = psi0(alpha(tau)) (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*).  Returns, for every such M and x, the
+    pair (x-conjugation on V0, x^2) read back in G0 through psi0.
+    """
+    out = set()
+    for M in index_two_subgroups(GB):
+        psi0 = next(homomorphisms(H, V0, GB, M), None)
+        if psi0 is None:
+            continue
+        back = {b: a for a, b in psi0.items()}
+        images = [psi0[v] for v in V0]
+        inside = set(M)
+        out.update((tuple(back[GB.conj(x, m)] for m in images), back[GB.mul(x, x)])
+                   for x in range(GB.order) if x not in inside)
+    return out
+
+
+def isomorphism_types(H: FiniteGroup, members, V0, auts, ext_reps):
+    """Split the extensions of G0 = <V0> by the pairs (phi, tau) of
+    ``ext_reps`` into isomorphism types, given Aut(G0) as ``auts``.
+
+    Returns each pair's type, numbered in order of first occurrence, and
+    the extension group of each type's first pair.
+    """
+    # Each alpha with alpha^-1 on V0, so that alpha phi alpha^-1 on V0 is
+    # two lookups per generator.
+    auts_v0 = []
+    for alpha in auts:
+        back = {b: a for a, b in alpha.items()}
+        auts_v0.append((alpha, [back[v] for v in V0]))
+    groups, signatures, type_of = [], [], []
+    for phi, tau in ext_reps:
+        t = next((k for k, sigs in enumerate(signatures)
+                  if any((tuple(alpha[phi[w]] for w in pre), alpha[tau]) in sigs
+                         for alpha, pre in auts_v0)), None)
+        if t is None:
+            t = len(groups)
+            groups.append(build_extension(H, members, phi, tau, V0))
+            signatures.append(extension_signatures(H, V0, groups[-1]))
+        type_of.append(t)
+    return type_of, groups
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +222,7 @@ def make_families_2_to_5(out: Path):
     V0 = induced[0]
 
     t0 = time.time()
-    auts = automorphisms_of_span(H, members, V0)
+    auts = list(homomorphisms(H, V0, H, members))
     log(f"|Aut(G0)| = {len(auts)} ({time.time() - t0:.1f}s)")
 
     # Sigma_V: the G0 members with fixed points on C, read from each class's
@@ -248,39 +235,25 @@ def make_families_2_to_5(out: Path):
     sigma, = sigmas
 
     t0 = time.time()
-    pairs = free_extension_pairs(H, members, V0, auts, sigma)
+    pairs = [(phi, tau) for phi, tau in extension_pairs(H, members, V0, auts)
+             if free(H, members, sigma, phi, tau)]
     ext_reps = dedup_extensions(H, members, pairs)
     log(f"free (phi,tau) pairs: {len(pairs)}; extension classes: {len(ext_reps)} "
         f"({time.time() - t0:.1f}s)")
 
     t0 = time.time()
-    ext_groups = [build_extension(H, members, phi, tau, V0) for phi, tau in ext_reps]
-    type_a_idx = 0
-    type_b_idx = None
-    type_of = {0: "a"}
-    for i in range(1, len(ext_groups)):
-        if iso_test(ext_groups[type_a_idx], ext_groups[i]):
-            type_of[i] = "a"
-        else:
-            if type_b_idx is None:
-                type_b_idx = i
-                type_of[i] = "b"
-            elif iso_test(ext_groups[type_b_idx], ext_groups[i]):
-                type_of[i] = "b"
-            else:
-                raise IntegrityError("more than two extension isomorphism types")
-    counts = {t: sum(1 for v in type_of.values() if v == t) for t in ("a", "b")}
-    log(f"extension isomorphism types: {counts} ({time.time() - t0:.1f}s)")
-    if type_b_idx is None:
-        raise IntegrityError("expected two isomorphism types")
+    type_of, groups = isomorphism_types(H, members, V0, auts, ext_reps)
+    if len(groups) != 2:
+        raise IntegrityError(f"expected two extension isomorphism types, found {len(groups)}")
     # The type occurring in more extension classes is the one carrying three
     # of the four families; the database ids follow the classification table
     # (multiplicity 3 <-> G(256,3678), multiplicity 1 <-> G(256,3679)).
-    if counts["a"] < counts["b"]:
-        type_a_idx, type_b_idx = type_b_idx, type_a_idx
+    a, b = (0, 1) if type_of.count(0) >= type_of.count(1) else (1, 0)
+    log(f"extension isomorphism types: {type_of.count(a)} classes of type a, type b "
+        f"at classes {[i for i, t in enumerate(type_of) if t == b]} "
+        f"({time.time() - t0:.1f}s)")
 
-    G_a = ext_groups[type_a_idx]
-    G_b = ext_groups[type_b_idx]
+    G_a, G_b = groups[a], groups[b]
     save_group_file(out / "g256a.json", "g256a", "G(256,3678)", G_a, PROVENANCE)
     save_group_file(out / "g256b.json", "g256b", "G(256,3679)", G_b, PROVENANCE)
     save_group_file(out / "h768.json", "h768", "G(768,1085341)", H, PROVENANCE)
@@ -363,31 +336,12 @@ def make_family_1(out: Path):
         return frozenset({0}.union(*(class_of[h] for h in V)))
 
     invol = [i for i in range(n) if G0.order_of(i) == 2]
-    ord4 = [i for i in range(n) if G0.order_of(i) == 4]
-    central = [i for i in range(n)
-               if all(G0.mul(i, g) == G0.mul(g, i) for g in gens)]
-    cinvol = [i for i in central if G0.order_of(i) == 2]
 
     t0 = time.time()
-    auts = []
-    for a1 in cinvol:
-        for a2 in cinvol:
-            if a1 == a2:
-                continue
-            for br in ord4:
-                for cs in invol:
-                    if G0.mul(G0.mul(cs, br), cs) != G0.inv(br):
-                        continue
-                    m = extend_homomorphism(G0, gens, G0, (a1, a2, br, cs))
-                    if m is not None:
-                        auts.append(m)
+    auts = list(homomorphisms(G0, gens, G0, range(n)))
     log(f"family 1: |Aut(G0)| = {len(auts)} ({time.time() - t0:.1f}s)")
 
-    pairs = []
-    for phi in auts:
-        for tau in range(n):
-            if all(phi[phi[g]] == G0.conj(tau, g) for g in gens) and phi[tau] == tau:
-                pairs.append((phi, tau))
+    pairs = extension_pairs(G0, range(n), gens, auts)
     log(f"family 1: {len(pairs)} (phi,tau) pairs")
 
     t0 = time.time()
@@ -397,17 +351,13 @@ def make_family_1(out: Path):
     log(f"family 1: {sum(map(len, buckets.values()))} tuples in {len(buckets)} "
         f"stabilizer-set buckets ({time.time() - t0:.1f}s)")
 
-    def free(S, phi, tau) -> bool:
-        """Conditions (i) and (ii) for the stabilizer set S under (phi, tau)."""
-        return (isolated_point_witness(S, phi) is None
-                and fixed_curve_witness(G0, range(n), S, phi, tau) is None)
-
     t0 = time.time()
     chosen = None
     for S, tuples in sorted(buckets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         # The first generating V of a bucket does not depend on (phi, tau),
         # so the bucket's first free pair decides it.
-        pair = next(((phi, tau) for phi, tau in pairs if free(S, phi, tau)), None)
+        pair = next(((phi, tau) for phi, tau in pairs if free(G0, range(n), S, phi, tau)),
+                    None)
         if pair is None:
             continue
         V = next((V for V in tuples if subgroup_generated(G0, V).order == n), None)
@@ -438,7 +388,8 @@ def make_family_1(out: Path):
     # order) whose stabilizer set breaks a freeness condition for the same
     # extension.
     bad = next((Vb for Vb in involution_vectors(G0, invol)
-                if not free(stab_set(Vb), phi, tau) and subgroup_generated(G0, Vb).order == n),
+                if not free(G0, range(n), stab_set(Vb), phi, tau)
+                and subgroup_generated(G0, Vb).order == n),
                None)
     if bad is None:
         raise IntegrityError("no non-free family-1 vector found")
@@ -485,8 +436,8 @@ def self_check(out: Path):
         t0 = time.time()
         surface = build_surface(out / f"family{fam}.json")
         freeness = check_free_action(surface)
-        orbits = graph_orbits(surface.h_group, surface)
-        table = intersection_table(orbits, surface, surface.h_covering)
+        orbits = graph_orbits(surface)
+        table = intersection_table(orbits, surface)
         report = cone_report(table)
         items = compare_family(FAMILY_EXPECTATIONS[fam], surface, freeness,
                                table, report)
@@ -503,12 +454,12 @@ def self_check(out: Path):
         log(f"{name}: freeness fails with a witness, as intended")
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         / "src" / "mixedsurf" / "data")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
     make_toy(args.out)
     make_family_1(args.out)

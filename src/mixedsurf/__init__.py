@@ -31,5 +31,4 @@ from .divisors import (IntersectionTable, OrbitDivisor, graph_intersection,
 from .cone import (ConeReport, NumericalClass, VERDICT_INCONCLUSIVE,
                    VERDICT_MORI_DREAM, choose_basis, cone_report,
                    find_divfq_quadruple, numerical_classes)
-from .files import (build_surface, load_group, load_presentation_record,
-                    load_surface_record)
+from .files import build_surface, load_group, load_surface_record

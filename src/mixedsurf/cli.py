@@ -121,8 +121,8 @@ def _compute_table(cfg: RunConfig, use_extra: bool = True):
     surface, freeness = _load_pipeline(cfg, use_extra=use_extra)
     if not freeness.ok:
         raise ValidationError("the action is not free; no smooth quotient surface")
-    orbits = graph_orbits(surface.h_group, surface)
-    table = intersection_table(orbits, surface, surface.h_covering)
+    orbits = graph_orbits(surface)
+    table = intersection_table(orbits, surface)
     return surface, freeness, table
 
 

@@ -19,9 +19,10 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import prod
 from operator import itemgetter
 
-from .errors import IntegrityError, ValidationError
+from .errors import BudgetExceeded, IntegrityError, ValidationError
 from .perm import FiniteGroup, conjugacy_class, subgroup_generated
 
 
@@ -51,6 +52,9 @@ _ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 # The bundled types have at most 8 branch points.  The bound is checked
 # before "^k" is expanded, so a short type cannot ask for a huge list.
 MAX_BRANCH_POINTS = 256
+# Candidate tuples a vector search may scan, about 20 s of scanning.  The
+# largest bundled or benchmark scan, [0;2^5] on family 1's G0, has 182,505.
+MAX_SEARCH_LEAVES = 10**7
 
 
 def parse_cover_type(text: str) -> CoverType:
@@ -260,6 +264,10 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
     minimum over all of G therefore keeps f in front and is taken over the
     centralizer of f alone; this relies on the representatives being class
     minima.
+
+    No prefix is pruned, so the scan visits |first-entry reps| times the
+    middle pool sizes candidates; above ``MAX_SEARCH_LEAVES`` it raises
+    :class:`BudgetExceeded` before scanning.
     """
     _require_genus_zero_quotient(cover_type)
     if cover_type.r < 2:
@@ -278,6 +286,10 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
         cls = conjugacy_class(G, i)
         seen |= cls
         first_reps.append(i)
+    leaves = len(first_reps) * prod(len(by_order[mi]) for mi in cover_type.m[1:-1])
+    if leaves > MAX_SEARCH_LEAVES:
+        raise BudgetExceeded(f"a search for type {cover_type} would scan {leaves} "
+                             f"candidates, more than {MAX_SEARCH_LEAVES}")
 
     G._ensure_tables()
     rows, inv = G._mul_rows, G._inv

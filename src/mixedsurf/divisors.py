@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .covering import CoveringData
 from .errors import IntegrityError, ValidationError
-from .perm import FiniteGroup
 from .surface import SurfaceData
 
 # A graph class is addressed by the index of its automorphism in h_group.
@@ -45,10 +44,9 @@ class OrbitDivisor:
         return len(self.members)
 
 
-def graph_orbits(H: FiniteGroup, S: SurfaceData) -> list[OrbitDivisor]:
+def graph_orbits(S: SurfaceData) -> list[OrbitDivisor]:
     """Partition the |H| graph classes into G-orbits, deterministically labeled."""
-    if H is not S.h_group:
-        raise ValidationError("H must be the surface's covering group")
+    H = S.h_group
     act = S.action
     pairs = [(S.to_h[h], S.to_h[act.phi[h]]) for h in act.G0.members]
     tau = S.to_h[act.tau]
@@ -129,8 +127,9 @@ class IntersectionTable:
         return rank
 
 
-def intersection_table(orbits, S: SurfaceData, cover: CoveringData) -> IntersectionTable:
+def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
     """Full symmetric pairing plus the K_S row, all integrality-asserted."""
+    cover = S.h_covering
     if cover.fix_table is None:
         raise ValidationError("intersection counting needs a covering with a fixed-point table")
     H = cover.vector.group

@@ -140,22 +140,6 @@ def save_group_file(path: str | Path, name: str, claimed_id: str, group: FiniteG
         fh.write("\n")
 
 
-def load_presentation_record(path: str | Path):
-    """Presentation file: {"generators": [symbols], "relators": [word strings]}."""
-    from .words import Presentation
-
-    path = Path(path)
-    raw = _load_json(path)
-    for field in ("generators", "relators"):
-        if field not in raw:
-            raise InputParseError(f"{path}: missing presentation field {field!r}")
-    try:
-        return Presentation.parse(tuple(str(s) for s in raw["generators"]),
-                                  [str(w) for w in raw["relators"]])
-    except (ValidationError, TypeError) as exc:
-        raise InputParseError(f"{path}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class ExtraBlock:
     group_file: str

@@ -30,7 +30,7 @@ from array import array
 from dataclasses import dataclass, field
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, InputParseError, IntegrityError, ValidationError
 
@@ -167,12 +167,14 @@ class FiniteGroup:
         parents = self._parents
         # Row i maps j to index(e_i * e_j); with e_i == e_p * generators[c] it
         # is row p read through the left steps of generators[c], one C-level
-        # gather per row.
+        # gather per row.  Indices below 2^16 are stored in two bytes: the
+        # table is the largest allocation of a group, 1.2 MB for order 768.
         read_left = [itemgetter(*row) for row in self._left_step]
-        rows = [array("i", range(n))]
+        code = "H" if n <= 1 << 16 else "i"
+        rows = [array(code, range(n))]
         for i in range(1, n):
             p, c = parents[i]
-            rows.append(array("i", read_left[c](rows[p])))
+            rows.append(array(code, read_left[c](rows[p])))
         self._mul_rows = rows
         self._inv = array("i", [row.index(0) for row in rows])
 
@@ -412,6 +414,44 @@ def extend_homomorphism(src: FiniteGroup, src_gens, dst: FiniteGroup,
     if len(set(img.values())) != len(img):
         return None
     return img
+
+
+def homomorphisms(src: FiniteGroup, src_gens, dst: FiniteGroup,
+                  pool: Iterable[int]) -> Iterator[dict[int, int]]:
+    """Every injective homomorphism of <src_gens> into dst with generator images in pool.
+
+    Yields the maps of :func:`extend_homomorphism` in lexicographic order of
+    the image tuple.  An image t_k is dropped when t_k, t_1..t_k or some
+    t_i t_k has another order than the same product of source generators;
+    so when s_1..s_k is the identity, t_k is forced to be (t_1..t_{k-1})^-1.
+    """
+    gens = tuple(src_gens)
+    orders = [dst.order_of(t) for t in range(dst.order)]
+    rows, inv = dst._mul_rows, dst._inv
+    pool = sorted(set(pool))
+    candidates, prefix_orders, pair_orders, acc = [], [], [], 0
+    for k, s in enumerate(gens):
+        candidates.append([t for t in pool if orders[t] == src.order_of(s)])
+        acc = src.mul(acc, s)
+        prefix_orders.append(src.order_of(acc))
+        pair_orders.append([src.order_of(src.mul(r, s)) for r in gens[:k]])
+    allowed = [set(c) for c in candidates]
+    # Depth-first over image prefixes, each node checked before it is pushed;
+    # children are pushed in reverse so they come off in increasing order.
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while stack:
+        chosen, product = stack.pop()
+        k = len(chosen)
+        if k == len(gens):
+            img = extend_homomorphism(src, gens, dst, chosen)
+            if img is not None:
+                yield img
+            continue
+        options = candidates[k] if prefix_orders[k] > 1 else sorted(allowed[k] & {inv[product]})
+        row = rows[product]
+        stack.extend((chosen + (t,), row[t]) for t in reversed(options)
+                     if orders[row[t]] == prefix_orders[k] and all(
+                         orders[rows[c][t]] == o for c, o in zip(chosen, pair_orders[k])))
 
 
 def derived_subgroup(G: FiniteGroup | Subgroup) -> Subgroup:

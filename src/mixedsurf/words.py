@@ -53,6 +53,8 @@ def word_power(word: Word, k: int) -> Word:
         word, k = invert_word(word), -k
     if k * sum(abs(e) for e in (p[1] for p in word)) > _MAX_LETTERS:
         raise ValidationError("word expansion exceeds the letter budget")
+    if len(word) == 1:
+        return ((word[0][0], word[0][1] * k),)
     return normalize_word(word * k)
 
 
@@ -73,6 +75,9 @@ class _Parser:
             pos = m.end()
         self.tokens.append(("", len(text)))
         self.cursor = 0
+        # Pairs copied by powers of longer words: their sum over the whole
+        # text is held to the letter budget too.
+        self.copied = 0
 
     def peek(self) -> tuple[str, int]:
         return self.tokens[self.cursor]
@@ -99,7 +104,15 @@ class _Parser:
             tok, at = self.advance()
             if not re.fullmatch(r"-?\d+", tok):
                 raise WordSyntaxError("expected an integer exponent", at)
-            return word_power(atom, int(tok))
+            try:
+                exponent = int(tok)
+            except ValueError:  # more digits than int() converts
+                raise WordSyntaxError("exponent has too many digits", at) from None
+            if len(atom) > 1:
+                self.copied += len(atom) * abs(exponent)
+                if self.copied > _MAX_LETTERS:
+                    raise ValidationError("word expansion exceeds the letter budget")
+            return word_power(atom, exponent)
         return atom
 
     def parse_atom(self) -> Word:
@@ -165,7 +178,7 @@ def evaluate_word_index(group, word: Word, assignment: dict[str, int]) -> int:
     acc = 0
     for sym, exp in word:
         base = assignment[sym] if exp > 0 else group.inv(assignment[sym])
-        for _ in range(abs(exp)):
+        for _ in range(abs(exp) % group.order):  # g^|G| = 1 (Lagrange)
             acc = group.mul(acc, base)
     return acc
 

@@ -32,8 +32,8 @@ class FamilyBundle:
 def _bundle(path: Path) -> FamilyBundle:
     surface = build_surface(path)
     freeness = check_free_action(surface)
-    orbits = graph_orbits(surface.h_group, surface)
-    table = intersection_table(orbits, surface, surface.h_covering)
+    orbits = graph_orbits(surface)
+    table = intersection_table(orbits, surface)
     return FamilyBundle(surface, freeness, table, cone_report(table))
 
 

@@ -14,7 +14,10 @@ centralizer argument; and the freeness conditions are tested as set
 identities, with h phi(h) tau in place of the library's (tau' h)^2; and
 group closure is a breadth-first search by right products e * g, one
 Python-level composition per edge, with each element's left steps walked
-afterwards along its BFS parents.
+afterwards along its BFS parents; and generator images are found by
+extending every tuple of candidates, with no pruning, and isomorphism of
+extension groups by a search over generator images of the whole group,
+without G0.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 from mixedsurf.covering import CoverType, GeneratingVector
 from mixedsurf.errors import BudgetExceeded, IntegrityError, ValidationError
 from mixedsurf.perm import (DEFAULT_CLOSURE_BUDGET, FiniteGroup, Permutation, Subgroup, closure,
-                            conjugacy_class, subgroup_generated)
+                            conjugacy_class, extend_homomorphism, subgroup_generated)
 from mixedsurf.surface import SurfaceData
 
 
@@ -281,3 +284,59 @@ def semidirect_z8_z2_r5() -> FiniteGroup:
     group = closure([x, y])
     assert group.order == 16
     return group
+
+
+def homomorphisms_by_tuples(src: FiniteGroup, src_gens, dst: FiniteGroup, pool):
+    """Every injective homomorphism of <src_gens> into dst with generator
+    images in pool, by extending every image tuple in lexicographic order."""
+    out = []
+    for images in product(sorted(set(pool)), repeat=len(src_gens)):
+        img = extend_homomorphism(src, src_gens, dst, images)
+        if img is not None:
+            out.append(img)
+    return out
+
+
+def iso_test(GA: FiniteGroup, GB: FiniteGroup) -> bool:
+    """Exhaustive generator-image isomorphism search (order-pruned).
+
+    GA's generators must be (v1, v2, v3, t) with v1 v2 v3 = 1 and v1, v2 of
+    the same order, as for the extension groups of ``scripts/make_data.py``.
+    """
+    if GA.order != GB.order:
+        return False
+    gA = list(GA.generator_indices)
+
+    def word_ord(G, gens, w):
+        acc = 0
+        for q in w:
+            acc = G.mul(acc, gens[q])
+        return G.order_of(acc)
+
+    probes = [(0, 1), (0, 3), (1, 3), (0, 1, 3), (0, 0, 1), (1, 1, 3)]
+    cons = {w: word_ord(GA, gA, w) for w in probes}
+    pool4 = [i for i in range(GB.order) if GB.order_of(i) == GA.order_of(gA[0])]
+    poolt = [i for i in range(GB.order) if GB.order_of(i) == GA.order_of(gA[3])]
+
+    for t1 in pool4:
+        for t2 in pool4:
+            p12 = GB.mul(t1, t2)
+            if GB.order_of(p12) != cons[(0, 1)]:
+                continue
+            t3 = GB.inv(p12)
+            if GB.order_of(t3) != GA.order_of(gA[2]):
+                continue
+            if word_ord(GB, [t1, t2, t3, 0], (0, 0, 1)) != cons[(0, 0, 1)]:
+                continue
+            for t4 in poolt:
+                if GB.order_of(GB.mul(t1, t4)) != cons[(0, 3)]:
+                    continue
+                if GB.order_of(GB.mul(t2, t4)) != cons[(1, 3)]:
+                    continue
+                if word_ord(GB, [t1, t2, t3, t4], (0, 1, 3)) != cons[(0, 1, 3)]:
+                    continue
+                if word_ord(GB, [t1, t2, t3, t4], (1, 1, 3)) != cons[(1, 1, 3)]:
+                    continue
+                if extend_homomorphism(GA, gA, GB, (t1, t2, t3, t4)) is not None:
+                    return True
+    return False

@@ -63,8 +63,8 @@ def test_g0_only_pipeline_gives_single_numerical_class(data_dir):
     # cone basis exists: this is why the bigger covering group is needed.
     surface = build_surface(data_dir / "family2.json", use_extra=False)
     assert surface.h_group.order == 128
-    orbits = graph_orbits(surface.h_group, surface)
-    table = intersection_table(orbits, surface, surface.h_covering)
+    orbits = graph_orbits(surface)
+    table = intersection_table(orbits, surface)
     rows = {row for row in table.pairing}
     assert len(rows) == 1          # every divisor has identical products
     assert table.rank() == 1

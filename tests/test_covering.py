@@ -8,12 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import CosetFiberOracle, fixed_point_count, generating_vector_entries
-from mixedsurf.covering import (MAX_BRANCH_POINTS, CoverType, GeneratingVector, covering_data,
-                                fixed_point_table,
+from mixedsurf import covering
+from mixedsurf.covering import (MAX_BRANCH_POINTS, MAX_SEARCH_LEAVES, CoverType,
+                                GeneratingVector, covering_data, fixed_point_table,
                                 hurwitz_genus, parse_cover_type,
                                 search_generating_vectors, stabilizer_set,
                                 validate_generating_vector)
-from mixedsurf.errors import ValidationError
+from mixedsurf.errors import BudgetExceeded, ValidationError
 from mixedsurf.files import load_group_record, realize_group, resolve_word
 from mixedsurf.perm import Permutation, closure, subgroup_as_group, subgroup_generated
 
@@ -183,6 +184,16 @@ def test_search_validates_results(d4):
         assert validate_generating_vector(v).ok
 
 
+def test_search_leaf_budget_boundary(d4, monkeypatch):
+    # [0;2,2,4] on D4: 3 classes of involutions for the first entry times 5
+    # involutions for the second is 15 candidates, and the budget may be met.
+    monkeypatch.setattr(covering, "MAX_SEARCH_LEAVES", 15)
+    assert search_generating_vectors(d4, CoverType(0, (2, 2, 4)))
+    monkeypatch.setattr(covering, "MAX_SEARCH_LEAVES", 14)
+    with pytest.raises(BudgetExceeded, match="15 candidates"):
+        search_generating_vectors(d4, CoverType(0, (2, 2, 4)))
+
+
 def test_search_unsupported_inputs(z2):
     with pytest.raises(ValidationError):
         search_generating_vectors(z2, CoverType(1, (2, 2)))
@@ -247,6 +258,17 @@ def test_regenerate_searches_are_pinned(search_group, name, words, type_text, co
     found = search_generating_vectors(search_group(name, words), parse_cover_type(type_text))
     assert len(found) == count
     assert found[0].entries == first
+
+
+@pytest.mark.parametrize("search,leaves", zip(REGENERATE_SEARCHES, (182_505, 1152, 256, 768)),
+                         ids=lambda x: str(x))
+def test_regenerate_searches_are_far_under_the_leaf_budget(search_group, monkeypatch,
+                                                           search, leaves):
+    name, words, type_text = search[:3]
+    assert MAX_SEARCH_LEAVES >= 50 * leaves
+    monkeypatch.setattr(covering, "MAX_SEARCH_LEAVES", leaves - 1)
+    with pytest.raises(BudgetExceeded, match=f" {leaves} candidates"):
+        search_generating_vectors(search_group(name, words), parse_cover_type(type_text))
 
 
 LIMITS = (None, 1, 2, 5)

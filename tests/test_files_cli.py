@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import io
 import json
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,9 @@ from mixedsurf import cli, files
 from mixedsurf.errors import InputParseError, IntegrityError, MismatchError
 from mixedsurf.files import (load_group, load_group_record, load_surface_record,
                              resolve_word, save_group_file)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*argv):
@@ -319,6 +324,62 @@ def test_surface_file_with_oversized_type_is_parse_error(tmp_path, data_dir):
     assert "branch points" in text
 
 
+def _toy_surface(tmp_path, data_dir, **fields):
+    """A copy of toy_z4.json next to its group file, with ``fields`` replaced."""
+    (tmp_path / "toy_z4_group.json").write_bytes((data_dir / "toy_z4_group.json").read_bytes())
+    raw = json.loads((data_dir / "toy_z4.json").read_text())
+    raw.update(fields)
+    path = tmp_path / "toy_variant.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_exponent_past_int_digit_limit_is_parse_error(tmp_path, data_dir):
+    # int() refuses more than 4300 digits; that was a ValueError traceback.
+    path = _toy_surface(tmp_path, data_dir, tau_prime="g1^" + "9" * 5000)
+    code, text = run_cli("surface", str(path))
+    assert code == cli.EXIT_PARSE, text
+    assert "too many digits" in text
+
+
+def test_huge_merged_exponents_reduce_modulo_the_group_order(tmp_path, data_dir):
+    # g1^(10^8 + 1) = g1 and g1^-999998 = g1^2 in Z/4: the same surface as
+    # toy_z4.json.  Merged adjacent powers were evaluated one factor at a
+    # time, for 41 s.
+    tau_prime = "g1*" + "*".join(["g1^1000000"] * 100)
+    path = _toy_surface(tmp_path, data_dir, tau_prime=tau_prime,
+                        vector=["g1^-999998"] * 8)
+    start = time.perf_counter()
+    code, text = run_cli("surface", str(path))
+    assert time.perf_counter() - start < 10
+    assert code == cli.EXIT_VALIDATION
+    assert text == (GOLDEN / "surface_toy_z4.txt").read_text()
+
+
+WORD_TEXT = st.lists(st.sampled_from(["g1", "g2", "g3", "g4", "g5", *"0123456789",
+                                      "^", "*", "(", ")", "-", " "]),
+                     max_size=14).map("".join)
+
+
+@settings(max_examples=100, deadline=1000)
+@given(WORD_TEXT, st.lists(WORD_TEXT, min_size=1, max_size=2), st.lists(WORD_TEXT, max_size=9))
+def test_fuzzed_words_exit_cleanly(tmp_path_factory, data_dir, tau_prime, g0_generators,
+                                   vector):
+    path = _toy_surface(tmp_path_factory.getbasetemp(), data_dir, tau_prime=tau_prime,
+                        g0_generators=g0_generators, vector=vector)
+    code, text = run_cli("surface", str(path))
+    assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION, cli.EXIT_ASSERTION,
+                    cli.EXIT_MISMATCH), text
+
+
+def test_genvec_search_rejects_an_unbounded_scan(data_dir):
+    # [0;2^12] on g64 would scan about 3.7e14 candidate tuples.
+    code, text = run_cli("genvec", "search", str(data_dir / "g64.json"),
+                         "--type", "[0;2^12]")
+    assert code == cli.EXIT_VALIDATION, text
+    assert "372838600922841 candidates" in text
+
+
 def test_reproduce_family1(data_dir):
     code, text = run_cli("reproduce", "1")
     assert code == cli.EXIT_OK
@@ -336,20 +397,6 @@ def test_exit_codes_are_distinct():
     codes = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION,
              cli.EXIT_ASSERTION, cli.EXIT_MISMATCH}
     assert len(codes) == 5
-
-
-def test_load_presentation_record(tmp_path):
-    from mixedsurf.files import load_presentation_record
-    from mixedsurf.coset import todd_coxeter
-    path = tmp_path / "pres.json"
-    path.write_text(json.dumps({"generators": ["x", "y"],
-                                "relators": ["x^2", "y^8", "x*y*x^-1*y^-5"]}))
-    pres = load_presentation_record(path)
-    assert todd_coxeter(pres).order == 16
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"generators": ["x"], "relators": ["z^2"]}))
-    with pytest.raises(InputParseError):
-        load_presentation_record(bad)
 
 
 def test_invalid_budget_flag_maps_to_validation_exit(data_dir):
@@ -383,15 +430,6 @@ def test_non_object_json_is_parse_error(tmp_path, command, content):
     code, text = run_cli(command, str(path))
     assert code == cli.EXIT_PARSE, text
     assert "expected a JSON object" in text
-
-
-@pytest.mark.parametrize("content", ["5", '"x"', "null"])
-def test_non_object_presentation_is_parse_error(tmp_path, content):
-    from mixedsurf.files import load_presentation_record
-    path = tmp_path / "pres.json"
-    path.write_text(content)
-    with pytest.raises(InputParseError, match="expected a JSON object"):
-        load_presentation_record(path)
 
 
 def test_non_utf8_file_is_parse_error(tmp_path):

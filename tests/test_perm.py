@@ -8,8 +8,8 @@ from mixedsurf.errors import BudgetExceeded, ValidationError
 from mixedsurf.files import load_group_record, realize_group
 from mixedsurf.perm import (Permutation, closure, conjugacy_class,
                             conjugacy_classes, derived_subgroup, extend_homomorphism,
-                            fingerprint, subgroup_as_group, subgroup_generated)
-from oracles import commutator_subgroup_members
+                            fingerprint, homomorphisms, subgroup_as_group, subgroup_generated)
+from oracles import commutator_subgroup_members, homomorphisms_by_tuples
 
 BUNDLED = ("g64", "g256a", "g256b", "h768", "toy_z4_group")
 
@@ -228,6 +228,39 @@ def test_extend_homomorphism_matches_graph_subgroup_oracle(picks, conjugate):
         for x in img:
             for y in img:
                 assert img[S4.mul(x, y)] == S4.mul(img[x], img[y])
+
+
+def test_homomorphisms_match_tuple_oracle(d4, s4):
+    a, b = s4.generator_indices
+    vector = (a, b, s4.inv(s4.mul(a, b)))  # product 1: the last image is forced
+    cases = [
+        (d4, d4.generator_indices, d4, range(d4.order)),
+        (d4, d4.generator_indices, s4, range(s4.order)),
+        (s4, s4.generator_indices, s4, range(s4.order)),
+        (s4, vector, s4, range(s4.order)),
+        (s4, (a, 0, a, b), s4, range(s4.order)),
+        # Restricted pools, one given out of order and with repeats.
+        (s4, vector, s4, range(0, s4.order, 2)),
+        (d4, d4.generator_indices, s4, [23, 5, 17, 5, 2, 11, 8, 0, 14]),
+    ]
+    for src, gens, dst, pool in cases:
+        want = homomorphisms_by_tuples(src, gens, dst, pool)
+        assert list(homomorphisms(src, gens, dst, pool)) == want
+        assert next(homomorphisms(src, gens, dst, pool), None) == (want[0] if want else None)
+    assert len(list(homomorphisms(s4, vector, s4, range(s4.order)))) == 24
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=23), min_size=1, max_size=3),
+       st.sets(st.integers(min_value=0, max_value=23), max_size=14),
+       st.booleans())
+def test_homomorphisms_match_tuple_oracle_random(picks, pool, to_d4):
+    # Sources are random subgroups of S4 (the identity and repeats allowed);
+    # targets are S4 or a dihedral group of order 8 inside it.
+    dst = subgroup_as_group(subgroup_generated(S4, (1, 5))) if to_d4 else S4
+    pool = [x for x in pool if x < dst.order]
+    assert (list(homomorphisms(S4, picks, dst, pool))
+            == homomorphisms_by_tuples(S4, picks, dst, pool))
 
 
 def test_conjugacy_classes(d4):

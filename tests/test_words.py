@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedsurf import words
 from mixedsurf.errors import ValidationError, WordSyntaxError
 from mixedsurf.perm import Permutation
 from mixedsurf.words import (Presentation, evaluate_word, normalize_word,
@@ -48,6 +49,20 @@ def test_zero_exponent_cancels():
 
 def test_inverse_of_product_reverses():
     assert word_power((("x", 1), ("y", 1)), -1) == (("y", -1), ("x", -1))
+
+
+def test_letter_budget_covers_the_whole_text(monkeypatch):
+    # A power of one letter is one pair however large its exponent, and
+    # adjacent powers merge.
+    assert parse_word("*".join(["x^1000000"] * 100), ABC) == (("x", 10**8),)
+    with pytest.raises(ValidationError, match="letter budget"):
+        parse_word("x^1000001", ABC)
+    # Powers of longer words are copied: each one here is within the
+    # budget, the hundred of them are not.
+    monkeypatch.setattr(words, "_MAX_LETTERS", 100)
+    assert parse_word("(x*y)^50", ABC) == (("x", 1), ("y", 1)) * 50
+    with pytest.raises(ValidationError, match="letter budget"):
+        parse_word("*".join(["(x*y)^30"] * 100), ABC)
 
 
 def test_print_parse_fixed_point_examples():
