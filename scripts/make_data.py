@@ -138,7 +138,7 @@ def build_extension(G: FiniteGroup, members, phi, tau, vec_gens) -> FiniteGroup:
     return ext
 
 
-def index_two_subgroups(G: FiniteGroup) -> list[list[int]]:
+def index_two_subgroups(G: FiniteGroup) -> list[set[int]]:
     """Kernels of the nonzero homomorphisms G -> Z/2: signs on the generators
     that give each element the sign of its word, when every step by a
     generator adds that generator's sign."""
@@ -147,7 +147,7 @@ def index_two_subgroups(G: FiniteGroup) -> list[list[int]]:
         sign = [sum(signs[c] for c in G.word_for(k)) % 2 for k in range(G.order)]
         if any(signs) and all(sign[G.mul(k, g)] == sign[k] ^ s for k in range(G.order)
                               for g, s in zip(G.generator_indices, signs)):
-            out.append([k for k in range(G.order) if not sign[k]])
+            out.append({k for k in range(G.order) if not sign[k]})
     return out
 
 
@@ -169,9 +169,8 @@ def extension_signatures(H: FiniteGroup, V0, GB: FiniteGroup) -> set:
             continue
         back = {b: a for a, b in psi0.items()}
         images = [psi0[v] for v in V0]
-        inside = set(M)
         out.update((tuple(back[GB.conj(x, m)] for m in images), back[GB.mul(x, x)])
-                   for x in range(GB.order) if x not in inside)
+                   for x in range(GB.order) if x not in M)
     return out
 
 

@@ -265,9 +265,9 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
     centralizer of f alone; this relies on the representatives being class
     minima.
 
-    No prefix is pruned, so the scan visits |first-entry reps| times the
-    middle pool sizes candidates; above ``MAX_SEARCH_LEAVES`` it raises
-    :class:`BudgetExceeded` before scanning.
+    No prefix is pruned, so a full scan visits |first-entry reps| times the
+    middle pool sizes candidates.  Without ``limit`` it raises
+    :class:`BudgetExceeded` before scanning if that is over ``MAX_SEARCH_LEAVES``.
     """
     _require_genus_zero_quotient(cover_type)
     if cover_type.r < 2:
@@ -287,7 +287,7 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
         seen |= cls
         first_reps.append(i)
     leaves = len(first_reps) * prod(len(by_order[mi]) for mi in cover_type.m[1:-1])
-    if leaves > MAX_SEARCH_LEAVES:
+    if limit is None and leaves > MAX_SEARCH_LEAVES:
         raise BudgetExceeded(f"a search for type {cover_type} would scan {leaves} "
                              f"candidates, more than {MAX_SEARCH_LEAVES}")
 

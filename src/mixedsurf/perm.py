@@ -35,6 +35,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BudgetExceeded, InputParseError, IntegrityError, ValidationError
 
 DEFAULT_CLOSURE_BUDGET = 10**6
+MAX_TABLE_ORDER = 1 << 16  # Cayley tables store element indices in two bytes
 
 
 @dataclass(frozen=True)
@@ -167,14 +168,14 @@ class FiniteGroup:
         parents = self._parents
         # Row i maps j to index(e_i * e_j); with e_i == e_p * generators[c] it
         # is row p read through the left steps of generators[c], one C-level
-        # gather per row.  Indices below 2^16 are stored in two bytes: the
-        # table is the largest allocation of a group, 1.2 MB for order 768.
+        # gather per row.
+        if n > MAX_TABLE_ORDER:
+            raise BudgetExceeded(f"no Cayley table for a group of order {n} > {MAX_TABLE_ORDER}")
         read_left = [itemgetter(*row) for row in self._left_step]
-        code = "H" if n <= 1 << 16 else "i"
-        rows = [array(code, range(n))]
+        rows = [array("H", range(n))]
         for i in range(1, n):
             p, c = parents[i]
-            rows.append(array(code, read_left[c](rows[p])))
+            rows.append(array("H", read_left[c](rows[p])))
         self._mul_rows = rows
         self._inv = array("i", [row.index(0) for row in rows])
 

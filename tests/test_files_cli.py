@@ -380,6 +380,17 @@ def test_genvec_search_rejects_an_unbounded_scan(data_dir):
     assert "372838600922841 candidates" in text
 
 
+def test_genvec_search_with_limit_is_not_bounded_ahead(data_dir):
+    # [0;2^8] on h768 has 6 * 79^6 candidates, but --limit 1 stops at the
+    # first vector the scan meets.
+    code, text = run_cli("genvec", "search", str(data_dir / "h768.json"),
+                         "--type", "[0;2^8]", "--limit", "1")
+    assert code == cli.EXIT_OK, text
+    assert text == ("1: g1, g1, g1, g1, g2*g1*g2*g2, g2*g1*g2*g2, g2*g2*g1*g2, g2*g2*g1*g2\n"
+                    "found 1 generating vector(s) of type [0;2,2,2,2,2,2,2,2] "
+                    "up to simultaneous conjugation\n")
+
+
 def test_reproduce_family1(data_dir):
     code, text = run_cli("reproduce", "1")
     assert code == cli.EXIT_OK

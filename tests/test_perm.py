@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from mixedsurf.errors import BudgetExceeded, ValidationError
 from mixedsurf.files import load_group_record, realize_group
-from mixedsurf.perm import (Permutation, closure, conjugacy_class,
-                            conjugacy_classes, derived_subgroup, extend_homomorphism,
-                            fingerprint, homomorphisms, subgroup_as_group, subgroup_generated)
+from mixedsurf.perm import (MAX_TABLE_ORDER, FiniteGroup, Permutation, closure,
+                            conjugacy_class, conjugacy_classes, derived_subgroup,
+                            extend_homomorphism, fingerprint, homomorphisms,
+                            subgroup_as_group, subgroup_generated)
 from oracles import commutator_subgroup_members, homomorphisms_by_tuples
 
 BUNDLED = ("g64", "g256a", "g256b", "h768", "toy_z4_group")
@@ -86,6 +87,14 @@ def test_cayley_table_matches_permutation_arithmetic(bundled, name):
         for j in range(0, G.order, step):
             assert G.element(G.mul(i, j)).images == (G.element(i) * G.element(j)).images
         assert G.mul(i, G.inv(i)) == 0
+
+
+def test_cayley_table_refuses_orders_past_two_byte_indices():
+    # Closing a real group of order 2^16 + 1 or more takes seconds and
+    # 100 MB, so only the element count is given; the check comes first.
+    G = FiniteGroup(1, (), range(MAX_TABLE_ORDER + 1), {}, (), [], [])
+    with pytest.raises(BudgetExceeded, match="order 65537 > 65536"):
+        G.mul(0, 0)
 
 
 def test_generator_indices(bundled, d4):
