@@ -36,13 +36,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mixedsurf.cone import cone_report
 from mixedsurf.covering import (CoverType, GeneratingVector, covering_data,
                                 search_generating_vectors)
-from mixedsurf.divisors import graph_orbits, intersection_table
 from mixedsurf.errors import IntegrityError, MismatchError
 from mixedsurf.expected import FAMILY_EXPECTATIONS, compare_family
-from mixedsurf.files import build_surface, element_word, save_group_file, save_surface_file
+from mixedsurf.files import (build_surface, element_word, run_pipeline, save_group_file,
+                             save_surface_file)
 from mixedsurf.perm import (FiniteGroup, Permutation, closure, conjugacy_classes,
                             extend_homomorphism, homomorphisms, subgroup_generated)
 from mixedsurf.surface import (check_free_action, derive_induced_vectors,
@@ -433,13 +432,8 @@ def make_toy(out: Path):
 def self_check(out: Path):
     for fam in (1, 2, 3, 4, 5):
         t0 = time.time()
-        surface = build_surface(out / f"family{fam}.json")
-        freeness = check_free_action(surface)
-        orbits = graph_orbits(surface)
-        table = intersection_table(orbits, surface)
-        report = cone_report(table)
-        items = compare_family(FAMILY_EXPECTATIONS[fam], surface, freeness,
-                               table, report)
+        bundle = run_pipeline(out / f"family{fam}.json")
+        items = compare_family(FAMILY_EXPECTATIONS[fam], bundle)
         bad = [(name, detail) for name, ok, detail in items if not ok]
         if bad:
             raise MismatchError(f"family {fam} self-check failed: {bad}")

@@ -16,7 +16,7 @@ from .perm import (FiniteGroup, GroupFingerprint, Permutation, Subgroup,
                    closure, conjugacy_class, conjugacy_classes,
                    derived_subgroup, fingerprint, subgroup_as_group,
                    subgroup_generated)
-from .words import Presentation, Word, evaluate_word, parse_word, print_word
+from .words import Presentation, Word, parse_word, print_word
 from .coset import todd_coxeter
 from .covering import (CoverType, CoveringData, GeneratingVector,
                        covering_data, fixed_point_table,
@@ -31,4 +31,5 @@ from .divisors import (IntersectionTable, OrbitDivisor, graph_intersection,
 from .cone import (ConeReport, NumericalClass, VERDICT_INCONCLUSIVE,
                    VERDICT_MORI_DREAM, choose_basis, cone_report,
                    find_divfq_quadruple, numerical_classes)
-from .files import build_surface, load_group, load_surface_record
+from .files import (FamilyBundle, build_surface, load_group, load_surface_record,
+                    run_pipeline)

@@ -7,7 +7,7 @@ Commands::
     mixedsurf surface <spec>
     mixedsurf divisors <spec> [--format table|record] [--g0-only]
     mixedsurf cone <spec> [--format table|record]
-    mixedsurf reproduce <1|2|3|4|5> [--expect-divisors N]
+    mixedsurf reproduce <1|2|3|4|5>
 
 Global flag: --budget-closure N.
 
@@ -20,18 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .cone import cone_report
 from .covering import parse_cover_type, search_generating_vectors
-from .divisors import graph_orbits, intersection_table
 from .errors import InputParseError, IntegrityError, MismatchError, ValidationError
 from .expected import FAMILY_EXPECTATIONS, FAMILY_FILES, compare_family
 from .files import (build_surface, element_word, load_group, load_group_record,
-                    realize_group)
+                    realize_group, run_pipeline)
 from .perm import DEFAULT_CLOSURE_BUDGET, fingerprint
 from .surface import check_free_action
 
@@ -42,26 +39,13 @@ EXIT_ASSERTION = 4
 EXIT_MISMATCH = 5
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    paths: tuple[str, ...]
-    output_format: str
-    closure_budget: int
-
-    def __post_init__(self):
-        if self.closure_budget < 1:
-            raise ValidationError("the closure budget must be positive")
-        if self.output_format not in ("table", "record"):
-            raise ValidationError(f"unknown output format {self.output_format!r}")
-
-
 def _record_dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def cmd_group(cfg: RunConfig, out) -> int:
-    record = load_group_record(cfg.paths[0])
-    group = realize_group(record, budget=cfg.closure_budget)
+def cmd_group(args, out) -> int:
+    record = load_group_record(args.file)
+    group = realize_group(record, budget=args.budget_closure)
     computed = fingerprint(group)
     out.write(f"name: {record.name}\nclaimed_id: {record.claimed_id}\n")
     out.write(f"degree: {record.degree}\norder: {group.order}\n")
@@ -80,10 +64,10 @@ def cmd_group(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_genvec_search(cfg: RunConfig, type_text: str, limit: int | None, out) -> int:
-    group, _ = load_group(cfg.paths[0], budget=cfg.closure_budget)
-    ctype = parse_cover_type(type_text)
-    found = search_generating_vectors(group, ctype, limit=limit)
+def cmd_genvec_search(args, out) -> int:
+    group, _ = load_group(args.file, budget=args.budget_closure)
+    ctype = parse_cover_type(args.type_text)
+    found = search_generating_vectors(group, ctype, limit=args.limit)
     for k, vec in enumerate(found, start=1):
         words = ", ".join(element_word(group, e) for e in vec.entries)
         out.write(f"{k}: {words}\n")
@@ -92,15 +76,9 @@ def cmd_genvec_search(cfg: RunConfig, type_text: str, limit: int | None, out) ->
     return EXIT_OK
 
 
-def _load_pipeline(cfg: RunConfig, use_extra: bool = True):
-    surface = build_surface(cfg.paths[0], closure_budget=cfg.closure_budget,
-                            use_extra=use_extra)
+def cmd_surface(args, out) -> int:
+    surface = build_surface(args.spec, closure_budget=args.budget_closure)
     freeness = check_free_action(surface)
-    return surface, freeness
-
-
-def cmd_surface(cfg: RunConfig, out) -> int:
-    surface, freeness = _load_pipeline(cfg)
     out.write(f"g(C) = {surface.covering.genus}\n")
     out.write(f"chi = {surface.chi}\nK^2 = {surface.k2}\ne = {surface.euler}\n")
     out.write(f"q = {surface.q}\np_g = {surface.pg}\n")
@@ -115,15 +93,6 @@ def cmd_surface(cfg: RunConfig, out) -> int:
     if not freeness.ok:
         raise ValidationError("the action is not free")
     return EXIT_OK
-
-
-def _compute_table(cfg: RunConfig, use_extra: bool = True):
-    surface, freeness = _load_pipeline(cfg, use_extra=use_extra)
-    if not freeness.ok:
-        raise ValidationError("the action is not free; no smooth quotient surface")
-    orbits = graph_orbits(surface)
-    table = intersection_table(orbits, surface)
-    return surface, freeness, table
 
 
 def _table_payload(table) -> dict:
@@ -166,9 +135,9 @@ def _print_table(table, out):
     out.write("K.D: " + " ".join(str(k).rjust(width) for k in table.kdot) + "\n")
 
 
-def cmd_divisors(cfg: RunConfig, out, use_extra: bool = True) -> int:
-    surface, _, table = _compute_table(cfg, use_extra=use_extra)
-    if cfg.output_format == "record":
+def cmd_divisors(args, out) -> int:
+    table = run_pipeline(args.spec, args.budget_closure, use_extra=not args.g0_only).table
+    if args.format == "record":
         out.write(_record_dump(_table_payload(table)))
         return EXIT_OK
     out.write(f"{len(table.divisors)} orbit divisors; orbit sizes "
@@ -177,10 +146,9 @@ def cmd_divisors(cfg: RunConfig, out, use_extra: bool = True) -> int:
     return EXIT_OK
 
 
-def cmd_cone(cfg: RunConfig, out) -> int:
-    surface, _, table = _compute_table(cfg)
-    report = cone_report(table)
-    if cfg.output_format == "record":
+def cmd_cone(args, out) -> int:
+    report = run_pipeline(args.spec, args.budget_closure).report
+    if args.format == "record":
         out.write(_record_dump(_cone_payload(report)))
         return EXIT_OK
     out.write(f"verdict: {report.verdict}\n")
@@ -205,12 +173,10 @@ def bundled_spec_path(family: int) -> Path:
     return Path(str(data.joinpath(FAMILY_FILES[family])))
 
 
-def cmd_reproduce(cfg: RunConfig, family: int, expect_divisors: int | None, out) -> int:
-    spec_path = bundled_spec_path(family)
-    surface, freeness, table = _compute_table(replace(cfg, paths=(str(spec_path),)))
-    report = cone_report(table)
-    items = compare_family(FAMILY_EXPECTATIONS[family], surface, freeness, table,
-                           report, orbit_count_override=expect_divisors)
+def cmd_reproduce(args, out) -> int:
+    family = args.family
+    bundle = run_pipeline(bundled_spec_path(family), args.budget_closure)
+    items = compare_family(FAMILY_EXPECTATIONS[family], bundle)
     failed = [name for name, ok, _ in items if not ok]
     for name, ok, detail in items:
         out.write(f"[{'PASS' if ok else 'FAIL'}] family {family} {name}: {detail}\n")
@@ -261,32 +227,21 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run a bundled family and diff against "
                                          "its expected results")
     p.add_argument("family", type=int, choices=(1, 2, 3, 4, 5))
-    p.add_argument("--expect-divisors", type=int, default=None,
-                   help="override the expected orbit-divisor count (harness testing)")
 
     return parser
 
 
+COMMANDS = {"group": cmd_group, "genvec": cmd_genvec_search, "surface": cmd_surface,
+            "divisors": cmd_divisors, "cone": cmd_cone, "reproduce": cmd_reproduce}
+
+
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    paths = tuple(getattr(args, name) for name in ("file", "spec") if hasattr(args, name))
+    args = make_parser().parse_args(argv)
     try:
-        cfg = RunConfig(paths, getattr(args, "format", "table"), args.budget_closure)
-        if args.command == "group":
-            return cmd_group(cfg, out)
-        if args.command == "genvec":
-            return cmd_genvec_search(cfg, args.type_text, args.limit, out)
-        if args.command == "surface":
-            return cmd_surface(cfg, out)
-        if args.command == "divisors":
-            return cmd_divisors(cfg, out, use_extra=not args.g0_only)
-        if args.command == "cone":
-            return cmd_cone(cfg, out)
-        if args.command == "reproduce":
-            return cmd_reproduce(cfg, args.family, args.expect_divisors, out)
-        raise ValidationError(f"unknown command {args.command!r}")
+        if args.budget_closure < 1:
+            raise ValidationError("the closure budget must be positive")
+        return COMMANDS[args.command](args, out)
     except InputParseError as exc:
         out.write(f"parse error: {exc}\n")
         return EXIT_PARSE

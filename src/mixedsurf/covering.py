@@ -213,33 +213,30 @@ class CoveringData:
     genus: int
     branch_stabilizers: tuple[tuple[int, ...], ...]
     sigma_v: frozenset[int]
-    fix_table: dict[int, int] | None
+    fix_table: dict[int, int]
 
     def fixed_points(self, f: int) -> int:
         if f == 0:
             raise ValidationError("the identity has no fixed-point count")
-        if self.fix_table is None:
-            raise ValidationError("this covering was built without a fixed-point table")
         return self.fix_table[f]
 
 
-def covering_data(v: GeneratingVector, with_fix_table: bool = True) -> CoveringData:
+def covering_data(v: GeneratingVector) -> CoveringData:
     report = validate_generating_vector(v)
     if not report.ok:
         raise ValidationError("invalid generating vector: " + "; ".join(report.failures))
     genus = hurwitz_genus(v.group.order, v.cover_type)
     sigma = stabilizer_set(v)
-    table = fixed_point_table(v) if with_fix_table else None
-    if table is not None:
-        ram = sum(table.values())
-        expected = sum((v.group.order // mj) * (mj - 1) for mj in v.cover_type.m)
-        if ram != expected:
+    table = fixed_point_table(v)
+    ram = sum(table.values())
+    expected = sum((v.group.order // mj) * (mj - 1) for mj in v.cover_type.m)
+    if ram != expected:
+        raise IntegrityError(
+            f"ramification sum {ram} != {expected} for type {v.cover_type}")
+    for f, count in table.items():
+        if (count > 0) != (f in sigma):
             raise IntegrityError(
-                f"ramification sum {ram} != {expected} for type {v.cover_type}")
-        for f, count in table.items():
-            if (count > 0) != (f in sigma):
-                raise IntegrityError(
-                    f"element {f}: fixed-point count {count} inconsistent with stabilizer set")
+                f"element {f}: fixed-point count {count} inconsistent with stabilizer set")
     return CoveringData(v, genus, branch_stabilizers(v), sigma, table)
 
 

@@ -130,8 +130,6 @@ class IntersectionTable:
 def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
     """Full symmetric pairing plus the K_S row, all integrality-asserted."""
     cover = S.h_covering
-    if cover.fix_table is None:
-        raise ValidationError("intersection counting needs a covering with a fixed-point table")
     H = cover.vector.group
     H._ensure_tables()
     rows = H._mul_rows

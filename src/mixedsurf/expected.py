@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .cone import ConeReport, VERDICT_MORI_DREAM
 from .divisors import IntersectionTable
-from .surface import FreenessReport, SurfaceData
+from .files import FamilyBundle
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,11 @@ def _swap_coords(classes):
     return tuple(sorted((((y, x), n)) for (x, y), n in classes))
 
 
-def compare_family(expect: FamilyExpectation, surface: SurfaceData,
-                   freeness: FreenessReport, table: IntersectionTable,
-                   report: ConeReport,
-                   orbit_count_override: int | None = None) -> list[tuple[str, bool, str]]:
+def compare_family(expect: FamilyExpectation,
+                   bundle: FamilyBundle) -> list[tuple[str, bool, str]]:
     """Itemized (criterion, passed, detail) comparison against expectations."""
+    surface, freeness = bundle.surface, bundle.freeness
+    table, report = bundle.table, bundle.report
     items: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -99,9 +99,8 @@ def compare_family(expect: FamilyExpectation, surface: SurfaceData,
     expected_inv = (expect.chi, expect.k2, expect.euler, expect.q, expect.pg)
     check("invariants", inv == expected_inv, f"(chi,K2,e,q,pg) = {inv}, expected {expected_inv}")
 
-    want_count = orbit_count_override if orbit_count_override is not None else expect.orbit_count
-    check("orbit count", len(table.divisors) == want_count,
-          f"{len(table.divisors)} orbit divisors, expected {want_count}")
+    check("orbit count", len(table.divisors) == expect.orbit_count,
+          f"{len(table.divisors)} orbit divisors, expected {expect.orbit_count}")
     check("orbit sizes", _multiset(d.n for d in table.divisors) == expect.orbit_sizes,
           f"sizes {_multiset(d.n for d in table.divisors)}")
     check("K.D values", _multiset(table.kdot) == expect.kdot_values,

@@ -35,11 +35,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .cone import ConeReport, cone_report
 from .covering import CoverType, parse_cover_type, search_generating_vectors
+from .divisors import IntersectionTable, graph_orbits, intersection_table
 from .errors import InputParseError, MismatchError, ValidationError
 from .perm import (DEFAULT_CLOSURE_BUDGET, FiniteGroup, GroupFingerprint,
                    Permutation, closure, fingerprint)
-from .surface import SurfaceData, assemble_surface
+from .surface import FreenessReport, SurfaceData, assemble_surface, check_free_action
 from .words import evaluate_word_index, parse_word
 
 GROUP_FIELDS = ("name", "claimed_id", "degree", "generators", "fingerprint", "provenance")
@@ -155,7 +157,7 @@ class SurfaceFile:
     vector: tuple[str, ...]
     cover_type: CoverType
     extra: ExtraBlock | None
-    path: Path | None = None
+    path: Path
 
 
 def _strings(value, field: str) -> tuple[str, ...]:
@@ -226,23 +228,18 @@ def element_word(group: FiniteGroup, index: int) -> str:
     return "*".join(f"g{c + 1}" for c in word)
 
 
-def _resolve_path(base: Path | None, rel: str) -> Path:
-    p = Path(rel)
-    if p.is_absolute() or base is None:
-        return p
-    return base.parent / p
-
-
-def build_surface(spec: str | Path | SurfaceFile,
+def build_surface(path: str | Path,
                   closure_budget: int = DEFAULT_CLOSURE_BUDGET,
                   use_extra: bool = True) -> SurfaceData:
-    """Load a surface file and assemble the full SurfaceData pipeline.
+    """Load a surface file and assemble its SurfaceData.
 
     ``use_extra=False`` ignores the extra-automorphism block, forcing the
     covering group down to G0.
     """
-    record = spec if isinstance(spec, SurfaceFile) else load_surface_record(spec)
-    G, _ = load_group(_resolve_path(record.path, record.group_file), budget=closure_budget)
+    record = load_surface_record(path)
+    # Group files are relative to the surface file; an absolute path stays as is.
+    here = record.path.parent
+    G, _ = load_group(here / record.group_file, budget=closure_budget)
     seeds = [resolve_word(G, w) for w in record.g0_generators]
     tau_prime = resolve_word(G, record.tau_prime)
     vector = [resolve_word(G, w) for w in record.vector]
@@ -250,8 +247,7 @@ def build_surface(spec: str | Path | SurfaceFile,
     h_group = None
     h_vector = None
     if use_extra and record.extra is not None:
-        h_group, _ = load_group(_resolve_path(record.path, record.extra.group_file),
-                                budget=closure_budget)
+        h_group, _ = load_group(here / record.extra.group_file, budget=closure_budget)
         if record.extra.vector is not None:
             h_vector = tuple(resolve_word(h_group, w) for w in record.extra.vector)
         else:
@@ -259,6 +255,32 @@ def build_surface(spec: str | Path | SurfaceFile,
                                                record.cover_type)
     return assemble_surface(G, seeds, tau_prime, vector, record.cover_type,
                             h_group=h_group, h_vector=h_vector)
+
+
+@dataclass(frozen=True)
+class FamilyBundle:
+    """Everything the pipeline computes for one surface file."""
+
+    surface: SurfaceData
+    freeness: FreenessReport
+    table: IntersectionTable
+    report: ConeReport
+
+
+def run_pipeline(path: str | Path, closure_budget: int = DEFAULT_CLOSURE_BUDGET,
+                 use_extra: bool = True) -> FamilyBundle:
+    """Surface, freeness, orbit-divisor intersection table and cone verdict.
+
+    Raises :class:`ValidationError` when the action is not free, since the
+    quotient is then not a smooth surface.  ``use_extra`` is passed on to
+    :func:`build_surface`.
+    """
+    surface = build_surface(path, closure_budget=closure_budget, use_extra=use_extra)
+    freeness = check_free_action(surface)
+    if not freeness.ok:
+        raise ValidationError("the action is not free; no smooth quotient surface")
+    table = intersection_table(graph_orbits(surface), surface)
+    return FamilyBundle(surface, freeness, table, cone_report(table))
 
 
 def _search_matching_vector(h_group: FiniteGroup, G: FiniteGroup, seeds, tau_prime,

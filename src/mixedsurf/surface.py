@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covering import CoverType, CoveringData, GeneratingVector, covering_data
+from .covering import (CoverType, CoveringData, GeneratingVector, covering_data,
+                       validate_generating_vector)
 from .errors import IntegrityError, ValidationError
 from .perm import (FiniteGroup, Subgroup, derived_subgroup, extend_homomorphism,
                    subgroup_as_group, subgroup_generated)
@@ -82,7 +83,7 @@ class SurfaceData:
     """
 
     action: MixedAction
-    covering: CoveringData         # cover C -> C/G0 (no fixed-point table needed)
+    covering: CoveringData         # cover C -> C/G0
     h_covering: CoveringData       # cover C -> C/H used for intersection counts
     to_h: dict[int, int]
     chi: int
@@ -159,8 +160,6 @@ class InducedTower:
 
 
 def derive_induced_vectors(H: FiniteGroup, a: int, b: int, c: int) -> InducedTower:
-    from .covering import validate_generating_vector  # local to avoid cycle noise
-
     report = validate_generating_vector(
         GeneratingVector(H, CoverType(0, (2, 3, 8)), (a, b, c)))
     if not report.ok:
@@ -249,10 +248,8 @@ def assemble_surface(G: FiniteGroup, g0_seeds, tau_prime: int, vector_entries,
     defining = GeneratingVector(g0_group, cover_type,
                                 tuple(to_h[v] for v in vector_entries))
 
-    if h_group is None:
-        covering = h_covering = covering_data(defining)
-    else:
-        covering = covering_data(defining, with_fix_table=False)
+    covering = h_covering = covering_data(defining)
+    if h_group is not None:
         tower = derive_induced_vectors(h_group, *h_vector)
         embedding = transport_embedding(g0_group, defining.entries, h_group, tower.second)
         h_covering = covering_data(

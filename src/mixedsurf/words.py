@@ -150,28 +150,9 @@ def print_word(word: Word) -> str:
     return "*".join(s if e == 1 else f"{s}^{e}" for s, e in word)
 
 
-def evaluate_word(word: Word, assignment: dict):
-    """Product of the word under ``assignment`` (symbol -> group element).
-
-    Elements must support ``*`` and ``inverse()`` (e.g. Permutation).  The
-    empty word maps to the identity, inferred from any assigned element.
-    """
-    missing = {s for s, _ in word} - set(assignment)
-    if missing:
-        raise ValidationError(f"unassigned symbols: {sorted(missing)}")
-    if not assignment:
-        raise ValidationError("assignment must contain at least one element")
-    some = next(iter(assignment.values()))
-    acc = type(some).identity(some.degree)
-    for sym, exp in word:
-        base = assignment[sym] if exp > 0 else assignment[sym].inverse()
-        for _ in range(abs(exp)):
-            acc = acc * base
-    return acc
-
-
 def evaluate_word_index(group, word: Word, assignment: dict[str, int]) -> int:
-    """Like :func:`evaluate_word` but over element indices of ``group``."""
+    """Element index of the word's product, ``assignment`` mapping each
+    symbol to an element index of ``group``; the empty word gives 0."""
     missing = {s for s, _ in word} - set(assignment)
     if missing:
         raise ValidationError(f"unassigned symbols: {sorted(missing)}")

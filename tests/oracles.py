@@ -17,7 +17,9 @@ Python-level composition per edge, with each element's left steps walked
 afterwards along its BFS parents; and generator images are found by
 extending every tuple of candidates, with no pruning, and isomorphism of
 extension groups by a search over generator images of the whole group,
-without G0.
+without G0; and words are evaluated on permutations, one multiplication
+per unit of exponent, where the library multiplies element indices and
+reduces exponents modulo |G|.
 """
 
 from __future__ import annotations
@@ -340,3 +342,22 @@ def iso_test(GA: FiniteGroup, GB: FiniteGroup) -> bool:
                 if extend_homomorphism(GA, gA, GB, (t1, t2, t3, t4)) is not None:
                     return True
     return False
+
+
+def evaluate_word(word, assignment: dict) -> Permutation:
+    """Product of the word under ``assignment`` (symbol -> Permutation).
+
+    The empty word maps to the identity, whose degree is read from any
+    assigned permutation.
+    """
+    missing = {s for s, _ in word} - set(assignment)
+    if missing:
+        raise ValidationError(f"unassigned symbols: {sorted(missing)}")
+    if not assignment:
+        raise ValidationError("assignment must contain at least one element")
+    acc = Permutation.identity(next(iter(assignment.values())).degree)
+    for sym, exp in word:
+        base = assignment[sym] if exp > 0 else assignment[sym].inverse()
+        for _ in range(abs(exp)):
+            acc = acc * base
+    return acc

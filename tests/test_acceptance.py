@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from oracles import CosetFiberOracle
+from oracles import CosetFiberOracle, evaluate_word
 from mixedsurf import cli
 from mixedsurf.coset import todd_coxeter
 from mixedsurf.covering import CoverType, search_generating_vectors
@@ -20,7 +20,7 @@ from mixedsurf.files import load_group
 from mixedsurf.perm import derived_subgroup
 from mixedsurf.surface import check_free_action, derive_induced_vectors
 from mixedsurf.files import build_surface
-from mixedsurf.words import Presentation, evaluate_word
+from mixedsurf.words import Presentation
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):

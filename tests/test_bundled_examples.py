@@ -6,10 +6,9 @@ import io
 import json
 
 from mixedsurf import cli
-from mixedsurf.cone import VERDICT_INCONCLUSIVE, cone_report
+from mixedsurf.cone import VERDICT_INCONCLUSIVE
 from mixedsurf.covering import CoverType, search_generating_vectors
-from mixedsurf.divisors import graph_orbits, intersection_table
-from mixedsurf.files import build_surface, load_group
+from mixedsurf.files import build_surface, load_group, run_pipeline
 from mixedsurf.perm import fingerprint, subgroup_generated
 
 
@@ -61,14 +60,12 @@ def test_g0_only_pipeline_gives_single_numerical_class(data_dir):
     # Without the extra automorphisms the graphs give divisors that are all
     # numerically equivalent (one vector in N^1, a rank-1 pairing), so no
     # cone basis exists: this is why the bigger covering group is needed.
-    surface = build_surface(data_dir / "family2.json", use_extra=False)
-    assert surface.h_group.order == 128
-    orbits = graph_orbits(surface)
-    table = intersection_table(orbits, surface)
+    bundle = run_pipeline(data_dir / "family2.json", use_extra=False)
+    assert bundle.surface.h_group.order == 128
+    table, report = bundle.table, bundle.report
     rows = {row for row in table.pairing}
     assert len(rows) == 1          # every divisor has identical products
     assert table.rank() == 1
-    report = cone_report(table)
     assert report.verdict == VERDICT_INCONCLUSIVE
     assert any("rank" in n for n in report.notes)
 

@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import semidirect_z8_z2_r5
+from oracles import evaluate_word, semidirect_z8_z2_r5
 from mixedsurf.coset import todd_coxeter
 from mixedsurf.errors import BudgetExceeded, ValidationError
 from mixedsurf.perm import fingerprint
-from mixedsurf.words import Presentation, evaluate_word
+from mixedsurf.words import Presentation
 
 
 def _orders_histogram(group):

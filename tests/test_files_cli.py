@@ -4,13 +4,14 @@ import gc
 import io
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixedsurf import cli, files
+from mixedsurf import cli, expected, files
 from mixedsurf.errors import InputParseError, IntegrityError, MismatchError
 from mixedsurf.files import (load_group, load_group_record, load_surface_record,
                              resolve_word, save_group_file)
@@ -297,6 +298,29 @@ def test_cone_cmd_family1(data_dir):
     assert len(payload["classes"]) == 2
 
 
+NOT_FREE = "the action is not free; no smooth quotient surface"
+
+
+@pytest.mark.parametrize("command", ["divisors", "cone"])
+@pytest.mark.parametrize("name, tau_prime, message", [
+    ("family1_nonfree", None, NOT_FREE),
+    ("toy_z4", None, NOT_FREE),
+    # g1 generates part of G0, so it cannot be the mixed element tau'.
+    ("family1", "g1", "tau' must lie outside G0"),
+])
+def test_pipeline_commands_refuse_surfaces_without_free_mixed_action(
+        tmp_path, data_dir, command, name, tau_prime, message):
+    path = data_dir / f"{name}.json"
+    if tau_prime is not None:
+        raw = json.loads(path.read_text())
+        raw["group_file"] = str(data_dir / raw["group_file"])
+        raw["tau_prime"] = tau_prime
+        path = tmp_path / path.name
+        path.write_text(json.dumps(raw))
+    code, text = run_cli(command, str(path))
+    assert (code, text) == (cli.EXIT_VALIDATION, f"validation error: {message}\n")
+
+
 def test_genvec_search_cmd(data_dir):
     code, text = run_cli("genvec", "search", str(data_dir / "toy_z4_group.json"),
                          "--type", "[0;4,4]")
@@ -398,10 +422,12 @@ def test_reproduce_family1(data_dir):
     assert "all checks passed" in text
 
 
-def test_reproduce_harness_rejects_wrong_expectation():
-    code, text = run_cli("reproduce", "1", "--expect-divisors", "5")
+def test_reproduce_harness_rejects_wrong_expectation(monkeypatch):
+    wrong = replace(expected.FAMILY_EXPECTATIONS[1], orbit_count=5)
+    monkeypatch.setitem(expected.FAMILY_EXPECTATIONS, 1, wrong)
+    code, text = run_cli("reproduce", "1")
     assert code == cli.EXIT_MISMATCH
-    assert "[FAIL]" in text
+    assert "[FAIL] family 1 orbit count: 4 orbit divisors, expected 5" in text
 
 
 def test_exit_codes_are_distinct():

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import evaluate_word
 from mixedsurf import words
 from mixedsurf.errors import ValidationError, WordSyntaxError
 from mixedsurf.perm import Permutation
-from mixedsurf.words import (Presentation, evaluate_word, normalize_word,
+from mixedsurf.words import (Presentation, evaluate_word_index, normalize_word,
                              parse_word, print_word, word_power)
 
 ABC = ("x", "y")
@@ -105,9 +106,11 @@ def test_relator_evaluates_to_identity_in_d285():
     assert evaluate_word(relator, {"x": x, "y": y}).is_identity()
 
 
-def test_evaluate_missing_assignment():
+def test_evaluate_missing_assignment(s3):
     with pytest.raises(ValidationError):
         evaluate_word((("x", 1),), {})
+    with pytest.raises(ValidationError):
+        evaluate_word_index(s3, (("x", 1),), {})
 
 
 def test_presentation_checks_symbols():
