@@ -32,6 +32,7 @@ import argparse
 import sys
 import time
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -98,10 +99,15 @@ def free(G: FiniteGroup, members, sigma, phi, tau) -> bool:
 def dedup_extensions(G: FiniteGroup, members, pairs):
     """One (phi, tau) per class modulo re-choosing tau' inside its coset, in
     order of the classes' canonical forms."""
+    G._ensure_tables()
+    rows, inv = G._mul_rows, G._inv
+    # conj[k][x] = index of h x h^-1 for h = members[k], over all of G.
+    conj = [tuple(rows[y][inv[h]] for y in rows[h]) for h in members]
     reps = {}
     for phi, tau in pairs:
-        key = min((tuple(G.conj(h, phi[m]) for m in members), G.mul(G.mul(h, phi[h]), tau))
-                  for h in members)
+        read_phi = itemgetter(*[phi[m] for m in members])
+        key = min((read_phi(conj_h), rows[rows[h][phi[h]]][tau])
+                  for h, conj_h in zip(members, conj))
         reps.setdefault(key, (phi, tau))
     return [reps[k] for k in sorted(reps)]
 

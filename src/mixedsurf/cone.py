@@ -10,7 +10,9 @@ distinct effective irreducible divisors D1..D4 with
 
 force Eff(S) = Nef(S) = SAmp(S) = the cone spanned by D1, D2 (so S is a
 Mori dream surface).  When no witness quadruple exists the verdict is
-inconclusive, never negative.
+inconclusive, never negative.  A witness next to an orbit divisor with
+D^2 < 0 is a contradiction (a nef effective divisor has D^2 >= 0), and
+raises IntegrityError.
 """
 
 from __future__ import annotations
@@ -140,6 +142,11 @@ def cone_report(table: IntersectionTable) -> ConeReport:
     if quad is None:
         return ConeReport(basis, classes, None, None, VERDICT_INCONCLUSIVE, tuple(notes))
     _recheck_witness(table, quad)
+    if negatives:
+        # A witness makes Eff = Nef, and no effective divisor is then negative.
+        raise IntegrityError(
+            f"witness quadruple {quad} found, but divisor {negatives[0]} has "
+            f"negative self-intersection {table.entry(negatives[0], negatives[0])}")
     d1, d2, d3, d4 = quad
     witness = (d1, d4, d2, d3)
     return ConeReport(basis, classes, witness, (witness[0], witness[2]),

@@ -9,17 +9,19 @@ fixed points), and exact fixed-point counts
 
     |Fix(f)| = sum_j (1/m_j) * #{ g in H : f in g <h_j> g^-1 },
 
-accumulated in exact rationals with integrality asserted.
+summed exactly over the common denominator lcm(m_j), with integrality
+asserted.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import prod
+from math import lcm, prod
 from operator import itemgetter
 
 from .errors import BudgetExceeded, IntegrityError, ValidationError
@@ -172,36 +174,39 @@ def branch_stabilizers(v: GeneratingVector) -> tuple[tuple[int, ...], ...]:
     return tuple(subs)
 
 
-def _membership_counter(G: FiniteGroup, powers: tuple[int, ...]) -> dict[int, int]:
+def _membership_counter(G: FiniteGroup, powers: tuple[int, ...]) -> Counter:
     """counter[x] = #{ g in H : x in g K g^-1 } for K the cyclic subgroup.
 
     Every coset has |K| distinct conjugates g k g^-1 over k in K, so counting
     conjugates of each nontrivial power with multiplicity equals membership
     counting (the identity is skipped; it lies in every conjugate).
     """
-    counter: dict[int, int] = {}
-    for g in range(G.order):
-        for p in powers:
-            if p == 0:
-                continue
-            x = G.conj(g, p)
-            counter[x] = counter.get(x, 0) + 1
-    return counter
+    G._ensure_tables()
+    rows = G._mul_rows
+    nontrivial = [p for p in powers if p != 0]
+    # g p g^-1 = rows[rows[g][p]][inv[g]]
+    return Counter(rows[row_g[p]][inv_g]
+                   for row_g, inv_g in zip(rows, G._inv) for p in nontrivial)
 
 
 def fixed_point_table(v: GeneratingVector) -> dict[int, int]:
-    """Fixed-point counts for every non-identity element, in one pass."""
+    """Fixed-point counts for every non-identity element, in one pass.
+
+    The sum over j of counter_j[f] / m_j is taken as one integer over
+    L = lcm(m_j), and L must divide it.
+    """
     _require_genus_zero_quotient(v.cover_type)
     G = v.group
     counters = [_membership_counter(G, powers) for powers in branch_stabilizers(v)]
+    L = lcm(*v.cover_type.m)
+    weighted = [(counter, L // mj) for counter, mj in zip(counters, v.cover_type.m)]
     table: dict[int, int] = {}
     for f in range(1, G.order):
-        total = Fraction(0)
-        for counter, mj in zip(counters, v.cover_type.m):
-            total += Fraction(counter.get(f, 0), mj)
-        if total.denominator != 1:
-            raise IntegrityError(f"fixed-point count for element {f} is non-integral: {total}")
-        table[f] = int(total)
+        total = sum(counter[f] * w for counter, w in weighted)
+        if total % L != 0:
+            raise IntegrityError(
+                f"fixed-point count for element {f} is non-integral: {Fraction(total, L)}")
+        table[f] = total // L
     return table
 
 

@@ -8,21 +8,32 @@ group G permutes these graphs:
 
 The G-orbits sum to G-invariant divisors on C x C which descend to
 irreducible effective divisors on S (orbit divisors).  Distinct graphs
-intersect transversally, in |Fix(f1^-1 f2)| points, so the whole pairing
-reduces to fixed-point-table lookups:
+intersect transversally, in |Fix(x^-1 y)| points, so the whole pairing
+reduces to fixed-point-table lookups.  Pulled back to C x C,
 
-    D . D'  = (1/|G|) sum_i sum_j graph_i . graph'_j
-    D^2     = -2 (g-1) n / |G| + (2/|G|) sum_{i<j} graph_i . graph_j
-    K_S . D = 4 (g-1) n / |G|
+    D_i . D_j = (1/|G|) sum_{x in O_i} sum_{y in O_j} |Fix(x^-1 y)|.
 
-with every value an integer (asserted).  All arithmetic is exact; this
-module contains no floating point.
+Both kinds of action keep |Fix(x^-1 y)|: h sends x^-1 y to its conjugate
+h x^-1 y h^-1, and tau' h sends it to a conjugate of (x^-1 y)^-1, which
+has the same fixed points.  G is transitive on O_i, so the inner sum
+s_ij = sum_{y in O_j} |Fix(x_i^-1 y)| is the same for every x_i in O_i,
+and one representative per orbit (its minimal member) suffices:
+
+    D_i . D_j = n_i s_ij / |G|                      (i != j)
+    D_i^2     = (n_i s_ii - 2 (g-1) n_i) / |G|      (|Fix(1)| read as 0)
+    K_S . D_i = 4 (g-1) n_i / |G|
+
+with n_i = |O_i|.  Each off-diagonal entry is also read from the other
+side, n_j s_ji, and the two readings must agree; every value must be an
+integer (both asserted).  All arithmetic is exact; this module contains
+no floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .covering import CoveringData
 from .errors import IntegrityError, ValidationError
@@ -128,13 +139,18 @@ class IntersectionTable:
 
 
 def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
-    """Full symmetric pairing plus the K_S row, all integrality-asserted."""
+    """Full symmetric pairing plus the K_S row, all integrality-asserted.
+
+    Each entry is read from both sides, n_i s_ij and n_j s_ji, and the two
+    must agree; they do whenever the orbits are G-invariant.
+    """
     cover = S.h_covering
     H = cover.vector.group
     H._ensure_tables()
     rows = H._mul_rows
     inv = H._inv
     fix = cover.fix_table
+    fix_list = [fix.get(f, 0) for f in range(H.order)]  # fix_list[0] = 0
     gm1 = cover.genus - 1
     order_g = S.action.G.order
 
@@ -148,32 +164,30 @@ def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
             raise IntegrityError(f"K.D for divisor {d.label} is non-integral: {kd}")
         kdot.append(int(kd))
 
-    def pair_sum(task):
-        i, j = task
-        mi = divisors[i].members
-        mj = divisors[j].members
-        # graph_x . graph_y = fix[x^-1 y], summed over a row of the Cayley table.
-        if i == j:
-            return sum(sum(map(fix.__getitem__, map(rows[inv[x]].__getitem__, mi[a + 1:])))
-                       for a, x in enumerate(mi))
-        return sum(sum(map(fix.__getitem__, map(rows[inv[x]].__getitem__, mj)))
-                   for x in mi)
-
-    tasks = [(i, j) for i in range(norb) for j in range(i, norb)]
-    sums = [pair_sum(task) for task in tasks]
+    # s[i][j] = sum over y in O_j of |Fix(x_i^-1 y)|, x_i the minimal member
+    # of O_i; from_x[y] = fix_list[x^-1 y] is one gather along a Cayley row.
+    s = []
+    for d in divisors:
+        from_x = itemgetter(*rows[inv[min(d.members)]])(fix_list)
+        s.append([sum(map(from_x.__getitem__, e.members)) for e in divisors])
 
     pairing = [[0] * norb for _ in range(norb)]
-    for (i, j), total in zip(tasks, sums):
-        if i == j:
-            n = divisors[i].n
-            val = Fraction(-2 * gm1 * n, order_g) + Fraction(2 * total, order_g)
-        else:
+    for i, d in enumerate(divisors):
+        for j in range(i, norb):
+            if j == i:
+                total = d.n * s[i][i] - 2 * gm1 * d.n
+            else:
+                total, other = d.n * s[i][j], divisors[j].n * s[j][i]
+                if total != other:
+                    raise IntegrityError(
+                        f"intersection D_{d.label}.D_{divisors[j].label} "
+                        f"disagrees between its two orbits: {total} != {other}")
             val = Fraction(total, order_g)
-        if val.denominator != 1:
-            raise IntegrityError(
-                f"intersection D_{divisors[i].label}.D_{divisors[j].label} "
-                f"is non-integral: {val}")
-        pairing[i][j] = pairing[j][i] = int(val)
+            if val.denominator != 1:
+                raise IntegrityError(
+                    f"intersection D_{d.label}.D_{divisors[j].label} "
+                    f"is non-integral: {val}")
+            pairing[i][j] = pairing[j][i] = int(val)
 
     table = IntersectionTable(divisors, tuple(tuple(row) for row in pairing),
                               tuple(kdot), gm1, order_g)

@@ -17,9 +17,12 @@ elements it finds are wrapped without re-checking.  It walks the BFS by
 left products g * e, each one C-level gather, and records every element's
 left step under each generator.  Integer passes along that search tree
 give the right steps e * g and the BFS parents.  The index-level Cayley
-table is built from the left steps and the parents, so downstream code
-works with integer element indices and never composes image arrays in
-inner loops.
+table is built from the left steps and the parents: the row of
+e_i == e_p * g is the row of e_p read through g's left steps, one gather
+over e_p's row held as a tuple of shared ints, so no entry is boxed; the
+rows are stored as two-byte arrays.  Inverses follow the same parents,
+e_i^-1 == g^-1 * e_p^-1.  Downstream code works with integer element
+indices and never composes image arrays in inner loops.
 
 Groups of order up to a few thousand are the target.
 """
@@ -166,18 +169,36 @@ class FiniteGroup:
             return
         n = self.order
         parents = self._parents
-        # Row i maps j to index(e_i * e_j); with e_i == e_p * generators[c] it
-        # is row p read through the left steps of generators[c], one C-level
-        # gather per row.
         if n > MAX_TABLE_ORDER:
             raise BudgetExceeded(f"no Cayley table for a group of order {n} > {MAX_TABLE_ORDER}")
-        read_left = [itemgetter(*row) for row in self._left_step]
-        rows = [array("H", range(n))]
+        # Row i maps j to index(e_i * e_j); with e_i == e_p * generators[c] it
+        # is row p read through the left steps of generators[c], one C-level
+        # gather per row.  The gather reads p's row as a tuple, whose items
+        # are shared int objects, so nothing is boxed; a tuple row is kept
+        # only until its last BFS child is built.
+        read_left = [itemgetter(*step) for step in self._left_step]
+        # back_left[c][k] = index(generators[c]^-1 * e_k), so that
+        # e_i^-1 == generators[c]^-1 * e_p^-1 follows the parents too.
+        back_left = [array("i", sorted(range(n), key=step.__getitem__))
+                     for step in self._left_step]
+        last_child = [0] * n
+        for i in range(1, n):
+            last_child[parents[i][0]] = i
+        live: list[tuple[int, ...] | None] = [None] * n
+        live[0] = tuple(range(n))
+        rows = [array("H", live[0])]
+        inv = array("i", [0]) * n
         for i in range(1, n):
             p, c = parents[i]
-            rows.append(array("H", read_left[c](rows[p])))
+            row = read_left[c](live[p])
+            if last_child[p] == i:
+                live[p] = None
+            if last_child[i]:
+                live[i] = row
+            rows.append(array("H", row))
+            inv[i] = back_left[c][inv[p]]
         self._mul_rows = rows
-        self._inv = array("i", [row.index(0) for row in rows])
+        self._inv = inv
 
     def mul(self, i: int, j: int) -> int:
         self._ensure_tables()

@@ -19,7 +19,8 @@ extending every tuple of candidates, with no pruning, and isomorphism of
 extension groups by a search over generator images of the whole group,
 without G0; and words are evaluated on permutations, one multiplication
 per unit of exponent, where the library multiplies element indices and
-reduces exponents modulo |G|.
+reduces exponents modulo |G|; and the orbit-divisor pairing sums over every
+pair of graphs, where the library reads one representative per orbit.
 """
 
 from __future__ import annotations
@@ -223,6 +224,38 @@ def act_on_graph(S: SurfaceData, h: int, f: int, mixed: bool = False) -> int:
         return H.mul(H.mul(ph, f), H.inv(hh))
     tau = S.to_h[S.action.tau]
     return H.mul(H.mul(H.mul(tau, hh), H.inv(f)), H.inv(ph))
+
+
+def pairing_by_double_sum(orbits, S: SurfaceData) -> tuple[tuple[int, ...], ...]:
+    """The orbit-divisor pairing summed over every pair of graphs.
+
+    D_i . D_j = (1/|G|) sum over x in O_i, y in O_j of |Fix(x^-1 y)|, and
+    D_i^2 = (-2 (g-1) n_i + 2 sum over x < y in O_i of |Fix(x^-1 y)|) / |G|,
+    where the library reads one representative per orbit.
+    """
+    cover = S.h_covering
+    H = cover.vector.group
+    H._ensure_tables()
+    rows, inv, fix = H._mul_rows, H._inv, cover.fix_table
+    gm1 = cover.genus - 1
+    order_g = S.action.G.order
+    divisors = sorted(orbits, key=lambda d: d.label)
+    pairing = [[0] * len(divisors) for _ in divisors]
+    for i, di in enumerate(divisors):
+        mi = di.members
+        for j in range(i, len(divisors)):
+            if i == j:
+                upper = sum(sum(map(fix.__getitem__, map(rows[inv[x]].__getitem__, mi[a + 1:])))
+                            for a, x in enumerate(mi))
+                val = Fraction(-2 * gm1 * di.n + 2 * upper, order_g)
+            else:
+                val = Fraction(sum(sum(map(fix.__getitem__,
+                                           map(rows[inv[x]].__getitem__, divisors[j].members)))
+                                   for x in mi), order_g)
+            if val.denominator != 1:
+                raise IntegrityError(f"D_{di.label}.D_{divisors[j].label} is non-integral: {val}")
+            pairing[i][j] = pairing[j][i] = int(val)
+    return tuple(map(tuple, pairing))
 
 
 class CosetFiberOracle:

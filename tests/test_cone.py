@@ -120,6 +120,20 @@ def test_cone_report_negative_entry_noted():
     assert any("negative self-intersection" in n for n in rep.notes)
 
 
+def test_witness_next_to_a_negative_divisor_is_integrity_error():
+    # D1 ~ D4 ~ A and D2 ~ D3 ~ B with A.B = 1 form a witness; D5 = A - B
+    # has D5^2 = -2 on the same rank-2 lattice, which a witness rules out.
+    pairing = [[0, 1, 1, 0, -1],
+               [1, 0, 0, 1, 1],
+               [1, 0, 0, 1, 1],
+               [0, 1, 1, 0, -1],
+               [-1, 1, 1, -1, -2]]
+    table = _synthetic_table(pairing)
+    assert table.rank() == 2 and find_divfq_quadruple(table) == (1, 2, 3, 4)
+    with pytest.raises(IntegrityError, match="divisor 5 has negative self-intersection -2"):
+        cone_report(table)
+
+
 def test_cone_report_empty_table():
     rep = cone_report(_synthetic_table([]))
     assert rep.verdict == VERDICT_INCONCLUSIVE

@@ -14,7 +14,7 @@ from mixedsurf.covering import (MAX_BRANCH_POINTS, MAX_SEARCH_LEAVES, CoverType,
                                 hurwitz_genus, parse_cover_type,
                                 search_generating_vectors, stabilizer_set,
                                 validate_generating_vector)
-from mixedsurf.errors import BudgetExceeded, ValidationError
+from mixedsurf.errors import BudgetExceeded, IntegrityError, ValidationError
 from mixedsurf.files import load_group_record, realize_group, resolve_word
 from mixedsurf.perm import Permutation, closure, subgroup_as_group, subgroup_generated
 
@@ -117,6 +117,16 @@ def _vectors_for_property_tests():
 
 
 VECTORS = _vectors_for_property_tests()
+
+
+def test_fixed_point_table_rejects_a_non_integral_count():
+    # (r, r, r^2) in Z4 read as type [0;3,4,2]: r lies in all four
+    # conjugates of <r>, so |Fix(r)| would be 4/3 + 4/4 + 0.
+    G = closure([Permutation.from_cycles(4, [(1, 2, 3, 4)])])
+    r = 1
+    v = GeneratingVector(G, CoverType(0, (3, 4, 2)), (r, r, G.mul(r, r)))
+    with pytest.raises(IntegrityError, match="element 1 is non-integral: 7/3"):
+        fixed_point_table(v)
 
 
 @pytest.mark.parametrize("v", VECTORS, ids=lambda v: f"{v.group.order}-{v.cover_type}")

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import CosetFiberOracle, act_on_graph
-from mixedsurf.divisors import graph_intersection
-from mixedsurf.errors import ValidationError
+from oracles import CosetFiberOracle, act_on_graph, pairing_by_double_sum
+from mixedsurf.divisors import OrbitDivisor, graph_intersection, intersection_table
+from mixedsurf.errors import IntegrityError, ValidationError
+from mixedsurf.files import run_pipeline
 
 
 def test_act_identity_plain_fixes_graphs(family1):
@@ -194,3 +195,24 @@ def test_canonical_class_consistent_with_pairing(family1, family2):
         for d in t.labels:
             assert x * t.entry(a, d) + y * t.entry(b, d) == t.kdot_of(d)
         assert 2 * x * y * ab == bundle.surface.k2 == 8
+
+
+@pytest.mark.parametrize("use_extra", [True, False], ids=["extra", "g0_only"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_pairing_matches_double_sum_oracle(data_dir, families, k, use_extra):
+    bundle = (families[k] if use_extra
+              else run_pipeline(data_dir / f"family{k}.json", use_extra=False))
+    table = bundle.table
+    assert table.pairing == pairing_by_double_sum(table.divisors, bundle.surface)
+
+
+def test_pairing_rejects_orbits_that_are_not_g_invariant(family2):
+    # Swapping one member between two orbits breaks G-invariance, so some
+    # entry read from O_i's representative disagrees with the one read
+    # from O_j's.  (On family 1 the same swap happens to keep every sum.)
+    divisors = list(family2.table.divisors)
+    a, b = divisors[0].members, divisors[1].members
+    divisors[0] = OrbitDivisor(1, a[:-1] + b[-1:])
+    divisors[1] = OrbitDivisor(2, b[:-1] + a[-1:])
+    with pytest.raises(IntegrityError, match=r"D_1\.D_3 disagrees between its two orbits"):
+        intersection_table(divisors, family2.surface)

@@ -79,14 +79,26 @@ def test_mul_matches_permutation_arithmetic(d4):
         assert (d4.element(i) * d4.element(d4.inv(i))).is_identity()
 
 
-@pytest.mark.parametrize("name", ["g64", "h768"])
+@pytest.mark.parametrize("name", ["toy_z4_group", "g64", "g256a", "h768"])
 def test_cayley_table_matches_permutation_arithmetic(bundled, name):
+    # Every row and every inverse; for h768 a sample of full rows.  The
+    # product e * f is composed here without Permutation's bijection check,
+    # which would double the time: (e * f)(x) = f(e(x)).
     G = bundled[name]
-    step = 1 if G.order <= 64 else 17   # every pair of g64, a grid of h768 pairs
-    for i in range(0, G.order, step):
-        for j in range(0, G.order, step):
-            assert G.element(G.mul(i, j)).images == (G.element(i) * G.element(j)).images
-        assert G.mul(i, G.inv(i)) == 0
+    G._ensure_tables()
+    elements = G.elements
+    sample = range(G.order) if G.order <= 256 else [*range(0, G.order, 97), G.order - 1]
+    for i in sample:
+        e = [x - 1 for x in elements[i].images]
+        assert list(G._mul_rows[i]) == [G.index[tuple(f.images[x] for x in e)]
+                                        for f in elements]
+    assert list(G._inv) == [G.index_of(e.inverse()) for e in elements]
+
+
+def test_cayley_table_of_the_trivial_group():
+    G = closure([Permutation.identity(1)])
+    assert G.order == 1 and G._parents == ((-1, -1),)
+    assert G.mul(0, 0) == 0 and G.inv(0) == 0
 
 
 def test_cayley_table_refuses_orders_past_two_byte_indices():
