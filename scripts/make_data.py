@@ -99,8 +99,7 @@ def free(G: FiniteGroup, members, sigma, phi, tau) -> bool:
 def dedup_extensions(G: FiniteGroup, members, pairs):
     """One (phi, tau) per class modulo re-choosing tau' inside its coset, in
     order of the classes' canonical forms."""
-    G._ensure_tables()
-    rows, inv = G._mul_rows, G._inv
+    rows, inv = G.rows, G.inverses
     # conj[k][x] = index of h x h^-1 for h = members[k], over all of G.
     conj = [tuple(rows[y][inv[h]] for y in rows[h]) for h in members]
     reps = {}

@@ -26,8 +26,7 @@ from .covering import (CoverType, CoveringData, GeneratingVector,
 from .surface import (FreenessReport, MixedAction, SurfaceData,
                       assemble_surface, build_mixed_action, check_free_action,
                       derive_induced_vectors)
-from .divisors import (IntersectionTable, OrbitDivisor, graph_intersection,
-                       graph_orbits, intersection_table)
+from .divisors import IntersectionTable, OrbitDivisor, graph_orbits, intersection_table
 from .cone import (ConeReport, NumericalClass, VERDICT_INCONCLUSIVE,
                    VERDICT_MORI_DREAM, choose_basis, cone_report,
                    find_divfq_quadruple, numerical_classes)

@@ -9,7 +9,8 @@ Commands::
     mixedsurf cone <spec> [--format table|record]
     mixedsurf reproduce <1|2|3|4|5>
 
-Global flag: --budget-closure N.
+Groups are closed up to 65,536 elements (perm.MAX_TABLE_ORDER) and
+2^22 stored images (perm.MAX_CLOSURE_CELLS); a larger group exits 3.
 
 Exit codes: 0 success; 2 parse error; 3 validation error; 4 internal
 exactness assertion; 5 mismatch (fingerprint or reproduction diff).
@@ -29,7 +30,7 @@ from .errors import InputParseError, IntegrityError, MismatchError, ValidationEr
 from .expected import FAMILY_EXPECTATIONS, FAMILY_FILES, compare_family
 from .files import (build_surface, element_word, load_group, load_group_record,
                     realize_group, run_pipeline)
-from .perm import DEFAULT_CLOSURE_BUDGET, fingerprint
+from .perm import fingerprint
 from .surface import check_free_action
 
 EXIT_OK = 0
@@ -45,7 +46,7 @@ def _record_dump(payload: dict) -> str:
 
 def cmd_group(args, out) -> int:
     record = load_group_record(args.file)
-    group = realize_group(record, budget=args.budget_closure)
+    group = realize_group(record)
     computed = fingerprint(group)
     out.write(f"name: {record.name}\nclaimed_id: {record.claimed_id}\n")
     out.write(f"degree: {record.degree}\norder: {group.order}\n")
@@ -65,7 +66,7 @@ def cmd_group(args, out) -> int:
 
 
 def cmd_genvec_search(args, out) -> int:
-    group, _ = load_group(args.file, budget=args.budget_closure)
+    group, _ = load_group(args.file)
     ctype = parse_cover_type(args.type_text)
     found = search_generating_vectors(group, ctype, limit=args.limit)
     for k, vec in enumerate(found, start=1):
@@ -77,7 +78,7 @@ def cmd_genvec_search(args, out) -> int:
 
 
 def cmd_surface(args, out) -> int:
-    surface = build_surface(args.spec, closure_budget=args.budget_closure)
+    surface = build_surface(args.spec)
     freeness = check_free_action(surface)
     out.write(f"g(C) = {surface.covering.genus}\n")
     out.write(f"chi = {surface.chi}\nK^2 = {surface.k2}\ne = {surface.euler}\n")
@@ -136,7 +137,7 @@ def _print_table(table, out):
 
 
 def cmd_divisors(args, out) -> int:
-    table = run_pipeline(args.spec, args.budget_closure, use_extra=not args.g0_only).table
+    table = run_pipeline(args.spec, use_extra=not args.g0_only).table
     if args.format == "record":
         out.write(_record_dump(_table_payload(table)))
         return EXIT_OK
@@ -147,7 +148,7 @@ def cmd_divisors(args, out) -> int:
 
 
 def cmd_cone(args, out) -> int:
-    report = run_pipeline(args.spec, args.budget_closure).report
+    report = run_pipeline(args.spec).report
     if args.format == "record":
         out.write(_record_dump(_cone_payload(report)))
         return EXIT_OK
@@ -175,7 +176,7 @@ def bundled_spec_path(family: int) -> Path:
 
 def cmd_reproduce(args, out) -> int:
     family = args.family
-    bundle = run_pipeline(bundled_spec_path(family), args.budget_closure)
+    bundle = run_pipeline(bundled_spec_path(family))
     items = compare_family(FAMILY_EXPECTATIONS[family], bundle)
     failed = [name for name, ok, _ in items if not ok]
     for name, ok, detail in items:
@@ -196,8 +197,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedsurf",
         description="Orbit divisors and cone verdicts for mixed product-quotient surfaces")
-    parser.add_argument("--budget-closure", type=int, default=DEFAULT_CLOSURE_BUDGET,
-                        metavar="N", help="element budget for group closures")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", help="validate a group data file against its fingerprint")
@@ -239,8 +238,6 @@ def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = make_parser().parse_args(argv)
     try:
-        if args.budget_closure < 1:
-            raise ValidationError("the closure budget must be positive")
         return COMMANDS[args.command](args, out)
     except InputParseError as exc:
         out.write(f"parse error: {exc}\n")

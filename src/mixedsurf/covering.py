@@ -181,12 +181,11 @@ def _membership_counter(G: FiniteGroup, powers: tuple[int, ...]) -> Counter:
     conjugates of each nontrivial power with multiplicity equals membership
     counting (the identity is skipped; it lies in every conjugate).
     """
-    G._ensure_tables()
-    rows = G._mul_rows
+    rows = G.rows
     nontrivial = [p for p in powers if p != 0]
     # g p g^-1 = rows[rows[g][p]][inv[g]]
     return Counter(rows[row_g[p]][inv_g]
-                   for row_g, inv_g in zip(rows, G._inv) for p in nontrivial)
+                   for row_g, inv_g in zip(rows, G.inverses) for p in nontrivial)
 
 
 def fixed_point_table(v: GeneratingVector) -> dict[int, int]:
@@ -219,11 +218,6 @@ class CoveringData:
     branch_stabilizers: tuple[tuple[int, ...], ...]
     sigma_v: frozenset[int]
     fix_table: dict[int, int]
-
-    def fixed_points(self, f: int) -> int:
-        if f == 0:
-            raise ValidationError("the identity has no fixed-point count")
-        return self.fix_table[f]
 
 
 def covering_data(v: GeneratingVector) -> CoveringData:
@@ -293,8 +287,7 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
         raise BudgetExceeded(f"a search for type {cover_type} would scan {leaves} "
                              f"candidates, more than {MAX_SEARCH_LEAVES}")
 
-    G._ensure_tables()
-    rows, inv = G._mul_rows, G._inv
+    rows, inv = G.rows, G.inverses
     full = (1 << n) - 1
     joins: dict[tuple[int, int], int] = {}
 

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .covering import CoveringData
-from .errors import IntegrityError, ValidationError
+from .errors import IntegrityError
 from .surface import SurfaceData
 
 # A graph class is addressed by the index of its automorphism in h_group.
@@ -58,21 +57,22 @@ class OrbitDivisor:
 def graph_orbits(S: SurfaceData) -> list[OrbitDivisor]:
     """Partition the |H| graph classes into G-orbits, deterministically labeled."""
     H = S.h_group
+    rows, inv = H.rows, H.inverses
     act = S.action
     pairs = [(S.to_h[h], S.to_h[act.phi[h]]) for h in act.G0.members]
     tau = S.to_h[act.tau]
-    inv = H.inv
-    mul = H.mul
+    # h sends f to phi(h) f h^-1 and tau' h sends it to (tau h) f^-1 phi(h)^-1:
+    # a row to read f (or f^-1) in, and the index of the right factor.
+    by_h = [(rows[ph], inv[hh]) for hh, ph in pairs]
+    by_tau_h = [(rows[rows[tau][hh]], inv[ph]) for hh, ph in pairs]
     assigned: dict[int, int] = {}
     orbit_sets: list[tuple[int, ...]] = []
     for f in range(H.order):
         if f in assigned:
             continue
-        orb = set()
-        inv_f = inv(f)
-        for hh, ph in pairs:
-            orb.add(mul(mul(ph, f), inv(hh)))
-            orb.add(mul(mul(mul(tau, hh), inv_f), inv(ph)))
+        inv_f = inv[f]
+        orb = {rows[row[f]][right] for row, right in by_h}
+        orb.update(rows[row[inv_f]][right] for row, right in by_tau_h)
         if f not in orb:
             raise IntegrityError("orbit does not contain its seed; broken embedding")
         for t in orb:
@@ -90,14 +90,6 @@ def graph_orbits(S: SurfaceData) -> list[OrbitDivisor]:
                 f"orbit size {len(members)} does not divide |G| = {order_g}")
         divisors.append(OrbitDivisor(label, members))
     return divisors
-
-
-def graph_intersection(f1: GraphClass, f2: GraphClass, cover: CoveringData) -> int:
-    """graph(f1) . graph(f2) = |Fix(f1^-1 f2)| for distinct graphs."""
-    if f1 == f2:
-        raise ValidationError("self-intersections are handled at the orbit level")
-    H = cover.vector.group
-    return cover.fixed_points(H.mul(H.inv(f1), f2))
 
 
 @dataclass(frozen=True)
@@ -146,9 +138,7 @@ def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
     """
     cover = S.h_covering
     H = cover.vector.group
-    H._ensure_tables()
-    rows = H._mul_rows
-    inv = H._inv
+    rows, inv = H.rows, H.inverses
     fix = cover.fix_table
     fix_list = [fix.get(f, 0) for f in range(H.order)]  # fix_list[0] = 0
     gm1 = cover.genus - 1

@@ -39,8 +39,7 @@ from .cone import ConeReport, cone_report
 from .covering import CoverType, parse_cover_type, search_generating_vectors
 from .divisors import IntersectionTable, graph_orbits, intersection_table
 from .errors import InputParseError, MismatchError, ValidationError
-from .perm import (DEFAULT_CLOSURE_BUDGET, FiniteGroup, GroupFingerprint,
-                   Permutation, closure, fingerprint)
+from .perm import FiniteGroup, GroupFingerprint, Permutation, closure, fingerprint
 from .surface import FreenessReport, SurfaceData, assemble_surface, check_free_action
 from .words import evaluate_word_index, parse_word
 
@@ -105,8 +104,8 @@ def load_group_record(path: str | Path) -> GroupFile:
     return GroupFile(name, claimed_id, degree, tuple(gens), fp, provenance, path)
 
 
-def realize_group(record: GroupFile, budget: int = DEFAULT_CLOSURE_BUDGET) -> FiniteGroup:
-    return closure(record.generators, budget=budget)
+def realize_group(record: GroupFile) -> FiniteGroup:
+    return closure(record.generators)
 
 
 def verify_group(record: GroupFile, group: FiniteGroup) -> GroupFingerprint:
@@ -119,10 +118,9 @@ def verify_group(record: GroupFile, group: FiniteGroup) -> GroupFingerprint:
     return computed
 
 
-def load_group(path: str | Path,
-               budget: int = DEFAULT_CLOSURE_BUDGET) -> tuple[FiniteGroup, GroupFile]:
+def load_group(path: str | Path) -> tuple[FiniteGroup, GroupFile]:
     record = load_group_record(path)
-    group = realize_group(record, budget=budget)
+    group = realize_group(record)
     verify_group(record, group)
     return group, record
 
@@ -228,9 +226,7 @@ def element_word(group: FiniteGroup, index: int) -> str:
     return "*".join(f"g{c + 1}" for c in word)
 
 
-def build_surface(path: str | Path,
-                  closure_budget: int = DEFAULT_CLOSURE_BUDGET,
-                  use_extra: bool = True) -> SurfaceData:
+def build_surface(path: str | Path, use_extra: bool = True) -> SurfaceData:
     """Load a surface file and assemble its SurfaceData.
 
     ``use_extra=False`` ignores the extra-automorphism block, forcing the
@@ -239,7 +235,7 @@ def build_surface(path: str | Path,
     record = load_surface_record(path)
     # Group files are relative to the surface file; an absolute path stays as is.
     here = record.path.parent
-    G, _ = load_group(here / record.group_file, budget=closure_budget)
+    G, _ = load_group(here / record.group_file)
     seeds = [resolve_word(G, w) for w in record.g0_generators]
     tau_prime = resolve_word(G, record.tau_prime)
     vector = [resolve_word(G, w) for w in record.vector]
@@ -247,7 +243,7 @@ def build_surface(path: str | Path,
     h_group = None
     h_vector = None
     if use_extra and record.extra is not None:
-        h_group, _ = load_group(here / record.extra.group_file, budget=closure_budget)
+        h_group, _ = load_group(here / record.extra.group_file)
         if record.extra.vector is not None:
             h_vector = tuple(resolve_word(h_group, w) for w in record.extra.vector)
         else:
@@ -267,15 +263,14 @@ class FamilyBundle:
     report: ConeReport
 
 
-def run_pipeline(path: str | Path, closure_budget: int = DEFAULT_CLOSURE_BUDGET,
-                 use_extra: bool = True) -> FamilyBundle:
+def run_pipeline(path: str | Path, use_extra: bool = True) -> FamilyBundle:
     """Surface, freeness, orbit-divisor intersection table and cone verdict.
 
     Raises :class:`ValidationError` when the action is not free, since the
     quotient is then not a smooth surface.  ``use_extra`` is passed on to
     :func:`build_surface`.
     """
-    surface = build_surface(path, closure_budget=closure_budget, use_extra=use_extra)
+    surface = build_surface(path, use_extra=use_extra)
     freeness = check_free_action(surface)
     if not freeness.ok:
         raise ValidationError("the action is not free; no smooth quotient surface")

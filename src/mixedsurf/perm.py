@@ -17,12 +17,13 @@ elements it finds are wrapped without re-checking.  It walks the BFS by
 left products g * e, each one C-level gather, and records every element's
 left step under each generator.  Integer passes along that search tree
 give the right steps e * g and the BFS parents.  The index-level Cayley
-table is built from the left steps and the parents: the row of
-e_i == e_p * g is the row of e_p read through g's left steps, one gather
-over e_p's row held as a tuple of shared ints, so no entry is boxed; the
-rows are stored as two-byte arrays.  Inverses follow the same parents,
-e_i^-1 == g^-1 * e_p^-1.  Downstream code works with integer element
-indices and never composes image arrays in inner loops.
+table ``FiniteGroup.rows`` is built on its first read, from the left steps
+and the parents: the row of e_i == e_p * g is the row of e_p read through
+g's left steps, one gather over e_p's row held as a tuple of shared ints,
+so no entry is boxed; the rows are stored as two-byte arrays.
+``FiniteGroup.inverses`` follow the same parents, e_i^-1 == g^-1 * e_p^-1.
+Downstream code reads these index arrays and never composes image arrays
+in inner loops.
 
 Groups of order up to a few thousand are the target.
 """
@@ -31,14 +32,20 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, InputParseError, IntegrityError, ValidationError
 
-DEFAULT_CLOSURE_BUDGET = 10**6
 MAX_TABLE_ORDER = 1 << 16  # Cayley tables store element indices in two bytes
+# closure holds each element as a tuple of `degree` images, 8 bytes each.
+# The largest bundled group, h768, needs 768 * 768 = 589,824 images; 2^22
+# leaves room for seven times that and stops a hostile file of degree 768 at
+# 5,461 elements (about 35 MB), where the element bound alone allows 2^16
+# (about 400 MB).
+MAX_CLOSURE_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -125,9 +132,10 @@ class Permutation:
 class FiniteGroup:
     """A finite permutation group with its full, canonically ordered element list.
 
-    Use :func:`closure` to construct one.  Elements are addressed by index;
-    ``mul``/``inv``/``conj`` work on indices through a lazily built Cayley
-    table, making all inner-loop arithmetic O(1).
+    Use :func:`closure` to construct one.  Elements are addressed by index.
+    The Cayley table ``rows``, the ``inverses`` and the element ``orders``
+    are index arrays, each built on its first read; inner loops read them
+    directly, and ``mul``/``inv``/``conj``/``order_of`` are one-line reads.
     """
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
@@ -144,9 +152,6 @@ class FiniteGroup:
         self._gen_step = gen_step  # gen_step[c][k] = index(elements[k] * generators[c])
         self._left_step = left_step  # left_step[c][k] = index(generators[c] * elements[k])
         self.generator_indices = tuple(step[0] for step in gen_step)
-        self._mul_rows: list[array] | None = None
-        self._inv: array | None = None
-        self._orders: list[int] | None = None
 
     @property
     def order(self) -> int:
@@ -164,9 +169,9 @@ class FiniteGroup:
     def __contains__(self, p: Permutation) -> bool:
         return p.images in self.index
 
-    def _ensure_tables(self):
-        if self._mul_rows is not None:
-            return
+    @cached_property
+    def rows(self) -> list[array]:
+        """The Cayley table: ``rows[i][j]`` is the index of e_i * e_j."""
         n = self.order
         parents = self._parents
         if n > MAX_TABLE_ORDER:
@@ -177,17 +182,12 @@ class FiniteGroup:
         # are shared int objects, so nothing is boxed; a tuple row is kept
         # only until its last BFS child is built.
         read_left = [itemgetter(*step) for step in self._left_step]
-        # back_left[c][k] = index(generators[c]^-1 * e_k), so that
-        # e_i^-1 == generators[c]^-1 * e_p^-1 follows the parents too.
-        back_left = [array("i", sorted(range(n), key=step.__getitem__))
-                     for step in self._left_step]
         last_child = [0] * n
         for i in range(1, n):
             last_child[parents[i][0]] = i
         live: list[tuple[int, ...] | None] = [None] * n
         live[0] = tuple(range(n))
         rows = [array("H", live[0])]
-        inv = array("i", [0]) * n
         for i in range(1, n):
             p, c = parents[i]
             row = read_left[c](live[p])
@@ -196,45 +196,50 @@ class FiniteGroup:
             if last_child[i]:
                 live[i] = row
             rows.append(array("H", row))
+        return rows
+
+    @cached_property
+    def inverses(self) -> array:
+        """``inverses[i]`` is the index of e_i^-1.
+
+        With e_i == e_p * generators[c], e_i^-1 == generators[c]^-1 * e_p^-1,
+        so the inverses follow the BFS parents through the left steps read
+        backwards: back_left[c][k] = index(generators[c]^-1 * e_k).
+        """
+        n = self.order
+        back_left = [array("i", sorted(range(n), key=step.__getitem__))
+                     for step in self._left_step]
+        inv = array("i", [0]) * n
+        for i, (p, c) in enumerate(self._parents[1:], 1):
             inv[i] = back_left[c][inv[p]]
-        self._mul_rows = rows
-        self._inv = inv
+        return inv
+
+    @cached_property
+    def orders(self) -> list[int]:
+        """``orders[i]`` is the order of e_i."""
+        rows = self.rows
+        orders = []
+        for j in range(self.order):
+            k, acc = 1, j
+            while acc != 0:
+                acc = rows[acc][j]
+                k += 1
+            orders.append(k)
+        return orders
 
     def mul(self, i: int, j: int) -> int:
-        self._ensure_tables()
-        return self._mul_rows[i][j]
+        return self.rows[i][j]
 
     def inv(self, i: int) -> int:
-        self._ensure_tables()
-        return self._inv[i]
+        return self.inverses[i]
 
     def conj(self, g: int, x: int) -> int:
         """Index of g * x * g^-1."""
-        self._ensure_tables()
-        rows = self._mul_rows
-        return rows[rows[g][x]][self._inv[g]]
-
-    def power(self, i: int, k: int) -> int:
-        self._ensure_tables()
-        if k < 0:
-            i, k = self._inv[i], -k
-        acc = 0
-        for _ in range(k):
-            acc = self._mul_rows[acc][i]
-        return acc
+        rows = self.rows
+        return rows[rows[g][x]][self.inverses[g]]
 
     def order_of(self, i: int) -> int:
-        if self._orders is None:
-            self._ensure_tables()
-            orders = []
-            for j in range(self.order):
-                k, acc = 1, j
-                while acc != 0:
-                    acc = self._mul_rows[acc][j]
-                    k += 1
-                orders.append(k)
-            self._orders = orders
-        return self._orders[i]
+        return self.orders[i]
 
     def word_for(self, i: int) -> list[int]:
         """Generator indices whose left-to-right product is element i."""
@@ -250,13 +255,14 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, degree={self.degree}, ngens={len(self.generators)})"
 
 
-def closure(generators: Sequence[Permutation], budget: int = DEFAULT_CLOSURE_BUDGET) -> FiniteGroup:
+def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) -> FiniteGroup:
     """Generate the group closure of ``generators``.
 
     Element ordering is breadth-first over words in the generators with ties
     inside each layer broken by lexicographic image sequence; the identity is
     element 0.  Raises :class:`BudgetExceeded` if the closure grows past
-    ``budget`` elements.
+    ``budget`` elements, past ``MAX_TABLE_ORDER`` (a group with no Cayley
+    table is of no use downstream) or past ``MAX_CLOSURE_CELLS`` images.
 
     The search multiplies by generators on the left: layer k holds the
     products of k generators and no fewer, the same set on either side, so
@@ -272,6 +278,7 @@ def closure(generators: Sequence[Permutation], budget: int = DEFAULT_CLOSURE_BUD
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValidationError("generators have mismatched degrees")
+    budget = min(budget, MAX_TABLE_ORDER, MAX_CLOSURE_CELLS // max(degree, 1))
 
     # (g * e).images is e read at g's images, one C-level gather.  In degree
     # 0 and 1 every permutation is the identity, and itemgetter would take
@@ -299,7 +306,9 @@ def closure(generators: Sequence[Permutation], budget: int = DEFAULT_CLOSURE_BUD
                 if j is None:
                     if end + len(layer) >= budget:
                         raise BudgetExceeded(
-                            f"group closure exceeded the element budget of {budget}")
+                            f"group closure exceeded the element budget of {budget} "
+                            f"(at most {MAX_TABLE_ORDER} elements and "
+                            f"{MAX_CLOSURE_CELLS} images in all)")
                     j = ~len(layer)
                     index[prod] = j
                     layer.append(prod)
@@ -376,11 +385,10 @@ def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     for s in seeds:
         if not 0 <= s < G.order:
             raise ValidationError(f"seed index {s} out of range")
-    G._ensure_tables()
     members = {0}
     frontier = [0]
     gens = tuple(dict.fromkeys(s for s in seeds if s != 0))
-    rows = G._mul_rows
+    rows = G.rows
     while frontier:
         nxt = []
         for i in frontier:
@@ -414,9 +422,7 @@ def extend_homomorphism(src: FiniteGroup, src_gens, dst: FiniteGroup,
     map as a dict on the span, or None when the matching is not well defined
     or the map is not injective.
     """
-    src._ensure_tables()
-    dst._ensure_tables()
-    src_rows, dst_rows = src._mul_rows, dst._mul_rows
+    src_rows, dst_rows = src.rows, dst.rows
     pairs = tuple(zip(src_gens, dst_gens))
     img = {0: 0}
     frontier = [0]
@@ -448,8 +454,7 @@ def homomorphisms(src: FiniteGroup, src_gens, dst: FiniteGroup,
     so when s_1..s_k is the identity, t_k is forced to be (t_1..t_{k-1})^-1.
     """
     gens = tuple(src_gens)
-    orders = [dst.order_of(t) for t in range(dst.order)]
-    rows, inv = dst._mul_rows, dst._inv
+    orders, rows, inv = dst.orders, dst.rows, dst.inverses
     pool = sorted(set(pool))
     candidates, prefix_orders, pair_orders, acc = [], [], [], 0
     for k, s in enumerate(gens):
@@ -488,9 +493,7 @@ def derived_subgroup(G: FiniteGroup | Subgroup) -> Subgroup:
         parent, gens = G.parent, G.generators
     else:
         parent, gens = G, G.generator_indices
-    parent._ensure_tables()
-    rows = parent._mul_rows
-    inv = parent._inv
+    rows, inv = parent.rows, parent.inverses
     # [a,b] = a b a^-1 b^-1
     sub = subgroup_generated(parent, [rows[rows[rows[a][b]][inv[a]]][inv[b]]
                                       for a in gens for b in gens])
@@ -511,9 +514,8 @@ def derived_subgroup(G: FiniteGroup | Subgroup) -> Subgroup:
 
 def conjugacy_class(G: FiniteGroup, f: int) -> frozenset[int]:
     """The conjugacy class {g f g^-1 : g in G} as a set of element indices."""
-    G._ensure_tables()
-    rows = G._mul_rows
-    by_gen = [(rows[g], G._inv[g]) for g in G.generator_indices]
+    rows, inv = G.rows, G.inverses
+    by_gen = [(rows[g], inv[g]) for g in G.generator_indices]
     cls = {f}
     frontier = [f]
     while frontier:
@@ -543,9 +545,8 @@ def conjugacy_classes(G: FiniteGroup) -> list[frozenset[int]]:
 
 
 def center_order(G: FiniteGroup) -> int:
-    G._ensure_tables()
     gens = G.generator_indices
-    rows = G._mul_rows
+    rows = G.rows
     return sum(1 for x in range(G.order) if all(rows[x][g] == rows[g][x] for g in gens))
 
 
@@ -649,8 +650,7 @@ def _elementary_divisors(invariant_factors: Sequence[int]) -> tuple[int, ...]:
 def fingerprint(G: FiniteGroup) -> GroupFingerprint:
     """Deterministic invariant bundle (order histogram, abelianization, ...)."""
     hist: dict[int, int] = {}
-    for i in range(G.order):
-        o = G.order_of(i)
+    for o in G.orders:
         hist[o] = hist.get(o, 0) + 1
 
     first_derived = derived_subgroup(G)
@@ -677,16 +677,14 @@ def fingerprint(G: FiniteGroup) -> GroupFingerprint:
 
 def _abelianization_table(G: FiniteGroup, derived: Subgroup) -> list[list[int]]:
     """Multiplication table of G/[G,G] with cosets numbered by minimal representative."""
-    G._ensure_tables()
-    n = G.order
-    coset_of = [-1] * n
+    rows = G.rows
+    coset_of = [-1] * G.order
     reps = []
-    for i in range(n):
+    for i in range(G.order):
         if coset_of[i] >= 0:
             continue
         rep_id = len(reps)
         reps.append(i)
         for d in derived.members:
-            coset_of[G.mul(i, d)] = rep_id
-    return [[coset_of[G.mul(reps[a], reps[b])] for b in range(len(reps))]
-            for a in range(len(reps))]
+            coset_of[rows[i][d]] = rep_id
+    return [[coset_of[rows[a][b]] for b in reps] for a in reps]

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from mixedsurf.covering import CoverType, GeneratingVector
 from mixedsurf.errors import BudgetExceeded, IntegrityError, ValidationError
-from mixedsurf.perm import (DEFAULT_CLOSURE_BUDGET, FiniteGroup, Permutation, Subgroup, closure,
+from mixedsurf.perm import (MAX_TABLE_ORDER, FiniteGroup, Permutation, Subgroup, closure,
                             conjugacy_class, extend_homomorphism, subgroup_generated)
 from mixedsurf.surface import SurfaceData
 
@@ -58,7 +58,7 @@ def fixed_point_count(f: int, v: GeneratingVector) -> int:
 
 
 def right_product_closure(generators: Sequence[Permutation],
-                          budget: int = DEFAULT_CLOSURE_BUDGET) -> FiniteGroup:
+                          budget: int = MAX_TABLE_ORDER) -> FiniteGroup:
     """Generate the group closure of ``generators`` by right products e * g.
 
     Element ordering is breadth-first over words in the generators with ties
@@ -141,8 +141,7 @@ def commutator_subgroup_members(G: FiniteGroup | Subgroup) -> frozenset[int]:
         parent, members = G.parent, G.members
     else:
         parent, members = G, range(G.order)
-    parent._ensure_tables()
-    rows, inv = parent._mul_rows, parent._inv
+    rows, inv = parent.rows, parent.inverses
     comms = set()
     for a in members:
         ra, ia = rows[a], inv[a]
@@ -235,8 +234,7 @@ def pairing_by_double_sum(orbits, S: SurfaceData) -> tuple[tuple[int, ...], ...]
     """
     cover = S.h_covering
     H = cover.vector.group
-    H._ensure_tables()
-    rows, inv, fix = H._mul_rows, H._inv, cover.fix_table
+    rows, inv, fix = H.rows, H.inverses, cover.fix_table
     gm1 = cover.genus - 1
     order_g = S.action.G.order
     divisors = sorted(orbits, key=lambda d: d.label)

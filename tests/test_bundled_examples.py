@@ -80,14 +80,6 @@ def test_g0_only_cli_flag(data_dir):
     assert len(rows) == 1
 
 
-def test_closure_budget_flag(data_dir):
-    out = io.StringIO()
-    code = cli.run(["--budget-closure", "10", "group",
-                    str(data_dir / "g64.json")], out=out)
-    assert code == cli.EXIT_VALIDATION
-    assert "budget" in out.getvalue()
-
-
 def test_search_fixture_resolves(data_dir):
     surface = build_surface(data_dir / "family2_search.json")
     assert surface.h_group.order == 768

@@ -168,7 +168,6 @@ def test_covering_data_bundle(z2):
     assert cov.genus == 2
     assert cov.sigma_v == frozenset({0, 1})
     assert cov.fix_table == {1: 6}
-    assert cov.fixed_points(1) == 6
 
 
 def test_search_z2_exactly_one_class(z2):

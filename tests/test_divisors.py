@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import CosetFiberOracle, act_on_graph, pairing_by_double_sum
-from mixedsurf.divisors import OrbitDivisor, graph_intersection, intersection_table
+from mixedsurf.divisors import OrbitDivisor, intersection_table
 from mixedsurf.errors import IntegrityError, ValidationError
 from mixedsurf.files import run_pipeline
 
@@ -76,21 +76,9 @@ def test_graph_intersection_zero_for_fixed_point_free_shift(family1):
     H = S.h_group
     sigma_free = next(s for s in range(1, H.order) if s not in cov.sigma_v)
     for f1 in (0, 3, 11):
-        f2 = H.mul(sigma_free, f1)
         # graph(f1) . graph(sigma f1) counts Fix(f1^-1 sigma f1), conjugate
         # to the fixed-point-free sigma
-        assert graph_intersection(f1, f2, cov) == 0
-
-
-def test_graph_intersection_symmetric(family1):
-    cov = family1.surface.h_covering
-    for f1, f2 in [(0, 1), (2, 9), (5, 30)]:
-        assert graph_intersection(f1, f2, cov) == graph_intersection(f2, f1, cov)
-
-
-def test_graph_intersection_rejects_equal_inputs(family1):
-    with pytest.raises(ValidationError):
-        graph_intersection(4, 4, family1.surface.h_covering)
+        assert cov.fix_table[H.mul(H.inv(f1), H.mul(sigma_free, f1))] == 0
 
 
 def test_graph_intersection_matches_coset_fiber_oracle(family1):
@@ -102,9 +90,10 @@ def test_graph_intersection_matches_coset_fiber_oracle(family1):
              for f2 in range(1, H.order, 9) if f1 != f2]
     positive = 0
     for f1, f2 in pairs:
-        val = graph_intersection(f1, f2, cov)
-        assert val == oracle.count(H.mul(H.inv(f1), f2))
-        positive += val > 0
+        # graph(f1) . graph(f2) = |Fix(f1^-1 f2)| for distinct graphs
+        x = H.mul(H.inv(f1), f2)
+        assert cov.fix_table[x] == oracle.count(x)
+        positive += cov.fix_table[x] > 0
     assert positive > 0
 
 

@@ -78,6 +78,20 @@ def test_trivial_degree_group_files(tmp_path, degree):
     assert "fingerprint: match" in text
 
 
+def test_group_past_the_table_bound_exits_3_quickly(tmp_path):
+    # S9 has 362,880 elements, whose closure takes about 3 s and 200 MB; it
+    # stops at MAX_TABLE_ORDER elements instead.
+    path = tmp_path / "s9.json"
+    path.write_text(json.dumps({"name": "S9", "claimed_id": "S9", "degree": 9,
+                                "generators": [[*range(2, 10), 1], [2, 1, *range(3, 10)]],
+                                "fingerprint": TRIVIAL_FINGERPRINT, "provenance": "test"}))
+    start = time.perf_counter()
+    code, text = run_cli("group", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_VALIDATION
+    assert "element budget of 65536 " in text
+
+
 @st.composite
 def corrupted_generator_rows(draw):
     """Generator rows of a degree <= 8 group file, one of them corrupted."""
@@ -434,11 +448,6 @@ def test_exit_codes_are_distinct():
     codes = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION,
              cli.EXIT_ASSERTION, cli.EXIT_MISMATCH}
     assert len(codes) == 5
-
-
-def test_invalid_budget_flag_maps_to_validation_exit(data_dir):
-    code, text = run_cli("--budget-closure", "0", "group", str(data_dir / "g64.json"))
-    assert code == cli.EXIT_VALIDATION
 
 
 def test_vector_search_propagates_integrity_errors(data_dir, monkeypatch):

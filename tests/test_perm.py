@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedsurf import perm
 from mixedsurf.errors import BudgetExceeded, ValidationError
 from mixedsurf.files import load_group_record, realize_group
 from mixedsurf.perm import (MAX_TABLE_ORDER, FiniteGroup, Permutation, closure,
@@ -85,14 +86,13 @@ def test_cayley_table_matches_permutation_arithmetic(bundled, name):
     # product e * f is composed here without Permutation's bijection check,
     # which would double the time: (e * f)(x) = f(e(x)).
     G = bundled[name]
-    G._ensure_tables()
     elements = G.elements
     sample = range(G.order) if G.order <= 256 else [*range(0, G.order, 97), G.order - 1]
     for i in sample:
         e = [x - 1 for x in elements[i].images]
-        assert list(G._mul_rows[i]) == [G.index[tuple(f.images[x] for x in e)]
-                                        for f in elements]
-    assert list(G._inv) == [G.index_of(e.inverse()) for e in elements]
+        assert list(G.rows[i]) == [G.index[tuple(f.images[x] for x in e)]
+                                   for f in elements]
+    assert list(G.inverses) == [G.index_of(e.inverse()) for e in elements]
 
 
 def test_cayley_table_of_the_trivial_group():
@@ -106,7 +106,26 @@ def test_cayley_table_refuses_orders_past_two_byte_indices():
     # 100 MB, so only the element count is given; the check comes first.
     G = FiniteGroup(1, (), range(MAX_TABLE_ORDER + 1), {}, (), [], [])
     with pytest.raises(BudgetExceeded, match="order 65537 > 65536"):
-        G.mul(0, 0)
+        G.rows
+
+
+def test_closure_stops_at_the_cayley_table_bound():
+    # A 9-cycle and a transposition generate S9, of order 362,880; an
+    # explicit budget above MAX_TABLE_ORDER is capped at it.
+    s9 = [Permutation((*range(2, 10), 1)), Permutation((2, 1, *range(3, 10)))]
+    with pytest.raises(BudgetExceeded, match=f"element budget of {MAX_TABLE_ORDER} "):
+        closure(s9, budget=10**6)
+
+
+def test_closure_bounds_elements_times_degree(monkeypatch, bundled):
+    # h768 closes on 768 points: 768 * 768 images.  A corrupted file of that
+    # degree could otherwise fill MAX_TABLE_ORDER tuples of 768 entries.
+    gens = bundled["h768"].generators
+    monkeypatch.setattr(perm, "MAX_CLOSURE_CELLS", 768 * 767)
+    with pytest.raises(BudgetExceeded, match="element budget of 767 "):
+        closure(gens)
+    monkeypatch.setattr(perm, "MAX_CLOSURE_CELLS", 768 * 768)
+    assert closure(gens).order == 768
 
 
 def test_generator_indices(bundled, d4):
@@ -219,7 +238,10 @@ def test_extend_homomorphism_on_a_subgroup_span(bundled):
     H = bundled["h768"]
     x = next(i for i in range(H.order) if H.order_of(i) == 8)
     img = extend_homomorphism(H, (x,), H, (H.inv(x),))
-    assert img == {H.power(x, k): H.power(x, -k) for k in range(8)}
+    powers = [0]
+    for _ in range(7):
+        powers.append(H.mul(powers[-1], x))
+    assert img == {powers[k]: powers[-k % 8] for k in range(8)}
 
 
 def _pair(s: Permutation, t: Permutation) -> Permutation:
