@@ -16,7 +16,7 @@ from .perm import (FiniteGroup, GroupFingerprint, Permutation, Subgroup,
                    closure, conjugacy_class, conjugacy_classes,
                    derived_subgroup, fingerprint, subgroup_as_group,
                    subgroup_generated)
-from .words import Presentation, Word, parse_word, print_word
+from .words import Presentation, Word, parse_word
 from .coset import todd_coxeter
 from .covering import (CoverType, CoveringData, GeneratingVector,
                        covering_data, fixed_point_table,

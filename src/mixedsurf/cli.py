@@ -22,7 +22,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from importlib import resources
 from pathlib import Path
 
 from .covering import parse_cover_type, search_generating_vectors
@@ -170,8 +169,7 @@ def cmd_cone(args, out) -> int:
 
 
 def bundled_spec_path(family: int) -> Path:
-    data = resources.files("mixedsurf").joinpath("data")
-    return Path(str(data.joinpath(FAMILY_FILES[family])))
+    return Path(__file__).with_name("data") / FAMILY_FILES[family]
 
 
 def cmd_reproduce(args, out) -> int:
@@ -185,6 +183,13 @@ def cmd_reproduce(args, out) -> int:
         raise MismatchError(f"family {family} reproduction failed: {', '.join(failed)}")
     out.write(f"family {family}: all checks passed\n")
     return EXIT_OK
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 @cache
@@ -208,7 +213,7 @@ def make_parser() -> argparse.ArgumentParser:
     ps.add_argument("file")
     ps.add_argument("--type", required=True, dest="type_text", metavar="TYPE",
                     help='cover type, e.g. "[0;2,3,8]" or "[0;2^5]"')
-    ps.add_argument("--limit", type=int, default=None)
+    ps.add_argument("--limit", type=positive_int, default=None)
 
     p = sub.add_parser("surface", help="invariants and freeness report for a surface file")
     p.add_argument("spec")

@@ -17,9 +17,9 @@ raises IntegrityError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 from .divisors import IntersectionTable
 from .errors import IntegrityError, ValidationError
@@ -54,8 +54,7 @@ def choose_basis(table: IntersectionTable) -> tuple[int, int]:
     raise ValidationError("no nondegenerate basis pair found")
 
 
-@dataclass(frozen=True)
-class NumericalClass:
+class NumericalClass(NamedTuple):
     """Divisors sharing exact coordinates in the chosen basis."""
 
     coordinates: tuple[Fraction, Fraction]
@@ -110,8 +109,7 @@ def find_divfq_quadruple(table: IntersectionTable) -> tuple[int, int, int, int] 
     return None
 
 
-@dataclass(frozen=True)
-class ConeReport:
+class ConeReport(NamedTuple):
     basis: tuple[int, int] | None
     classes: tuple[NumericalClass, ...]
     witness: tuple[int, int, int, int] | None   # (A, A', B, B') with A ~ A', B ~ B'

@@ -18,28 +18,44 @@ from __future__ import annotations
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm, prod
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, IntegrityError, ValidationError
 from .perm import FiniteGroup, conjugacy_class, subgroup_generated
 
 
-@dataclass(frozen=True)
 class CoverType:
-    """Cover signature [g'; m_1, ..., m_r]."""
+    """Cover signature [g'; m_1, ..., m_r]; immutable."""
 
-    g_prime: int
-    m: tuple[int, ...]
+    __slots__ = ("g_prime", "m")
 
-    def __post_init__(self):
-        if self.g_prime < 0:
+    def __init__(self, g_prime: int, m: tuple[int, ...]):
+        if g_prime < 0:
             raise ValidationError("quotient genus must be nonnegative")
-        if any(mi < 2 for mi in self.m):
+        if any(mi < 2 for mi in m):
             raise ValidationError("branching indices must be at least 2")
+        object.__setattr__(self, "g_prime", g_prime)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not CoverType:
+            return NotImplemented
+        return (self.g_prime, self.m) == (other.g_prime, other.m)
+
+    def __hash__(self):
+        return hash((self.g_prime, self.m))
+
+    def __repr__(self):
+        return f"CoverType(g_prime={self.g_prime!r}, m={self.m!r})"
 
     @property
     def r(self) -> int:
@@ -80,8 +96,7 @@ def parse_cover_type(text: str) -> CoverType:
     return CoverType(g_prime, tuple(mi for mi, k in entries for _ in range(k)))
 
 
-@dataclass(frozen=True)
-class GeneratingVector:
+class GeneratingVector(NamedTuple):
     """An ordered tuple of element indices of the covering group."""
 
     group: FiniteGroup
@@ -103,8 +118,7 @@ def hurwitz_genus(order: int, cover_type: CoverType) -> int:
     return int(g)
 
 
-@dataclass(frozen=True)
-class VectorReport:
+class VectorReport(NamedTuple):
     orders_ok: bool
     product_ok: bool
     generates_ok: bool
@@ -209,8 +223,7 @@ def fixed_point_table(v: GeneratingVector) -> dict[int, int]:
     return table
 
 
-@dataclass(frozen=True)
-class CoveringData:
+class CoveringData(NamedTuple):
     """Everything the rest of the pipeline needs about one branched cover."""
 
     vector: GeneratingVector
@@ -247,7 +260,7 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
     later entries over all elements of the right order; the final entry is
     forced as the inverse of the leading product.  Results are reported in
     scan order, deduplicated up to simultaneous conjugation, and truncated
-    at ``limit`` (``None`` = no bound).
+    at ``limit`` (``None`` = no bound; a limit below 1 is refused).
 
     The span of the entries chosen so far is kept as a bit mask of element
     indices.  The span of ``prefix + (h,)`` depends only on the span of
@@ -268,6 +281,8 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
     _require_genus_zero_quotient(cover_type)
     if cover_type.r < 2:
         raise ValidationError("a genus-0 vector needs at least two branch points")
+    if limit is not None and limit < 1:
+        raise ValidationError(f"the search limit must be positive, got {limit}")
     G = group
     n = G.order
     by_order: dict[int, list[int]] = {}

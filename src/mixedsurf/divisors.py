@@ -31,9 +31,9 @@ no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import IntegrityError
 from .surface import SurfaceData
@@ -42,8 +42,7 @@ from .surface import SurfaceData
 GraphClass = int
 
 
-@dataclass(frozen=True)
-class OrbitDivisor:
+class OrbitDivisor(NamedTuple):
     """A G-orbit of graph classes; labels are 1-based, by minimal member."""
 
     label: int
@@ -92,8 +91,7 @@ def graph_orbits(S: SurfaceData) -> list[OrbitDivisor]:
     return divisors
 
 
-@dataclass(frozen=True)
-class IntersectionTable:
+class IntersectionTable(NamedTuple):
     """Exact pairing of the orbit divisors (entries are asserted integers)."""
 
     divisors: tuple[OrbitDivisor, ...]
@@ -108,9 +106,6 @@ class IntersectionTable:
 
     def entry(self, label_i: int, label_j: int) -> int:
         return self.pairing[label_i - 1][label_j - 1]
-
-    def kdot_of(self, label: int) -> int:
-        return self.kdot[label - 1]
 
     def rank(self) -> int:
         rows = [[Fraction(x) for x in row] for row in self.pairing]

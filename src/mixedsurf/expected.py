@@ -8,16 +8,15 @@ never compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cone import ConeReport, VERDICT_MORI_DREAM
 from .divisors import IntersectionTable
 from .files import FamilyBundle
 
 
-@dataclass(frozen=True)
-class FamilyExpectation:
+class FamilyExpectation(NamedTuple):
     genus: int
     chi: int
     k2: int

@@ -32,8 +32,8 @@ Surface file (JSON, UTF-8)::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .cone import ConeReport, cone_report
 from .covering import CoverType, parse_cover_type, search_generating_vectors
@@ -46,8 +46,7 @@ from .words import evaluate_word_index, parse_word
 GROUP_FIELDS = ("name", "claimed_id", "degree", "generators", "fingerprint", "provenance")
 
 
-@dataclass(frozen=True)
-class GroupFile:
+class GroupFile(NamedTuple):
     name: str
     claimed_id: str
     degree: int
@@ -140,14 +139,12 @@ def save_group_file(path: str | Path, name: str, claimed_id: str, group: FiniteG
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class ExtraBlock:
+class ExtraBlock(NamedTuple):
     group_file: str
     vector: tuple[str, str, str] | None   # None means "search"
 
 
-@dataclass(frozen=True)
-class SurfaceFile:
+class SurfaceFile(NamedTuple):
     name: str
     group_file: str
     g0_generators: tuple[str, ...]
@@ -253,8 +250,7 @@ def build_surface(path: str | Path, use_extra: bool = True) -> SurfaceData:
                             h_group=h_group, h_vector=h_vector)
 
 
-@dataclass(frozen=True)
-class FamilyBundle:
+class FamilyBundle(NamedTuple):
     """Everything the pipeline computes for one surface file."""
 
     surface: SurfaceData

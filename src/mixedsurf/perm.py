@@ -31,11 +31,10 @@ Groups of order up to a few thousand are the target.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputParseError, IntegrityError, ValidationError
 
@@ -48,26 +47,39 @@ MAX_TABLE_ORDER = 1 << 16  # Cayley tables store element indices in two bytes
 MAX_CLOSURE_CELLS = 1 << 22
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A bijection of {1..n} stored as its image sequence."""
+    """A bijection of {1..n} stored as its image sequence; immutable."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValidationError(f"image sequence {self.images!r} is not a bijection of 1..{n}")
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValidationError(f"image sequence {images!r} is not a bijection of 1..{n}")
+        _set_images(self, images)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not Permutation:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
 
     @property
     def degree(self) -> int:
         return len(self.images)
 
-    @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+    @staticmethod
+    def _trusted(images: tuple[int, ...]) -> "Permutation":
         """Wrap an image tuple already known to be a bijection (no check)."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
+        p = object.__new__(Permutation)
+        _set_images(p, images)
         return p
 
     @staticmethod
@@ -100,9 +112,6 @@ class Permutation:
     def order(self) -> int:
         return lcm(*map(len, self.cycles()))
 
-    def is_identity(self) -> bool:
-        return all(img == i + 1 for i, img in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its minimal point."""
         seen = [False] * self.degree
@@ -127,6 +136,11 @@ class Permutation:
             return f"Permutation.identity({self.degree})"
         body = "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
         return f"Perm[{self.degree}]{body}"
+
+
+# The slot's own setter, which skips the read-only __setattr__.  closure wraps
+# every element it finds, and this costs less than object.__setattr__.
+_set_images = Permutation.images.__set__
 
 
 class FiniteGroup:
@@ -356,20 +370,34 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
     return FiniteGroup(degree, gens, elements, index, tuple(parents), gen_step, left_step)
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by sorted member indices of its parent group."""
+    """A subgroup given by sorted member indices of its parent group; immutable."""
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
-    generators: tuple[int, ...]
-    member_set: frozenset[int] = field(repr=False, default=frozenset())
+    __slots__ = ("parent", "members", "generators", "member_set")
 
-    def __post_init__(self):
-        object.__setattr__(self, "member_set", frozenset(self.members))
-        if self.parent.order % len(self.members) != 0:
+    def __init__(self, parent: FiniteGroup, members: tuple[int, ...],
+                 generators: tuple[int, ...]):
+        if parent.order % len(members) != 0:
             raise IntegrityError(
-                f"subgroup order {len(self.members)} does not divide group order {self.parent.order}")
+                f"subgroup order {len(members)} does not divide group order {parent.order}")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "member_set", frozenset(members))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not Subgroup:
+            return NotImplemented
+        return (self.parent, self.members, self.generators) == (
+            other.parent, other.members, other.generators)
+
+    def __hash__(self):
+        return hash((self.parent, self.members, self.generators))
 
     @property
     def order(self) -> int:
@@ -550,8 +578,7 @@ def center_order(G: FiniteGroup) -> int:
     return sum(1 for x in range(G.order) if all(rows[x][g] == rows[g][x] for g in gens))
 
 
-@dataclass(frozen=True)
-class GroupFingerprint:
+class GroupFingerprint(NamedTuple):
     """Cheap isomorphism invariants used to gate bundled data files."""
 
     order: int

@@ -16,8 +16,8 @@ where Sigma_V is the stabilizer set of the generating vector V of G0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .covering import (CoverType, CoveringData, GeneratingVector, covering_data,
                        validate_generating_vector)
@@ -26,8 +26,7 @@ from .perm import (FiniteGroup, Subgroup, derived_subgroup, extend_homomorphism,
                    subgroup_as_group, subgroup_generated)
 
 
-@dataclass(frozen=True)
-class MixedAction:
+class MixedAction(NamedTuple):
     """(G, G0, tau') with the derived tau and phi materialized as tables."""
 
     G: FiniteGroup
@@ -59,8 +58,7 @@ def build_mixed_action(G: FiniteGroup, G0: Subgroup, tau_prime: int) -> MixedAct
     return MixedAction(G, G0, tau_prime, tau, phi)
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     no_isolated_fixed_points: bool
     no_fixed_curves: bool
     isolated_witness: int | None   # element of G0 fixing points in both coordinates
@@ -71,8 +69,7 @@ class FreenessReport:
         return self.no_isolated_fixed_points and self.no_fixed_curves
 
 
-@dataclass(frozen=True)
-class SurfaceData:
+class SurfaceData(NamedTuple):
     """A mixed action together with its covering data and invariants.
 
     ``g0_group`` is the standalone realization of G0 acting on C; the
@@ -145,8 +142,7 @@ def check_free_action(S: SurfaceData) -> FreenessReport:
     return FreenessReport(isolated is None, curve is None, isolated, curve)
 
 
-@dataclass(frozen=True)
-class InducedTower:
+class InducedTower(NamedTuple):
     """Generating vectors derived from a [0;2,3,8] vector (a, b, c).
 
     first  = (a b a^-1, b, c^2), of type [0;3,3,4] for [H,H];

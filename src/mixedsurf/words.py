@@ -17,7 +17,6 @@ Parenthesized powers are expanded (inverting reverses the factors), so
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ValidationError, WordSyntaxError
 
@@ -164,23 +163,23 @@ def evaluate_word_index(group, word: Word, assignment: dict[str, int]) -> int:
     return acc
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A finite presentation: generator symbols plus relator words."""
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
+        if not generators:
             raise ValidationError("a presentation needs at least one generator")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(generators)) != len(generators):
             raise ValidationError("duplicate generator symbols")
-        alphabet = set(self.generators)
-        for rel in self.relators:
+        alphabet = set(generators)
+        for rel in relators:
             for sym, _ in rel:
                 if sym not in alphabet:
                     raise ValidationError(f"relator uses undeclared symbol {sym!r}")
+        self.generators = generators
+        self.relators = relators
 
     @staticmethod
     def parse(generators, relator_texts) -> "Presentation":

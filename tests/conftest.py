@@ -1,20 +1,20 @@
 from __future__ import annotations
 
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import mixedsurf
 from mixedsurf.files import FamilyBundle, run_pipeline
 from mixedsurf.perm import FiniteGroup, Permutation, closure
 
 
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
-    return Path(str(resources.files("mixedsurf").joinpath("data")))
+    return Path(mixedsurf.__file__).with_name("data")
 
 
 @pytest.fixture(scope="session")

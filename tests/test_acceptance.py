@@ -163,7 +163,7 @@ def test_criterion_7_property_suite(families):
         t = bundle.table
         for i in t.labels:
             ok = ok and isinstance(t.entry(i, i), int)
-            ok = ok and (t.kdot_of(i) + t.entry(i, i)) % 2 == 0
+            ok = ok and (t.kdot[i - 1] + t.entry(i, i)) % 2 == 0
         ok = ok and t.rank() == 2
         i, j = bundle.report.basis
         ok = ok and (t.entry(i, i) * t.entry(j, j) - t.entry(i, j) ** 2) < 0
@@ -195,7 +195,8 @@ def test_criterion_8_todd_coxeter():
         ok = ok and group.order == want
         assignment = dict(zip(pres.generators, group.generators))
         for rel in pres.relators:
-            ok = ok and evaluate_word(rel, assignment).is_identity()
+            ok = ok and evaluate_word(rel, assignment).images == tuple(
+                range(1, group.degree + 1))
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 1.0
     _report("8. Todd-Coxeter", ok,

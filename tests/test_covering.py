@@ -30,6 +30,14 @@ def test_parse_cover_type():
             parse_cover_type(bad)
 
 
+def test_cover_type_prints_as_its_signature():
+    # str() reaches stdout (genvec search, error messages); repr() lists the fields.
+    assert str(parse_cover_type("[0;2,3,8]")) == "[0;2,3,8]"
+    assert str(parse_cover_type("[0;2^5]")) == "[0;2,2,2,2,2]"
+    assert repr(parse_cover_type("[0;2,3,8]")) == "CoverType(g_prime=0, m=(2, 3, 8))"
+    assert len({CoverType(0, (2, 2)), parse_cover_type("[0;2^2]")}) == 1
+
+
 def test_hurwitz_genus_values():
     assert hurwitz_genus(32, parse_cover_type("[0;2^5]")) == 9
     assert hurwitz_genus(128, parse_cover_type("[0;4^3]")) == 17
@@ -208,6 +216,12 @@ def test_search_unsupported_inputs(z2):
         search_generating_vectors(z2, CoverType(1, (2, 2)))
     with pytest.raises(ValidationError):
         search_generating_vectors(z2, CoverType(0, (2,)))
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_search_rejects_a_nonpositive_limit(d4, limit):
+    with pytest.raises(ValidationError, match="limit"):
+        search_generating_vectors(d4, CoverType(0, (2, 2, 4)), limit=limit)
 
 
 @settings(max_examples=30, deadline=None)

@@ -144,7 +144,7 @@ def test_adjunction_parity(family1, family2):
     for bundle in (family1, family2):
         table = bundle.table
         for i in table.labels:
-            assert (table.kdot_of(i) + table.entry(i, i)) % 2 == 0
+            assert (table.kdot[i - 1] + table.entry(i, i)) % 2 == 0
 
 
 def test_rank_two_and_hodge_index(family1, family2):
@@ -179,10 +179,10 @@ def test_canonical_class_consistent_with_pairing(family1, family2):
         t = bundle.table
         a, b = bundle.report.basis
         ab = Fraction(t.entry(a, b))
-        x = Fraction(t.kdot_of(b)) / ab
-        y = Fraction(t.kdot_of(a)) / ab
+        x = Fraction(t.kdot[b - 1]) / ab
+        y = Fraction(t.kdot[a - 1]) / ab
         for d in t.labels:
-            assert x * t.entry(a, d) + y * t.entry(b, d) == t.kdot_of(d)
+            assert x * t.entry(a, d) + y * t.entry(b, d) == t.kdot[d - 1]
         assert 2 * x * y * ab == bundle.surface.k2 == 8
 
 

@@ -4,7 +4,6 @@ import gc
 import io
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -238,6 +237,36 @@ def test_tampered_fingerprint_is_mismatch(tmp_path, data_dir):
     assert code != cli.EXIT_PARSE
 
 
+def test_tampered_fingerprint_message_prints_both_fingerprints(tmp_path, data_dir):
+    # A surface file whose group file claims one conjugacy class too many.
+    (tmp_path / "family1.json").write_bytes((data_dir / "family1.json").read_bytes())
+    raw = json.loads((data_dir / "g64.json").read_text())
+    raw["fingerprint"]["class_count"] += 1
+    (tmp_path / "g64.json").write_text(json.dumps(raw))
+    code, text = run_cli("cone", str(tmp_path / "family1.json"))
+    assert code == cli.EXIT_MISMATCH
+    fp = ("GroupFingerprint(order=64, element_orders=((1, 1), (2, 23), (4, 8), (8, 32)), "
+          "abelianization=(2, 2, 4), derived_series=(64, 4, 1), center_order=4, "
+          "class_count={})")
+    assert text == (f"mismatch: fingerprint mismatch for g64: computed {fp.format(22)}, "
+                    f"file claims {fp.format(23)}\n")
+
+
+@pytest.mark.parametrize("name", ["g64", "g256a", "h768"])
+def test_transposed_generator_images_never_pass(tmp_path, data_dir, name):
+    # The swap keeps a bijection, so only the closure bound (exit 3) or the
+    # fingerprint (exit 5) can refuse the file.
+    raw = json.loads((data_dir / f"{name}.json").read_text())
+    first = raw["generators"][0]
+    first[0], first[1] = first[1], first[0]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    code, text = run_cli("group", str(path))
+    assert time.perf_counter() - start < 2
+    assert code in (cli.EXIT_VALIDATION, cli.EXIT_MISMATCH), text
+
+
 def test_cmd_group_bundled_files_match(data_dir):
     for name in ("g64.json", "g256b.json", "toy_z4_group.json"):
         code, text = run_cli("group", str(data_dir / name))
@@ -418,6 +447,15 @@ def test_genvec_search_rejects_an_unbounded_scan(data_dir):
     assert "372838600922841 candidates" in text
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_genvec_search_rejects_a_nonpositive_limit(data_dir, capsys, limit):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("genvec", "search", str(data_dir / "h768.json"), "--type", "[0;2,3,8]",
+                "--limit", limit)
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "positive" in capsys.readouterr().err
+
+
 def test_genvec_search_with_limit_is_not_bounded_ahead(data_dir):
     # [0;2^8] on h768 has 6 * 79^6 candidates, but --limit 1 stops at the
     # first vector the scan meets.
@@ -437,7 +475,7 @@ def test_reproduce_family1(data_dir):
 
 
 def test_reproduce_harness_rejects_wrong_expectation(monkeypatch):
-    wrong = replace(expected.FAMILY_EXPECTATIONS[1], orbit_count=5)
+    wrong = expected.FAMILY_EXPECTATIONS[1]._replace(orbit_count=5)
     monkeypatch.setitem(expected.FAMILY_EXPECTATIONS, 1, wrong)
     code, text = run_cli("reproduce", "1")
     assert code == cli.EXIT_MISMATCH

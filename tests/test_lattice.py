@@ -49,9 +49,10 @@ def span_discriminant(table, basis) -> Fraction:
 def test_canonical_class_squares_to_k2(families, family):
     bundle = families[family]
     table, basis, surface = bundle.table, bundle.report.basis, bundle.surface
-    k = coordinates(table, basis, (table.kdot_of(basis[0]), table.kdot_of(basis[1])))
+    k_row = (table.kdot[basis[0] - 1], table.kdot[basis[1] - 1])
+    k = coordinates(table, basis, k_row)
     assert k == CANONICAL[family]
-    k_squared = k[0] * table.kdot_of(basis[0]) + k[1] * table.kdot_of(basis[1])
+    k_squared = k[0] * k_row[0] + k[1] * k_row[1]
     assert k_squared == surface.k2 == 8 * surface.chi
 
 

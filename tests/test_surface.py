@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,7 +118,7 @@ def test_freeness_monotone_in_sigma(data_dir):
     def enlarge(extra):
         fix = dict(cover.fix_table)
         fix.update({surface.to_h[g]: 1 for g in extra})
-        bumped = replace(surface, h_covering=replace(cover, fix_table=fix))
+        bumped = surface._replace(h_covering=cover._replace(fix_table=fix))
         report = check_free_action(bumped)
         assert not (report.ok and not base.ok)
         if not base.no_isolated_fixed_points:
