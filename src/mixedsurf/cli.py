@@ -186,6 +186,7 @@ def cmd_reproduce(args, out) -> int:
 
 
 def positive_int(text: str) -> int:
+    """The argparse type of ``--limit``: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")

@@ -36,6 +36,8 @@ def test_cover_type_prints_as_its_signature():
     assert str(parse_cover_type("[0;2^5]")) == "[0;2,2,2,2,2]"
     assert repr(parse_cover_type("[0;2,3,8]")) == "CoverType(g_prime=0, m=(2, 3, 8))"
     assert len({CoverType(0, (2, 2)), parse_cover_type("[0;2^2]")}) == 1
+    with pytest.raises(AttributeError, match="read-only"):
+        CoverType(0, (2, 2)).m = (3,)
 
 
 def test_hurwitz_genus_values():

@@ -36,6 +36,18 @@ def test_permutation_validation():
     assert (p * p.inverse()).images == (1, 2, 3, 4)
 
 
+def test_permutations_and_subgroups_are_read_only_values(d4):
+    p, q = Permutation.from_cycles(3, [(1, 2)]), Permutation((2, 1, 3))
+    assert p == q and len({p, q}) == 1 and p != Permutation.identity(3)
+    a, b = subgroup_generated(d4, [1]), subgroup_generated(d4, [1])
+    assert a == b and len({a, b}) == 1 and a != subgroup_generated(d4, [0])
+    for value, name in ((p, "images"), (a, "members")):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(value, name)
+
+
 def test_product_is_right_action():
     # (p * q)(i) = q(p(i)): apply p first.
     p = Permutation.from_cycles(3, [(1, 2)])
