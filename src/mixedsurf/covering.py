@@ -19,7 +19,6 @@ import re
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
 from math import lcm, prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -70,8 +69,8 @@ _ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 # The bundled types have at most 8 branch points.  The bound is checked
 # before "^k" is expanded, so a short type cannot ask for a huge list.
 MAX_BRANCH_POINTS = 256
-# Candidate tuples a vector search may scan, about 20 s of scanning.  The
-# largest bundled or benchmark scan, [0;2^5] on family 1's G0, has 182,505.
+# Candidate tuples a vector search without a limit may scan.  The largest
+# bundled or benchmark scan, [0;2^5] on family 1's G0, has 182,505.
 MAX_SEARCH_LEAVES = 10**7
 
 
@@ -265,18 +264,21 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
     The span of the entries chosen so far is kept as a bit mask of element
     indices.  The span of ``prefix + (h,)`` depends only on the span of
     ``prefix`` and on ``h``, so each such join is computed once per search.
+    The forced last entry lies in <prefix, h>, so the last free position is
+    a flat loop that tests the last entry's order before the span.
 
-    Two vectors are duplicates when their lexicographically smallest
-    simultaneous conjugates are equal.  Each representative is the smallest
-    index in its conjugacy class, so every conjugate g f g^-1 of a first
-    entry f is at least f, with equality exactly when g centralizes f.  The
-    minimum over all of G therefore keeps f in front and is taken over the
-    centralizer of f alone; this relies on the representatives being class
-    minima.
+    A vector is kept when no simultaneous conjugate is lexicographically
+    smaller; no key is stored.  That keeps exactly the first vector of each
+    class the scan meets: the pools are sorted, so the scan runs in
+    lexicographic order; each first entry f is the smallest index in its
+    conjugacy class, so the class members with first entry f are exactly
+    its conjugates by the centralizer C(f); and those are all valid and all
+    scanned.  So only the maps of C(f) are tried, built for each f on first
+    use, and the test stops at the first smaller conjugate.
 
-    No prefix is pruned, so a full scan visits |first-entry reps| times the
-    middle pool sizes candidates.  Without ``limit`` it raises
-    :class:`BudgetExceeded` before scanning if that is over ``MAX_SEARCH_LEAVES``.
+    A full scan visits |first-entry reps| times the middle pool sizes
+    candidates.  Without ``limit`` it raises :class:`BudgetExceeded` before
+    scanning if that is over ``MAX_SEARCH_LEAVES``.
     """
     _require_genus_zero_quotient(cover_type)
     if cover_type.r < 2:
@@ -285,24 +287,19 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
         raise ValidationError(f"the search limit must be positive, got {limit}")
     G = group
     n = G.order
-    by_order: dict[int, list[int]] = {}
-    for mi in set(cover_type.m):
-        by_order[mi] = [i for i in range(n) if G.order_of(i) == mi]
+    rows, inv, orders = G.rows, G.inverses, G.orders
+    by_order = {mi: [i for i in range(n) if orders[i] == mi] for mi in set(cover_type.m)}
 
-    first_reps = []
-    seen: set[int] = set()
+    first_reps, seen = [], set()
     for i in by_order[cover_type.m[0]]:
-        if i in seen:
-            continue
-        cls = conjugacy_class(G, i)
-        seen |= cls
-        first_reps.append(i)
+        if i not in seen:
+            seen |= conjugacy_class(G, i)
+            first_reps.append(i)
     leaves = len(first_reps) * prod(len(by_order[mi]) for mi in cover_type.m[1:-1])
     if limit is None and leaves > MAX_SEARCH_LEAVES:
         raise BudgetExceeded(f"a search for type {cover_type} would scan {leaves} "
                              f"candidates, more than {MAX_SEARCH_LEAVES}")
 
-    rows, inv = G.rows, G.inverses
     full = (1 << n) - 1
     joins: dict[tuple[int, int], int] = {}
 
@@ -312,53 +309,54 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
             return span
         new_span = joins.get((span, h))
         if new_span is None:
-            new_span = 0
-            for m in subgroup_generated(G, prefix + (h,)).members:
-                new_span |= 1 << m
-            joins[span, h] = new_span
+            members = subgroup_generated(G, prefix + (h,)).members
+            new_span = joins[span, h] = sum(1 << m for m in members)
         return new_span
 
     # centralizer_maps[f]: for each g != 1 centralizing f, x -> g x g^-1 as a row.
     centralizer_maps: dict[int, list[array]] = {}
 
-    def canonical(entries: tuple[int, ...]) -> tuple[int, ...]:
+    def is_minimal(entries: tuple[int, ...]) -> bool:
         f = entries[0]
         maps = centralizer_maps.get(f)
         if maps is None:
             row_f = rows[f]
             maps = centralizer_maps[f] = [array("i", [rows[y][inv[g]] for y in rows[g]])
                                           for g in range(1, n) if rows[g][f] == row_f[g]]
-        # entries itself stands for the identity and goes first, so a vector
-        # that is already minimal is its own key and no copy is kept.
-        return min(chain((entries,), map(itemgetter(*entries), maps)))
+        conjugate = itemgetter(*entries)
+        for conj in maps:
+            if conjugate(conj) < entries:
+                return False
+        return True
 
     found: list[GeneratingVector] = []
-    found_keys: set[tuple[int, ...]] = set()
-    r = cover_type.r
+    pools = [first_reps] + [by_order[mi] for mi in cover_type.m[1:-1]]
+    last_free = len(pools) - 1
     m_last = cover_type.m[-1]
+    # completions[span][h]: whether <span, h> is the whole group.
+    completions: dict[int, dict[int, bool]] = {}
 
-    def descend(position: int, prefix: tuple[int, ...], product: int, span: int):
-        if limit is not None and len(found) >= limit:
-            return
-        if position == r - 1:
-            last = inv[product]
-            if G.order_of(last) != m_last:
-                return
-            if span != full and join(span, prefix, last) != full:
-                return
-            entries = prefix + (last,)
-            key = canonical(entries)
-            if key in found_keys:
-                return
-            found_keys.add(key)
-            found.append(GeneratingVector(G, cover_type, entries))
-            return
-        pool = first_reps if position == 0 else by_order[cover_type.m[position]]
+    def descend(position: int, prefix: tuple[int, ...], product: int, span: int) -> bool:
+        """Scan the pools from ``position`` on; True once ``limit`` is reached."""
         row = rows[product]
-        for h in pool:
-            if limit is not None and len(found) >= limit:
-                return
-            descend(position + 1, prefix + (h,), row[h], join(span, prefix, h))
+        if position == last_free:
+            completes = completions.setdefault(span, {})
+            for h in pools[position]:
+                last = inv[row[h]]
+                if orders[last] != m_last:
+                    continue
+                ok = completes.get(h)
+                if ok is None:
+                    ok = completes[h] = join(span, prefix, h) == full
+                if ok and is_minimal(prefix + (h, last)):
+                    found.append(GeneratingVector(G, cover_type, prefix + (h, last)))
+                    if len(found) == limit:
+                        return True
+            return False
+        for h in pools[position]:
+            if descend(position + 1, prefix + (h,), row[h], join(span, prefix, h)):
+                return True
+        return False
 
     descend(0, (), 0, 1)
     # descend's closure cell refers to descend itself; emptying it breaks the

@@ -241,11 +241,10 @@ def build_surface(path: str | Path, use_extra: bool = True) -> SurfaceData:
     h_vector = None
     if use_extra and record.extra is not None:
         h_group, _ = load_group(here / record.extra.group_file)
-        if record.extra.vector is not None:
-            h_vector = tuple(resolve_word(h_group, w) for w in record.extra.vector)
-        else:
-            h_vector = _search_matching_vector(h_group, G, seeds, tau_prime, vector,
-                                               record.cover_type)
+        if record.extra.vector is None:
+            return _search_matching_surface(h_group, G, seeds, tau_prime, vector,
+                                            record.cover_type)
+        h_vector = tuple(resolve_word(h_group, w) for w in record.extra.vector)
     return assemble_surface(G, seeds, tau_prime, vector, record.cover_type,
                             h_group=h_group, h_vector=h_vector)
 
@@ -274,18 +273,17 @@ def run_pipeline(path: str | Path, use_extra: bool = True) -> FamilyBundle:
     return FamilyBundle(surface, freeness, table, cone_report(table))
 
 
-def _search_matching_vector(h_group: FiniteGroup, G: FiniteGroup, seeds, tau_prime,
-                            vector, cover_type: CoverType):
-    """First [0;2,3,8] vector of H whose induced vector transports onto the
-    surface's defining vector."""
+def _search_matching_surface(h_group: FiniteGroup, G: FiniteGroup, seeds, tau_prime,
+                             vector, cover_type: CoverType) -> SurfaceData:
+    """The surface assembled with the first [0;2,3,8] vector of H whose
+    induced vector transports onto the surface's defining vector."""
     candidates = search_generating_vectors(h_group, CoverType(0, (2, 3, 8)))
     for cand in candidates:
         try:
-            assemble_surface(G, seeds, tau_prime, vector, cover_type,
-                             h_group=h_group, h_vector=cand.entries)
+            return assemble_surface(G, seeds, tau_prime, vector, cover_type,
+                                    h_group=h_group, h_vector=cand.entries)
         except ValidationError:
             continue
-        return cand.entries
     raise ValidationError(
         "no [0;2,3,8] vector of the extra-automorphism group induces the "
         "surface's defining vector")

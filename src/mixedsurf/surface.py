@@ -212,12 +212,16 @@ def transport_embedding(src: FiniteGroup, src_gens, dst: FiniteGroup, dst_gens) 
     img = extend_homomorphism(src, src_gens, dst, dst_gens)
     if img is None:
         raise ValidationError("generator matching does not extend to an injective homomorphism")
-    for x in range(src.order):
-        for y in range(src.order):
-            if img[src.mul(x, y)] != dst.mul(img[x], img[y]):
-                raise ValidationError(
-                    "generator matching does not extend to a homomorphism "
-                    f"(failure at pair ({x}, {y}))")
+    # Row x of the check: img(x y) is img gathered at src row x, and
+    # img(x) img(y) is dst row img(x) gathered at the images.
+    images = [img[y] for y in range(src.order)]
+    for x, row in enumerate(src.rows):
+        dst_row = dst.rows[images[x]]
+        if list(map(images.__getitem__, row)) != list(map(dst_row.__getitem__, images)):
+            y = next(y for y in range(src.order) if images[row[y]] != dst_row[images[y]])
+            raise ValidationError(
+                "generator matching does not extend to a homomorphism "
+                f"(failure at pair ({x}, {y}))")
     return img
 
 

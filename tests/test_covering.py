@@ -300,7 +300,8 @@ LIMITS = (None, 1, 2, 5)
 
 
 @pytest.mark.parametrize("fixture,type_text", [
-    ("d4", "[0;2,2,4]"), ("d4", "[0;2,2,2,2]"), ("d4", "[0;4,4,2]"),
+    ("d4", "[0;4,4]"), ("d4", "[0;2,2,4]"), ("d4", "[0;2,2,2,2]"), ("d4", "[0;4,4,2]"),
+    ("d4", "[0;2^5]"), ("s4", "[0;2^5]"),
     ("s3", "[0;2,2,3]"), ("s3", "[0;2,3,2]"), ("s3", "[0;3,3,3]"), ("s3", "[0;2,2,2,2]"),
     ("s4", "[0;2,3,4]"), ("s4", "[0;2,4,4]"), ("s4", "[0;3,3,4]"), ("s4", "[0;2,2,2,3]"),
 ])

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,35 @@ def test_pipeline_commands_refuse_surfaces_without_free_mixed_action(
     assert (code, text) == (cli.EXIT_VALIDATION, f"validation error: {message}\n")
 
 
+# Swapping entries 0-1, 0-3, 1-2 or 2-4 of family 1's vector keeps the
+# product 1 and gives a valid vector of the same surface; every other swap of
+# family 1 or family 2 breaks the product relation.
+VALID_SWAPS = {("family1", 0, 1), ("family1", 0, 3), ("family1", 1, 2), ("family1", 2, 4)}
+
+
+@pytest.mark.parametrize("name, i, j",
+                         [("family1", i, j) for i, j in combinations(range(5), 2)]
+                         + [("family2", i, j) for i, j in combinations(range(3), 2)])
+def test_swapped_vector_entries_keep_the_surface_or_exit_3(tmp_path, data_dir, name, i, j):
+    raw = json.loads((data_dir / f"{name}.json").read_text())
+    raw["group_file"] = str(data_dir / raw["group_file"])
+    if raw["extra_automorphisms"] is not None:
+        extra = raw["extra_automorphisms"]
+        extra["group_file"] = str(data_dir / extra["group_file"])
+    vector = raw["vector"]
+    vector[i], vector[j] = vector[j], vector[i]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    code, text = run_cli("cone", str(path), "--format", "record")
+    if (name, i, j) in VALID_SWAPS:
+        assert (code, text) == (cli.EXIT_OK,
+                                (GOLDEN / f"cone_{name}.record").read_bytes().decode("utf-8"))
+    else:
+        assert (code, text) == (cli.EXIT_VALIDATION,
+                                "validation error: invalid generating vector: "
+                                "product: entries do not multiply to the identity\n")
+
+
 def test_genvec_search_cmd(data_dir):
     code, text = run_cli("genvec", "search", str(data_dir / "toy_z4_group.json"),
                          "--type", "[0;4,4]")
@@ -501,6 +531,25 @@ def test_vector_search_propagates_integrity_errors(data_dir, monkeypatch):
     code, text = run_cli("surface", str(spec))
     assert code == cli.EXIT_ASSERTION
     assert "corrupted candidate" in text
+
+
+def test_vector_search_assembles_the_matching_surface_once(data_dir, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["h_vector"])
+        return assemble(*args, **kwargs)
+
+    assemble = files.assemble_surface
+    monkeypatch.setattr(files, "assemble_surface", counted)
+    searched = files.build_surface(data_dir / "family2_search.json")
+    assert calls == [(1, 2, 7)]
+    monkeypatch.undo()
+    # family2.json names the vector the search finds.
+    given = files.build_surface(data_dir / "family2.json")
+    assert given.h_covering.vector.entries == (1, 2, 7)
+    assert searched.h_covering.fix_table == given.h_covering.fix_table
+    assert searched[3:] == given[3:]  # to_h, chi, K^2, e, q, p_g
 
 
 # ----------------------------------------------------------------------

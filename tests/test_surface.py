@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mixedsurf.covering import CoverType
 from mixedsurf.errors import IntegrityError, ValidationError
 from mixedsurf.files import build_surface, load_group
-from mixedsurf.perm import Permutation, closure, subgroup_generated
+from mixedsurf.perm import Permutation, closure, extend_homomorphism, subgroup_generated
 from mixedsurf.surface import (assemble_surface, build_mixed_action,
                                check_free_action, derive_induced_vectors,
                                fixed_curve_witness, invariants_from,
@@ -245,6 +245,25 @@ def test_transport_rejects_non_homomorphic_matching(family1):
     for x in range(g0.order):
         for y in range(g0.order):
             assert img[g0.mul(x, y)] == g0.mul(img[x], img[y])
+
+
+def test_transport_names_the_first_pair_a_swapped_image_breaks(family1, monkeypatch):
+    # The bijection check passes a map with two images swapped; only the
+    # all-pairs homomorphism check can reject it.
+    g0 = family1.surface.g0_group
+    entries = family1.surface.covering.vector.entries
+
+    def swapped(*args):
+        img = extend_homomorphism(*args)
+        img[1], img[2] = img[2], img[1]
+        return img
+
+    monkeypatch.setattr("mixedsurf.surface.extend_homomorphism", swapped)
+    img = swapped(g0, entries, g0, entries)
+    first = next((x, y) for x in range(g0.order) for y in range(g0.order)
+                 if img[g0.mul(x, y)] != g0.mul(img[x], img[y]))
+    with pytest.raises(ValidationError, match=rf"failure at pair \({first[0]}, {first[1]}\)"):
+        transport_embedding(g0, entries, g0, entries)
 
 
 @pytest.fixture(scope="module")
