@@ -96,6 +96,28 @@ def free(G: FiniteGroup, members, sigma, phi, tau) -> bool:
             and fixed_curve_witness(G, members, sigma, phi, tau) is None)
 
 
+def freeness_signatures(G: FiniteGroup, pairs) -> list[list[tuple]]:
+    """The (phi, tau) pairs of G grouped by what ``free`` reads of them, in
+    order of each group's first pair.
+
+    For a stabilizer set that is a union of conjugacy classes, condition (i)
+    depends only on the permutation phi induces on the classes, and
+    condition (ii) only on the classes that {phi(h) tau h} meets.  So
+    ``free`` is constant on each group.
+    """
+    rows = G.rows
+    classes = conjugacy_classes(G)
+    class_of = {x: k for k, cls in enumerate(classes) for x in cls}
+    reps = [min(cls) for cls in classes]
+    groups: dict[tuple, list[tuple]] = {}
+    for pair in pairs:
+        phi, tau = pair
+        key = (tuple(class_of[phi[x]] for x in reps),
+               frozenset(class_of[rows[rows[phi[h]][tau]][h]] for h in range(G.order)))
+        groups.setdefault(key, []).append(pair)
+    return list(groups.values())
+
+
 def dedup_extensions(G: FiniteGroup, members, pairs):
     """One (phi, tau) per class modulo re-choosing tau' inside its coset, in
     order of the classes' canonical forms."""
@@ -322,16 +344,21 @@ def involution_vectors(G: FiniteGroup, invol):
                         yield (h1, h2, h3, h4, h5)
 
 
-def make_family_1(out: Path):
+def family_1_g0() -> tuple[FiniteGroup, list[int]]:
+    """G0 = Z2^2 x D4 on 8 points, and the indices of its four generators."""
     e1 = Permutation.from_cycles(8, [(1, 2)])
     e2 = Permutation.from_cycles(8, [(3, 4)])
     r = Permutation.from_cycles(8, [(5, 6, 7, 8)])
     s = Permutation.from_cycles(8, [(5, 7)])
     G0 = closure([e1, e2, r, s])
+    if G0.order != 32:
+        raise IntegrityError(f"G0 has order {G0.order}, expected 32")
+    return G0, [G0.index_of(p) for p in (e1, e2, r, s)]
+
+
+def make_family_1(out: Path):
+    G0, gens = family_1_g0()
     n = G0.order
-    if n != 32:
-        raise IntegrityError(f"G0 has order {n}, expected 32")
-    gens = [G0.index_of(p) for p in (e1, e2, r, s)]
     class_of = {x: cls for cls in conjugacy_classes(G0) for x in cls}
 
     def stab_set(V) -> frozenset[int]:
@@ -355,13 +382,19 @@ def make_family_1(out: Path):
         f"stabilizer-set buckets ({time.time() - t0:.1f}s)")
 
     t0 = time.time()
+    firsts = [group[0] for group in freeness_signatures(G0, pairs)]
+    log(f"family 1: {len(firsts)} freeness signatures ({time.time() - t0:.1f}s)")
+
+    t0 = time.time()
     chosen = None
     for S, tuples in sorted(buckets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         # The first generating V of a bucket does not depend on (phi, tau),
-        # so the bucket's first free pair decides it.
-        pair = next(((phi, tau) for phi, tau in pairs if free(G0, range(n), S, phi, tau)),
+        # so the bucket's first free pair decides it.  free() is constant on
+        # a signature, so that pair is the first pair of the first free one.
+        pair = next(((phi, tau) for phi, tau in firsts if free(G0, range(n), S, phi, tau)),
                     None)
-        if pair is None:
+        # Every V of the bucket lies in <S>, so none generates G0 unless S does.
+        if pair is None or subgroup_generated(G0, S).order != n:
             continue
         V = next((V for V in tuples if subgroup_generated(G0, V).order == n), None)
         if V is not None:

@@ -69,8 +69,9 @@ _ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 # The bundled types have at most 8 branch points.  The bound is checked
 # before "^k" is expanded, so a short type cannot ask for a huge list.
 MAX_BRANCH_POINTS = 256
-# Candidate tuples a vector search without a limit may scan.  The largest
-# bundled or benchmark scan, [0;2^5] on family 1's G0, has 182,505.
+# Candidate tuples a vector search without a limit may scan, counted for the
+# unpruned scan before scanning, so an upper bound on the work done.  The
+# largest bundled or benchmark scan, [0;2^5] on family 1's G0, has 182,505.
 MAX_SEARCH_LEAVES = 10**7
 
 
@@ -273,12 +274,22 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
     lexicographic order; each first entry f is the smallest index in its
     conjugacy class, so the class members with first entry f are exactly
     its conjugates by the centralizer C(f); and those are all valid and all
-    scanned.  So only the maps of C(f) are tried, built for each f on first
-    use, and the test stops at the first smaller conjugate.
+    scanned.  So only the maps of C(f) are tried, built for each f when a
+    position first needs them.
 
-    A full scan visits |first-entry reps| times the middle pool sizes
-    candidates.  Without ``limit`` it raises :class:`BudgetExceeded` before
-    scanning if that is over ``MAX_SEARCH_LEAVES``.
+    The scan is orderly: it carries down the maps of C(f) that fix every
+    entry chosen so far.  If such a map sends the next entry h to a smaller
+    index, it sends every completion of ``prefix + (h,)`` to a
+    lexicographically smaller conjugate, so h is skipped with its whole
+    subtree.  A map that sends h to a larger index makes every completion
+    larger, so only the maps that fix h are passed on, and the last free
+    position tests just those on ``(h, last)``.  The vectors kept, their
+    order and the ``limit`` cuts are those of the unpruned scan.
+
+    The unpruned scan visits |first-entry reps| times the middle pool sizes
+    candidates.  That count is an upper bound on the pruned scan, taken
+    before scanning: without ``limit`` the search raises
+    :class:`BudgetExceeded` if it is over ``MAX_SEARCH_LEAVES``.
     """
     _require_genus_zero_quotient(cover_type)
     if cover_type.r < 2:
@@ -313,21 +324,11 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
             new_span = joins[span, h] = sum(1 << m for m in members)
         return new_span
 
-    # centralizer_maps[f]: for each g != 1 centralizing f, x -> g x g^-1 as a row.
-    centralizer_maps: dict[int, list[array]] = {}
-
-    def is_minimal(entries: tuple[int, ...]) -> bool:
-        f = entries[0]
-        maps = centralizer_maps.get(f)
-        if maps is None:
-            row_f = rows[f]
-            maps = centralizer_maps[f] = [array("i", [rows[y][inv[g]] for y in rows[g]])
-                                          for g in range(1, n) if rows[g][f] == row_f[g]]
-        conjugate = itemgetter(*entries)
-        for conj in maps:
-            if conjugate(conj) < entries:
-                return False
-        return True
+    def centralizer_maps(f: int) -> list[array]:
+        """x -> g x g^-1 as a row, for each g != 1 centralizing f."""
+        row_f = rows[f]
+        return [array("i", [rows[y][inv[g]] for y in rows[g]])
+                for g in range(1, n) if rows[g][f] == row_f[g]]
 
     found: list[GeneratingVector] = []
     pools = [first_reps] + [by_order[mi] for mi in cover_type.m[1:-1]]
@@ -336,8 +337,14 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
     # completions[span][h]: whether <span, h> is the whole group.
     completions: dict[int, dict[int, bool]] = {}
 
-    def descend(position: int, prefix: tuple[int, ...], product: int, span: int) -> bool:
-        """Scan the pools from ``position`` on; True once ``limit`` is reached."""
+    def descend(position: int, prefix: tuple[int, ...], product: int, span: int,
+                maps: list[array] | None) -> bool:
+        """Scan the pools from ``position`` on; True once ``limit`` is reached.
+
+        ``maps`` holds the maps of C(prefix[0]) that fix every entry of
+        ``prefix``; it is None while the prefix is f alone and the maps are
+        not built yet, and empty at position 0, where there is nothing to prune.
+        """
         row = rows[product]
         if position == last_free:
             completes = completions.setdefault(span, {})
@@ -348,17 +355,37 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
                 ok = completes.get(h)
                 if ok is None:
                     ok = completes[h] = join(span, prefix, h) == full
-                if ok and is_minimal(prefix + (h, last)):
-                    found.append(GeneratingVector(G, cover_type, prefix + (h, last)))
+                if not ok:
+                    continue
+                if maps is None:
+                    maps = centralizer_maps(prefix[0])
+                pair = (h, last)
+                conjugate = itemgetter(h, last)
+                for conj in maps:
+                    if conjugate(conj) < pair:
+                        break
+                else:
+                    found.append(GeneratingVector(G, cover_type, prefix + pair))
                     if len(found) == limit:
                         return True
             return False
+        if maps is None:
+            maps = centralizer_maps(prefix[0])
         for h in pools[position]:
-            if descend(position + 1, prefix + (h,), row[h], join(span, prefix, h)):
-                return True
+            fixing = []
+            for conj in maps:
+                image = conj[h]
+                if image < h:
+                    break
+                if image == h:
+                    fixing.append(conj)
+            else:
+                if descend(position + 1, prefix + (h,), row[h], join(span, prefix, h),
+                           fixing if prefix else None):
+                    return True
         return False
 
-    descend(0, (), 0, 1)
+    descend(0, (), 0, 1, [])
     # descend's closure cell refers to descend itself; emptying it breaks the
     # cycle, so G is freed now instead of whenever the cyclic collector runs.
     del descend

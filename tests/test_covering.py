@@ -338,3 +338,31 @@ def test_search_matches_exhaustive_oracle_on_random_groups(data):
     limit = data.draw(st.sampled_from(LIMITS))
     found = search_generating_vectors(G, ctype, limit=limit)
     assert [v.entries for v in found] == generating_vector_entries(G, ctype)[:limit]
+
+
+@pytest.mark.parametrize("search", REGENERATE_SEARCHES[:2], ids=lambda x: str(x))
+def test_pruned_search_cuts_the_full_scan_at_each_limit(search_group, search):
+    # [0;2^5] has 11,520 vectors and [0;4^3] 192, so 500 cuts the first only.
+    name, words, type_text = search[:3]
+    G = search_group(name, words)
+    ctype = parse_cover_type(type_text)
+    full = [v.entries for v in search_generating_vectors(G, ctype)]
+    for limit in (1, 2, 17, 500):
+        found = search_generating_vectors(G, ctype, limit=limit)
+        assert [v.entries for v in found] == full[:limit]
+
+
+def test_pruned_search_skips_subtrees_without_a_kept_vector(search_group, monkeypatch):
+    # The unpruned scan joins 2,501 spans on [0;2^5]; a prefix with a smaller
+    # centralizer conjugate has its subtree, and its joins, skipped.
+    calls = []
+
+    def counting(G, seeds):
+        calls.append(len(seeds))
+        return subgroup_generated(G, seeds)
+
+    name, words, type_text = REGENERATE_SEARCHES[0][:3]
+    G = search_group(name, words)
+    monkeypatch.setattr(covering, "subgroup_generated", counting)
+    assert len(search_generating_vectors(G, parse_cover_type(type_text))) == 11520
+    assert 0 < len(calls) < 2501

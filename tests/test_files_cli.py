@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import io
 import json
+import random
+import re
 import time
 from itertools import combinations
 from pathlib import Path
@@ -631,3 +633,76 @@ def test_fuzzed_surface_fields_exit_cleanly(tmp_path_factory, data_dir, changes)
     code, text = run_cli("surface", str(path))
     assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION, cli.EXIT_ASSERTION,
                     cli.EXIT_MISMATCH), text
+
+
+# ----------------------------------------------------------------------
+# seeded mutation sweep over the bundled surface files
+
+SWEEP_SURFACES = ("family1", "family1_nonfree", "family2", "family2_search", "family3",
+                  "family4", "family5", "toy_z4")
+SWEEP_GROUPS = ("g64.json", "g256a.json", "g256b.json", "h768.json", "toy_z4_group.json")
+# A run on families 2-5 that reaches the group closure takes about 0.1 s, so
+# eight mutations per file keep the sweep to a few seconds.
+SWEEP_SEED, SWEEP_MUTATIONS = 13, 8
+LAST_EXPONENT = re.compile(r"\^-?\d+(?=[^^]*$)")
+
+
+def mutate_surface(raw: dict, rng: random.Random) -> str:
+    """Apply one mutation drawn from ``rng`` to a surface record; describe it.
+
+    It drops a field, swaps two words, changes an exponent (of a word or of
+    the type) or points a group_file at another bundled group.
+    """
+    blocks = [raw] + ([raw["extra_automorphisms"]] if raw["extra_automorphisms"] else [])
+    words = [(raw, "tau_prime")] + [(block[key], i) for block in blocks
+                                    for key in ("g0_generators", "vector")
+                                    if isinstance(block.get(key), list)
+                                    for i in range(len(block[key]))]
+    kind = rng.choice(("drop", "swap", "exponent", "group"))
+    if kind == "drop":
+        block = rng.choice(blocks)
+        key = rng.choice(sorted(block))
+        del block[key]
+        return f"drop {key}"
+    if kind == "swap":
+        (a, i), (b, j) = rng.choice([(x, y) for x, y in combinations(words, 2)
+                                     if x[0][x[1]] != y[0][y[1]]])
+        a[i], b[j] = b[j], a[i]
+        return f"swap {a[i]!r} and {b[j]!r}"
+    if kind == "exponent":
+        holder, key = rng.choice(words + [(raw, "type")])
+        old = holder[key]
+        changed = [LAST_EXPONENT.sub(f"^{e}", old) if LAST_EXPONENT.search(old)
+                   else f"({old})^{e}" for e in (-3, -2, -1, 0, 2, 3, 5)]
+        holder[key] = rng.choice([text for text in changed if text != old])
+        return f"exponent {old!r} -> {holder[key]!r}"
+    block = rng.choice(blocks)
+    old = block["group_file"]
+    block["group_file"] = rng.choice([g for g in SWEEP_GROUPS if g != old])
+    return f"group_file {old} -> {block['group_file']}"
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory, data_dir):
+    out = tmp_path_factory.mktemp("sweep")
+    for name in SWEEP_GROUPS:
+        (out / name).write_bytes((data_dir / name).read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("name", SWEEP_SURFACES)
+def test_seeded_mutations_of_bundled_surfaces_exit_cleanly(sweep_dir, data_dir, name):
+    rng = random.Random(f"{SWEEP_SEED}:{name}")
+    text = (data_dir / f"{name}.json").read_text()
+    path = sweep_dir / f"{name}.json"
+    for _ in range(SWEEP_MUTATIONS):
+        raw = json.loads(text)
+        change = mutate_surface(raw, rng)
+        path.write_text(json.dumps(raw))
+        start = time.perf_counter()
+        code, out = run_cli("cone", str(path), "--format", "record")
+        elapsed = time.perf_counter() - start
+        assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION, cli.EXIT_ASSERTION,
+                        cli.EXIT_MISMATCH), (change, out)
+        assert "Traceback" not in out, (change, out)
+        assert elapsed < 2, (change, elapsed)
