@@ -20,8 +20,10 @@ Construction outline:
   types, told apart through G0: an isomorphism maps G0 onto an index-2
   subgroup and is fixed there by an automorphism of G0, so each test is
   one set lookup per automorphism.
-* The order-64 group is the analogous extension of Z2^2 x D4 found by
-  exhaustive search over automorphisms and [0;2^5] generating vectors.
+* The order-64 group is the analogous extension of Z2^2 x D4, found by an
+  exhaustive search over automorphisms and over the [0;2^5] generating
+  vectors and their stabilizer sets Sigma_V from the library's
+  covering.search_generating_vectors and covering.stabilizer_set.
 
 Usage:  python scripts/make_data.py [--out DIR]
 """
@@ -38,13 +40,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mixedsurf.covering import (CoverType, GeneratingVector, covering_data,
-                                search_generating_vectors)
+                                search_generating_vectors, stabilizer_set)
 from mixedsurf.errors import IntegrityError, MismatchError
 from mixedsurf.expected import FAMILY_EXPECTATIONS, compare_family
 from mixedsurf.files import (build_surface, element_word, run_pipeline, save_group_file,
                              save_surface_file)
 from mixedsurf.perm import (FiniteGroup, Permutation, closure, conjugacy_classes,
-                            extend_homomorphism, homomorphisms, subgroup_generated)
+                            extend_homomorphism, homomorphisms)
 from mixedsurf.surface import (check_free_action, derive_induced_vectors,
                                fixed_curve_witness, isolated_point_witness)
 from mixedsurf.coset import todd_coxeter
@@ -330,20 +332,6 @@ def make_families_2_to_5(out: Path):
 # ----------------------------------------------------------------------
 # Family 1.
 
-def involution_vectors(G: FiniteGroup, invol):
-    """Every [0;2^5] candidate (h1, ..., h5) of involutions with product 1,
-    in scan order; generation is not checked."""
-    for h1 in invol:
-        for h2 in invol:
-            p2 = G.mul(h1, h2)
-            for h3 in invol:
-                p3 = G.mul(p2, h3)
-                for h4 in invol:
-                    h5 = G.inv(G.mul(p3, h4))
-                    if G.order_of(h5) == 2:
-                        yield (h1, h2, h3, h4, h5)
-
-
 def family_1_g0() -> tuple[FiniteGroup, list[int]]:
     """G0 = Z2^2 x D4 on 8 points, and the indices of its four generators."""
     e1 = Permutation.from_cycles(8, [(1, 2)])
@@ -359,13 +347,6 @@ def family_1_g0() -> tuple[FiniteGroup, list[int]]:
 def make_family_1(out: Path):
     G0, gens = family_1_g0()
     n = G0.order
-    class_of = {x: cls for cls in conjugacy_classes(G0) for x in cls}
-
-    def stab_set(V) -> frozenset[int]:
-        """Stabilizer set of an involution vector: 1 and the entries' classes."""
-        return frozenset({0}.union(*(class_of[h] for h in V)))
-
-    invol = [i for i in range(n) if G0.order_of(i) == 2]
 
     t0 = time.time()
     auts = list(homomorphisms(G0, gens, G0, range(n)))
@@ -374,11 +355,20 @@ def make_family_1(out: Path):
     pairs = extension_pairs(G0, range(n), gens, auts)
     log(f"family 1: {len(pairs)} (phi,tau) pairs")
 
+    # The fixtures are, for a stabilizer set S, the lexicographically
+    # smallest generating [0;2^5] tuple with that S.  Conjugating a tuple by
+    # G0 changes neither its stabilizer set nor whether it generates, so that
+    # tuple is the smallest of its conjugacy class: the one vector the search
+    # keeps for the class.  The search returns its vectors in lexicographic
+    # order, so the first vector with a given S is that tuple.
     t0 = time.time()
-    buckets: dict[frozenset, list[tuple]] = {}
-    for V in involution_vectors(G0, invol):
-        buckets.setdefault(stab_set(V), []).append(V)
-    log(f"family 1: {sum(map(len, buckets.values()))} tuples in {len(buckets)} "
+    vectors = [(v.entries, stabilizer_set(v))
+               for v in search_generating_vectors(G0, CoverType(0, (2,) * 5))]
+    # The first vector of each stabilizer-set bucket.
+    buckets: dict[frozenset, tuple] = {}
+    for V, S in vectors:
+        buckets.setdefault(S, V)
+    log(f"family 1: {len(vectors)} [0;2^5] vector classes in {len(buckets)} "
         f"stabilizer-set buckets ({time.time() - t0:.1f}s)")
 
     t0 = time.time()
@@ -386,23 +376,17 @@ def make_family_1(out: Path):
     log(f"family 1: {len(firsts)} freeness signatures ({time.time() - t0:.1f}s)")
 
     t0 = time.time()
-    chosen = None
-    for S, tuples in sorted(buckets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-        # The first generating V of a bucket does not depend on (phi, tau),
-        # so the bucket's first free pair decides it.  free() is constant on
-        # a signature, so that pair is the first pair of the first free one.
+    for S, V in sorted(buckets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+        # The bucket's V does not depend on (phi, tau), so the bucket's first
+        # free pair decides it.  free() is constant on a signature, so that
+        # pair is the first pair of the first free one.
         pair = next(((phi, tau) for phi, tau in firsts if free(G0, range(n), S, phi, tau)),
                     None)
-        # Every V of the bucket lies in <S>, so none generates G0 unless S does.
-        if pair is None or subgroup_generated(G0, S).order != n:
-            continue
-        V = next((V for V in tuples if subgroup_generated(G0, V).order == n), None)
-        if V is not None:
-            chosen = (*pair, V, S)
+        if pair is not None:
             break
-    if chosen is None:
+    else:
         raise IntegrityError("no free family-1 data found")
-    phi, tau, V, S = chosen
+    phi, tau = pair
     log(f"family 1: free data found, |Sigma_V| = {len(S)} ({time.time() - t0:.1f}s)")
 
     G = build_extension(G0, tuple(range(n)), phi, tau, V[:4])
@@ -420,13 +404,11 @@ def make_family_1(out: Path):
     save_surface_file(out / "family1.json", record)
     log("wrote g64.json, family1.json")
 
-    # Negative fixture: the first valid [0;2^5] generating vector (scan
-    # order) whose stabilizer set breaks a freeness condition for the same
-    # extension.
-    bad = next((Vb for Vb in involution_vectors(G0, invol)
-                if not free(G0, range(n), stab_set(Vb), phi, tau)
-                and subgroup_generated(G0, Vb).order == n),
-               None)
+    # Negative fixture: the lexicographically smallest [0;2^5] generating
+    # vector whose stabilizer set breaks a freeness condition for the same
+    # extension; free() reads only S, so by the argument above it is the
+    # first such vector of the search.
+    bad = next((Vb for Vb, Sb in vectors if not free(G0, range(n), Sb, phi, tau)), None)
     if bad is None:
         raise IntegrityError("no non-free family-1 vector found")
     to_ext = embedding(G0, V[:4], G, G.generator_indices[:4])

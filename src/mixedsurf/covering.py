@@ -87,7 +87,10 @@ def parse_cover_type(text: str) -> CoverType:
             em = _ENTRY_RE.match(part.strip())
             if not em:
                 raise ValidationError(f"malformed branching index {part.strip()!r}")
-            entries.append((int(em.group(1)), int(em.group(2) or 1)))
+            k = int(em.group(2) or 1)
+            if k < 1:
+                raise ValidationError(f"branching index {part.strip()!r}: exponents start at 1")
+            entries.append((int(em.group(1)), k))
     except ValueError:  # a digit string longer than int() converts
         raise ValidationError(f"cover type {text[:40]!r}... has a number too long to read") from None
     if sum(k for _, k in entries) > MAX_BRANCH_POINTS:
@@ -164,13 +167,8 @@ def validate_generating_vector(v: GeneratingVector) -> VectorReport:
 def stabilizer_set(v: GeneratingVector) -> frozenset[int]:
     """All conjugates of all powers of the branch generators (identity included)."""
     G = v.group
-    out = {0}
-    for h in v.entries:
-        k = h
-        while k != 0:
-            out |= conjugacy_class(G, k)
-            k = G.mul(k, h)
-    return frozenset(out)
+    return frozenset({0}.union(*(conjugacy_class(G, k) for powers in branch_stabilizers(v)
+                                 for k in powers if k != 0)))
 
 
 def branch_stabilizers(v: GeneratingVector) -> tuple[tuple[int, ...], ...]:

@@ -618,13 +618,25 @@ def _json_int(x) -> int:
     return x
 
 
+def _quotient_table(rows: Sequence[Sequence[int]], normal: Iterable[int]) -> list[list[int]]:
+    """Multiplication table of G/N, given G's table and the members of a normal
+    subgroup N, with cosets numbered by minimal representative."""
+    coset_of = [-1] * len(rows)
+    reps = []
+    for i, row in enumerate(rows):
+        if coset_of[i] < 0:
+            for d in normal:
+                coset_of[row[d]] = len(reps)
+            reps.append(i)
+    return [[coset_of[rows[a][b]] for b in reps] for a in reps]
+
+
 def _abelian_invariant_factors(mul_table: list[list[int]]) -> list[int]:
     """Invariant factors of a finite abelian group given by a multiplication table."""
-    n = len(mul_table)
     factors = []
-    while n > 1:
+    while len(mul_table) > 1:
         orders = []
-        for i in range(n):
+        for i in range(len(mul_table)):
             k, acc = 1, i
             while acc != 0:
                 acc = mul_table[acc][i]
@@ -633,26 +645,11 @@ def _abelian_invariant_factors(mul_table: list[list[int]]) -> list[int]:
         m = max(orders)
         factors.append(m)
         gen = orders.index(m)
-        # Quotient by <gen>: merge cosets and rebuild the table.
-        cyc = set()
-        acc = 0
-        while True:
-            cyc.add(acc)
+        cyclic, acc = [0], gen
+        while acc != 0:
+            cyclic.append(acc)
             acc = mul_table[acc][gen]
-            if acc == 0:
-                break
-        coset_of = [-1] * n
-        reps = []
-        for i in range(n):
-            if coset_of[i] >= 0:
-                continue
-            rep_id = len(reps)
-            reps.append(i)
-            for c in cyc:
-                coset_of[mul_table[i][c]] = rep_id
-        mul_table = [[coset_of[mul_table[reps[a]][reps[b]]] for b in range(len(reps))]
-                     for a in range(len(reps))]
-        n = len(reps)
+        mul_table = _quotient_table(mul_table, cyclic)
     return factors
 
 
@@ -689,8 +686,7 @@ def fingerprint(G: FiniteGroup) -> GroupFingerprint:
             break
         current = derived_subgroup(current)
 
-    ab = _abelianization_table(G, first_derived)
-    invf = _abelian_invariant_factors(ab)
+    invf = _abelian_invariant_factors(_quotient_table(G.rows, first_derived.members))
 
     return GroupFingerprint(
         order=G.order,
@@ -700,18 +696,3 @@ def fingerprint(G: FiniteGroup) -> GroupFingerprint:
         center_order=center_order(G),
         class_count=len(conjugacy_classes(G)),
     )
-
-
-def _abelianization_table(G: FiniteGroup, derived: Subgroup) -> list[list[int]]:
-    """Multiplication table of G/[G,G] with cosets numbered by minimal representative."""
-    rows = G.rows
-    coset_of = [-1] * G.order
-    reps = []
-    for i in range(G.order):
-        if coset_of[i] >= 0:
-            continue
-        rep_id = len(reps)
-        reps.append(i)
-        for d in derived.members:
-            coset_of[rows[i][d]] = rep_id
-    return [[coset_of[rows[a][b]] for b in reps] for a in reps]

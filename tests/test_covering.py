@@ -25,7 +25,8 @@ def test_parse_cover_type():
     assert parse_cover_type("[1;4^3]") == CoverType(1, (4, 4, 4))
     assert str(CoverType(0, (2, 2))) == "[0;2,2]"
     assert parse_cover_type(f"[0;2^{MAX_BRANCH_POINTS}]").r == MAX_BRANCH_POINTS
-    for bad in ["[0]", "0;2,2", "[0;1,2]", "[0;x]", f"[0;3,2^{MAX_BRANCH_POINTS}]"]:
+    for bad in ["[0]", "0;2,2", "[0;1,2]", "[0;x]", f"[0;3,2^{MAX_BRANCH_POINTS}]",
+                "[0;2^0]", "[0;2^0,3]"]:
         with pytest.raises(ValidationError):
             parse_cover_type(bad)
 

@@ -441,6 +441,15 @@ def test_exponent_past_int_digit_limit_is_parse_error(tmp_path, data_dir):
     assert "too many digits" in text
 
 
+def test_zero_exponent_in_type_is_parse_error(tmp_path, data_dir):
+    # "[0;2^0]" used to parse to a type with no branch points, and the
+    # vector's length check then failed with exit 3.
+    path = _toy_surface(tmp_path, data_dir, type="[0;2^0]")
+    code, text = run_cli("cone", str(path))
+    assert code == cli.EXIT_PARSE, text
+    assert "exponents start at 1" in text
+
+
 def test_huge_merged_exponents_reduce_modulo_the_group_order(tmp_path, data_dir):
     # g1^(10^8 + 1) = g1 and g1^-999998 = g1^2 in Z/4: the same surface as
     # toy_z4.json.  Merged adjacent powers were evaluated one factor at a

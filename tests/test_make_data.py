@@ -51,6 +51,11 @@ def test_extension_classes_7_and_15_are_type_b(regenerated):
     assert "extension isomorphism types: 14 classes of type a, type b at classes [7, 15]" in log
 
 
+def test_family_1_buckets_the_library_search_by_stabilizer_set(regenerated):
+    _, log = regenerated
+    assert "family 1: 11520 [0;2^5] vector classes in 48 stabilizer-set buckets" in log
+
+
 def test_free_is_constant_on_each_freeness_signature(make_data):
     # Family 1's free-data search calls free() on the first pair of each
     # signature only; that is the plain scan's result when free() is constant

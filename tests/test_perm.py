@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -346,6 +348,33 @@ def test_fingerprint_d4(d4):
     assert fp.derived_series == (8, 2, 1)
     assert fp.center_order == 2
     assert fp.class_count == 5
+
+
+# (generators as cycle lists, order, abelianization as elementary divisors)
+ABELIANIZATIONS = {
+    "z12": ([[(1, 2, 3), (4, 5, 6, 7)]], 12, (3, 4)),
+    "z4xz2": ([[(1, 2, 3, 4)], [(5, 6)]], 8, (2, 4)),
+    "z2xz6": ([[(1, 2)], [(3, 4), (5, 6, 7)]], 12, (2, 2, 3)),
+    "s4": ([[(1, 2)], [(1, 2, 3, 4)]], 24, (2,)),
+    "q8": ([[(1, 2, 3, 4), (5, 6, 7, 8)], [(1, 5, 3, 7), (2, 8, 4, 6)]], 8, (2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABELIANIZATIONS))
+def test_fingerprint_abelianization(name):
+    gens, order, abelianization = ABELIANIZATIONS[name]
+    degree = max(x for cycles in gens for cycle in cycles for x in cycle)
+    G = closure([Permutation.from_cycles(degree, cycles) for cycles in gens])
+    assert G.order == order
+    assert fingerprint(G).abelianization == abelianization
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=719), min_size=1, max_size=3))
+def test_abelianization_of_random_s6_subgroup_has_order_of_quotient(seeds):
+    sub = subgroup_generated(S6, seeds)
+    expected = sub.order // len(commutator_subgroup_members(sub))
+    assert prod(fingerprint(subgroup_as_group(sub)).abelianization) == expected
 
 
 def test_fingerprint_round_trip(d4):
