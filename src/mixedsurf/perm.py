@@ -16,14 +16,27 @@ composes raw image tuples: a product of bijections is a bijection, so the
 elements it finds are wrapped without re-checking.  It walks the BFS by
 left products g * e, each one C-level gather, and records every element's
 left step under each generator.  Integer passes along that search tree
-give the right steps e * g and the BFS parents.  The index-level Cayley
-table ``FiniteGroup.rows`` is built on its first read, from the left steps
-and the parents: the row of e_i == e_p * g is the row of e_p read through
-g's left steps, one gather over e_p's row held as a tuple of shared ints,
-so no entry is boxed; the rows are stored as two-byte arrays.
-``FiniteGroup.inverses`` follow the same parents, e_i^-1 == g^-1 * e_p^-1.
-Downstream code reads these index arrays and never composes image arrays
-in inner loops.
+give the right steps e * g and the BFS parents.
+
+Elements are looked up by a prefix key, the images of the first ``width``
+points, in the sense of a base (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*): a group that acts semiregularly, as every
+group of the pipeline does, is told apart by the image of point 1, so its
+key is a one-item tuple, not ``degree`` ints to hash.  Another
+permutation can share a key, so every hit is compared with the stored
+images in full.  When two distinct elements share one, the key is widened
+to at least twice its width and past their first differing point (to the
+whole tuple once that is more than half of it), and the index is rebuilt;
+the width only grows, up to the degree, so that happens at most
+ceil(log2(degree)) times.
+
+The index-level Cayley table ``FiniteGroup.rows`` is built on its first
+read, from the left steps and the parents: the row of e_i == e_p * g is the
+row of e_p read through g's left steps, one gather over e_p's row held as a
+tuple of shared ints, so no entry is boxed; each row is packed into a
+two-byte array by one ``struct`` call.  ``FiniteGroup.inverses`` follow the
+same parents, e_i^-1 == g^-1 * e_p^-1.  Downstream code reads these index
+arrays and never composes image arrays in inner loops.
 
 Groups of order up to a few thousand are the target.
 """
@@ -34,6 +47,7 @@ from array import array
 from functools import cached_property
 from math import lcm
 from operator import itemgetter
+from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputParseError, IntegrityError, ValidationError
@@ -154,12 +168,15 @@ class FiniteGroup:
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
                  elements: tuple[Permutation, ...], index: dict[tuple[int, ...], int],
-                 parents: tuple[tuple[int, int], ...], gen_step: list[array],
+                 width: int, parents: tuple[tuple[int, int], ...], gen_step: list[array],
                  left_step: list[array]):
         self.degree = degree
         self.generators = generators
         self.elements = elements
-        self.index = index  # image sequence -> element index
+        # images[:width] -> element index; the key is injective on the
+        # elements, but a permutation outside the group can share one.
+        self._index = index
+        self._width = width
         # parents[i] = (j, c) with elements[i] == elements[j] * generators[c];
         # parents[0] is (-1, -1) for the identity.
         self._parents = parents
@@ -175,17 +192,29 @@ class FiniteGroup:
         return self.elements[i]
 
     def index_of(self, p: Permutation) -> int:
-        try:
-            return self.index[p.images]
-        except KeyError:
-            raise ValidationError("permutation is not an element of this group") from None
+        i = self._lookup(p.images)
+        if i is None:
+            raise ValidationError("permutation is not an element of this group")
+        return i
 
     def __contains__(self, p: Permutation) -> bool:
-        return p.images in self.index
+        return self._lookup(p.images) is not None
+
+    def _lookup(self, images: tuple[int, ...]) -> int | None:
+        # The prefix finds the one candidate; only the full images decide.
+        i = self._index.get(images[:self._width])
+        if i is None or self.elements[i].images != images:
+            return None
+        return i
 
     @cached_property
     def rows(self) -> list[array]:
-        """The Cayley table: ``rows[i][j]`` is the index of e_i * e_j."""
+        """The Cayley table: ``rows[i][j]`` is the index of e_i * e_j.
+
+        Each row is an ``array("H")``, two bytes per entry, filled by one
+        ``struct`` pack of the gathered row: the array constructor would
+        convert the row one item at a time.
+        """
         n = self.order
         parents = self._parents
         if n > MAX_TABLE_ORDER:
@@ -196,12 +225,13 @@ class FiniteGroup:
         # are shared int objects, so nothing is boxed; a tuple row is kept
         # only until its last BFS child is built.
         read_left = [itemgetter(*step) for step in self._left_step]
+        pack = Struct(f"{n}H").pack
         last_child = [0] * n
         for i in range(1, n):
             last_child[parents[i][0]] = i
         live: list[tuple[int, ...] | None] = [None] * n
         live[0] = tuple(range(n))
-        rows = [array("H", live[0])]
+        rows = [array("H", pack(*live[0]))]
         for i in range(1, n):
             p, c = parents[i]
             row = read_left[c](live[p])
@@ -209,7 +239,7 @@ class FiniteGroup:
                 live[p] = None
             if last_child[i]:
                 live[i] = row
-            rows.append(array("H", row))
+            rows.append(array("H", pack(*row)))
         return rows
 
     @cached_property
@@ -285,6 +315,17 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
     search tree: if e_k == g_a * e_p then e_k * g_c == g_a * (e_p * g_c).
     The parent of each element is the first (j, c) in scan order whose
     right step reaches it from the layer before.
+
+    Products are looked up by the key ``images[:width]``, starting from
+    width 1.  A hit is compared in full with the stored tuple, since a
+    prefix does not determine a permutation; at full width the key is the
+    whole tuple and the compare is skipped.  Two distinct tuples with one
+    key widen it with :func:`_wider` to at least double, past their first
+    differing point (to the whole tuple once that is more than half of it),
+    and the index is rebuilt.  The stored keys stay distinct, since a longer
+    prefix refines them, and the width is at most the degree, so the index
+    is rebuilt at most ceil(log2(degree)) times.
+    The layer order and the sort within a layer use the full tuples.
     """
     gens = tuple(generators)
     if not gens:
@@ -301,9 +342,10 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
                for g in gens]
     ident = tuple(range(1, degree + 1))
     images: list[tuple[int, ...]] = [ident]
-    # Image sequence -> element index; a member of the layer being discovered
-    # maps to ~(its discovery number) until the layer is sorted.
-    index: dict[tuple[int, ...], int] = {ident: 0}
+    # Prefix images[:width] -> element index; a member of the layer being
+    # discovered maps to ~(its discovery number) until the layer is sorted.
+    width = min(1, degree)
+    index: dict[tuple[int, ...], int] = {ident[:width]: 0}
     # left_parents[k] = (p, a) with elements[k] == generators[a] * elements[p]
     left_parents: list[tuple[int, int]] = [(-1, -1)]
     left_step = [array("i") for _ in gens]
@@ -316,7 +358,18 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
         for a, gather in enumerate(gathers):
             found = []
             for p, prod in enumerate(map(gather, images[start:end]), start):
-                j = index.get(prod)
+                key = prod[:width]
+                j = index.get(key)
+                # A hit is the same element only if all its images agree; at
+                # full width the key is the whole tuple.  On a collision the
+                # wider key is new: the stored keys are distinct, so only
+                # `other` shared prod's narrower one.
+                if j is not None and width < degree:
+                    other = images[j] if j >= 0 else layer[~j]
+                    if other != prod:
+                        width = _wider(width, prod, other)
+                        index = _prefix_index(images, layer, width)
+                        key, j = prod[:width], None
                 if j is None:
                     if end + len(layer) >= budget:
                         raise BudgetExceeded(
@@ -324,7 +377,7 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
                             f"(at most {MAX_TABLE_ORDER} elements and "
                             f"{MAX_CLOSURE_CELLS} images in all)")
                     j = ~len(layer)
-                    index[prod] = j
+                    index[key] = j
                     layer.append(prod)
                     left_parents.append((p, a))
                 found.append(j)
@@ -335,7 +388,7 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
         final = [0] * len(layer)
         for rank, t in enumerate(order):
             final[t] = end + rank
-            index[layer[t]] = end + rank
+            index[layer[t][:width]] = end + rank
         images.extend(layer[t] for t in order)
         left_parents[end:] = [left_parents[end + t] for t in order]
         for step in left_step:
@@ -367,7 +420,28 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
                 parents[t] = (k, c)
 
     elements = tuple(map(Permutation._trusted, images))
-    return FiniteGroup(degree, gens, elements, index, tuple(parents), gen_step, left_step)
+    return FiniteGroup(degree, gens, elements, index, width, tuple(parents), gen_step,
+                       left_step)
+
+
+def _wider(width: int, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """The key width after distinct image tuples a and b shared a width-prefix:
+    at least double, and past their first differing point.  A key longer than
+    half the tuple is made the whole tuple, which costs no slice copy and no
+    compare on a hit."""
+    first = next(x for x in range(width, len(a)) if a[x] != b[x])
+    wider = max(2 * width, first + 1)
+    return wider if 2 * wider <= len(a) else len(a)
+
+
+def _prefix_index(images: list[tuple[int, ...]], layer: list[tuple[int, ...]],
+                  width: int) -> dict[tuple[int, ...], int]:
+    """closure's index rebuilt at a wider key: images[i][:width] -> i and
+    layer[t][:width] -> ~t.  A wider prefix refines the old, distinct keys,
+    so the new keys are distinct too."""
+    index = {im[:width]: i for i, im in enumerate(images)}
+    index.update((im[:width], ~t) for t, im in enumerate(layer))
+    return index
 
 
 class Subgroup:

@@ -128,7 +128,8 @@ def right_product_closure(generators: Sequence[Permutation],
         left.append(row)
 
     elements = tuple(map(Permutation._trusted, images))
-    return FiniteGroup(degree, gens, elements, index, tuple(parents), gen_step, left)
+    # The full image tuple is the key: width == degree.
+    return FiniteGroup(degree, gens, elements, index, degree, tuple(parents), gen_step, left)
 
 
 def commutator_subgroup_members(G: FiniteGroup | Subgroup) -> frozenset[int]:

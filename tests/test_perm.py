@@ -87,6 +87,36 @@ def test_index_round_trip(d4):
     assert d4.element(0).images == (1, 2, 3, 4)
 
 
+def swapped_past_key(G: FiniteGroup, i: int) -> Permutation:
+    """Element i with the images of two points past its index key swapped."""
+    images = list(G.element(i).images)
+    a = G._width + 1
+    images[a], images[a + 1] = images[a + 1], images[a]
+    return Permutation(tuple(images))
+
+
+def test_lookup_compares_all_images(bundled):
+    # The swap keeps the key, so the key finds element i and only the full
+    # images tell the permutation apart from it.  h768 is keyed by point 1;
+    # Z3 on points 3..5 of degree 8 fixes points 1 and 2 and needs three.
+    z3 = closure([Permutation((1, 2, 4, 5, 3, 6, 7, 8))])
+    assert z3._width == 3
+    for G, picks in ((bundled["h768"], (0, 1, 400, 767)), (z3, (0, 1, 2))):
+        for i in picks:
+            p = swapped_past_key(G, i)
+            assert G._index[p.images[:G._width]] == i
+            assert p not in G
+            with pytest.raises(ValidationError, match="not an element"):
+                G.index_of(p)
+
+
+def test_lookup_refuses_other_degrees(d4):
+    for images in ((1, 2, 3), (1, 2, 3, 4, 5), ()):
+        assert Permutation(images) not in d4
+        with pytest.raises(ValidationError):
+            d4.index_of(Permutation(images))
+
+
 def test_mul_matches_permutation_arithmetic(d4):
     for i in range(d4.order):
         for j in range(d4.order):
@@ -104,8 +134,8 @@ def test_cayley_table_matches_permutation_arithmetic(bundled, name):
     sample = range(G.order) if G.order <= 256 else [*range(0, G.order, 97), G.order - 1]
     for i in sample:
         e = [x - 1 for x in elements[i].images]
-        assert list(G.rows[i]) == [G.index[tuple(f.images[x] for x in e)]
-                                   for f in elements]
+        products = (Permutation._trusted(tuple(f.images[x] for x in e)) for f in elements)
+        assert list(G.rows[i]) == list(map(G.index_of, products))
     assert list(G.inverses) == [G.index_of(e.inverse()) for e in elements]
 
 
@@ -118,7 +148,7 @@ def test_cayley_table_of_the_trivial_group():
 def test_cayley_table_refuses_orders_past_two_byte_indices():
     # Closing a real group of order 2^16 + 1 or more takes seconds and
     # 100 MB, so only the element count is given; the check comes first.
-    G = FiniteGroup(1, (), range(MAX_TABLE_ORDER + 1), {}, (), [], [])
+    G = FiniteGroup(1, (), range(MAX_TABLE_ORDER + 1), {}, 1, (), [], [])
     with pytest.raises(BudgetExceeded, match="order 65537 > 65536"):
         G.rows
 
