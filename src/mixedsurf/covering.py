@@ -262,7 +262,10 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
 
     The span of the entries chosen so far is kept as a bit mask of element
     indices.  The span of ``prefix + (h,)`` depends only on the span of
-    ``prefix`` and on ``h``, so each such join is computed once per search.
+    ``prefix`` and on ``h``, so each such join is computed once per search,
+    by :func:`~mixedsurf.perm.subgroup_generated`.  Most joins are the whole
+    group, which that walk returns once it holds more than half of G
+    (Lagrange), and whose mask is the precomputed all-ones ``full``.
     The forced last entry lies in <prefix, h>, so the last free position is
     a flat loop that tests the last entry's order before the span.
 
@@ -319,7 +322,8 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
         new_span = joins.get((span, h))
         if new_span is None:
             members = subgroup_generated(G, prefix + (h,)).members
-            new_span = joins[span, h] = sum(1 << m for m in members)
+            new_span = joins[span, h] = (full if len(members) == n
+                                         else sum(1 << m for m in members))
         return new_span
 
     def centralizer_maps(f: int) -> list[array]:

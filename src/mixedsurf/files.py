@@ -61,7 +61,9 @@ def _load_json(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable path, bad UTF-8 or bad JSON
+    # An unreadable path, bad UTF-8, bad JSON, or JSON nested past the
+    # decoder's recursion limit (a 2 kB file of "[" is).
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputParseError(f"{path}: cannot read a JSON document: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputParseError(f"{path}: expected a JSON object, got {type(raw).__name__}")

@@ -15,8 +15,17 @@ outside data (a group file, a coset table, a test).  :func:`closure` then
 composes raw image tuples: a product of bijections is a bijection, so the
 elements it finds are wrapped without re-checking.  It walks the BFS by
 left products g * e, each one C-level gather, and records every element's
-left step under each generator.  Integer passes along that search tree
-give the right steps e * g and the BFS parents.
+left step under each generator.  One integer pass along that search tree,
+:func:`_right_steps`, gives the right steps e * g and the BFS parents.
+
+``closure`` is the only walk that composes image tuples.  A subgroup of a
+realized group is walked on the parent's Cayley table instead:
+:func:`subgroup_as_group` runs closure's walk with each left product read
+from a parent row, sorts each layer by the parent elements' images and
+shares closure's layer renumbering and integer pass, so it gives closure's
+group to the last index.  :func:`subgroup_generated`, the span of a few
+element indices, stops as soon as it holds more than half of the group:
+by Lagrange's theorem it is then the whole group.
 
 Elements are looked up by a prefix key, the images of the first ``width``
 points, in the sense of a base (Holt, Eick and O'Brien, *Handbook of
@@ -311,10 +320,8 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
     The search multiplies by generators on the left: layer k holds the
     products of k generators and no fewer, the same set on either side, so
     the order is the same as a search by right products.  Each left product
-    is one gather.  The right steps come from the left ones along the left
-    search tree: if e_k == g_a * e_p then e_k * g_c == g_a * (e_p * g_c).
-    The parent of each element is the first (j, c) in scan order whose
-    right step reaches it from the layer before.
+    is one gather.  The right steps and the BFS parents come from the left
+    steps, by :func:`_right_steps`.
 
     Products are looked up by the key ``images[:width]``, starting from
     width 1.  A hit is compared in full with the stored tuple, since a
@@ -385,22 +392,41 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
         # Index the new layer in lexicographic order, then resolve the steps
         # of this layer that pointed into it.
         order = sorted(range(len(layer)), key=layer.__getitem__)
-        final = [0] * len(layer)
-        for rank, t in enumerate(order):
-            final[t] = end + rank
-            index[layer[t][:width]] = end + rank
+        for rank, t in enumerate(order, end):
+            index[layer[t][:width]] = rank
         images.extend(layer[t] for t in order)
-        left_parents[end:] = [left_parents[end + t] for t in order]
-        for step in left_step:
-            step[start:end] = array("i", [final[~j] if j < 0 else j
-                                          for j in step[start:end]])
+        _settle_layer(order, start, end, left_parents, left_step)
         layer_ends.append(end)
         start = end
 
-    # Right steps in index order, so e_p's are known before e_k's; a right
-    # step out of k's layer lands in the next one, and the first such (k, c)
-    # in scan order is the BFS parent of where it lands.
-    n = len(images)
+    gen_step, parents = _right_steps(left_parents, left_step, layer_ends)
+    elements = tuple(map(Permutation._trusted, images))
+    return FiniteGroup(degree, gens, elements, index, width, parents, gen_step, left_step)
+
+
+def _settle_layer(order: list[int], start: int, end: int,
+                  left_parents: list[tuple[int, int]], left_step: list[array]) -> None:
+    """Number a new layer from ``end`` on in ``order`` (its discovery numbers
+    sorted by image tuple), in the left parents and in the left steps out of
+    the layer before, ``start:end``, which hold ~t for discovery number t."""
+    final = [0] * len(order)
+    for rank, t in enumerate(order, end):
+        final[t] = rank
+    left_parents[end:] = [left_parents[end + t] for t in order]
+    for step in left_step:
+        step[start:end] = array("i", [final[~j] if j < 0 else j for j in step[start:end]])
+
+
+def _right_steps(left_parents: list[tuple[int, int]], left_step: list[array],
+                 layer_ends: list[int]) -> tuple[list[array], tuple[tuple[int, int], ...]]:
+    """The right steps e_k * g_c and the BFS parents of a left-product walk.
+
+    If e_k == g_a * e_p then e_k * g_c == g_a * (e_p * g_c), so the right
+    steps follow the left parents, in index order, so that e_p's are known
+    before e_k's.  A right step out of k's layer lands in the next one, and
+    the first such (k, c) in scan order is the BFS parent of where it lands.
+    """
+    n = len(left_parents)
     gen_step = [array("i", [step[0]]) * n for step in left_step]
     parents: list[tuple[int, int] | None] = [None] * n
     parents[0] = (-1, -1)
@@ -418,10 +444,7 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
             t = right[k]
             if t >= end and parents[t] is None:
                 parents[t] = (k, c)
-
-    elements = tuple(map(Permutation._trusted, images))
-    return FiniteGroup(degree, gens, elements, index, width, tuple(parents), gen_step,
-                       left_step)
+    return gen_step, tuple(parents)
 
 
 def _wider(width: int, a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -482,14 +505,24 @@ class Subgroup:
 
 
 def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    """Smallest subgroup of G containing the seed element indices."""
+    """Smallest subgroup of G containing the seed element indices.
+
+    A breadth-first walk by right products with the seeds, read from G's
+    Cayley table.  By Lagrange's theorem a subgroup with more than half of
+    G's elements is G, so the walk stops after the first layer that takes
+    it past |G| // 2 and returns the whole group: the same value as the
+    full walk, for fewer lookups.  A subgroup of index 2 holds exactly half
+    and is walked to the end.
+    """
     seeds = tuple(seeds)
     for s in seeds:
         if not 0 <= s < G.order:
             raise ValidationError(f"seed index {s} out of range")
+    gens = tuple(dict.fromkeys(s for s in seeds if s != 0))
+    sub_gens = gens if gens else (0,)
+    half = G.order // 2
     members = {0}
     frontier = [0]
-    gens = tuple(dict.fromkeys(s for s in seeds if s != 0))
     rows = G.rows
     while frontier:
         nxt = []
@@ -500,17 +533,64 @@ def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
                 if j not in members:
                     members.add(j)
                     nxt.append(j)
+        if len(members) > half:
+            return Subgroup(G, tuple(range(G.order)), sub_gens)
         frontier = nxt
-    return Subgroup(G, tuple(sorted(members)), gens if gens else (0,))
+    return Subgroup(G, tuple(sorted(members)), sub_gens)
 
 
 def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
-    """Realize a subgroup as a standalone FiniteGroup (same degree, own indexing)."""
-    gens = tuple(sub.parent.element(i) for i in sub.generators)
-    grp = closure(gens, budget=sub.order + 1)
-    if grp.order != sub.order:
+    """Realize a subgroup as a standalone FiniteGroup (same degree, own indexing).
+
+    The result is ``closure`` of the parent elements at ``sub.generators``,
+    to the last index, parent and step, but its walk runs on the parent's
+    Cayley table: the left product g * e is ``parent.rows[g][e]``, and each
+    new layer is sorted by the image tuples of its parent elements.  The
+    elements are the parent's ``Permutation`` objects, and the index keeps
+    the parent's key width, which is injective on the parent's elements and
+    so on the members.  The right steps and parents come from the same
+    integer pass as closure's.
+    """
+    parent = sub.parent
+    rows, parent_elements = parent.rows, parent.elements
+    gen_rows = [rows[g] for g in sub.generators]
+    # Parent index -> own index; a member of the layer being discovered maps
+    # to ~(its discovery number) until the layer is sorted.
+    local = {0: 0}
+    members = [0]
+    left_parents: list[tuple[int, int]] = [(-1, -1)]
+    left_step = [array("i") for _ in gen_rows]
+    layer_ends: list[int] = []
+    start = 0
+    while start < len(members):
+        end = len(members)
+        layer: list[int] = []
+        for a, row in enumerate(gen_rows):
+            found = []
+            for p, x in enumerate(map(row.__getitem__, members[start:end]), start):
+                j = local.get(x)
+                if j is None:
+                    j = local[x] = ~len(layer)
+                    layer.append(x)
+                    left_parents.append((p, a))
+                found.append(j)
+            left_step[a].extend(found)
+        order = sorted(range(len(layer)), key=lambda t: parent_elements[layer[t]].images)
+        for rank, t in enumerate(order, end):
+            local[layer[t]] = rank
+        members.extend(layer[t] for t in order)
+        _settle_layer(order, start, end, left_parents, left_step)
+        layer_ends.append(end)
+        start = end
+    if len(members) != sub.order:
         raise IntegrityError("subgroup realization does not match member count")
-    return grp
+
+    gen_step, parents = _right_steps(left_parents, left_step, layer_ends)
+    elements = tuple(parent_elements[x] for x in members)
+    width = parent._width
+    index = {e.images[:width]: i for i, e in enumerate(elements)}
+    return FiniteGroup(parent.degree, tuple(parent_elements[g] for g in sub.generators),
+                       elements, index, width, parents, gen_step, left_step)
 
 
 def extend_homomorphism(src: FiniteGroup, src_gens, dst: FiniteGroup,
@@ -590,6 +670,12 @@ def derived_subgroup(G: FiniteGroup | Subgroup) -> Subgroup:
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*): start
     from those commutators and add the conjugates of the subgroup's
     generators by G's generators until conjugation adds nothing.
+
+    The result is normal, with no further check: the loop exits only when
+    every generator of G conjugates every generator of the subgroup into the
+    subgroup, so each generator of G maps the subgroup into itself, and onto
+    it, since conjugation is a bijection of a finite set; the subgroup is
+    then normalized by each generator of G and so by G.
     """
     if isinstance(G, Subgroup):
         parent, gens = G.parent, G.generators
@@ -605,12 +691,6 @@ def derived_subgroup(G: FiniteGroup | Subgroup) -> Subgroup:
         if not outside:
             break
         sub = subgroup_generated(parent, sub.generators + tuple(outside))
-    # Normality in the ambient scope: conjugation by every generating element
-    # of the ambient (sub)group must preserve the member set.
-    for g in gens:
-        for m in sub.members:
-            if parent.conj(g, m) not in sub.member_set:
-                raise IntegrityError("derived subgroup failed its normality check")
     return sub
 
 

@@ -8,6 +8,10 @@ Grammar (whitespace between tokens is ignored)::
     int    := '-'? digit+
     symbol := [A-Za-z][A-Za-z0-9_]*
 
+Parentheses nest at most ``MAX_NESTING`` deep; the parser recurses once
+per level, and a deeper word is refused with :class:`WordSyntaxError`
+before it can reach Python's recursion limit.
+
 A parsed word is a tuple of ``(symbol, exponent)`` pairs in normal form:
 adjacent pairs carry distinct symbols and every exponent is nonzero.
 Parenthesized powers are expanded (inverting reverses the factors), so
@@ -24,6 +28,7 @@ Word = tuple[tuple[str, int], ...]
 
 _TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|-?\d+|[*^()])")
 _MAX_LETTERS = 10**6
+MAX_NESTING = 100
 
 
 def normalize_word(pairs) -> Word:
@@ -74,6 +79,7 @@ class _Parser:
             pos = m.end()
         self.tokens.append(("", len(text)))
         self.cursor = 0
+        self.depth = 0  # parentheses open at the cursor
         # Pairs copied by powers of longer words: their sum over the whole
         # text is held to the letter budget too.
         self.copied = 0
@@ -117,7 +123,11 @@ class _Parser:
     def parse_atom(self) -> Word:
         tok, at = self.advance()
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise WordSyntaxError(f"parentheses nest deeper than {MAX_NESTING}", at)
+            self.depth += 1
             inner = self.parse_word()
+            self.depth -= 1
             closing, cat = self.advance()
             if closing != ")":
                 raise WordSyntaxError("expected ')'", cat)

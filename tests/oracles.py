@@ -8,10 +8,11 @@ time rather than orbit by orbit; and the D_{2,8,5} comparison group is
 built directly as a semidirect product rather than by coset enumeration;
 the commutator subgroup is generated by every commutator rather than
 as a normal closure; and generating vectors are found by testing every
-candidate tuple with ``subgroup_generated`` and deduplicated by the
-minimum over conjugation by all of G, with no shared spans and no
-centralizer argument; and the freeness conditions are tested as set
-identities, with h phi(h) tau in place of the library's (tau' h)^2; and
+candidate tuple with a plain breadth-first span that walks to the end,
+where the library's ``subgroup_generated`` stops past half of G, and
+deduplicated by the minimum over conjugation by all of G, with no shared
+spans and no centralizer argument; and the freeness conditions are tested
+as set identities, with h phi(h) tau in place of the library's (tau' h)^2; and
 group closure is a breadth-first search by right products e * g, one
 Python-level composition per edge, with each element's left steps walked
 afterwards along its BFS parents; and generator images are found by
@@ -33,7 +34,7 @@ from typing import Sequence
 from mixedsurf.covering import CoverType, GeneratingVector
 from mixedsurf.errors import BudgetExceeded, IntegrityError, ValidationError
 from mixedsurf.perm import (MAX_TABLE_ORDER, FiniteGroup, Permutation, Subgroup, closure,
-                            conjugacy_class, extend_homomorphism, subgroup_generated)
+                            conjugacy_class, extend_homomorphism)
 from mixedsurf.surface import SurfaceData
 
 
@@ -148,13 +149,22 @@ def commutator_subgroup_members(G: FiniteGroup | Subgroup) -> frozenset[int]:
         ra, ia = rows[a], inv[a]
         for b in members:
             comms.add(rows[rows[ra[b]][ia]][inv[b]])
+    return span_members(parent, comms)
+
+
+def span_members(G: FiniteGroup, seeds) -> frozenset[int]:
+    """The subgroup of G generated by the seed indices, by a plain
+    breadth-first search over right products that runs until no new
+    element turns up, with no stop at half of G."""
+    seeds = tuple(seeds)
+    rows = G.rows
     span = {0}
     frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
             row = rows[x]
-            for c in comms:
+            for c in seeds:
                 y = row[c]
                 if y not in span:
                     span.add(y)
@@ -185,7 +195,7 @@ def generating_vector_entries(G: FiniteGroup, cover_type: CoverType) -> list[tup
         entries = head + (G.inv(acc),)
         if G.order_of(entries[-1]) != cover_type.m[-1]:
             continue
-        if subgroup_generated(G, entries).order != G.order:
+        if len(span_members(G, entries)) != G.order:
             continue
         key = min(tuple(G.conj(g, h) for h in entries) for g in range(G.order))
         if key not in keys:

@@ -144,6 +144,16 @@ def test_non_integer_generator_images_are_parse_errors(tmp_path, row):
     assert run_cli("group", str(path))[0] == cli.EXIT_PARSE
 
 
+def test_deeply_nested_group_file_is_parse_error(tmp_path, data_dir):
+    # json.loads raised RecursionError on 1,000 nested "[", a traceback.
+    (tmp_path / "nested.json").write_text("[" * 1000)
+    code, text = run_cli("group", str(tmp_path / "nested.json"))
+    assert code == cli.EXIT_PARSE and "cannot read a JSON document" in text, text
+    path = _toy_surface(tmp_path, data_dir, group_file="nested.json")
+    code, text = run_cli("cone", str(path))
+    assert code == cli.EXIT_PARSE and "cannot read a JSON document" in text, text
+
+
 @pytest.mark.parametrize("field,value", [
     ("degree", "64"), ("degree", 64.0), ("degree", True),
     ("order", "64"), ("element_orders", 0.9), ("abelianization", "2"),
@@ -471,6 +481,8 @@ WORD_TEXT = st.lists(st.sampled_from(["g1", "g2", "g3", "g4", "g5", *"0123456789
 
 @settings(max_examples=100, deadline=1000)
 @given(WORD_TEXT, st.lists(WORD_TEXT, min_size=1, max_size=2), st.lists(WORD_TEXT, max_size=9))
+@example(tau_prime="(" * 1000 + "g1" + ")" * 1000, g0_generators=["g1^2"], vector=[])
+@example(tau_prime="g1", g0_generators=["(" * 101 + "g1" + ")" * 101], vector=["g1"] * 8)
 def test_fuzzed_words_exit_cleanly(tmp_path_factory, data_dir, tau_prime, g0_generators,
                                    vector):
     path = _toy_surface(tmp_path_factory.getbasetemp(), data_dir, tau_prime=tau_prime,
@@ -656,17 +668,26 @@ SWEEP_SEED, SWEEP_MUTATIONS = 13, 8
 LAST_EXPONENT = re.compile(r"\^-?\d+(?=[^^]*$)")
 
 
+def _blocks(raw: dict) -> list[dict]:
+    return [raw] + ([raw["extra_automorphisms"]] if raw["extra_automorphisms"] else [])
+
+
+def _word_slots(raw: dict) -> list[tuple]:
+    """(holder, key) of every word in a surface record."""
+    return [(raw, "tau_prime")] + [(block[key], i) for block in _blocks(raw)
+                                   for key in ("g0_generators", "vector")
+                                   if isinstance(block.get(key), list)
+                                   for i in range(len(block[key]))]
+
+
 def mutate_surface(raw: dict, rng: random.Random) -> str:
     """Apply one mutation drawn from ``rng`` to a surface record; describe it.
 
     It drops a field, swaps two words, changes an exponent (of a word or of
     the type) or points a group_file at another bundled group.
     """
-    blocks = [raw] + ([raw["extra_automorphisms"]] if raw["extra_automorphisms"] else [])
-    words = [(raw, "tau_prime")] + [(block[key], i) for block in blocks
-                                    for key in ("g0_generators", "vector")
-                                    if isinstance(block.get(key), list)
-                                    for i in range(len(block[key]))]
+    blocks = _blocks(raw)
+    words = _word_slots(raw)
     kind = rng.choice(("drop", "swap", "exponent", "group"))
     if kind == "drop":
         block = rng.choice(blocks)
@@ -691,11 +712,28 @@ def mutate_surface(raw: dict, rng: random.Random) -> str:
     return f"group_file {old} -> {block['group_file']}"
 
 
+# Nesting past the parsers' recursion: 600 parentheses around a word, and a
+# group file of 1,000 nested "[" (each used to end in a RecursionError).
+NESTED_GROUP = "nested_group.json"
+
+
+def nest_word(raw: dict, rng: random.Random) -> str:
+    holder, key = rng.choice(_word_slots(raw))
+    holder[key] = "(" * 600 + holder[key] + ")" * 600
+    return f"600 parentheses around {holder[key][600:-600]!r}"
+
+
+def nest_group_file(raw: dict, rng: random.Random) -> str:
+    rng.choice(_blocks(raw))["group_file"] = NESTED_GROUP
+    return f"group_file -> {NESTED_GROUP}"
+
+
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory, data_dir):
     out = tmp_path_factory.mktemp("sweep")
     for name in SWEEP_GROUPS:
         (out / name).write_bytes((data_dir / name).read_bytes())
+    (out / NESTED_GROUP).write_text("[" * 1000)
     return out
 
 
@@ -704,14 +742,18 @@ def test_seeded_mutations_of_bundled_surfaces_exit_cleanly(sweep_dir, data_dir, 
     rng = random.Random(f"{SWEEP_SEED}:{name}")
     text = (data_dir / f"{name}.json").read_text()
     path = sweep_dir / f"{name}.json"
-    for _ in range(SWEEP_MUTATIONS):
+    # The nesting shapes come after the seeded draws, so they leave those as
+    # they were; each must be a parse error.
+    for mutate in [mutate_surface] * SWEEP_MUTATIONS + [nest_word, nest_group_file]:
         raw = json.loads(text)
-        change = mutate_surface(raw, rng)
+        change = mutate(raw, rng)
         path.write_text(json.dumps(raw))
         start = time.perf_counter()
         code, out = run_cli("cone", str(path), "--format", "record")
         elapsed = time.perf_counter() - start
         assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION, cli.EXIT_ASSERTION,
                         cli.EXIT_MISMATCH), (change, out)
+        if mutate is not mutate_surface:
+            assert code == cli.EXIT_PARSE, (change, out)
         assert "Traceback" not in out, (change, out)
         assert elapsed < 2, (change, elapsed)

@@ -13,7 +13,7 @@ from mixedsurf.perm import (MAX_TABLE_ORDER, FiniteGroup, Permutation, closure,
                             conjugacy_class, conjugacy_classes, derived_subgroup,
                             extend_homomorphism, fingerprint, homomorphisms,
                             subgroup_as_group, subgroup_generated)
-from oracles import commutator_subgroup_members, homomorphisms_by_tuples
+from oracles import commutator_subgroup_members, homomorphisms_by_tuples, span_members
 
 BUNDLED = ("g64", "g256a", "g256b", "h768", "toy_z4_group")
 
@@ -417,6 +417,117 @@ def test_subgroup_as_group(s4):
     sub = subgroup_generated(s4, [s4.index_of(Permutation.from_cycles(4, [(1, 2, 3)]))])
     grp = subgroup_as_group(sub)
     assert grp.order == sub.order == 3
+
+
+# subgroup_generated stops once it holds more than half of G (Lagrange);
+# oracles.span_members walks every span to the end.
+
+SYMMETRIC = {n: closure([Permutation.from_cycles(n, [(1, 2)]),
+                         Permutation.from_cycles(n, [tuple(range(1, n + 1))])])
+             for n in (4, 5, 6)}
+
+
+def assert_span_matches_oracle(G: FiniteGroup, seeds) -> None:
+    assert subgroup_generated(G, seeds).members == tuple(sorted(span_members(G, seeds)))
+
+
+@st.composite
+def subgroup_seeds(draw):
+    """A subgroup of S4, S5 or S6 realized as a group, and seeds inside it."""
+    Sn = SYMMETRIC[draw(st.sampled_from((4, 5, 6)))]
+    outer = draw(st.lists(st.integers(0, Sn.order - 1), min_size=1, max_size=3))
+    G = subgroup_as_group(subgroup_generated(Sn, outer))
+    return G, draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(subgroup_seeds())
+def test_span_matches_oracle_in_random_subgroups(drawn):
+    assert_span_matches_oracle(*drawn)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_span_of_bundled_seed_sets_matches_oracle(bundled, name):
+    G = bundled[name]
+    gens = G.generator_indices
+    for seeds in (gens, gens[:1], gens[1:], [G.mul(a, b) for a in gens for b in gens]):
+        assert_span_matches_oracle(G, seeds)
+
+
+def test_span_of_index_two_subgroups_is_not_the_whole_group(s4, families):
+    # Exactly half of G: the walk must not stop early and return G.
+    three_cycles = [i for i in range(s4.order) if s4.order_of(i) == 3]
+    cases = [(s4, three_cycles)]
+    cases += [(bundle.surface.action.G0.parent, bundle.surface.action.G0.generators)
+              for bundle in families.values()]
+    for G, seeds in cases:
+        assert_span_matches_oracle(G, seeds)
+        assert 2 * subgroup_generated(G, seeds).order == G.order
+
+
+def test_span_in_the_trivial_group():
+    trivial = closure([Permutation.identity(3)])
+    assert subgroup_generated(trivial, [0]).members == (0,)
+    assert subgroup_generated(trivial, []).generators == (0,)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_span_passing_half_inside_a_layer_is_the_whole_group(n):
+    # With S_n's two generators the BFS layer sizes add up to 11 -> 16 for
+    # S4 (half is 12) and 46 -> 66 for S5 (half is 60).
+    G = SYMMETRIC[n]
+    sizes, span, frontier = [1], {0}, [0]
+    while frontier:
+        frontier = [y for y in dict.fromkeys(G.mul(x, c) for x in frontier
+                                             for c in G.generator_indices) if y not in span]
+        span.update(frontier)
+        sizes.append(len(span))
+    assert any(a <= G.order // 2 < b - 1 for a, b in zip(sizes, sizes[1:]))
+    sub = subgroup_generated(G, G.generator_indices)
+    assert sub.members == tuple(range(G.order))
+    assert sub.generators == G.generator_indices
+    assert_span_matches_oracle(G, G.generator_indices)
+
+
+# subgroup_as_group walks the parent's Cayley table; it must give closure's
+# group to the last index.
+
+def assert_same_realization(sub) -> FiniteGroup:
+    got = subgroup_as_group(sub)
+    want = closure([sub.parent.element(i) for i in sub.generators])
+    assert [e.images for e in got.elements] == [e.images for e in want.elements]
+    assert got._parents == want._parents
+    assert got._gen_step == want._gen_step
+    assert got._left_step == want._left_step
+    assert got.generator_indices == want.generator_indices
+    for i, e in enumerate(got.elements):
+        assert got.index_of(e) == want.index_of(e) == i
+    assert got._width == sub.parent._width
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(subgroup_seeds())
+def test_table_realization_matches_closure_in_random_subgroups(drawn):
+    G, seeds = drawn
+    assert_same_realization(subgroup_generated(G, seeds))
+
+
+def test_table_realization_matches_closure_on_pipeline_subgroups(bundled, families):
+    assert assert_same_realization(derived_subgroup(bundled["h768"])).order == 384
+    for k in (1, 2):
+        assert_same_realization(families[k].surface.action.G0)
+
+
+def test_table_realization_never_closes_image_tuples(monkeypatch, bundled, families):
+    def refuse(*args, **kwargs):
+        raise AssertionError("subgroup_as_group called closure")
+
+    subs = [families[2].surface.action.G0, derived_subgroup(bundled["h768"])]
+    monkeypatch.setattr(perm, "closure", refuse)
+    for sub in subs:
+        G = subgroup_as_group(sub)
+        assert G.order == sub.order and G._width == sub.parent._width
 
 
 @settings(max_examples=60, deadline=None)

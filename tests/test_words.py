@@ -118,3 +118,14 @@ def test_presentation_checks_symbols():
         Presentation(("x",), ((("y", 1),),))
     pres = Presentation.parse(("x", "y"), ["x^2", "y^3", "(x*y)^2"])
     assert len(pres.relators) == 3
+
+
+def test_nesting_is_bounded_before_the_recursion_limit():
+    # The parser recurses once per level; 600 levels used to raise
+    # RecursionError.
+    deep = words.MAX_NESTING
+    assert parse_word("(" * deep + "x" + ")" * deep, ABC) == (("x", 1),)
+    for depth in (deep + 1, 600, 5000):
+        with pytest.raises(WordSyntaxError, match="nest deeper than") as err:
+            parse_word("(" * depth + "x" + ")" * depth, ABC)
+        assert err.value.position == deep
