@@ -78,14 +78,6 @@ def build_h() -> FiniteGroup:
     return H
 
 
-def embedding(src: FiniteGroup, src_gens, dst: FiniteGroup, dst_gens) -> dict[int, int]:
-    """The injective homomorphism src_gens[i] -> dst_gens[i] on <src_gens>."""
-    img = extend_homomorphism(src, src_gens, dst, dst_gens)
-    if img is None:
-        raise IntegrityError("generator matching does not extend to an embedding")
-    return img
-
-
 def extension_pairs(G: FiniteGroup, members, gens, auts):
     """(phi, tau) with phi^2 = conj_tau and phi(tau) = tau."""
     return [(phi, tau) for phi in auts for tau in members
@@ -291,7 +283,7 @@ def make_families_2_to_5(out: Path):
     def vector_words_in_ext(ext: FiniteGroup, vec):
         # An induced vector (H-indices inside G0) in the extension, whose
         # generators g1..g3 are the images of V0.
-        to_ext = embedding(H, V0, ext, ext.generator_indices[:3])
+        to_ext = extend_homomorphism(H, V0, ext, ext.generator_indices[:3])
         return [element_word(ext, to_ext[v]) for v in vec]
 
     assignments = {
@@ -411,7 +403,7 @@ def make_family_1(out: Path):
     bad = next((Vb for Vb, Sb in vectors if not free(G0, range(n), Sb, phi, tau)), None)
     if bad is None:
         raise IntegrityError("no non-free family-1 vector found")
-    to_ext = embedding(G0, V[:4], G, G.generator_indices[:4])
+    to_ext = extend_homomorphism(G0, V[:4], G, G.generator_indices[:4])
     bad_words = [element_word(G, to_ext[x]) for x in bad]
     record = {
         "name": "family1-nonfree",

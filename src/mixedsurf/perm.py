@@ -53,6 +53,7 @@ Groups of order up to a few thousand are the target.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from functools import cached_property
 from math import lcm
 from operator import itemgetter
@@ -470,7 +471,7 @@ def _prefix_index(images: list[tuple[int, ...]], layer: list[tuple[int, ...]],
 class Subgroup:
     """A subgroup given by sorted member indices of its parent group; immutable."""
 
-    __slots__ = ("parent", "members", "generators", "member_set")
+    __slots__ = ("parent", "members", "generators")
 
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...],
                  generators: tuple[int, ...]):
@@ -480,7 +481,6 @@ class Subgroup:
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "member_set", frozenset(members))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -501,7 +501,9 @@ class Subgroup:
         return len(self.members)
 
     def __contains__(self, i: int) -> bool:
-        return i in self.member_set
+        members = self.members
+        k = bisect_left(members, i)
+        return k < len(members) and members[k] == i
 
 
 def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
@@ -593,17 +595,24 @@ def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
                        elements, index, width, parents, gen_step, left_step)
 
 
+_NOT_AN_EMBEDDING = "generator matching does not extend to an injective homomorphism"
+
+
 def extend_homomorphism(src: FiniteGroup, src_gens, dst: FiniteGroup,
-                        dst_gens) -> dict[int, int] | None:
-    """Extend src_gens[i] -> dst_gens[i] multiplicatively over <src_gens>.
+                        dst_gens) -> dict[int, int]:
+    """The injective homomorphism src_gens[i] -> dst_gens[i] on <src_gens>.
 
     Walks <src_gens> breadth first, setting img(x s) = img(x) t for every
     generator pair (s, t).  When no element gets two different images this
     is a homomorphism: every y in the span is a positive word w in the
-    generators, so img(x y) = img(x) img(w) by induction on w.  Returns the
-    map as a dict on the span, or None when the matching is not well defined
-    or the map is not injective.
+    generators, so img(x y) = img(x) img(w) by induction on w.  Its image is
+    then <dst_gens>, and an injective one keeps every element's order.
+    Returns the map as a dict on the span.  Raises ValidationError when the
+    two lists have different lengths, or the matching is not well defined or
+    not injective.
     """
+    if len(src_gens) != len(dst_gens):
+        raise ValidationError("generator lists have different lengths")
     src_rows, dst_rows = src.rows, dst.rows
     pairs = tuple(zip(src_gens, dst_gens))
     img = {0: 0}
@@ -619,10 +628,10 @@ def extend_homomorphism(src: FiniteGroup, src_gens, dst: FiniteGroup,
                     img[y] = iy
                     nxt.append(y)
                 elif known != iy:
-                    return None
+                    raise ValidationError(_NOT_AN_EMBEDDING)
         frontier = nxt
     if len(set(img.values())) != len(img):
-        return None
+        raise ValidationError(_NOT_AN_EMBEDDING)
     return img
 
 
@@ -631,9 +640,10 @@ def homomorphisms(src: FiniteGroup, src_gens, dst: FiniteGroup,
     """Every injective homomorphism of <src_gens> into dst with generator images in pool.
 
     Yields the maps of :func:`extend_homomorphism` in lexicographic order of
-    the image tuple.  An image t_k is dropped when t_k, t_1..t_k or some
-    t_i t_k has another order than the same product of source generators;
-    so when s_1..s_k is the identity, t_k is forced to be (t_1..t_{k-1})^-1.
+    the image tuple, skipping each leaf whose matching it rejects.  An image
+    t_k is dropped when t_k, t_1..t_k or some t_i t_k has another order than
+    the same product of source generators; so when s_1..s_k is the identity,
+    t_k is forced to be (t_1..t_{k-1})^-1.
     """
     gens = tuple(src_gens)
     orders, rows, inv = dst.orders, dst.rows, dst.inverses
@@ -652,9 +662,11 @@ def homomorphisms(src: FiniteGroup, src_gens, dst: FiniteGroup,
         chosen, product = stack.pop()
         k = len(chosen)
         if k == len(gens):
-            img = extend_homomorphism(src, gens, dst, chosen)
-            if img is not None:
-                yield img
+            try:
+                img = extend_homomorphism(src, gens, dst, chosen)
+            except ValidationError:
+                continue
+            yield img
             continue
         options = candidates[k] if prefix_orders[k] > 1 else sorted(allowed[k] & {inv[product]})
         row = rows[product]
@@ -687,7 +699,7 @@ def derived_subgroup(G: FiniteGroup | Subgroup) -> Subgroup:
                                       for a in gens for b in gens])
     while True:
         outside = sorted({rows[rows[g][m]][inv[g]] for g in gens for m in sub.generators}
-                         - sub.member_set)
+                         - set(sub.members))
         if not outside:
             break
         sub = subgroup_generated(parent, sub.generators + tuple(outside))

@@ -37,6 +37,13 @@ class MixedAction(NamedTuple):
 
 
 def build_mixed_action(G: FiniteGroup, G0: Subgroup, tau_prime: int) -> MixedAction:
+    """Check G0 and tau' and materialize tau and phi.
+
+    Once G0 has index 2 in G and tau' lies outside it, nothing more needs
+    checking: an index-2 subgroup is normal and G/G0 is Z2, so
+    tau = tau'^2 lies in G0, conjugation by tau' maps G0 onto itself, and
+    phi^2 is conjugation by tau'^2 = tau.
+    """
     if G0.parent is not G:
         raise ValidationError("G0 must be a subgroup of G")
     if 2 * G0.order != G.order:
@@ -47,14 +54,7 @@ def build_mixed_action(G: FiniteGroup, G0: Subgroup, tau_prime: int) -> MixedAct
     if tau_prime in G0:
         raise ValidationError("tau' must lie outside G0")
     tau = G.mul(tau_prime, tau_prime)
-    if tau not in G0:
-        raise IntegrityError("tau'^2 landed outside G0; G0 is not index 2")
     phi = {h: G.conj(tau_prime, h) for h in G0.members}
-    if set(phi.values()) != set(G0.members):
-        raise IntegrityError("conjugation by tau' does not preserve G0")
-    for h in G0.members:
-        if phi[phi[h]] != G.conj(tau, h):
-            raise IntegrityError("phi^2 differs from conjugation by tau")
     return MixedAction(G, G0, tau_prime, tau, phi)
 
 
@@ -186,42 +186,21 @@ def _check_induced(H: FiniteGroup, entries, orders, target: Subgroup, label: str
     for x in entries:
         if x not in target:
             raise ValidationError(f"induced {label} vector: entry outside the target subgroup")
-    if subgroup_generated(H, entries).member_set != target.member_set:
+    if subgroup_generated(H, entries).members != target.members:
         raise ValidationError(f"induced {label} vector does not generate the target subgroup")
 
 
 def transport_embedding(src: FiniteGroup, src_gens, dst: FiniteGroup, dst_gens) -> dict[int, int]:
-    """Extend src_gens[i] -> dst_gens[i] multiplicatively to an isomorphism.
+    """The isomorphism of src onto <dst_gens> that sends src_gens[i] to dst_gens[i].
 
-    Verifies the extension is a homomorphism on every pair of elements and a
-    bijection onto the subgroup generated by ``dst_gens``.
+    :func:`~mixedsurf.perm.extend_homomorphism` builds it on <src_gens>, or
+    raises ValidationError; it is then a homomorphism, injective, and onto
+    <dst_gens>.  What is left to check is that src_gens generate src, since
+    callers read the map at every element of src.
     """
-    if len(src_gens) != len(dst_gens):
-        raise ValidationError("generator lists have different lengths")
-    for s, t in zip(src_gens, dst_gens):
-        if src.order_of(s) != dst.order_of(t):
-            raise ValidationError(
-                f"entry orders mismatch: {src.order_of(s)} vs {dst.order_of(t)}")
-    span = subgroup_generated(dst, dst_gens)
-    if span.order != src.order:
-        raise ValidationError(
-            f"targets generate a subgroup of order {span.order}, expected {src.order}")
-    if subgroup_generated(src, src_gens).order != src.order:
-        raise ValidationError("source entries do not generate the source group")
-
     img = extend_homomorphism(src, src_gens, dst, dst_gens)
-    if img is None:
-        raise ValidationError("generator matching does not extend to an injective homomorphism")
-    # Row x of the check: img(x y) is img gathered at src row x, and
-    # img(x) img(y) is dst row img(x) gathered at the images.
-    images = [img[y] for y in range(src.order)]
-    for x, row in enumerate(src.rows):
-        dst_row = dst.rows[images[x]]
-        if list(map(images.__getitem__, row)) != list(map(dst_row.__getitem__, images)):
-            y = next(y for y in range(src.order) if images[row[y]] != dst_row[images[y]])
-            raise ValidationError(
-                "generator matching does not extend to a homomorphism "
-                f"(failure at pair ({x}, {y}))")
+    if len(img) != src.order:
+        raise ValidationError("source entries do not generate the source group")
     return img
 
 

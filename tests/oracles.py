@@ -18,10 +18,14 @@ Python-level composition per edge, with each element's left steps walked
 afterwards along its BFS parents; and generator images are found by
 extending every tuple of candidates, with no pruning, and isomorphism of
 extension groups by a search over generator images of the whole group,
-without G0; and words are evaluated on permutations, one multiplication
-per unit of exponent, where the library multiplies element indices and
-reduces exponents modulo |G|; and the orbit-divisor pairing sums over every
-pair of graphs, where the library reads one representative per orbit.
+without G0; and a generator matching is extended by a plain breadth-first
+walk and then checked on all |span|^2 products, where the library's
+``extend_homomorphism`` checks each new step as it walks and leans on an
+induction over words for the rest; and words are evaluated on
+permutations, one multiplication per unit of exponent, where the library
+multiplies element indices and reduces exponents modulo |G|; and the
+orbit-divisor pairing sums over every pair of graphs, where the library
+reads one representative per orbit.
 """
 
 from __future__ import annotations
@@ -330,12 +334,47 @@ def semidirect_z8_z2_r5() -> FiniteGroup:
     return group
 
 
+def embedding_by_bfs(src: FiniteGroup, src_gens, dst: FiniteGroup, dst_gens):
+    """The map src_gens[i] -> dst_gens[i] on <src_gens> when it is an
+    injective homomorphism, else None.
+
+    The generators are mapped first, each to one image; a plain
+    breadth-first walk then gives every other element of the span the image
+    along the first word that reaches it.  The map is checked for
+    injectivity and on all |span|^2 products.
+    """
+    if len(src_gens) != len(dst_gens):
+        return None
+    pairs = list(zip(src_gens, dst_gens))
+    img = {0: 0}
+    for s, t in pairs:
+        if img.setdefault(s, t) != t:
+            return None
+    queue = list(img)
+    for x in queue:
+        for s, t in pairs:
+            y = src.mul(x, s)
+            if y not in img:
+                img[y] = dst.mul(img[x], t)
+                queue.append(y)
+    if len(set(img.values())) != len(img) or first_broken_product(src, dst, img) is not None:
+        return None
+    return img
+
+
+def first_broken_product(src: FiniteGroup, dst: FiniteGroup, img: dict):
+    """The first pair (x, y) of the domain of img with img(x y) != img(x) img(y),
+    or None when img is a homomorphism; the domain must be a subgroup."""
+    return next(((x, y) for x in img for y in img
+                 if img[src.mul(x, y)] != dst.mul(img[x], img[y])), None)
+
+
 def homomorphisms_by_tuples(src: FiniteGroup, src_gens, dst: FiniteGroup, pool):
     """Every injective homomorphism of <src_gens> into dst with generator
     images in pool, by extending every image tuple in lexicographic order."""
     out = []
     for images in product(sorted(set(pool)), repeat=len(src_gens)):
-        img = extend_homomorphism(src, src_gens, dst, images)
+        img = embedding_by_bfs(src, src_gens, dst, images)
         if img is not None:
             out.append(img)
     return out
@@ -381,8 +420,13 @@ def iso_test(GA: FiniteGroup, GB: FiniteGroup) -> bool:
                     continue
                 if word_ord(GB, [t1, t2, t3, t4], (1, 1, 3)) != cons[(1, 1, 3)]:
                     continue
-                if extend_homomorphism(GA, gA, GB, (t1, t2, t3, t4)) is not None:
-                    return True
+                try:
+                    img = extend_homomorphism(GA, gA, GB, (t1, t2, t3, t4))
+                except ValidationError:
+                    continue
+                if embedding_by_bfs(GA, gA, GB, (t1, t2, t3, t4)) != img:
+                    raise IntegrityError("extend_homomorphism disagrees with embedding_by_bfs")
+                return True
     return False
 
 

@@ -156,6 +156,15 @@ def test_verdict_monotone_under_added_divisors(family1):
     assert cone_report(bigger).verdict == VERDICT_MORI_DREAM
 
 
+def test_numerical_classes_rejects_a_singular_basis_pair():
+    # numerical_classes takes any basis; (1, 1) pairs D_1 with itself.
+    table = _synthetic_table([[0, 2], [2, 0]])
+    with pytest.raises(ValidationError, match="basis pairing is singular"):
+        numerical_classes(table, (1, 1))
+    assert [c.coordinates for c in numerical_classes(table, (1, 2))] == [
+        (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]
+
+
 def test_numerical_classes_partition_failure_is_integrity_error(family1, monkeypatch):
     # A class that loses a member no longer covers every label.
     monkeypatch.setattr(cone, "NumericalClass",

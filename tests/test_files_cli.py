@@ -64,6 +64,21 @@ def test_non_bijective_generator_is_parse_error(tmp_path):
     assert code == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("generators,message", [
+    ([], "group file lists no generators"),
+    (5, "malformed group file"),
+])
+def test_group_file_without_a_generator_list_is_parse_error(tmp_path, data_dir, generators,
+                                                            message):
+    raw = json.loads((data_dir / "toy_z4_group.json").read_text())
+    raw["generators"] = generators
+    path = tmp_path / "no_generators.json"
+    path.write_text(json.dumps(raw))
+    code, text = run_cli("group", str(path))
+    assert code == cli.EXIT_PARSE
+    assert message in text
+
+
 TRIVIAL_FINGERPRINT = {"order": 1, "element_orders": [[1, 1]], "abelianization": [],
                        "derived_series": [1], "center_order": 1, "class_count": 1}
 
@@ -616,6 +631,16 @@ def test_malformed_surface_fields_are_parse_errors(tmp_path, data_dir, field, va
         load_surface_record(path)
     code, text = run_cli("surface", str(path))
     assert code == cli.EXIT_PARSE, text
+
+
+def test_extra_vector_of_two_words_is_parse_error(tmp_path, data_dir):
+    raw = json.loads((data_dir / "family2.json").read_text())
+    raw["extra_automorphisms"]["vector"] = raw["extra_automorphisms"]["vector"][:2]
+    path = tmp_path / "family2_short.json"
+    path.write_text(json.dumps(raw))
+    code, text = run_cli("surface", str(path))
+    assert code == cli.EXIT_PARSE
+    assert "extra-automorphism vector needs 3 words" in text
 
 
 SURFACE_FIELDS = ("name", "group_file", "g0_generators", "tau_prime", "vector", "type",

@@ -228,13 +228,13 @@ def test_derived_subgroup_d4_is_center(d4):
 
 def test_derived_subgroup_matches_oracle_small(d4, s4):
     for G in (d4, s4):
-        assert derived_subgroup(G).member_set == commutator_subgroup_members(G)
+        assert frozenset(derived_subgroup(G).members) == commutator_subgroup_members(G)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_derived_subgroup_matches_oracle_bundled(bundled, name):
     G = bundled[name]
-    assert derived_subgroup(G).member_set == commutator_subgroup_members(G)
+    assert frozenset(derived_subgroup(G).members) == commutator_subgroup_members(G)
 
 
 def test_h768_derived_series_matches_oracle(bundled):
@@ -242,7 +242,7 @@ def test_h768_derived_series_matches_oracle(bundled):
     orders = [current.order]
     while orders[-1] > 1:
         nxt = derived_subgroup(current)
-        assert nxt.member_set == commutator_subgroup_members(current)
+        assert frozenset(nxt.members) == commutator_subgroup_members(current)
         orders.append(nxt.order)
         current = nxt
     assert orders == [768, 384, 128, 8, 1]
@@ -252,7 +252,7 @@ def test_h768_derived_series_matches_oracle(bundled):
 @given(st.lists(st.integers(min_value=0, max_value=719), min_size=1, max_size=3))
 def test_derived_subgroup_of_random_s6_subgroup_matches_oracle(seeds):
     sub = subgroup_generated(S6, seeds)
-    assert derived_subgroup(sub).member_set == commutator_subgroup_members(sub)
+    assert frozenset(derived_subgroup(sub).members) == commutator_subgroup_members(sub)
 
 
 # Klein four-group <a, b> with a = (1 2), b = (3 4).
@@ -265,15 +265,26 @@ S4 = closure([Permutation.from_cycles(4, [(1, 2)]),
 
 def test_extend_homomorphism_rejects_non_homomorphic_matching():
     # a b = ab, but the images multiply to b, not to the image a of ab.
-    assert extend_homomorphism(V4, (A, B, AB), V4, (A, B, A)) is None
+    with pytest.raises(ValidationError, match="injective homomorphism"):
+        extend_homomorphism(V4, (A, B, AB), V4, (A, B, A))
 
 
 def test_extend_homomorphism_rejects_non_injective_matching():
     # a -> a, b -> a is a homomorphism V4 -> V4 with kernel {1, ab}.
-    assert extend_homomorphism(V4, (A, B), V4, (A, A)) is None
+    with pytest.raises(ValidationError, match="injective homomorphism"):
+        extend_homomorphism(V4, (A, B), V4, (A, A))
     z4 = closure([Permutation.from_cycles(4, [(1, 2, 3, 4)])])
     g = z4.generator_indices[0]
-    assert extend_homomorphism(z4, (g,), z4, (z4.mul(g, g),)) is None
+    with pytest.raises(ValidationError, match="injective homomorphism"):
+        extend_homomorphism(z4, (g,), z4, (z4.mul(g, g),))
+
+
+def test_extend_homomorphism_rejects_lists_of_different_lengths():
+    # zip would cut (A, B, AB) short to (A, B) and accept the identity on V4.
+    with pytest.raises(ValidationError, match="different lengths"):
+        extend_homomorphism(V4, (A, B, AB), V4, (A, B))
+    with pytest.raises(ValidationError, match="different lengths"):
+        extend_homomorphism(V4, (A, B), V4, (A, B, AB))
 
 
 def test_extend_homomorphism_on_a_subgroup_span(bundled):
@@ -304,17 +315,19 @@ def test_extend_homomorphism_matches_graph_subgroup_oracle(picks, conjugate):
     # Random targets rarely embed, so half the cases conjugate the sources.
     src_gens, g = picks[:2], picks[2]
     dst_gens = [S4.conj(g, s) for s in src_gens] if conjugate else picks[3:]
-    img = extend_homomorphism(S4, src_gens, S4, dst_gens)
     graph = closure([_pair(S4.element(s), S4.element(t)) for s, t in zip(src_gens, dst_gens)])
     span_s = subgroup_generated(S4, src_gens)
     embeds = graph.order == span_s.order == subgroup_generated(S4, dst_gens).order
-    assert (img is not None) == embeds
-    if img is not None:
-        assert sorted(img) == list(span_s.members)
-        assert len(set(img.values())) == len(img)
-        for x in img:
-            for y in img:
-                assert img[S4.mul(x, y)] == S4.mul(img[x], img[y])
+    if not embeds:
+        with pytest.raises(ValidationError, match="injective homomorphism"):
+            extend_homomorphism(S4, src_gens, S4, dst_gens)
+        return
+    img = extend_homomorphism(S4, src_gens, S4, dst_gens)
+    assert sorted(img) == list(span_s.members)
+    assert len(set(img.values())) == len(img)
+    for x in img:
+        for y in img:
+            assert img[S4.mul(x, y)] == S4.mul(img[x], img[y])
 
 
 def test_homomorphisms_match_tuple_oracle(d4, s4):
@@ -537,11 +550,15 @@ def test_random_subgroups_satisfy_lagrange(seeds):
                   Permutation.from_cycles(4, [(1, 2, 3, 4)])])
     sub = subgroup_generated(s4, seeds)
     assert s4.order % sub.order == 0
+    members = frozenset(sub.members)
     # closed under multiplication and inversion
     for a in sub.members[:6]:
-        assert s4.inv(a) in sub.member_set
+        assert s4.inv(a) in members
         for b in sub.members[:6]:
-            assert s4.mul(a, b) in sub.member_set
+            assert s4.mul(a, b) in members
+    # membership by bisection over the sorted members
+    assert [i in sub for i in range(-1, s4.order + 1)] == [
+        i in members for i in range(-1, s4.order + 1)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from mixedsurf.covering import CoverType
 from mixedsurf.errors import IntegrityError, ValidationError
 from mixedsurf.files import build_surface, load_group
-from mixedsurf.perm import Permutation, closure, extend_homomorphism, subgroup_generated
+from mixedsurf.perm import Permutation, closure, subgroup_generated
 from mixedsurf.surface import (assemble_surface, build_mixed_action,
                                check_free_action, derive_induced_vectors,
                                fixed_curve_witness, invariants_from,
                                isolated_point_witness, transport_embedding)
-from oracles import free_pair
+from oracles import embedding_by_bfs, first_broken_product, free_pair
 
 
 @pytest.fixture(scope="module")
@@ -247,23 +247,30 @@ def test_transport_rejects_non_homomorphic_matching(family1):
             assert img[g0.mul(x, y)] == g0.mul(img[x], img[y])
 
 
-def test_transport_names_the_first_pair_a_swapped_image_breaks(family1, monkeypatch):
-    # The bijection check passes a map with two images swapped; only the
-    # all-pairs homomorphism check can reject it.
-    g0 = family1.surface.g0_group
-    entries = family1.surface.covering.vector.entries
+def _transported(bundle):
+    """The embedding of family 2-5's G0 into H, rebuilt as assemble_surface builds it."""
+    S = bundle.surface
+    g0, H = S.g0_group, S.h_group
+    tower = derive_induced_vectors(H, *S.h_covering.vector.entries)
+    return g0, S.covering.vector.entries, H, tower.second
 
-    def swapped(*args):
-        img = extend_homomorphism(*args)
-        img[1], img[2] = img[2], img[1]
-        return img
 
-    monkeypatch.setattr("mixedsurf.surface.extend_homomorphism", swapped)
-    img = swapped(g0, entries, g0, entries)
-    first = next((x, y) for x in range(g0.order) for y in range(g0.order)
-                 if img[g0.mul(x, y)] != g0.mul(img[x], img[y]))
-    with pytest.raises(ValidationError, match=rf"failure at pair \({first[0]}, {first[1]}\)"):
-        transport_embedding(g0, entries, g0, entries)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_transport_passes_the_all_pairs_oracle(families, k):
+    g0, entries, H, targets = _transported(families[k])
+    img = transport_embedding(g0, entries, H, targets)
+    assert sorted(img) == list(range(g0.order))
+    assert first_broken_product(g0, H, img) is None
+    assert img == embedding_by_bfs(g0, entries, H, targets)
+
+
+def test_all_pairs_oracle_rejects_two_swapped_images(family2):
+    # Swapping two images keeps the map injective; only the products show it.
+    g0, entries, H, targets = _transported(family2)
+    img = dict(transport_embedding(g0, entries, H, targets))
+    img[1], img[2] = img[2], img[1]
+    assert len(set(img.values())) == g0.order
+    assert first_broken_product(g0, H, img) is not None
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +290,13 @@ def test_transport_rejects_non_injective_matching(v4):
     a, b = v4.generator_indices
     with pytest.raises(ValidationError):
         transport_embedding(v4, (a, b), v4, (a, a))
+
+
+def test_transport_rejects_entries_that_do_not_generate_the_source(v4):
+    # a -> a embeds <a>, but the map must cover all of V4.
+    a, _ = v4.generator_indices
+    with pytest.raises(ValidationError, match="do not generate the source group"):
+        transport_embedding(v4, (a,), v4, (a,))
 
 
 def test_assemble_rejects_entries_outside_g0(z4):
