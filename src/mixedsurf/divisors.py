@@ -108,19 +108,27 @@ class IntersectionTable(NamedTuple):
         return self.pairing[label_i - 1][label_j - 1]
 
     def rank(self) -> int:
-        rows = [[Fraction(x) for x in row] for row in self.pairing]
-        rank = 0
-        ncols = len(rows)
-        for col in range(ncols):
-            pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        """Rank of the pairing, by fraction-free elimination (Bareiss 1968).
+
+        Each step replaces every row below the pivot row by its 2x2 minors
+        with the pivot row, divided by the previous pivot.  By Sylvester's
+        identity every entry is then a minor of the pairing, so the division
+        is exact and the arithmetic stays in integers.
+        """
+        rows = [list(row) for row in self.pairing]
+        rank, previous = 0, 1
+        for col in range(len(rows[0]) if rows else 0):
+            pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
             if pivot is None:
                 continue
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            head = rows[rank][col]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col] != 0:
-                    factor = rows[r][col] / head
-                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+            head = rows[rank]
+            p = head[col]
+            for r in range(rank + 1, len(rows)):
+                row = rows[r]
+                a = row[col]
+                rows[r] = [(p * x - a * y) // previous for x, y in zip(row, head)]
+            previous = p
             rank += 1
         return rank
 
@@ -180,6 +188,7 @@ def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
         if (table.kdot[i] + table.pairing[i][i]) % 2 != 0:
             raise IntegrityError(
                 f"adjunction parity fails for divisor {divisors[i].label}")
-    if table.rank() > 2:
-        raise IntegrityError(f"pairing matrix has rank {table.rank()} > 2")
+    rank = table.rank()
+    if rank > 2:
+        raise IntegrityError(f"pairing matrix has rank {rank} > 2")
     return table

@@ -13,6 +13,17 @@ Group file (JSON, UTF-8) -- field names are part of the format contract::
 
 Generators are addressed in word expressions as g1, g2, ... in file order.
 
+:func:`load_group` keeps the groups it realizes, so a process that loads a
+group file again and again closes, tabulates and fingerprints its group
+twice, not on every load.  The key is the file's generator tuple: its
+content, never its path.  A group is kept on its second request; the first
+is only noted, by the hash of the generators, so a one-shot process keeps
+nothing.  The oldest kept groups are dropped while the images they hold
+(order times degree, summed) exceed ``perm.MAX_CLOSURE_CELLS``.  Every load
+still parses the file and checks its claimed fingerprint, so a file with a
+wrong claim is refused on every load, kept group or not.
+:func:`realize_group` keeps nothing.
+
 Surface file (JSON, UTF-8)::
 
     {
@@ -35,6 +46,7 @@ import json
 from pathlib import Path
 from typing import NamedTuple
 
+from . import perm
 from .cone import ConeReport, cone_report
 from .covering import CoverType, parse_cover_type, search_generating_vectors
 from .divisors import IntersectionTable, graph_orbits, intersection_table
@@ -109,21 +121,49 @@ def realize_group(record: GroupFile) -> FiniteGroup:
     return closure(record.generators)
 
 
-def verify_group(record: GroupFile, group: FiniteGroup) -> GroupFingerprint:
-    """Recompute the fingerprint and compare with the file's expectation."""
-    computed = fingerprint(group)
+def verify_group(record: GroupFile, computed: GroupFingerprint):
+    """Raise :class:`MismatchError` unless the computed fingerprint is the
+    file's claimed one."""
     if computed != record.fingerprint:
         raise MismatchError(
             f"fingerprint mismatch for {record.name}: computed {computed}, "
             f"file claims {record.fingerprint}")
-    return computed
+
+
+# Groups kept by load_group, by generator tuple, oldest first, each with its
+# computed fingerprint; and the hashes of generator tuples requested once.
+_realized: dict[tuple[Permutation, ...], tuple[FiniteGroup, GroupFingerprint]] = {}
+_requested: set[int] = set()
 
 
 def load_group(path: str | Path) -> tuple[FiniteGroup, GroupFile]:
+    """The group a group file generates, checked against its claimed fingerprint.
+
+    A group kept from earlier loads is not realized again (see the module
+    docstring); the claim is checked on every load.
+    """
     record = load_group_record(path)
-    group = realize_group(record)
-    verify_group(record, group)
+    kept = _realized.get(record.generators)
+    if kept is None:
+        group = realize_group(record)
+        kept = group, fingerprint(group)
+        _keep(record.generators, kept)
+    group, computed = kept
+    verify_group(record, computed)
     return group, record
+
+
+def _keep(generators: tuple[Permutation, ...],
+          kept: tuple[FiniteGroup, GroupFingerprint]):
+    """Note a first request; keep the group on the second, within the budget."""
+    key = hash(generators)
+    if key not in _requested:
+        _requested.add(key)
+        return
+    _requested.discard(key)
+    _realized[generators] = kept
+    while sum(g.order * g.degree for g, _ in _realized.values()) > perm.MAX_CLOSURE_CELLS:
+        del _realized[next(iter(_realized))]
 
 
 def save_group_file(path: str | Path, name: str, claimed_id: str, group: FiniteGroup,

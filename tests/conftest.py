@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import mixedsurf
+from mixedsurf import files
 from mixedsurf.files import FamilyBundle, run_pipeline
 from mixedsurf.perm import FiniteGroup, Permutation, closure
 
@@ -33,6 +34,15 @@ def families(data_dir, family1, family2) -> dict[int, FamilyBundle]:
     for k in (3, 4, 5):
         out[k] = run_pipeline(data_dir / f"family{k}.json")
     return out
+
+
+@pytest.fixture
+def fresh_group_memo(monkeypatch) -> dict:
+    """An empty group memo for ``files.load_group``; the process's own memo is
+    put back after the test.  The fixture's value is the dict of kept groups."""
+    monkeypatch.setattr(files, "_realized", {})
+    monkeypatch.setattr(files, "_requested", set())
+    return files._realized
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,9 @@ induction over words for the rest; and words are evaluated on
 permutations, one multiplication per unit of exponent, where the library
 multiplies element indices and reduces exponents modulo |G|; and the
 orbit-divisor pairing sums over every pair of graphs, where the library
-reads one representative per orbit.
+reads one representative per orbit; and the rank of a matrix is found by
+Gauss-Jordan elimination over ``Fraction``s, where the library eliminates
+fraction-free in integers.
 """
 
 from __future__ import annotations
@@ -269,6 +271,24 @@ def pairing_by_double_sum(orbits, S: SurfaceData) -> tuple[tuple[int, ...], ...]
                 raise IntegrityError(f"D_{di.label}.D_{divisors[j].label} is non-integral: {val}")
             pairing[i][j] = pairing[j][i] = int(val)
     return tuple(map(tuple, pairing))
+
+
+def rank_by_fractions(matrix) -> int:
+    """Rank of an integer matrix by Gauss-Jordan elimination over ``Fraction``s."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        head = rows[rank][col]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col] / head
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 class CosetFiberOracle:

@@ -3,9 +3,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import CosetFiberOracle, act_on_graph, pairing_by_double_sum
-from mixedsurf.divisors import OrbitDivisor, intersection_table
+from oracles import CosetFiberOracle, act_on_graph, pairing_by_double_sum, rank_by_fractions
+from mixedsurf.divisors import IntersectionTable, OrbitDivisor, intersection_table
 from mixedsurf.errors import IntegrityError, ValidationError
 from mixedsurf.files import run_pipeline
 
@@ -155,6 +157,38 @@ def test_rank_two_and_hodge_index(family1, family2):
         i, j = basis
         det = table.entry(i, i) * table.entry(j, j) - table.entry(i, j) ** 2
         assert det < 0  # signature (1,1) on the rank-2 reduction
+
+
+def _table(pairing) -> IntersectionTable:
+    divisors = tuple(OrbitDivisor(i + 1, (i,)) for i in range(len(pairing)))
+    return IntersectionTable(divisors, tuple(map(tuple, pairing)), (0,) * len(pairing), 1, 1)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 16 x 16, many of them rank-deficient: some rows
+    are combinations of others and some columns are zero."""
+    nrows = draw(st.integers(1, 16))
+    ncols = draw(st.integers(1, 16))
+    entry = st.integers(-50, 50)
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            for _ in range(draw(st.integers(1, nrows)))]
+    while len(rows) < nrows:
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(entry), draw(entry)
+        rows.insert(draw(st.integers(0, len(rows))), [s * x + t * y for x, y in zip(a, b)])
+    zero = draw(st.sets(st.integers(0, ncols - 1)))
+    return [[0 if c in zero else x for c, x in enumerate(row)] for row in rows]
+
+
+@given(integer_matrices())
+def test_rank_matches_elimination_over_fractions(matrix):
+    assert _table(matrix).rank() == rank_by_fractions(matrix)
+
+
+def test_rank_of_bundled_tables_matches_elimination_over_fractions(families):
+    for bundle in families.values():
+        assert bundle.table.rank() == rank_by_fractions(bundle.table.pairing) == 2
 
 
 def test_orbits_closed_under_both_action_formulas(family1, family2):

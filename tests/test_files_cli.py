@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixedsurf import cli, expected, files
+from mixedsurf import cli, expected, files, perm
 from mixedsurf.errors import InputParseError, IntegrityError, MismatchError
 from mixedsurf.files import (load_group, load_group_record, load_surface_record,
                              resolve_word, save_group_file)
@@ -95,13 +95,16 @@ def test_trivial_degree_group_files(tmp_path, degree):
     assert "fingerprint: match" in text
 
 
+# S9 has 362,880 elements, whose closure takes about 3 s and 200 MB; it stops
+# at MAX_TABLE_ORDER elements instead.
+S9_FILE = {"name": "S9", "claimed_id": "S9", "degree": 9,
+           "generators": [[*range(2, 10), 1], [2, 1, *range(3, 10)]],
+           "fingerprint": TRIVIAL_FINGERPRINT, "provenance": "test"}
+
+
 def test_group_past_the_table_bound_exits_3_quickly(tmp_path):
-    # S9 has 362,880 elements, whose closure takes about 3 s and 200 MB; it
-    # stops at MAX_TABLE_ORDER elements instead.
     path = tmp_path / "s9.json"
-    path.write_text(json.dumps({"name": "S9", "claimed_id": "S9", "degree": 9,
-                                "generators": [[*range(2, 10), 1], [2, 1, *range(3, 10)]],
-                                "fingerprint": TRIVIAL_FINGERPRINT, "provenance": "test"}))
+    path.write_text(json.dumps(S9_FILE))
     start = time.perf_counter()
     code, text = run_cli("group", str(path))
     assert time.perf_counter() - start < 1
@@ -308,6 +311,74 @@ def test_resolve_word_round_trip(data_dir):
     assert resolve_word(group, "1") == 0
     assert resolve_word(group, "g5^2") == group.mul(
         resolve_word(group, "g5"), resolve_word(group, "g5"))
+
+
+# ----------------------------------------------------------------------
+# the group memo of load_group
+
+def counted_realizations(monkeypatch) -> list[str]:
+    """The names of the group files ``files.realize_group`` realizes from now on."""
+    calls = []
+    realize = files.realize_group
+
+    def counted(record):
+        calls.append(record.name)
+        return realize(record)
+
+    monkeypatch.setattr(files, "realize_group", counted)
+    return calls
+
+
+def test_third_load_returns_the_group_kept_on_the_second(data_dir, fresh_group_memo,
+                                                         monkeypatch):
+    calls = counted_realizations(monkeypatch)
+    first, second, third = (load_group(data_dir / "g64.json")[0] for _ in range(3))
+    assert second is not first and third is second
+    assert calls == ["g64", "g64"]
+
+
+def test_one_off_load_is_not_kept(data_dir, fresh_group_memo):
+    load_group(data_dir / "g64.json")
+    assert not fresh_group_memo
+
+
+def test_wrong_claim_exits_5_before_and_after_the_genuine_file_is_kept(
+        tmp_path, data_dir, fresh_group_memo):
+    # Same generators as g64.json, so the same memo key; only the claim differs.
+    raw = json.loads((data_dir / "g64.json").read_text())
+    raw["fingerprint"]["center_order"] += 1
+    path = tmp_path / "g64.json"
+    path.write_text(json.dumps(raw))
+    argv = ("genvec", "search", str(path), "--type", "[0;2^5]", "--limit", "1")
+    code, before = run_cli(*argv)
+    assert code == cli.EXIT_MISMATCH, before
+    for _ in range(2):
+        load_group(data_dir / "g64.json")
+    assert [g.order for g, _ in fresh_group_memo.values()] == [64]
+    assert run_cli(*argv) == (cli.EXIT_MISMATCH, before)
+
+
+def test_group_past_the_closure_budget_exits_3_on_every_load(tmp_path, fresh_group_memo):
+    path = tmp_path / "s9.json"
+    path.write_text(json.dumps(S9_FILE))
+    for _ in range(3):
+        code, text = run_cli("genvec", "search", str(path), "--type", "[0;2,3,8]")
+        assert code == cli.EXIT_VALIDATION
+        assert "element budget of 65536 " in text
+    assert not fresh_group_memo
+
+
+def test_kept_images_past_the_closure_budget_evict_the_oldest_group(
+        data_dir, fresh_group_memo, monkeypatch):
+    # g64 holds 64 x 64 images and g256a 256 x 256: together past the budget.
+    monkeypatch.setattr(perm, "MAX_CLOSURE_CELLS", 256 * 256)
+    calls = counted_realizations(monkeypatch)
+    for name, kept in (("g64", [64]), ("g256a", [256])):
+        for _ in range(2):
+            load_group(data_dir / f"{name}.json")
+        assert [g.order for g, _ in fresh_group_memo.values()] == kept
+    load_group(data_dir / "g64.json")
+    assert calls == ["g64", "g64", "g256a", "g256a", "g64"]
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,16 @@
 ``surface`` on the two non-free fixtures.  Record bytes are rebuilt from
 the session fixtures through the same payload helpers the CLI uses, so the
 groups are realized once per family rather than once per command.
+
+The benchmark's golden file, ``benchmark/golden.json``, holds the exit code
+and stdout of every command its workloads run; those commands are run twice
+in this process, so the second pass reads groups that ``load_group`` kept.
 """
 
 from __future__ import annotations
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -17,6 +22,7 @@ import pytest
 from mixedsurf import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _golden(name: str) -> str:
@@ -41,3 +47,17 @@ def test_nonfree_surface_output_matches_golden(data_dir, name):
     code = cli.run(["surface", str(data_dir / f"{name}.json")], out=out)
     assert code == cli.EXIT_VALIDATION
     assert out.getvalue() == _golden(f"surface_{name}.txt")
+
+
+def test_benchmark_commands_match_golden_on_a_cold_and_a_warm_pass(fresh_group_memo,
+                                                                   monkeypatch):
+    golden = json.loads((ROOT / "benchmark" / "golden.json").read_text(encoding="utf-8"))
+    commands = {key: want for key, want in golden.items() if "stdout" in want}
+    assert len(commands) == 17
+    monkeypatch.chdir(ROOT)  # the commands name data files relative to the root
+    for _ in range(2):
+        for key, want in commands.items():
+            out = io.StringIO()
+            code = cli.run(key.split(" "), out=out)
+            assert {"exit": code, "stdout": out.getvalue()} == want, key
+    assert fresh_group_memo
