@@ -50,7 +50,7 @@ from mixedsurf.perm import (FiniteGroup, Permutation, closure, conjugacy_classes
 from mixedsurf.surface import (check_free_action, derive_induced_vectors,
                                fixed_curve_witness, isolated_point_witness)
 from mixedsurf.coset import todd_coxeter
-from mixedsurf.words import Presentation, normalize_word, word_power
+from mixedsurf.words import Presentation
 
 PROVENANCE = ("constructed in-repo by scripts/make_data.py "
               "(coset enumeration + exhaustive extension search); 2026-08-09")
@@ -65,13 +65,7 @@ def log(msg: str):
 # extension groups.
 
 def build_h() -> FiniteGroup:
-    relators = [
-        normalize_word([("x", 2)]),
-        normalize_word([("y", 3)]),
-        word_power(normalize_word([("x", 1), ("y", 1)]), 8),
-        word_power(normalize_word([("x", 1), ("y", 1)] * 2 + [("x", 1), ("y", 2)]), 4),
-    ]
-    pres = Presentation(("x", "y"), tuple(relators))
+    pres = Presentation.parse(("x", "y"), ["x^2", "y^3", "(x*y)^8", "(x*y*x*y*x*y^2)^4"])
     H = todd_coxeter(pres, max_cosets=60000)
     if H.order != 768:
         raise IntegrityError(f"coset enumeration gave order {H.order}, expected 768")

@@ -31,11 +31,10 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 def choose_basis(table: IntersectionTable) -> tuple[int, int]:
     """First label pair (i, j) with D_i^2 = D_j^2 = 0 and D_i.D_j > 0.
 
-    Falls back to the first pair with nondegenerate 2x2 pairing; rank < 2
-    is an error.
+    Falls back to the first pair with nondegenerate 2x2 pairing.  Either
+    pair proves the rank is at least 2, so the rank is computed only when
+    neither exists, to say why there is no basis.
     """
-    if table.rank() < 2:
-        raise ValidationError("pairing has rank < 2; no basis of numerical classes")
     labels = table.labels
     for i in labels:
         for j in labels:
@@ -51,7 +50,8 @@ def choose_basis(table: IntersectionTable) -> tuple[int, int]:
                    - table.entry(i, j) ** 2)
             if det != 0:
                 return (i, j)
-    raise ValidationError("no nondegenerate basis pair found")
+    raise ValidationError("pairing has rank < 2; no basis of numerical classes"
+                          if table.rank() < 2 else "no nondegenerate basis pair found")
 
 
 class NumericalClass(NamedTuple):

@@ -121,47 +121,37 @@ def hurwitz_genus(order: int, cover_type: CoverType) -> int:
     return int(g)
 
 
-class VectorReport(NamedTuple):
-    orders_ok: bool
-    product_ok: bool
-    generates_ok: bool
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.orders_ok and self.product_ok and self.generates_ok
-
-
 def _require_genus_zero_quotient(cover_type: CoverType):
     if cover_type.g_prime != 0:
         raise ValidationError(
             f"cover type {cover_type}: only genus-0 quotients are supported (g' > 0 unsupported)")
 
 
-def validate_generating_vector(v: GeneratingVector) -> VectorReport:
-    """Check the three defining conditions, reporting each separately."""
+def validate_generating_vector(v: GeneratingVector) -> None:
+    """Check the three defining conditions: orders, product and generation.
+
+    Raises ValidationError("invalid generating vector: ...") naming every
+    condition that fails, joined by "; " in that order.
+    """
     _require_genus_zero_quotient(v.cover_type)
     G = v.group
-    failures = []
     if len(v.entries) != v.cover_type.r:
         raise ValidationError(
             f"vector has {len(v.entries)} entries but type {v.cover_type} needs {v.cover_type.r}")
-    orders_ok = True
+    failures = []
     for i, (h, mi) in enumerate(zip(v.entries, v.cover_type.m)):
         o = G.order_of(h)
         if o != mi:
-            orders_ok = False
             failures.append(f"orders: entry {i + 1} has order {o}, expected {mi}")
     acc = 0
     for h in v.entries:
         acc = G.mul(acc, h)
-    product_ok = acc == 0
-    if not product_ok:
+    if acc != 0:
         failures.append("product: entries do not multiply to the identity")
-    generates_ok = subgroup_generated(G, v.entries).order == G.order
-    if not generates_ok:
+    if subgroup_generated(G, v.entries).order != G.order:
         failures.append("generates: entries generate a proper subgroup")
-    return VectorReport(orders_ok, product_ok, generates_ok, tuple(failures))
+    if failures:
+        raise ValidationError("invalid generating vector: " + "; ".join(failures))
 
 
 def stabilizer_set(v: GeneratingVector) -> frozenset[int]:
@@ -226,15 +216,12 @@ class CoveringData(NamedTuple):
 
     vector: GeneratingVector
     genus: int
-    branch_stabilizers: tuple[tuple[int, ...], ...]
     sigma_v: frozenset[int]
     fix_table: dict[int, int]
 
 
 def covering_data(v: GeneratingVector) -> CoveringData:
-    report = validate_generating_vector(v)
-    if not report.ok:
-        raise ValidationError("invalid generating vector: " + "; ".join(report.failures))
+    validate_generating_vector(v)
     genus = hurwitz_genus(v.group.order, v.cover_type)
     sigma = stabilizer_set(v)
     table = fixed_point_table(v)
@@ -247,7 +234,7 @@ def covering_data(v: GeneratingVector) -> CoveringData:
         if (count > 0) != (f in sigma):
             raise IntegrityError(
                 f"element {f}: fixed-point count {count} inconsistent with stabilizer set")
-    return CoveringData(v, genus, branch_stabilizers(v), sigma, table)
+    return CoveringData(v, genus, sigma, table)
 
 
 def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,

@@ -35,7 +35,22 @@ def test_choose_basis_family2(family2):
 
 def test_choose_basis_rejects_rank_one():
     t = _synthetic_table([[2, 2], [2, 2]])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^pairing has rank < 2; no basis"):
+        choose_basis(t)
+
+
+def test_choose_basis_falls_back_to_a_nondegenerate_pair():
+    # No null pair, but D_1^2 D_2^2 - (D_1.D_2)^2 = 3.
+    t = _synthetic_table([[2, 1], [1, 2]])
+    assert choose_basis(t) == (1, 2)
+    assert cone_report(t).verdict == VERDICT_INCONCLUSIVE
+
+
+def test_choose_basis_without_a_nondegenerate_pair_at_rank_three():
+    # Every principal 2x2 minor is 0, yet the determinant is -4.
+    t = _synthetic_table([[1, 1, 1], [1, 1, -1], [1, -1, 1]])
+    assert t.rank() == 3
+    with pytest.raises(ValidationError, match="^no nondegenerate basis pair found$"):
         choose_basis(t)
 
 

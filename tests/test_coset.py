@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from oracles import evaluate_word, semidirect_z8_z2_r5
+from mixedsurf import coset
 from mixedsurf.coset import todd_coxeter
-from mixedsurf.errors import BudgetExceeded, ValidationError
-from mixedsurf.perm import fingerprint
+from mixedsurf.errors import BudgetExceeded, IntegrityError, ValidationError
+from mixedsurf.perm import closure, fingerprint
 from mixedsurf.words import Presentation
 
 
@@ -80,3 +83,31 @@ def test_triangle_group_quotient_order_48():
     pres2 = Presentation.parse(
         ("x", "y"), ["x^2", "y^3", "(x*y)^8", "(x*y*x*y*x*y^2)^4"])
     assert todd_coxeter(pres2).order == 768
+
+
+# The final checks of todd_coxeter, each reached by one broken step.  No CLI
+# command enumerates cosets, so these have no exit code to check.
+
+def test_unprocessed_coincidences_leave_the_table_incomplete(monkeypatch):
+    # Coincident cosets are joined, but the dead coset's entries are never moved.
+    merge = coset._Table.merge
+    monkeypatch.setattr(coset._Table, "merge",
+                        lambda self, k, lam, queue: merge(self, k, lam, deque()))
+    with pytest.raises(IntegrityError, match="incomplete coset table after enumeration"):
+        todd_coxeter(Presentation.parse(("x", "y"), ["x^2", "y^4", "(x*y)^2"]))
+
+
+def test_a_relator_left_unscanned_fails_the_final_scan(monkeypatch):
+    # Without its x^6 scans the enumeration builds <x | x^4> = Z4, not Z2.
+    scan = coset._Table.scan_and_fill
+    monkeypatch.setattr(coset._Table, "scan_and_fill",
+                        lambda self, alpha, cols: len(cols) == 6 or scan(self, alpha, cols))
+    with pytest.raises(IntegrityError, match="relator scan does not close on the final table"):
+        todd_coxeter(Presentation.parse(("x",), ["x^4", "x^6"]))
+
+
+def test_permutations_that_miss_a_coset_are_not_a_regular_representation(monkeypatch):
+    # Closing x alone gives 2 of the Klein group's 4 cosets.
+    monkeypatch.setattr(coset, "closure", lambda perms, budget: closure(perms[:1], budget=budget))
+    with pytest.raises(IntegrityError, match="does not define a regular representation"):
+        todd_coxeter(Presentation.parse(("x", "y"), ["x^2", "y^2", "(x*y)^2"]))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import io
 import weakref
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import CosetFiberOracle, fixed_point_count, generating_vector_entries
-from mixedsurf import covering
+from mixedsurf import cli, covering
 from mixedsurf.covering import (MAX_BRANCH_POINTS, MAX_SEARCH_LEAVES, CoverType,
                                 GeneratingVector, covering_data, fixed_point_table,
                                 hurwitz_genus, parse_cover_type,
@@ -29,6 +30,11 @@ def test_parse_cover_type():
                 "[0;2^0]", "[0;2^0,3]"]:
         with pytest.raises(ValidationError):
             parse_cover_type(bad)
+
+
+def test_cover_type_rejects_a_negative_quotient_genus():
+    with pytest.raises(ValidationError, match="quotient genus must be nonnegative"):
+        CoverType(-1, (2,))
 
 
 def test_cover_type_prints_as_its_signature():
@@ -55,27 +61,46 @@ def test_hurwitz_genus_values():
 def test_validate_z2_hyperelliptic(z2):
     sigma = 1
     v = GeneratingVector(z2, CoverType(0, (2, 2)), (sigma, sigma))
-    assert validate_generating_vector(v).ok
+    assert validate_generating_vector(v) is None
 
 
 def test_validate_reports_product_failure(z2):
     v = GeneratingVector(z2, CoverType(0, (2, 2, 2)), (1, 1, 1))
-    report = validate_generating_vector(v)
-    assert not report.product_ok and report.orders_ok
-    assert any("product" in f for f in report.failures)
+    with pytest.raises(ValidationError, match="^invalid generating vector: "
+                       "product: entries do not multiply to the identity$"):
+        validate_generating_vector(v)
 
 
 def test_validate_reports_order_and_generation_failures(d4):
     r = next(i for i in range(d4.order) if d4.order_of(i) == 4)
     v = GeneratingVector(d4, CoverType(0, (2, 2)), (r, d4.inv(r)))
-    report = validate_generating_vector(v)
-    assert not report.orders_ok
+    # <r> is a proper subgroup too, so the generation failure follows.
+    with pytest.raises(ValidationError, match="^invalid generating vector: "
+                       "orders: entry 1 has order 4, expected 2; "
+                       "orders: entry 2 has order 4, expected 2; "
+                       "generates: entries generate a proper subgroup$"):
+        validate_generating_vector(v)
     # entries in the center generate a proper subgroup
     z = next(i for i in range(1, d4.order)
              if all(d4.mul(i, j) == d4.mul(j, i) for j in range(d4.order)))
     v2 = GeneratingVector(d4, CoverType(0, (2, 2)), (z, z))
-    report2 = validate_generating_vector(v2)
-    assert report2.product_ok and not report2.generates_ok
+    with pytest.raises(ValidationError, match="^invalid generating vector: "
+                       "generates: entries generate a proper subgroup$"):
+        validate_generating_vector(v2)
+
+
+def test_validate_joins_failures_in_condition_order(z2):
+    v = GeneratingVector(z2, CoverType(0, (2, 2)), (1, 0))
+    with pytest.raises(ValidationError, match="^invalid generating vector: "
+                       "orders: entry 2 has order 1, expected 2; "
+                       "product: entries do not multiply to the identity$"):
+        validate_generating_vector(v)
+
+
+def test_validate_rejects_a_vector_of_the_wrong_length(z2):
+    v = GeneratingVector(z2, CoverType(0, (2, 2)), (1,))
+    with pytest.raises(ValidationError, match=r"vector has 1 entries but type \[0;2,2\] needs 2"):
+        validate_generating_vector(v)
 
 
 def test_genus_one_quotient_rejected(z2):
@@ -181,6 +206,26 @@ def test_covering_data_bundle(z2):
     assert cov.fix_table == {1: 6}
 
 
+def test_covering_data_rejects_a_wrong_ramification_sum(z2, monkeypatch):
+    table = covering.fixed_point_table
+    monkeypatch.setattr(covering, "fixed_point_table",
+                        lambda v: {f: count + 1 for f, count in table(v).items()})
+    v = GeneratingVector(z2, CoverType(0, (2,) * 6), (1,) * 6)
+    with pytest.raises(IntegrityError, match=r"ramification sum 7 != 6 for type \[0;2(,2){5}\]"):
+        covering_data(v)
+
+
+def test_covering_data_rejects_counts_off_the_stabilizer_set(z2, data_dir, monkeypatch):
+    monkeypatch.setattr(covering, "stabilizer_set", lambda v: frozenset({0}))
+    v = GeneratingVector(z2, CoverType(0, (2,) * 6), (1,) * 6)
+    message = "element 1: fixed-point count 6 inconsistent with stabilizer set"
+    with pytest.raises(IntegrityError, match=message):
+        covering_data(v)
+    out = io.StringIO()
+    assert cli.run(["surface", str(data_dir / "family1.json")], out=out) == cli.EXIT_ASSERTION
+    assert "inconsistent with stabilizer set" in out.getvalue()
+
+
 def test_search_z2_exactly_one_class(z2):
     found = search_generating_vectors(z2, CoverType(0, (2, 2)))
     assert len(found) == 1
@@ -201,7 +246,7 @@ def test_search_respects_limit_and_dedup(d4):
 
 def test_search_validates_results(d4):
     for v in search_generating_vectors(d4, CoverType(0, (2, 2, 4))):
-        assert validate_generating_vector(v).ok
+        assert validate_generating_vector(v) is None
 
 
 def test_search_leaf_budget_boundary(d4, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import CosetFiberOracle, act_on_graph, pairing_by_double_sum, rank_by_fractions
-from mixedsurf.divisors import IntersectionTable, OrbitDivisor, intersection_table
+from mixedsurf import cli, files
+from mixedsurf.divisors import (IntersectionTable, OrbitDivisor, graph_orbits,
+                                intersection_table)
 from mixedsurf.errors import IntegrityError, ValidationError
 from mixedsurf.files import run_pipeline
+from mixedsurf.perm import conjugacy_class
 
 
 def test_act_identity_plain_fixes_graphs(family1):
@@ -239,3 +243,67 @@ def test_pairing_rejects_orbits_that_are_not_g_invariant(family2):
     divisors[1] = OrbitDivisor(2, b[:-1] + a[-1:])
     with pytest.raises(IntegrityError, match=r"D_1\.D_3 disagrees between its two orbits"):
         intersection_table(divisors, family2.surface)
+
+
+# The cross-checks of graph_orbits and intersection_table, each reached by one
+# change to a bundled surface.
+
+def _with_action(S, **fields):
+    return S._replace(action=S.action._replace(**fields))
+
+
+def _with_h_cover(S, **fields):
+    return S._replace(h_covering=S.h_covering._replace(**fields))
+
+
+def test_orbit_without_its_seed_is_refused(family1):
+    # With phi(h) z for phi(h), no element of G keeps the graph of the identity.
+    S = family1.surface
+    G, z = S.action.G, S.action.G0.members[1]
+    phi = {h: G.mul(image, z) for h, image in S.action.phi.items()}
+    with pytest.raises(IntegrityError, match="orbit does not contain its seed"):
+        graph_orbits(_with_action(S, phi=phi))
+
+
+def test_overlapping_orbits_are_refused(family2):
+    # The mixed elements act through the wrong tau, so the "orbits" overlap.
+    S = family2.surface
+    with pytest.raises(IntegrityError, match="graph orbits are not disjoint"):
+        graph_orbits(_with_action(S, tau=S.action.G0.members[1]))
+
+
+def test_orbit_size_must_divide_the_order_of_g(family1, s3):
+    with pytest.raises(IntegrityError, match=r"orbit size 8 does not divide \|G\| = 6"):
+        graph_orbits(_with_action(family1.surface, G=s3))
+
+
+def test_non_integral_canonical_degree_is_refused(family1, s3):
+    # K.D_1 = 4 (g-1) n_1 / |G| = 4 * 8 * 8 / 6.
+    with pytest.raises(IntegrityError, match="K.D for divisor 1 is non-integral: 128/3"):
+        intersection_table(family1.table.divisors, _with_action(family1.surface, G=s3))
+
+
+@pytest.mark.parametrize("extra, message", [
+    (1, r"intersection D_1\.D_2 is non-integral: 17/4"),
+    (4, r"pairing matrix has rank 4 > 2"),
+])
+def test_fixed_point_counts_off_the_surface_are_refused(family1, extra, message):
+    # Raising |Fix| on a class closed under inversion keeps each entry two-sided.
+    S = family1.surface
+    H = S.h_group
+    fix = dict(S.h_covering.fix_table)
+    for f in conjugacy_class(H, 1) | conjugacy_class(H, H.inv(1)):
+        fix[f] += extra
+    with pytest.raises(IntegrityError, match=message):
+        intersection_table(family1.table.divisors, _with_h_cover(S, fix_table=fix))
+
+
+def test_adjunction_parity_is_checked(family1, data_dir, monkeypatch):
+    # With g - 1 four larger, K.D_i grows by 2 and D_i^2 falls by 1.
+    wrong = _with_h_cover(family1.surface, genus=family1.surface.h_covering.genus + 4)
+    with pytest.raises(IntegrityError, match="adjunction parity fails for divisor 1"):
+        intersection_table(family1.table.divisors, wrong)
+    monkeypatch.setattr(files, "build_surface", lambda path, use_extra=True: wrong)
+    out = io.StringIO()
+    assert cli.run(["divisors", str(data_dir / "family1.json")], out=out) == cli.EXIT_ASSERTION
+    assert out.getvalue() == "integrity assertion failed: adjunction parity fails for divisor 1\n"

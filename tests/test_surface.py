@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import io
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedsurf.covering import CoverType
+from mixedsurf import cli
+from mixedsurf.covering import CoverType, covering_data
 from mixedsurf.errors import IntegrityError, ValidationError
 from mixedsurf.files import build_surface, load_group
 from mixedsurf.perm import Permutation, closure, subgroup_generated
@@ -39,6 +43,19 @@ def test_build_mixed_action_rejects_wrong_index(z4):
     trivial = subgroup_generated(z4, [0])
     with pytest.raises(ValidationError):
         build_mixed_action(z4, trivial, 1)
+
+
+def test_build_mixed_action_rejects_g0_of_another_group(z4):
+    other = closure([Permutation.from_cycles(4, [(1, 2, 3, 4)])])
+    g0 = subgroup_generated(other, [other.mul(1, 1)])
+    with pytest.raises(ValidationError, match="G0 must be a subgroup of G"):
+        build_mixed_action(z4, g0, 1)
+
+
+def test_build_mixed_action_rejects_tau_prime_out_of_range(z4):
+    g0 = subgroup_generated(z4, [z4.mul(1, 1)])
+    with pytest.raises(ValidationError, match="tau' index out of range"):
+        build_mixed_action(z4, g0, z4.order)
 
 
 def test_invariants_from_table_values():
@@ -197,8 +214,20 @@ def test_derive_induced_vectors_tower(data_dir):
 def test_derive_induced_vectors_rejects_bad_input(data_dir):
     H, _ = load_group(data_dir / "h768.json")
     b = next(i for i in range(H.order) if H.order_of(i) == 3)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^invalid generating vector: orders: entry 1 "):
         derive_induced_vectors(H, b, b, b)
+
+
+def test_induced_vector_must_generate_its_target(family2, data_dir, monkeypatch):
+    # With [H,H] taken to be H, the induced [0;3,3,4] vector spans too little.
+    monkeypatch.setattr("mixedsurf.surface.derived_subgroup",
+                        lambda G: subgroup_generated(G, G.generator_indices))
+    message = "induced [0;3,3,4] vector does not generate the target subgroup"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        derive_induced_vectors(family2.surface.h_group, *family2.surface.h_covering.vector.entries)
+    out = io.StringIO()
+    assert cli.run(["surface", str(data_dir / "family2.json")], out=out) == cli.EXIT_VALIDATION
+    assert out.getvalue() == f"validation error: {message}\n"
 
 
 def test_transport_identity_embedding(family1):
@@ -307,3 +336,30 @@ def test_assemble_rejects_entries_outside_g0(z4):
 
 def test_genus_consistency_between_covers(family2):
     assert family2.surface.covering.genus == family2.surface.h_covering.genus == 17
+
+
+def _change_h_cover(monkeypatch, change):
+    """Make assemble_surface see ``change`` applied to the [0;2,3,8] cover of H
+    and the defining cover unchanged."""
+    def changed(v):
+        cov = covering_data(v)
+        return change(cov) if v.cover_type.m == (2, 3, 8) else cov
+
+    monkeypatch.setattr("mixedsurf.surface.covering_data", changed)
+
+
+def test_covers_of_different_genus_are_refused(data_dir, monkeypatch):
+    _change_h_cover(monkeypatch, lambda cov: cov._replace(genus=cov.genus + 1))
+    with pytest.raises(IntegrityError, match="genus mismatch between covers: 17 vs 18"):
+        build_surface(data_dir / "family2.json")
+    out = io.StringIO()
+    assert cli.run(["surface", str(data_dir / "family2.json")], out=out) == cli.EXIT_ASSERTION
+    assert "genus mismatch between covers" in out.getvalue()
+
+
+def test_covers_with_different_stabilizers_are_refused(data_dir, monkeypatch):
+    # No element of H has fixed points any more, but G0's Sigma_V still holds some.
+    _change_h_cover(monkeypatch,
+                  lambda cov: cov._replace(fix_table=dict.fromkeys(cov.fix_table, 0)))
+    with pytest.raises(IntegrityError, match="stabilizer set of the subgroup cover disagrees"):
+        build_surface(data_dir / "family2.json")

@@ -120,6 +120,13 @@ def test_presentation_checks_symbols():
     assert len(pres.relators) == 3
 
 
+@pytest.mark.parametrize("generators, message", [((), "at least one generator"),
+                                                 (("x", "y", "x"), "duplicate generator")])
+def test_presentation_checks_generators(generators, message):
+    with pytest.raises(ValidationError, match=message):
+        Presentation(generators, ())
+
+
 def test_nesting_is_bounded_before_the_recursion_limit():
     # The parser recurses once per level; 600 levels used to raise
     # RecursionError.
