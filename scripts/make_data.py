@@ -240,9 +240,8 @@ def make_families_2_to_5(out: Path):
 
     # Sigma_V: the G0 members with fixed points on C, read from each class's
     # H-cover; all four classes must agree.
-    fix_tables = [covering_data(GeneratingVector(H, type_238, abc)).fix_table
-                  for abc in classes]
-    sigmas = {frozenset(g for g in members if g == 0 or fix[g] > 0) for fix in fix_tables}
+    sigmas = {covering_data(GeneratingVector(H, type_238, abc)).sigma_v.intersection(members)
+              for abc in classes}
     if len(sigmas) != 1:
         raise IntegrityError("the vector classes induce different stabilizer sets")
     sigma, = sigmas

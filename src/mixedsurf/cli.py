@@ -10,7 +10,9 @@ Commands::
     mixedsurf reproduce <1|2|3|4|5>
 
 Groups are closed up to 65,536 elements (perm.MAX_TABLE_ORDER) and
-2^22 stored images (perm.MAX_CLOSURE_CELLS); a larger group exits 3.
+2^22 stored images (perm.MAX_CLOSURE_CELLS); a larger group exits 3.  A
+group file is closed at most one element past the order it claims; a
+larger group exits 5.
 
 Exit codes: 0 success; 2 parse error; 3 validation error; 4 internal
 exactness assertion; 5 mismatch (fingerprint or reproduction diff).

@@ -4,20 +4,23 @@ A finite group H acting on a curve C with quotient C/H of genus g' and r
 branch points of indices m_1..m_r is encoded by a generating vector: a
 tuple of elements (h_1, ..., h_r) of orders m_i with product 1 generating
 H (only g' = 0 is supported end to end).  From the vector we derive the
-genus of C (Riemann-Hurwitz), the stabilizer set (the elements acting with
-fixed points), and exact fixed-point counts
+genus of C (Riemann-Hurwitz), exact fixed-point counts, and the stabilizer
+set Sigma_V: the elements acting with fixed points, the identity included.
+An element f != 1 fixes a point exactly when it is conjugate to a power of
+some h_j, and then
 
-    |Fix(f)| = sum_j (1/m_j) * #{ g in H : f in g <h_j> g^-1 },
+    |Fix(f)| = |C_H(f)| * sum_j |cl(f) intersect <h_j>| / m_j
 
-summed exactly over the common denominator lcm(m_j), with integrality
-asserted.
+(Breuer, *Characters and Automorphism Groups of Compact Riemann Surfaces*),
+so the counts are constant on conjugacy classes and come from the classes
+of the nontrivial powers of the h_j alone.  The sum is taken exactly over
+the common denominator lcm(m_j), with integrality asserted.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
 from operator import itemgetter
@@ -156,58 +159,44 @@ def validate_generating_vector(v: GeneratingVector) -> None:
 
 def stabilizer_set(v: GeneratingVector) -> frozenset[int]:
     """All conjugates of all powers of the branch generators (identity included)."""
-    G = v.group
-    return frozenset({0}.union(*(conjugacy_class(G, k) for powers in branch_stabilizers(v)
-                                 for k in powers if k != 0)))
+    return frozenset({0}.union(*(cls for classes in _power_classes(v) for cls in classes)))
 
 
-def branch_stabilizers(v: GeneratingVector) -> tuple[tuple[int, ...], ...]:
-    """The cyclic subgroups <h_j>, each listed as (h_j, h_j^2, ..., 1)."""
+def _power_classes(v: GeneratingVector) -> list[list[frozenset[int]]]:
+    """For each entry h_j, the conjugacy class of each of h_j, h_j^2, ... != 1."""
     G = v.group
-    subs = []
+    out = []
     for h in v.entries:
-        powers = []
+        classes = []
         k = h
         while k != 0:
-            powers.append(k)
+            classes.append(conjugacy_class(G, k))
             k = G.mul(k, h)
-        powers.append(0)
-        subs.append(tuple(powers))
-    return tuple(subs)
-
-
-def _membership_counter(G: FiniteGroup, powers: tuple[int, ...]) -> Counter:
-    """counter[x] = #{ g in H : x in g K g^-1 } for K the cyclic subgroup.
-
-    Every coset has |K| distinct conjugates g k g^-1 over k in K, so counting
-    conjugates of each nontrivial power with multiplicity equals membership
-    counting (the identity is skipped; it lies in every conjugate).
-    """
-    rows = G.rows
-    nontrivial = [p for p in powers if p != 0]
-    # g p g^-1 = rows[rows[g][p]][inv[g]]
-    return Counter(rows[row_g[p]][inv_g]
-                   for row_g, inv_g in zip(rows, G.inverses) for p in nontrivial)
+        out.append(classes)
+    return out
 
 
 def fixed_point_table(v: GeneratingVector) -> dict[int, int]:
-    """Fixed-point counts for every non-identity element, in one pass.
+    """Fixed-point counts for every non-identity element, by conjugacy class.
 
-    The sum over j of counter_j[f] / m_j is taken as one integer over
-    L = lcm(m_j), and L must divide it.
+    A class c gets the weight w_c, the sum over j of L/m_j for each power of
+    h_j in c, with L = lcm(m_j); every f in c has |H| w_c / (L |c|) fixed
+    points, and L |c| must divide |H| w_c.
     """
     _require_genus_zero_quotient(v.cover_type)
     G = v.group
-    counters = [_membership_counter(G, powers) for powers in branch_stabilizers(v)]
     L = lcm(*v.cover_type.m)
-    weighted = [(counter, L // mj) for counter, mj in zip(counters, v.cover_type.m)]
-    table: dict[int, int] = {}
-    for f in range(1, G.order):
-        total = sum(counter[f] * w for counter, w in weighted)
-        if total % L != 0:
-            raise IntegrityError(
-                f"fixed-point count for element {f} is non-integral: {Fraction(total, L)}")
-        table[f] = total // L
+    weight: dict[frozenset[int], int] = {}
+    for classes, mj in zip(_power_classes(v), v.cover_type.m):
+        for cls in classes:
+            weight[cls] = weight.get(cls, 0) + L // mj
+    table = dict.fromkeys(range(1, G.order), 0)
+    for cls, w in sorted(weight.items(), key=lambda item: min(item[0])):
+        count, rest = divmod(G.order * w, L * len(cls))
+        if rest:
+            raise IntegrityError(f"fixed-point count for element {min(cls)} is non-integral: "
+                                 f"{Fraction(G.order * w, L * len(cls))}")
+        table.update(dict.fromkeys(cls, count))
     return table
 
 
@@ -221,19 +210,19 @@ class CoveringData(NamedTuple):
 
 
 def covering_data(v: GeneratingVector) -> CoveringData:
+    """Genus, stabilizer set and fixed-point table of a valid vector.
+
+    The stabilizer set is the identity plus the support of the table, and
+    the table's counts sum to the ramification sum (|H|/m_j)(m_j - 1) over
+    j, both by construction: every class weight is positive, and once
+    :func:`validate_generating_vector` has fixed the order of h_j at m_j,
+    each of its m_j - 1 nontrivial powers lies in exactly one class c and
+    adds |H|/(m_j |c|) to each of the |c| counts of that class.
+    """
     validate_generating_vector(v)
     genus = hurwitz_genus(v.group.order, v.cover_type)
-    sigma = stabilizer_set(v)
     table = fixed_point_table(v)
-    ram = sum(table.values())
-    expected = sum((v.group.order // mj) * (mj - 1) for mj in v.cover_type.m)
-    if ram != expected:
-        raise IntegrityError(
-            f"ramification sum {ram} != {expected} for type {v.cover_type}")
-    for f, count in table.items():
-        if (count > 0) != (f in sigma):
-            raise IntegrityError(
-                f"element {f}: fixed-point count {count} inconsistent with stabilizer set")
+    sigma = frozenset({0}.union(f for f, count in table.items() if count))
     return CoveringData(v, genus, sigma, table)
 
 

@@ -25,8 +25,12 @@ and one representative per orbit (its minimal member) suffices:
 
 with n_i = |O_i|.  Each off-diagonal entry is also read from the other
 side, n_j s_ji, and the two readings must agree; every value must be an
-integer (both asserted).  All arithmetic is exact; this module contains
-no floating point.
+integer (both asserted).  Adjunction is asserted too.  The stabilizer of
+a graph, of order |G|/n_i, acts freely on it, so K_S . D_i / 4 =
+(g-1) n_i / |G| is g - 1 for the quotient curve, an integer; and
+delta_i = D_i^2/2 + K_S . D_i/4 = n_i s_ii / (2 |G|) counts the points
+where two graphs of O_i meet, on S, a nonnegative integer.  All
+arithmetic is exact; this module contains no floating point.
 """
 
 from __future__ import annotations
@@ -181,12 +185,18 @@ def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
                     f"is non-integral: {val}")
             pairing[i][j] = pairing[j][i] = int(val)
 
+    for i, (d, kd) in enumerate(zip(divisors, kdot)):
+        if kd % 4 != 0:
+            raise IntegrityError(
+                f"adjunction fails for divisor {d.label}: K.D = {kd} is not divisible by 4")
+        delta = Fraction(pairing[i][i], 2) + kd // 4
+        if delta.denominator != 1 or delta < 0:
+            raise IntegrityError(
+                f"adjunction fails for divisor {d.label}: "
+                f"delta = {delta} is not a nonnegative integer")
+
     table = IntersectionTable(divisors, tuple(tuple(row) for row in pairing),
                               tuple(kdot), gm1, order_g)
-    for i in range(norb):
-        if (table.kdot[i] + table.pairing[i][i]) % 2 != 0:
-            raise IntegrityError(
-                f"adjunction parity fails for divisor {divisors[i].label}")
     rank = table.rank()
     if rank > 2:
         raise IntegrityError(f"pairing matrix has rank {rank} > 2")

@@ -50,7 +50,7 @@ from . import perm
 from .cone import ConeReport, cone_report
 from .covering import CoverType, parse_cover_type, search_generating_vectors
 from .divisors import IntersectionTable, graph_orbits, intersection_table
-from .errors import InputParseError, MismatchError, ValidationError
+from .errors import BudgetExceeded, InputParseError, MismatchError, ValidationError
 from .perm import FiniteGroup, GroupFingerprint, Permutation, closure, fingerprint
 from .surface import FreenessReport, SurfaceData, assemble_surface, check_free_action
 from .words import evaluate_word_index, parse_word
@@ -118,7 +118,18 @@ def load_group_record(path: str | Path) -> GroupFile:
 
 
 def realize_group(record: GroupFile) -> FiniteGroup:
-    return closure(record.generators)
+    """The group of the file's generators, closed at most one element past
+    the claimed order: a group larger than its claim raises
+    :class:`MismatchError` (and one past ``perm.closure_limit`` raises
+    :class:`BudgetExceeded`, whatever the claim)."""
+    claimed = record.fingerprint.order
+    try:
+        return closure(record.generators, budget=claimed + 1)
+    except BudgetExceeded:
+        if claimed + 1 >= perm.closure_limit(record.degree):
+            raise
+        raise MismatchError(f"fingerprint mismatch for {record.name}: the generators "
+                            f"give more than the claimed order {claimed}") from None
 
 
 def verify_group(record: GroupFile, computed: GroupFingerprint):

@@ -309,6 +309,11 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, degree={self.degree}, ngens={len(self.generators)})"
 
 
+def closure_limit(degree: int) -> int:
+    """The most elements :func:`closure` builds from generators of ``degree``."""
+    return min(MAX_TABLE_ORDER, MAX_CLOSURE_CELLS // max(degree, 1))
+
+
 def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) -> FiniteGroup:
     """Generate the group closure of ``generators``.
 
@@ -341,7 +346,7 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValidationError("generators have mismatched degrees")
-    budget = min(budget, MAX_TABLE_ORDER, MAX_CLOSURE_CELLS // max(degree, 1))
+    budget = min(budget, closure_limit(degree))
 
     # (g * e).images is e read at g's images, one C-level gather.  In degree
     # 0 and 1 every permutation is the identity, and itemgetter would take

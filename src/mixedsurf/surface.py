@@ -134,8 +134,8 @@ def check_free_action(S: SurfaceData) -> FreenessReport:
     """Evaluate the two freeness conditions, with witnesses on failure."""
     act = S.action
     # Sigma_V in G-indices: the G0 members with fixed points on C.
-    fix = S.h_covering.fix_table
-    sigma_g = frozenset(g for g in act.G0.members if g == 0 or fix[S.to_h[g]] > 0)
+    sigma_h = S.h_covering.sigma_v
+    sigma_g = frozenset(g for g in act.G0.members if S.to_h[g] in sigma_h)
     isolated = isolated_point_witness(sigma_g, act.phi)
     h = fixed_curve_witness(act.G, act.G0.members, sigma_g, act.phi, act.tau)
     curve = None if h is None else act.G.mul(act.tau_prime, h)
@@ -242,10 +242,7 @@ def _check_sigma_consistency(covering: CoveringData, embedding: dict[int, int],
                              h_covering: CoveringData):
     # Both covers describe the same curve, so a subgroup element has fixed
     # points for one exactly when it does for the other.
-    image_sigma = {embedding[s] for s in covering.sigma_v if s != 0}
-    h_fix = h_covering.fix_table
-    h_side = {f for f in embedding.values() if f != 0 and h_fix[f] > 0}
-    if image_sigma != h_side:
+    if ({embedding[s] for s in covering.sigma_v}
+            != h_covering.sigma_v.intersection(embedding.values())):
         raise IntegrityError(
-            "stabilizer set of the subgroup cover disagrees with the fixed-point "
-            "table of the ambient cover")
+            "stabilizer set of the subgroup cover disagrees with that of the ambient cover")

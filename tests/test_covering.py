@@ -206,24 +206,14 @@ def test_covering_data_bundle(z2):
     assert cov.fix_table == {1: 6}
 
 
-def test_covering_data_rejects_a_wrong_ramification_sum(z2, monkeypatch):
-    table = covering.fixed_point_table
-    monkeypatch.setattr(covering, "fixed_point_table",
-                        lambda v: {f: count + 1 for f, count in table(v).items()})
-    v = GeneratingVector(z2, CoverType(0, (2,) * 6), (1,) * 6)
-    with pytest.raises(IntegrityError, match=r"ramification sum 7 != 6 for type \[0;2(,2){5}\]"):
-        covering_data(v)
-
-
-def test_covering_data_rejects_counts_off_the_stabilizer_set(z2, data_dir, monkeypatch):
-    monkeypatch.setattr(covering, "stabilizer_set", lambda v: frozenset({0}))
-    v = GeneratingVector(z2, CoverType(0, (2,) * 6), (1,) * 6)
-    message = "element 1: fixed-point count 6 inconsistent with stabilizer set"
-    with pytest.raises(IntegrityError, match=message):
-        covering_data(v)
+def test_a_non_integral_count_exits_4(data_dir, monkeypatch):
+    # Every power of family 1's [0;2^5] vector put in one class of 3 elements
+    # of its order-32 group: |Fix(1)| = 32 * 5 / (2 * 3).
+    monkeypatch.setattr(covering, "conjugacy_class", lambda G, k: frozenset({1, 2, 3}))
     out = io.StringIO()
     assert cli.run(["surface", str(data_dir / "family1.json")], out=out) == cli.EXIT_ASSERTION
-    assert "inconsistent with stabilizer set" in out.getvalue()
+    assert out.getvalue() == ("integrity assertion failed: "
+                              "fixed-point count for element 1 is non-integral: 80/3\n")
 
 
 def test_search_z2_exactly_one_class(z2):

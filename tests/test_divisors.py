@@ -146,11 +146,27 @@ def test_pullback_consistency_both_triangle_orders(family1, family2):
             assert total == bundle.table.entry(d.label, d.label)
 
 
-def test_adjunction_parity(family1, family2):
-    for bundle in (family1, family2):
-        table = bundle.table
-        for i in table.labels:
-            assert (table.kdot[i - 1] + table.entry(i, i)) % 2 == 0
+def test_adjunction_parity(families):
+    # K.D_i / 4 is an integer and delta_i = D_i^2/2 + K.D_i/4 is the number
+    # of points where two graphs of O_i meet, counted on S: the sum over
+    # pairs of distinct members of |Fix(x^-1 y)|, over |G|.
+    deltas = {}
+    for k, bundle in families.items():
+        S, table = bundle.surface, bundle.table
+        H, fix = S.h_group, S.h_covering.fix_table
+        values = set()
+        for d in table.divisors:
+            kd, d2 = table.kdot[d.label - 1], table.entry(d.label, d.label)
+            assert kd % 4 == 0
+            delta = Fraction(d2, 2) + kd // 4
+            mem = d.members
+            crossings = sum(fix[H.mul(H.inv(mem[a]), mem[b])]
+                            for a in range(len(mem)) for b in range(a + 1, len(mem)))
+            assert delta == Fraction(crossings, S.action.G.order)
+            values.add(delta)
+        deltas[k] = sorted(values)
+    assert deltas == {1: [1], 2: [2, 6, 20, 72], 3: [2, 6, 20, 72], 4: [2, 6, 20, 72],
+                      5: [2, 6, 20, 72]}
 
 
 def test_rank_two_and_hodge_index(family1, family2):
@@ -299,11 +315,24 @@ def test_fixed_point_counts_off_the_surface_are_refused(family1, extra, message)
 
 
 def test_adjunction_parity_is_checked(family1, data_dir, monkeypatch):
-    # With g - 1 four larger, K.D_i grows by 2 and D_i^2 falls by 1.
+    # With g - 1 four larger, K.D_i = 4 (g - 1) n_i / |G| grows from 4 to 6.
     wrong = _with_h_cover(family1.surface, genus=family1.surface.h_covering.genus + 4)
-    with pytest.raises(IntegrityError, match="adjunction parity fails for divisor 1"):
+    message = "adjunction fails for divisor 1: K.D = 6 is not divisible by 4"
+    with pytest.raises(IntegrityError, match=message):
         intersection_table(family1.table.divisors, wrong)
     monkeypatch.setattr(files, "build_surface", lambda path, use_extra=True: wrong)
     out = io.StringIO()
     assert cli.run(["divisors", str(data_dir / "family1.json")], out=out) == cli.EXIT_ASSERTION
-    assert out.getvalue() == "integrity assertion failed: adjunction parity fails for divisor 1\n"
+    assert out.getvalue() == f"integrity assertion failed: {message}\n"
+
+
+def test_a_fractional_delta_is_refused(family1):
+    # Eight more fixed points for the central element 2 raise D_1^2 by
+    # 8 n_1 / |G| = 1, so delta_1 = 1/2 + 4/4.
+    S = family1.surface
+    fix = dict(S.h_covering.fix_table)
+    assert conjugacy_class(S.h_group, 2) == {2} and S.h_group.inv(2) == 2
+    fix[2] += 8
+    with pytest.raises(IntegrityError, match="adjunction fails for divisor 1: "
+                                             "delta = 3/2 is not a nonnegative integer"):
+        intersection_table(family1.table.divisors, _with_h_cover(S, fix_table=fix))

@@ -96,10 +96,10 @@ def test_trivial_degree_group_files(tmp_path, degree):
 
 
 # S9 has 362,880 elements, whose closure takes about 3 s and 200 MB; it stops
-# at MAX_TABLE_ORDER elements instead.
+# at MAX_TABLE_ORDER elements instead, since the file claims the true order.
 S9_FILE = {"name": "S9", "claimed_id": "S9", "degree": 9,
            "generators": [[*range(2, 10), 1], [2, 1, *range(3, 10)]],
-           "fingerprint": TRIVIAL_FINGERPRINT, "provenance": "test"}
+           "fingerprint": {**TRIVIAL_FINGERPRINT, "order": 362880}, "provenance": "test"}
 
 
 def test_group_past_the_table_bound_exits_3_quickly(tmp_path):
@@ -110,6 +110,30 @@ def test_group_past_the_table_bound_exits_3_quickly(tmp_path):
     assert time.perf_counter() - start < 1
     assert code == cli.EXIT_VALIDATION
     assert "element budget of 65536 " in text
+
+
+def test_group_past_its_claimed_order_exits_5_one_element_later(tmp_path, data_dir,
+                                                               monkeypatch):
+    # g64.json with two images of its first generator swapped generates a
+    # group of more than 65,536 elements; the walk stops after 65.
+    raw = json.loads((data_dir / "g64.json").read_text())
+    images = raw["generators"][0]
+    images[0], images[1] = images[1], images[0]
+    path = tmp_path / "g64.json"
+    path.write_text(json.dumps(raw))
+    budgets = []
+    closure = files.closure
+
+    def recorded(generators, budget):
+        budgets.append(budget)
+        return closure(generators, budget)
+
+    monkeypatch.setattr(files, "closure", recorded)
+    code, text = run_cli("group", str(path))
+    assert code == cli.EXIT_MISMATCH
+    assert text == ("mismatch: fingerprint mismatch for g64: the generators "
+                    "give more than the claimed order 64\n")
+    assert budgets == [65]
 
 
 @st.composite

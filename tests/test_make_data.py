@@ -1,7 +1,8 @@
 """Regeneration is deterministic: ``scripts/make_data.py`` rebuilds all
 thirteen bundled data files byte for byte.  Its isomorphism split through
 G0 agrees with a search over generator images of the whole extension
-groups (``oracles.iso_test``).
+groups (``oracles.iso_test``).  Each of the script's raises is reached
+once, with one step monkeypatched to go wrong.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from mixedsurf.errors import IntegrityError, MismatchError
 from mixedsurf.perm import Permutation, closure, conjugacy_classes, homomorphisms
+from mixedsurf.surface import FreenessReport
 from oracles import iso_test
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_data.py"
@@ -116,3 +119,109 @@ def test_isomorphism_types_match_iso_test_oracle(make_data, name):
     assert len(groups) == max(type_of) + 1
     for t, group in enumerate(groups):
         assert iso_test(exts[type_of.index(t)], group)
+
+
+# ----------------------------------------------------------------------
+# Each raise of the script, reached by a monkeypatched step.
+
+def test_a_wrong_coset_enumeration_is_refused(make_data, monkeypatch):
+    z4 = closure([Permutation.from_cycles(4, [(1, 2, 3, 4)])])
+    monkeypatch.setattr(make_data, "todd_coxeter", lambda pres, max_cosets: z4)
+    with pytest.raises(IntegrityError, match="^coset enumeration gave order 4, expected 768$"):
+        make_data.build_h()
+
+
+def test_an_extension_of_the_wrong_order_is_refused(make_data, monkeypatch):
+    # A closure that drops the generator tau' gives the span of Z2 alone.
+    z2 = closure([Permutation.from_cycles(2, [(1, 2)])])
+    real = make_data.closure
+    monkeypatch.setattr(make_data, "closure", lambda gens, budget: real(gens[:-1], budget))
+    with pytest.raises(IntegrityError, match="^extension has order 2, expected 4$"):
+        make_data.build_extension(z2, (0, 1), {0: 0, 1: 1}, 0, (1,))
+
+
+def test_a_wrong_family_1_g0_is_refused(make_data, monkeypatch):
+    real = make_data.closure
+    monkeypatch.setattr(make_data, "closure", lambda gens: real(gens[:3]))
+    with pytest.raises(IntegrityError, match="^G0 has order 16, expected 32$"):
+        make_data.family_1_g0()
+
+
+def test_a_wrong_number_of_vector_classes_is_refused(make_data, monkeypatch, tmp_path):
+    real = make_data.search_generating_vectors
+    monkeypatch.setattr(make_data, "search_generating_vectors",
+                        lambda group, cover_type: real(group, cover_type, limit=3))
+    with pytest.raises(IntegrityError, match="^expected 4 vector classes, found 3$"):
+        make_data.make_families_2_to_5(tmp_path)
+
+
+def no_automorphisms(monkeypatch, make_data):
+    """Skip the automorphism search: no automorphism, so no (phi, tau) pair."""
+    monkeypatch.setattr(make_data, "homomorphisms", lambda *args: iter(()))
+
+
+def test_classes_with_different_stabilizer_sets_are_refused(make_data, monkeypatch, tmp_path):
+    no_automorphisms(monkeypatch, make_data)
+    real = make_data.covering_data
+    seen = []
+
+    def first_cover_unramified(v):
+        seen.append(v)
+        cov = real(v)
+        return cov._replace(sigma_v=frozenset({0})) if len(seen) == 1 else cov
+
+    monkeypatch.setattr(make_data, "covering_data", first_cover_unramified)
+    with pytest.raises(IntegrityError,
+                       match="^the vector classes induce different stabilizer sets$"):
+        make_data.make_families_2_to_5(tmp_path)
+    assert len(seen) == 4
+
+
+def test_a_wrong_number_of_extension_types_is_refused(make_data, monkeypatch, tmp_path):
+    no_automorphisms(monkeypatch, make_data)
+    with pytest.raises(IntegrityError,
+                       match="^expected two extension isomorphism types, found 0$"):
+        make_data.make_families_2_to_5(tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+def first_family_1_vectors(monkeypatch, make_data):
+    """The family-1 search stops at its first two vector classes."""
+    real = make_data.search_generating_vectors
+    monkeypatch.setattr(make_data, "search_generating_vectors",
+                        lambda group, cover_type: real(group, cover_type, limit=2))
+
+
+def test_family_1_without_free_data_is_refused(make_data, monkeypatch, tmp_path):
+    no_automorphisms(monkeypatch, make_data)
+    first_family_1_vectors(monkeypatch, make_data)
+    with pytest.raises(IntegrityError, match="^no free family-1 data found$"):
+        make_data.make_family_1(tmp_path)
+
+
+def test_family_1_without_a_non_free_vector_is_refused(make_data, monkeypatch, tmp_path):
+    monkeypatch.setattr(make_data, "free", lambda *args: True)
+    first_family_1_vectors(monkeypatch, make_data)
+    with pytest.raises(IntegrityError, match="^no non-free family-1 vector found$"):
+        make_data.make_family_1(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["family1.json", "g64.json"]
+
+
+def test_self_check_refuses_a_failed_expectation(make_data, regenerated, monkeypatch):
+    out, _ = regenerated
+    monkeypatch.setattr(make_data, "compare_family",
+                        lambda expected, bundle: [("genus", False, "g(C) = 8, expected 9")])
+    message = r"^family 1 self-check failed: \[\('genus', 'g\(C\) = 8, expected 9'\)\]$"
+    with pytest.raises(MismatchError, match=message):
+        make_data.self_check(out)
+
+
+def test_self_check_refuses_a_free_negative_fixture(make_data, regenerated, monkeypatch):
+    out, _ = regenerated
+    monkeypatch.setattr(make_data, "run_pipeline", lambda path: None)
+    monkeypatch.setattr(make_data, "compare_family", lambda expected, bundle: [])
+    monkeypatch.setattr(make_data, "check_free_action",
+                        lambda surface: FreenessReport(True, True, None, None))
+    message = "^family1_nonfree: the action is free, expected a freeness witness$"
+    with pytest.raises(MismatchError, match=message):
+        make_data.self_check(out)

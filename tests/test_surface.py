@@ -126,16 +126,14 @@ def test_freeness_monotone_in_sigma(data_dir):
     base = check_free_action(surface)
     assert not base.ok
 
-    # Sigma is read from the covering group's fixed-point table, so an element
-    # joins it by getting a positive count.
+    # Sigma is read from the covering group's cover, in its indices.
     cover = surface.h_covering
 
     @settings(max_examples=25, deadline=None)
     @given(st.sets(st.sampled_from(surface.action.G0.members[1:]), max_size=5))
     def enlarge(extra):
-        fix = dict(cover.fix_table)
-        fix.update({surface.to_h[g]: 1 for g in extra})
-        bumped = surface._replace(h_covering=cover._replace(fix_table=fix))
+        sigma = cover.sigma_v.union(surface.to_h[g] for g in extra)
+        bumped = surface._replace(h_covering=cover._replace(sigma_v=sigma))
         report = check_free_action(bumped)
         assert not (report.ok and not base.ok)
         if not base.no_isolated_fixed_points:
@@ -146,11 +144,10 @@ def test_freeness_monotone_in_sigma(data_dir):
     enlarge()
 
 
-def _sigma_from_fix_table(surface):
+def _sigma_in_g(surface):
     # Sigma_V in G-indices, read the way check_free_action reads it.
-    fix = surface.h_covering.fix_table
-    return frozenset(g for g in surface.action.G0.members
-                     if g == 0 or fix[surface.to_h[g]] > 0)
+    sigma = surface.h_covering.sigma_v
+    return frozenset(g for g in surface.action.G0.members if surface.to_h[g] in sigma)
 
 
 def _helpers_say_free(G, members, sigma, phi, tau) -> bool:
@@ -162,7 +159,7 @@ def _helpers_say_free(G, members, sigma, phi, tau) -> bool:
 def test_freeness_helpers_match_set_form_oracle(data_dir, name):
     surface = build_surface(data_dir / f"{name}.json")
     act = surface.action
-    sigma = _sigma_from_fix_table(surface)
+    sigma = _sigma_in_g(surface)
     expected = free_pair(act.G, act.G0.members, sigma, act.phi, act.tau)
     assert _helpers_say_free(act.G, act.G0.members, sigma, act.phi, act.tau) == expected
     assert check_free_action(surface).ok == expected == (name == "family1")
@@ -172,7 +169,7 @@ def test_curve_witness_squares_into_sigma(data_dir):
     # (tau' h)^2 = phi(h) tau h: the helper's h gives the reported witness.
     surface = build_surface(data_dir / "toy_z4.json")
     act = surface.action
-    sigma = _sigma_from_fix_table(surface)
+    sigma = _sigma_in_g(surface)
     h = fixed_curve_witness(act.G, act.G0.members, sigma, act.phi, act.tau)
     g = act.G.mul(act.tau_prime, h)
     assert check_free_action(surface).curve_witness == g
@@ -359,7 +356,6 @@ def test_covers_of_different_genus_are_refused(data_dir, monkeypatch):
 
 def test_covers_with_different_stabilizers_are_refused(data_dir, monkeypatch):
     # No element of H has fixed points any more, but G0's Sigma_V still holds some.
-    _change_h_cover(monkeypatch,
-                  lambda cov: cov._replace(fix_table=dict.fromkeys(cov.fix_table, 0)))
+    _change_h_cover(monkeypatch, lambda cov: cov._replace(sigma_v=frozenset({0})))
     with pytest.raises(IntegrityError, match="stabilizer set of the subgroup cover disagrees"):
         build_surface(data_dir / "family2.json")
