@@ -45,8 +45,8 @@ from mixedsurf.errors import IntegrityError, MismatchError
 from mixedsurf.expected import FAMILY_EXPECTATIONS, compare_family
 from mixedsurf.files import (build_surface, element_word, run_pipeline, save_group_file,
                              save_surface_file)
-from mixedsurf.perm import (FiniteGroup, Permutation, closure, conjugacy_classes,
-                            extend_homomorphism, homomorphisms)
+from mixedsurf.perm import (FiniteGroup, Permutation, closure, extend_homomorphism,
+                            homomorphisms)
 from mixedsurf.surface import (check_free_action, derive_induced_vectors,
                                fixed_curve_witness, isolated_point_witness)
 from mixedsurf.coset import todd_coxeter
@@ -94,8 +94,7 @@ def freeness_signatures(G: FiniteGroup, pairs) -> list[list[tuple]]:
     ``free`` is constant on each group.
     """
     rows = G.rows
-    classes = conjugacy_classes(G)
-    class_of = {x: k for k, cls in enumerate(classes) for x in cls}
+    classes, class_of = G.class_map
     reps = [min(cls) for cls in classes]
     groups: dict[tuple, list[tuple]] = {}
     for pair in pairs:

@@ -13,12 +13,26 @@ Mori dream surface).  When no witness quadruple exists the verdict is
 inconclusive, never negative.  A witness next to an orbit divisor with
 D^2 < 0 is a contradiction (a nef effective divisor has D^2 >= 0), and
 raises IntegrityError.
+
+The witness is read off the numerical classes, with no scan of
+quadruples.  :func:`~mixedsurf.divisors.intersection_table` has shown
+that the pairing has rank <= 2, so divisors with equal coordinates have
+equal rows, and a class has one self-intersection.  Two members each of
+two distinct null classes a, b with a.b > 0 are a witness (D1, D4 in a;
+D2, D3 in b).  Every witness is of that form: D1 and D4 are orthogonal
+null vectors of a plane on which the pairing is nondegenerate (D1.D2 > 0),
+so they are proportional, and D1.D2 = D4.D2 makes them equal; so are D2
+and D3.  Members are sorted within a class and the classes are disjoint,
+so the lexicographically first witness (D1, D2, D3, D4) is
+(a_0, b_0, b_1, a_1) for the pair (a, b) with the least (a_0, b_0); the
+report lists it as (A, A', B, B') = (a_0, a_1, b_0, b_1).  A witness
+holds a null pair with a positive product, which is a basis, so a table
+with no basis has no witness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from typing import NamedTuple
 
 from .divisors import IntersectionTable
@@ -84,29 +98,6 @@ def numerical_classes(table: IntersectionTable, basis: tuple[int, int]) -> list[
     return classes
 
 
-def divfq_conditions_hold(table: IntersectionTable, quad: tuple[int, int, int, int]) -> bool:
-    """Standalone check of the seven witness conditions on (D1, D2, D3, D4)."""
-    d1, d2, d3, d4 = quad
-    if len(set(quad)) != 4:
-        return False
-    e = table.entry
-    if any(e(d, d) != 0 for d in quad):
-        return False
-    if e(d1, d4) != 0 or e(d2, d3) != 0:
-        return False
-    p = e(d1, d2)
-    return p > 0 and e(d1, d3) == p and e(d4, d2) == p and e(d4, d3) == p
-
-
-def find_divfq_quadruple(table: IntersectionTable) -> tuple[int, int, int, int] | None:
-    """Lexicographically first ordered quadruple satisfying the criterion."""
-    zero_self = [lbl for lbl in table.labels if table.entry(lbl, lbl) == 0]
-    for quad in permutations(zero_self, 4):
-        if divfq_conditions_hold(table, quad):
-            return quad
-    return None
-
-
 class ConeReport(NamedTuple):
     basis: tuple[int, int] | None
     classes: tuple[NumericalClass, ...]
@@ -117,7 +108,8 @@ class ConeReport(NamedTuple):
 
 
 def cone_report(table: IntersectionTable) -> ConeReport:
-    """Verdict report; MoriDream only on a fully verified witness quadruple."""
+    """Verdict report; MoriDream only on a witness quadruple, read off the
+    numerical classes of a table of rank <= 2 (see the module docstring)."""
     notes: list[str] = []
     if not table.divisors:
         return ConeReport(None, (), None, None, VERDICT_INCONCLUSIVE,
@@ -134,30 +126,17 @@ def cone_report(table: IntersectionTable) -> ConeReport:
     except ValidationError as exc:
         notes.append(str(exc))
 
-    quad = find_divfq_quadruple(table)
-    if quad is None:
+    e = table.entry
+    null = [c.members for c in classes
+            if len(c.members) > 1 and e(c.members[0], c.members[0]) == 0]
+    pairs = [(a, b) for a in null for b in null if e(a[0], b[0]) > 0]
+    if not pairs:
         return ConeReport(basis, classes, None, None, VERDICT_INCONCLUSIVE, tuple(notes))
-    _recheck_witness(table, quad)
+    a, b = min(pairs)
     if negatives:
         # A witness makes Eff = Nef, and no effective divisor is then negative.
         raise IntegrityError(
-            f"witness quadruple {quad} found, but divisor {negatives[0]} has "
-            f"negative self-intersection {table.entry(negatives[0], negatives[0])}")
-    d1, d2, d3, d4 = quad
-    witness = (d1, d4, d2, d3)
-    return ConeReport(basis, classes, witness, (witness[0], witness[2]),
+            f"witness quadruple {(a[0], b[0], b[1], a[1])} found, but divisor {negatives[0]} "
+            f"has negative self-intersection {e(negatives[0], negatives[0])}")
+    return ConeReport(basis, classes, (a[0], a[1], b[0], b[1]), (a[0], b[0]),
                       VERDICT_MORI_DREAM, tuple(notes))
-
-
-def _recheck_witness(table: IntersectionTable, quad: tuple[int, int, int, int]):
-    """Re-read the pairing block of (D1, D2, D3, D4) straight from the matrix.
-
-    Independent of :func:`divfq_conditions_hold`: the block must be
-    [[0,p,p,0],[p,0,0,p],[p,0,0,p],[0,p,p,0]] with p > 0, on four distinct labels.
-    """
-    if len(set(quad)) != 4 or not set(quad) <= set(table.labels):
-        raise IntegrityError(f"witness failed re-verification: labels {quad}")
-    block = [[table.pairing[a - 1][b - 1] for b in quad] for a in quad]
-    p = block[0][1]
-    if p <= 0 or block != [[0, p, p, 0], [p, 0, 0, p], [p, 0, 0, p], [0, p, p, 0]]:
-        raise IntegrityError(f"witness failed re-verification: pairing block {block}")

@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, IntegrityError, ValidationError
-from .perm import FiniteGroup, conjugacy_class, subgroup_generated
+from .perm import FiniteGroup, subgroup_generated
 
 
 class CoverType:
@@ -159,20 +159,22 @@ def validate_generating_vector(v: GeneratingVector) -> None:
 
 def stabilizer_set(v: GeneratingVector) -> frozenset[int]:
     """All conjugates of all powers of the branch generators (identity included)."""
-    return frozenset({0}.union(*(cls for classes in _power_classes(v) for cls in classes)))
+    classes = v.group.class_map.classes
+    return frozenset({0}.union(*(classes[c] for powers in _power_classes(v) for c in powers)))
 
 
-def _power_classes(v: GeneratingVector) -> list[list[frozenset[int]]]:
-    """For each entry h_j, the conjugacy class of each of h_j, h_j^2, ... != 1."""
+def _power_classes(v: GeneratingVector) -> list[list[int]]:
+    """For each entry h_j, the class index of each of h_j, h_j^2, ... != 1."""
     G = v.group
+    class_of = G.class_map.class_of
     out = []
     for h in v.entries:
-        classes = []
+        powers = []
         k = h
         while k != 0:
-            classes.append(conjugacy_class(G, k))
+            powers.append(class_of[k])
             k = G.mul(k, h)
-        out.append(classes)
+        out.append(powers)
     return out
 
 
@@ -181,17 +183,20 @@ def fixed_point_table(v: GeneratingVector) -> dict[int, int]:
 
     A class c gets the weight w_c, the sum over j of L/m_j for each power of
     h_j in c, with L = lcm(m_j); every f in c has |H| w_c / (L |c|) fixed
-    points, and L |c| must divide |H| w_c.
+    points, and L |c| must divide |H| w_c.  The classes are checked in
+    order of class index, which is the order of their least members.
     """
     _require_genus_zero_quotient(v.cover_type)
     G = v.group
+    classes = G.class_map.classes
     L = lcm(*v.cover_type.m)
-    weight: dict[frozenset[int], int] = {}
-    for classes, mj in zip(_power_classes(v), v.cover_type.m):
-        for cls in classes:
-            weight[cls] = weight.get(cls, 0) + L // mj
+    weight: dict[int, int] = {}
+    for powers, mj in zip(_power_classes(v), v.cover_type.m):
+        for c in powers:
+            weight[c] = weight.get(c, 0) + L // mj
     table = dict.fromkeys(range(1, G.order), 0)
-    for cls, w in sorted(weight.items(), key=lambda item: min(item[0])):
+    for c, w in sorted(weight.items()):
+        cls = classes[c]
         count, rest = divmod(G.order * w, L * len(cls))
         if rest:
             raise IntegrityError(f"fixed-point count for element {min(cls)} is non-integral: "
@@ -230,8 +235,9 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
                               limit: int | None = None) -> list[GeneratingVector]:
     """Deterministic scan for generating vectors of the given genus-0 type.
 
-    The first entry runs over conjugacy-class representatives of its order,
-    later entries over all elements of the right order; the final entry is
+    The first entry runs over the least members of the conjugacy classes of
+    its order, read from ``group.class_map`` in class order, later entries
+    over all elements of the right order; the final entry is
     forced as the inverse of the leading product.  Results are reported in
     scan order, deduplicated up to simultaneous conjugation, and truncated
     at ``limit`` (``None`` = no bound; a limit below 1 is refused).
@@ -278,11 +284,7 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
     rows, inv, orders = G.rows, G.inverses, G.orders
     by_order = {mi: [i for i in range(n) if orders[i] == mi] for mi in set(cover_type.m)}
 
-    first_reps, seen = [], set()
-    for i in by_order[cover_type.m[0]]:
-        if i not in seen:
-            seen |= conjugacy_class(G, i)
-            first_reps.append(i)
+    first_reps = [f for f in map(min, G.class_map.classes) if orders[f] == cover_type.m[0]]
     leaves = len(first_reps) * prod(len(by_order[mi]) for mi in cover_type.m[1:-1])
     if limit is None and leaves > MAX_SEARCH_LEAVES:
         raise BudgetExceeded(f"a search for type {cover_type} would scan {leaves} "

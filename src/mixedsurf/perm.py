@@ -44,7 +44,8 @@ read, from the left steps and the parents: the row of e_i == e_p * g is the
 row of e_p read through g's left steps, one gather over e_p's row held as a
 tuple of shared ints, so no entry is boxed; each row is packed into a
 two-byte array by one ``struct`` call.  ``FiniteGroup.inverses`` follow the
-same parents, e_i^-1 == g^-1 * e_p^-1.  Downstream code reads these index
+same parents, e_i^-1 == g^-1 * e_p^-1, and ``FiniteGroup.class_map`` is
+the one walk of the conjugacy classes.  Downstream code reads these index
 arrays and never composes image arrays in inner loops.
 
 Groups of order up to a few thousand are the target.
@@ -167,13 +168,21 @@ class Permutation:
 _set_images = Permutation.images.__set__
 
 
+class ClassMap(NamedTuple):
+    """The conjugacy classes of a group and the class of each element."""
+
+    classes: tuple[frozenset[int], ...]   # ordered by least member index
+    class_of: array                       # class_of[i] = index of e_i's class
+
+
 class FiniteGroup:
     """A finite permutation group with its full, canonically ordered element list.
 
     Use :func:`closure` to construct one.  Elements are addressed by index.
-    The Cayley table ``rows``, the ``inverses`` and the element ``orders``
-    are index arrays, each built on its first read; inner loops read them
-    directly, and ``mul``/``inv``/``conj``/``order_of`` are one-line reads.
+    The Cayley table ``rows``, the ``inverses``, the element ``orders`` and
+    the conjugacy ``class_map`` are built on their first read; inner loops
+    read them directly, and ``mul``/``inv``/``conj``/``order_of`` are
+    one-line reads.
     """
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
@@ -280,6 +289,31 @@ class FiniteGroup:
                 k += 1
             orders.append(k)
         return orders
+
+    @cached_property
+    def class_map(self) -> ClassMap:
+        """The conjugacy classes, ordered by least member, and each element's
+        class index: one breadth-first walk per class, by conjugation with
+        the generators, started from the least element not in a class yet.
+        """
+        rows, inv = self.rows, self.inverses
+        by_gen = [(rows[g], inv[g]) for g in self.generator_indices]
+        class_of = array("i", [-1]) * self.order
+        classes = []
+        for f in range(self.order):
+            if class_of[f] >= 0:
+                continue
+            k = len(classes)
+            class_of[f] = k
+            members = [f]
+            for x in members:  # the list grows while it is read: a BFS queue
+                for row_g, inv_g in by_gen:
+                    y = rows[row_g[x]][inv_g]
+                    if class_of[y] < 0:
+                        class_of[y] = k
+                        members.append(y)
+            classes.append(frozenset(members))
+        return ClassMap(tuple(classes), class_of)
 
     def mul(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -713,40 +747,18 @@ def derived_subgroup(G: FiniteGroup | Subgroup) -> Subgroup:
 
 def conjugacy_class(G: FiniteGroup, f: int) -> frozenset[int]:
     """The conjugacy class {g f g^-1 : g in G} as a set of element indices."""
-    rows, inv = G.rows, G.inverses
-    by_gen = [(rows[g], inv[g]) for g in G.generator_indices]
-    cls = {f}
-    frontier = [f]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for row_g, inv_g in by_gen:
-                y = rows[row_g[x]][inv_g]
-                if y not in cls:
-                    cls.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(cls)
+    classes, class_of = G.class_map
+    return classes[class_of[f]]
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[frozenset[int]]:
     """All conjugacy classes, ordered by minimal member index."""
-    seen = [False] * G.order
-    classes = []
-    for i in range(G.order):
-        if seen[i]:
-            continue
-        cls = conjugacy_class(G, i)
-        for x in cls:
-            seen[x] = True
-        classes.append(cls)
-    return classes
+    return list(G.class_map.classes)
 
 
 def center_order(G: FiniteGroup) -> int:
-    gens = G.generator_indices
-    rows = G.rows
-    return sum(1 for x in range(G.order) if all(rows[x][g] == rows[g][x] for g in gens))
+    """|Z(G)|: the center is the union of the one-element classes."""
+    return sum(len(cls) == 1 for cls in G.class_map.classes)
 
 
 class GroupFingerprint(NamedTuple):

@@ -27,20 +27,25 @@ multiplies element indices and reduces exponents modulo |G|; and the
 orbit-divisor pairing sums over every pair of graphs, where the library
 reads one representative per orbit; and the rank of a matrix is found by
 Gauss-Jordan elimination over ``Fraction``s, where the library eliminates
-fraction-free in integers.
+fraction-free in integers; and conjugacy classes are formed by composing
+``Permutation``s, every conjugate of every element, where the library
+walks each class once on the Cayley table; and the cone witness is found by
+testing the seven conditions on every ordered quadruple of null divisors,
+where the library reads it off the numerical classes.
 """
 
 from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Sequence
 
 from mixedsurf.covering import CoverType, GeneratingVector
+from mixedsurf.divisors import IntersectionTable
 from mixedsurf.errors import BudgetExceeded, IntegrityError, ValidationError
 from mixedsurf.perm import (MAX_TABLE_ORDER, FiniteGroup, Permutation, Subgroup, closure,
-                            conjugacy_class, extend_homomorphism)
+                            extend_homomorphism)
 from mixedsurf.surface import SurfaceData
 
 
@@ -179,6 +184,27 @@ def span_members(G: FiniteGroup, seeds) -> frozenset[int]:
     return frozenset(span)
 
 
+def conjugacy_classes_by_conjugation(G: FiniteGroup,
+                                     order: int | None = None) -> list[frozenset[int]]:
+    """The conjugacy classes of G, or those of its elements of ``order``,
+    ordered by least member.
+
+    Each class is {g x g^-1 : g in G} for the least x not yet in a class,
+    every conjugate composed as permutations and looked up by ``index_of``,
+    with no Cayley table.  Conjugates have equal orders, so the classes of
+    one order are those of its elements.
+    """
+    elements = G.elements
+    pairs = [(g, g.inverse()) for g in elements]
+    classes, seen = [], set()
+    for x in range(G.order):
+        if x not in seen and order in (None, G.order_of(x)):
+            cls = frozenset(G.index_of(g * elements[x] * g_inv) for g, g_inv in pairs)
+            seen |= cls
+            classes.append(cls)
+    return classes
+
+
 def generating_vector_entries(G: FiniteGroup, cover_type: CoverType) -> list[tuple[int, ...]]:
     """Every genus-0 generating vector of the type, one per simultaneous
     conjugacy class, in the library's scan order.
@@ -189,8 +215,7 @@ def generating_vector_entries(G: FiniteGroup, cover_type: CoverType) -> list[tup
     before it.  Each candidate that generates G is kept unless its minimum
     over conjugation by every element of G was already seen.
     """
-    reps = sorted({min(conjugacy_class(G, x)) for x in range(G.order)
-                   if G.order_of(x) == cover_type.m[0]})
+    reps = [min(cls) for cls in conjugacy_classes_by_conjugation(G, cover_type.m[0])]
     pools = [reps] + [[x for x in range(G.order) if G.order_of(x) == mi]
                       for mi in cover_type.m[1:-1]]
     found, keys = [], set()
@@ -467,3 +492,27 @@ def evaluate_word(word, assignment: dict) -> Permutation:
         for _ in range(abs(exp)):
             acc = acc * base
     return acc
+
+
+def divfq_conditions_hold(table: IntersectionTable, quad: tuple[int, int, int, int]) -> bool:
+    """The seven witness conditions on (D1, D2, D3, D4), on distinct labels."""
+    d1, d2, d3, d4 = quad
+    if len(set(quad)) != 4:
+        return False
+    e = table.entry
+    if any(e(d, d) != 0 for d in quad):
+        return False
+    if e(d1, d4) != 0 or e(d2, d3) != 0:
+        return False
+    p = e(d1, d2)
+    return p > 0 and e(d1, d3) == p and e(d4, d2) == p and e(d4, d3) == p
+
+
+def find_divfq_quadruple(table: IntersectionTable) -> tuple[int, int, int, int] | None:
+    """Lexicographically first ordered quadruple (D1, D2, D3, D4) of null
+    divisors that satisfies the witness conditions, by a scan of them all."""
+    zero_self = [lbl for lbl in table.labels if table.entry(lbl, lbl) == 0]
+    for quad in permutations(zero_self, 4):
+        if divfq_conditions_hold(table, quad):
+            return quad
+    return None

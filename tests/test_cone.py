@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import io
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixedsurf import cli, cone
+from mixedsurf import cli, cone, files
 from mixedsurf.cone import (VERDICT_INCONCLUSIVE, VERDICT_MORI_DREAM,
                             NumericalClass, choose_basis, cone_report,
-                            divfq_conditions_hold, find_divfq_quadruple,
                             numerical_classes)
 from mixedsurf.divisors import IntersectionTable, OrbitDivisor
 from mixedsurf.errors import IntegrityError, ValidationError
+from mixedsurf.files import run_pipeline
+from oracles import divfq_conditions_hold, find_divfq_quadruple
 
 
 def _synthetic_table(pairing, kdot=None):
@@ -135,18 +139,29 @@ def test_cone_report_negative_entry_noted():
     assert any("negative self-intersection" in n for n in rep.notes)
 
 
+# D1 ~ D4 ~ A and D2 ~ D3 ~ B with A.B = 1 form a witness; D5 = A - B has
+# D5^2 = -2 on the same rank-2 lattice, which a witness rules out.
+WITNESS_NEXT_TO_A_NEGATIVE = [[0, 1, 1, 0, -1],
+                              [1, 0, 0, 1, 1],
+                              [1, 0, 0, 1, 1],
+                              [0, 1, 1, 0, -1],
+                              [-1, 1, 1, -1, -2]]
+
+
 def test_witness_next_to_a_negative_divisor_is_integrity_error():
-    # D1 ~ D4 ~ A and D2 ~ D3 ~ B with A.B = 1 form a witness; D5 = A - B
-    # has D5^2 = -2 on the same rank-2 lattice, which a witness rules out.
-    pairing = [[0, 1, 1, 0, -1],
-               [1, 0, 0, 1, 1],
-               [1, 0, 0, 1, 1],
-               [0, 1, 1, 0, -1],
-               [-1, 1, 1, -1, -2]]
-    table = _synthetic_table(pairing)
+    table = _synthetic_table(WITNESS_NEXT_TO_A_NEGATIVE)
     assert table.rank() == 2 and find_divfq_quadruple(table) == (1, 2, 3, 4)
     with pytest.raises(IntegrityError, match="divisor 5 has negative self-intersection -2"):
         cone_report(table)
+
+
+def test_witness_next_to_a_negative_divisor_exits_4(data_dir, monkeypatch):
+    monkeypatch.setattr(files, "intersection_table",
+                        lambda orbits, S: _synthetic_table(WITNESS_NEXT_TO_A_NEGATIVE))
+    out = io.StringIO()
+    assert cli.run(["cone", str(data_dir / "family1.json")], out=out) == cli.EXIT_ASSERTION
+    assert out.getvalue() == ("integrity assertion failed: witness quadruple (1, 2, 3, 4) "
+                              "found, but divisor 5 has negative self-intersection -2\n")
 
 
 def test_cone_report_empty_table():
@@ -188,23 +203,48 @@ def test_numerical_classes_partition_failure_is_integrity_error(family1, monkeyp
         numerical_classes(family1.table, family1.report.basis)
 
 
-def test_witness_reverification_failure_is_integrity_error(family1, data_dir, monkeypatch):
-    monkeypatch.setattr(cone, "find_divfq_quadruple", lambda table: (1, 1, 2, 3))
-    with pytest.raises(IntegrityError):
-        cone_report(family1.table)
-    out = io.StringIO()
-    code = cli.run(["cone", str(data_dir / "family1.json")], out=out)
-    assert code == cli.EXIT_ASSERTION
-    assert "witness failed re-verification" in out.getvalue()
+# The witness read off the numerical classes is the first quadruple of the
+# permutation scan, on every table of rank <= 2.
+
+def assert_witness_matches_scan(table) -> None:
+    quad = find_divfq_quadruple(table)
+    if quad is not None and any(table.entry(d, d) < 0 for d in table.labels):
+        with pytest.raises(IntegrityError, match=re.escape(f"witness quadruple {quad} found")):
+            cone_report(table)
+        return
+    report = cone_report(table)
+    if quad is None:
+        assert report.witness is None and report.verdict == VERDICT_INCONCLUSIVE
+    else:
+        a, a2, b, b2 = report.witness
+        assert (a, b, b2, a2) == quad and report.verdict == VERDICT_MORI_DREAM
 
 
-def test_witness_with_distinct_labels_and_wrong_pattern_is_integrity_error(family1,
-                                                                           monkeypatch):
-    table = family1.table
-    d1, d4, d2, d3 = family1.report.witness
-    # D3 and D4 swapped: four distinct labels and D1.D2 > 0, but D1.D3 = 0.
-    wrong = (d1, d2, d4, d3)
-    assert table.entry(d1, d2) > 0 and table.entry(d1, d4) == 0
-    monkeypatch.setattr(cone, "find_divfq_quadruple", lambda t: wrong)
-    with pytest.raises(IntegrityError, match="pairing block"):
-        cone_report(table)
+@st.composite
+def rank_two_tables(draw):
+    """The Gram matrix u_i^T Q u_j of integer 2-vectors under
+    Q = [[0, q], [q, 0]]: a few vectors, most of them null (on an axis),
+    each repeated one to three times, in a drawn order."""
+    q = draw(st.sampled_from((1, 2, 3, 0)))
+    axis, coord = st.sampled_from((1, 2, -1)), st.integers(-2, 2)
+    vector = st.one_of(st.tuples(axis, st.just(0)), st.tuples(st.just(0), axis),
+                       st.tuples(coord, coord))
+    repeats = st.sampled_from((2, 1, 3))
+    pool = draw(st.lists(st.tuples(vector, repeats), min_size=2, max_size=4,
+                         unique_by=lambda item: item[0]))
+    us = draw(st.permutations([u for u, k in pool for _ in range(k)]))
+    return _synthetic_table([[q * (x1 * y2 + y1 * x2) for x2, y2 in us] for x1, y1 in us])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_two_tables())
+def test_witness_matches_the_permutation_scan(table):
+    assert table.rank() <= 2
+    assert_witness_matches_scan(table)
+
+
+@pytest.mark.parametrize("use_extra", [True, False], ids=["extra", "g0_only"])
+@pytest.mark.parametrize("name", ["family1", "family2", "family3", "family4", "family5",
+                                  "family2_search"])
+def test_witness_of_bundled_tables_matches_the_permutation_scan(data_dir, name, use_extra):
+    assert_witness_matches_scan(run_pipeline(data_dir / f"{name}.json", use_extra).table)

@@ -3,13 +3,14 @@ from __future__ import annotations
 import gc
 import io
 import weakref
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import CosetFiberOracle, fixed_point_count, generating_vector_entries
-from mixedsurf import cli, covering
+from mixedsurf import cli, covering, surface
 from mixedsurf.covering import (MAX_BRANCH_POINTS, MAX_SEARCH_LEAVES, CoverType,
                                 GeneratingVector, covering_data, fixed_point_table,
                                 hurwitz_genus, parse_cover_type,
@@ -17,7 +18,8 @@ from mixedsurf.covering import (MAX_BRANCH_POINTS, MAX_SEARCH_LEAVES, CoverType,
                                 validate_generating_vector)
 from mixedsurf.errors import BudgetExceeded, IntegrityError, ValidationError
 from mixedsurf.files import load_group_record, realize_group, resolve_word
-from mixedsurf.perm import Permutation, closure, subgroup_as_group, subgroup_generated
+from mixedsurf.perm import (ClassMap, Permutation, closure, subgroup_as_group,
+                            subgroup_generated)
 
 
 def test_parse_cover_type():
@@ -207,9 +209,15 @@ def test_covering_data_bundle(z2):
 
 
 def test_a_non_integral_count_exits_4(data_dir, monkeypatch):
-    # Every power of family 1's [0;2^5] vector put in one class of 3 elements
-    # of its order-32 group: |Fix(1)| = 32 * 5 / (2 * 3).
-    monkeypatch.setattr(covering, "conjugacy_class", lambda G, k: frozenset({1, 2, 3}))
+    # Family 1's order-32 G0 realized with a class map that puts every
+    # element in one class of 3 elements, so every power of its [0;2^5]
+    # vector lands there: |Fix(1)| = 32 * 5 / (2 * 3).
+    def realize_corrupted(sub):
+        G0 = subgroup_as_group(sub)
+        G0.__dict__["class_map"] = ClassMap((frozenset({1, 2, 3}),), array("i", [0]) * G0.order)
+        return G0
+
+    monkeypatch.setattr(surface, "subgroup_as_group", realize_corrupted)
     out = io.StringIO()
     assert cli.run(["surface", str(data_dir / "family1.json")], out=out) == cli.EXIT_ASSERTION
     assert out.getvalue() == ("integrity assertion failed: "

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from mixedsurf import perm
 from mixedsurf.errors import BudgetExceeded, IntegrityError, ValidationError
 from mixedsurf.files import load_group_record, realize_group
-from mixedsurf.perm import (MAX_TABLE_ORDER, FiniteGroup, Permutation, closure,
+from mixedsurf.perm import (MAX_TABLE_ORDER, FiniteGroup, Permutation, center_order, closure,
                             conjugacy_class, conjugacy_classes, derived_subgroup,
                             extend_homomorphism, fingerprint, homomorphisms,
                             subgroup_as_group, subgroup_generated)
-from oracles import commutator_subgroup_members, homomorphisms_by_tuples, span_members
+from oracles import (commutator_subgroup_members, conjugacy_classes_by_conjugation,
+                     homomorphisms_by_tuples, span_members)
 
 BUNDLED = ("g64", "g256a", "g256b", "h768", "toy_z4_group")
 
@@ -590,6 +591,41 @@ def test_random_subgroups_satisfy_lagrange(seeds):
     # membership by bisection over the sorted members
     assert [i in sub for i in range(-1, s4.order + 1)] == [
         i in members for i in range(-1, s4.order + 1)]
+
+
+def assert_class_map_matches_oracle(G: FiniteGroup) -> None:
+    classes = conjugacy_classes_by_conjugation(G)
+    assert G.class_map.classes == tuple(classes)
+    assert list(G.class_map.class_of) == [
+        next(k for k, cls in enumerate(classes) if x in cls) for x in range(G.order)]
+    assert conjugacy_classes(G) == classes
+    assert all(conjugacy_class(G, x) in classes and x in conjugacy_class(G, x)
+               for x in range(G.order))
+    assert center_order(G) == sum(len(cls) == 1 for cls in classes)
+
+
+@st.composite
+def small_permutation_groups(draw):
+    """A subgroup of S4..S7 of order at most 720: the span of one to three
+    drawn permutations, or of the first alone when that span is larger."""
+    n = draw(st.integers(4, 7))
+    gens = [Permutation(tuple(images)) for images in draw(
+        st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=3))]
+    try:
+        return closure(gens, budget=721)
+    except BudgetExceeded:
+        return closure(gens[:1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(subgroup_seeds().map(lambda drawn: drawn[0]), small_permutation_groups()))
+def test_class_map_matches_oracle_in_random_subgroups(G):
+    assert_class_map_matches_oracle(G)
+
+
+@pytest.mark.parametrize("name", ["toy_z4_group", "g64", "g256a", "g256b"])
+def test_class_map_of_bundled_groups_matches_oracle(bundled, name):
+    assert_class_map_matches_oracle(bundled[name])
 
 
 @settings(max_examples=40, deadline=None)
