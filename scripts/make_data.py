@@ -39,15 +39,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mixedsurf.covering import (CoverType, GeneratingVector, covering_data,
-                                search_generating_vectors, stabilizer_set)
+from mixedsurf.covering import (CoverType, covering_data, search_generating_vectors,
+                                stabilizer_set)
 from mixedsurf.errors import IntegrityError, MismatchError
 from mixedsurf.expected import FAMILY_EXPECTATIONS, compare_family
 from mixedsurf.files import (build_surface, element_word, run_pipeline, save_group_file,
                              save_surface_file)
 from mixedsurf.perm import (FiniteGroup, Permutation, closure, extend_homomorphism,
                             homomorphisms)
-from mixedsurf.surface import (check_free_action, derive_induced_vectors,
+from mixedsurf.surface import (TRIANGLE_TYPE, check_free_action, derive_induced_vectors,
                                fixed_curve_witness, isolated_point_witness)
 from mixedsurf.coset import todd_coxeter
 from mixedsurf.words import Presentation
@@ -221,16 +221,15 @@ def make_families_2_to_5(out: Path):
     H = build_h()
     log(f"covering group of order {H.order} built ({time.time() - t0:.1f}s)")
 
-    type_238 = CoverType(0, (2, 3, 8))
-    classes = [v.entries for v in search_generating_vectors(H, type_238)]
+    covers = [covering_data(v) for v in search_generating_vectors(H, TRIANGLE_TYPE)]
+    classes = [cover.vector.entries for cover in covers]
     if len(classes) != 4:
         raise IntegrityError(f"expected 4 vector classes, found {len(classes)}")
     log(f"[0;2,3,8] vector classes: {classes}")
 
     # Each class induces a [0;4^3] vector of G0 = [[H,H],[H,H]].
-    towers = [derive_induced_vectors(H, *abc) for abc in classes]
-    induced = [tower.second for tower in towers]
-    members = towers[0].g0_sub.members
+    induced = [derive_induced_vectors(cover).second for cover in covers]
+    members = H.derived_series[1]
     V0 = induced[0]
 
     t0 = time.time()
@@ -239,8 +238,7 @@ def make_families_2_to_5(out: Path):
 
     # Sigma_V: the G0 members with fixed points on C, read from each class's
     # H-cover; all four classes must agree.
-    sigmas = {covering_data(GeneratingVector(H, type_238, abc)).sigma_v.intersection(members)
-              for abc in classes}
+    sigmas = {cover.sigma_v.intersection(members) for cover in covers}
     if len(sigmas) != 1:
         raise IntegrityError("the vector classes induce different stabilizer sets")
     sigma, = sigmas

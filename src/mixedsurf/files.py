@@ -52,7 +52,8 @@ from .covering import CoverType, parse_cover_type, search_generating_vectors
 from .divisors import IntersectionTable, graph_orbits, intersection_table
 from .errors import BudgetExceeded, InputParseError, MismatchError, ValidationError
 from .perm import FiniteGroup, GroupFingerprint, Permutation, closure, fingerprint
-from .surface import FreenessReport, SurfaceData, assemble_surface, check_free_action
+from .surface import (TRIANGLE_TYPE, FreenessReport, SurfaceData, assemble_surface,
+                      attach_covering_group, check_free_action)
 from .words import evaluate_word_index, parse_word
 
 GROUP_FIELDS = ("name", "claimed_id", "degree", "generators", "fingerprint", "provenance")
@@ -279,6 +280,8 @@ def element_word(group: FiniteGroup, index: int) -> str:
 def build_surface(path: str | Path, use_extra: bool = True) -> SurfaceData:
     """Load a surface file and assemble its SurfaceData.
 
+    The G side is assembled once, then H is attached with the file's vector,
+    or with the first searched one whose attachment raises no ValidationError.
     ``use_extra=False`` ignores the extra-automorphism block, forcing the
     covering group down to G0.
     """
@@ -290,16 +293,24 @@ def build_surface(path: str | Path, use_extra: bool = True) -> SurfaceData:
     tau_prime = resolve_word(G, record.tau_prime)
     vector = [resolve_word(G, w) for w in record.vector]
 
-    h_group = None
-    h_vector = None
+    H = h_vector = None
     if use_extra and record.extra is not None:
-        h_group, _ = load_group(here / record.extra.group_file)
-        if record.extra.vector is None:
-            return _search_matching_surface(h_group, G, seeds, tau_prime, vector,
-                                            record.cover_type)
-        h_vector = tuple(resolve_word(h_group, w) for w in record.extra.vector)
-    return assemble_surface(G, seeds, tau_prime, vector, record.cover_type,
-                            h_group=h_group, h_vector=h_vector)
+        H, _ = load_group(here / record.extra.group_file)
+        if record.extra.vector is not None:
+            h_vector = tuple(resolve_word(H, w) for w in record.extra.vector)
+    surface = assemble_surface(G, seeds, tau_prime, vector, record.cover_type)
+    if H is None:
+        return surface
+    if h_vector is not None:
+        return attach_covering_group(surface, H, h_vector)
+    for candidate in search_generating_vectors(H, TRIANGLE_TYPE):
+        try:
+            return attach_covering_group(surface, H, candidate.entries)
+        except ValidationError:
+            continue
+    raise ValidationError(
+        "no [0;2,3,8] vector of the extra-automorphism group induces the "
+        "surface's defining vector")
 
 
 class FamilyBundle(NamedTuple):
@@ -324,19 +335,3 @@ def run_pipeline(path: str | Path, use_extra: bool = True) -> FamilyBundle:
         raise ValidationError("the action is not free; no smooth quotient surface")
     table = intersection_table(graph_orbits(surface), surface)
     return FamilyBundle(surface, freeness, table, cone_report(table))
-
-
-def _search_matching_surface(h_group: FiniteGroup, G: FiniteGroup, seeds, tau_prime,
-                             vector, cover_type: CoverType) -> SurfaceData:
-    """The surface assembled with the first [0;2,3,8] vector of H whose
-    induced vector transports onto the surface's defining vector."""
-    candidates = search_generating_vectors(h_group, CoverType(0, (2, 3, 8)))
-    for cand in candidates:
-        try:
-            return assemble_surface(G, seeds, tau_prime, vector, cover_type,
-                                    h_group=h_group, h_vector=cand.entries)
-        except ValidationError:
-            continue
-    raise ValidationError(
-        "no [0;2,3,8] vector of the extra-automorphism group induces the "
-        "surface's defining vector")

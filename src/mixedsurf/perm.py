@@ -44,9 +44,10 @@ read, from the left steps and the parents: the row of e_i == e_p * g is the
 row of e_p read through g's left steps, one gather over e_p's row held as a
 tuple of shared ints, so no entry is boxed; each row is packed into a
 two-byte array by one ``struct`` call.  ``FiniteGroup.inverses`` follow the
-same parents, e_i^-1 == g^-1 * e_p^-1, and ``FiniteGroup.class_map`` is
-the one walk of the conjugacy classes.  Downstream code reads these index
-arrays and never composes image arrays in inner loops.
+same parents, e_i^-1 == g^-1 * e_p^-1, and ``FiniteGroup.class_map`` and
+``FiniteGroup.derived_series`` are the one walk of the conjugacy classes
+and of the derived series.  Downstream code reads these index arrays and
+never composes image arrays in inner loops.
 
 Groups of order up to a few thousand are the target.
 """
@@ -179,10 +180,10 @@ class FiniteGroup:
     """A finite permutation group with its full, canonically ordered element list.
 
     Use :func:`closure` to construct one.  Elements are addressed by index.
-    The Cayley table ``rows``, the ``inverses``, the element ``orders`` and
-    the conjugacy ``class_map`` are built on their first read; inner loops
-    read them directly, and ``mul``/``inv``/``conj``/``order_of`` are
-    one-line reads.
+    The Cayley table ``rows``, the ``inverses``, the element ``orders``, the
+    conjugacy ``class_map`` and the ``derived_series`` are built on their
+    first read; inner loops read them directly, and
+    ``mul``/``inv``/``conj``/``order_of`` are one-line reads.
     """
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
@@ -314,6 +315,19 @@ class FiniteGroup:
                         members.append(y)
             classes.append(frozenset(members))
         return ClassMap(tuple(classes), class_of)
+
+    @cached_property
+    def derived_series(self) -> tuple[tuple[int, ...], ...]:
+        """The members of G', G'', ..., down to the first term that is trivial
+        or unchanged, which equals every later one.  Member tuples: a kept
+        :class:`Subgroup` would refer back to this group, a reference cycle."""
+        series = []
+        previous, current = self.order, derived_subgroup(self)
+        while True:
+            series.append(current.members)
+            if current.order in (1, previous):
+                return tuple(series)
+            previous, current = current.order, derived_subgroup(current)
 
     def mul(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -860,16 +874,10 @@ def fingerprint(G: FiniteGroup) -> GroupFingerprint:
     for o in G.orders:
         hist[o] = hist.get(o, 0) + 1
 
-    first_derived = derived_subgroup(G)
-    series = [G.order]
-    current = first_derived
-    while current.order < series[-1]:
-        series.append(current.order)
-        if current.order == 1:
-            break
-        current = derived_subgroup(current)
-
-    invf = _abelian_invariant_factors(_quotient_table(G.rows, first_derived.members))
+    series = [G.order, *map(len, G.derived_series)]
+    if series[-1] == series[-2]:  # an unchanged last term
+        series.pop()
+    invf = _abelian_invariant_factors(_quotient_table(G.rows, G.derived_series[0]))
 
     return GroupFingerprint(
         order=G.order,

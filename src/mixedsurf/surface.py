@@ -12,6 +12,11 @@ The quotient S = (C x C)/G is smooth iff the action is free:
   i)  no isolated fixed points: Sigma_V and phi(Sigma_V) meet only in 1;
   ii) no fixed curves: no g outside G0 has g^2 in Sigma_V;
 where Sigma_V is the stabilizer set of the generating vector V of G0.
+
+:func:`assemble_surface` builds the G side; :func:`attach_covering_group`
+then attaches a larger H, a quotient of the (2,3,8) triangle group, whose
+[0;2,3,8] vector induces [0;3,3,4] -> [0;4^3] down H's derived series and
+so embeds G0 in H.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .covering import (CoverType, CoveringData, GeneratingVector, covering_data,
-                       validate_generating_vector)
+from .covering import CoverType, CoveringData, GeneratingVector, covering_data
 from .errors import IntegrityError, ValidationError
-from .perm import (FiniteGroup, Subgroup, derived_subgroup, extend_homomorphism,
-                   subgroup_as_group, subgroup_generated)
+from .perm import (FiniteGroup, Subgroup, extend_homomorphism, subgroup_as_group,
+                   subgroup_generated)
+
+TRIANGLE_TYPE = CoverType(0, (2, 3, 8))  # the type of H's vector
 
 
 class MixedAction(NamedTuple):
@@ -151,37 +157,35 @@ class InducedTower(NamedTuple):
 
     first: tuple[int, int, int]
     second: tuple[int, int, int]
-    h_prime: Subgroup
-    g0_sub: Subgroup
 
 
-def derive_induced_vectors(H: FiniteGroup, a: int, b: int, c: int) -> InducedTower:
-    """Validate (a, b, c) as a [0;2,3,8] vector of H and derive its tower.
+def derive_induced_vectors(cover: CoveringData) -> InducedTower:
+    """The tower induced by the [0;2,3,8] vector (a, b, c) of a cover C -> C/H.
 
-    Once (a, b, c) has orders 2, 3, 8 and product 1, each induced vector
-    has the right orders and product 1, so only generation is checked:
+    Building the cover validated (a, b, c).  Once it has orders 2, 3, 8 and
+    product 1, each induced vector has the right orders and product 1, so
+    only generation is checked:
     - Orders: d = a b a^-1 and e = b have order 3 and f = c^2 has order 4;
       u_1 and u_2 are conjugates of f, and u_3 = f.
     - Products: c = b^-1 a^-1, so d e f = a b a^-1 b (b^-1 a^-1)^2
       = a b a^-2 b^-1 a^-1 = 1, since a^2 = 1.  And since e^3 = 1,
       u_1 u_2 u_3 = e f e^-1 e^2 f e^-2 f = (e f)^3 = d^-3 = 1.
-    Entries that generate exactly the target subgroup lie in it.
+    Entries that generate exactly the target subgroup, a term of
+    ``H.derived_series``, lie in it.
     """
-    validate_generating_vector(GeneratingVector(H, CoverType(0, (2, 3, 8)), (a, b, c)))
-
-    h_prime = derived_subgroup(H)
+    H, _, (a, b, c) = cover.vector
+    series = H.derived_series
     d, e, f = H.conj(a, b), b, H.mul(c, c)
-    _check_induced(H, (d, e, f), h_prime, "[0;3,3,4]")
+    _check_induced(H, (d, e, f), series[0], "[0;3,3,4]")
 
-    g0_sub = derived_subgroup(h_prime)
     e2 = H.mul(e, e)
     u = (H.conj(e, f), H.mul(H.mul(e2, f), H.inv(e2)), f)
-    _check_induced(H, u, g0_sub, "[0;4^3]")
-    return InducedTower((d, e, f), u, h_prime, g0_sub)
+    _check_induced(H, u, series[min(1, len(series) - 1)], "[0;4^3]")
+    return InducedTower((d, e, f), u)
 
 
-def _check_induced(H: FiniteGroup, entries, target: Subgroup, label: str):
-    if subgroup_generated(H, entries).members != target.members:
+def _check_induced(H: FiniteGroup, entries, target: tuple[int, ...], label: str):
+    if subgroup_generated(H, entries).members != target:
         raise ValidationError(f"induced {label} vector does not generate the target subgroup")
 
 
@@ -200,14 +204,12 @@ def transport_embedding(src: FiniteGroup, src_gens, dst: FiniteGroup, dst_gens) 
 
 
 def assemble_surface(G: FiniteGroup, g0_seeds, tau_prime: int, vector_entries,
-                     cover_type: CoverType, h_group: FiniteGroup | None = None,
-                     h_vector: tuple[int, int, int] | None = None) -> SurfaceData:
-    """Build the full surface bundle from raw group data.
+                     cover_type: CoverType) -> SurfaceData:
+    """Build the G side of a surface from raw group data: the mixed action,
+    the defining cover of G0 and the invariants, with G0 as covering group.
 
     ``vector_entries`` are G-element indices (inside G0) of the defining
-    generating vector.  When ``h_group``/``h_vector`` are given, the larger
-    automorphism group is attached: the vector induced by ``h_vector`` must
-    match the defining vector entrywise under the transported isomorphism.
+    generating vector.
     """
     G0 = subgroup_generated(G, g0_seeds)
     action = build_mixed_action(G, G0, tau_prime)
@@ -216,33 +218,30 @@ def assemble_surface(G: FiniteGroup, g0_seeds, tau_prime: int, vector_entries,
             raise ValidationError("generating-vector entry outside G0")
 
     g0_group = subgroup_as_group(G0)
-    # G-index -> g0_group index; composed with the embedding when H is larger.
+    # G-index -> g0_group index; attach_covering_group composes it with G0 -> H.
     to_h = {i: g0_group.index_of(G.element(i)) for i in G0.members}
-
     defining = GeneratingVector(g0_group, cover_type,
                                 tuple(to_h[v] for v in vector_entries))
-
-    covering = h_covering = covering_data(defining)
-    if h_group is not None:
-        tower = derive_induced_vectors(h_group, *h_vector)
-        embedding = transport_embedding(g0_group, defining.entries, h_group, tower.second)
-        h_covering = covering_data(
-            GeneratingVector(h_group, CoverType(0, (2, 3, 8)), h_vector))
-        if h_covering.genus != covering.genus:
-            raise IntegrityError(
-                f"genus mismatch between covers: {covering.genus} vs {h_covering.genus}")
-        _check_sigma_consistency(covering, embedding, h_covering)
-        to_h = {g: embedding[k] for g, k in to_h.items()}
-
+    covering = covering_data(defining)
     chi, k2, euler, q, pg = invariants_from(covering.genus, G.order, cover_type.g_prime)
-    return SurfaceData(action, covering, h_covering, to_h, chi, k2, euler, q, pg)
+    return SurfaceData(action, covering, covering, to_h, chi, k2, euler, q, pg)
 
 
-def _check_sigma_consistency(covering: CoveringData, embedding: dict[int, int],
-                             h_covering: CoveringData):
+def attach_covering_group(S: SurfaceData, H: FiniteGroup, h_vector) -> SurfaceData:
+    """The G-side surface S with H as its covering group, given H's [0;2,3,8]
+    vector: its induced [0;4^3] vector must match G0's defining vector under
+    the transported isomorphism, and both covers describe the same curve."""
+    h_covering = covering_data(GeneratingVector(H, TRIANGLE_TYPE, h_vector))
+    tower = derive_induced_vectors(h_covering)
+    embedding = transport_embedding(S.g0_group, S.covering.vector.entries, H, tower.second)
+    if h_covering.genus != S.covering.genus:
+        raise IntegrityError(
+            f"genus mismatch between covers: {S.covering.genus} vs {h_covering.genus}")
     # Both covers describe the same curve, so a subgroup element has fixed
     # points for one exactly when it does for the other.
-    if ({embedding[s] for s in covering.sigma_v}
+    if ({embedding[s] for s in S.covering.sigma_v}
             != h_covering.sigma_v.intersection(embedding.values())):
         raise IntegrityError(
             "stabilizer set of the subgroup cover disagrees with that of the ambient cover")
+    to_h = {g: embedding[k] for g, k in S.to_h.items()}
+    return SurfaceData(S.action, S.covering, h_covering, to_h, S.chi, S.k2, S.euler, S.q, S.pg)

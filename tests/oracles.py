@@ -7,7 +7,7 @@ or one element at a time by conjugating into each branch stabilizer
 time rather than orbit by orbit; and the D_{2,8,5} comparison group is
 built directly as a semidirect product rather than by coset enumeration;
 the commutator subgroup is generated by every commutator rather than
-as a normal closure; and generating vectors are found by testing every
+as a normal closure, and the derived series iterates that; and generating vectors are found by testing every
 candidate tuple with a plain breadth-first span that walks to the end,
 where the library's ``subgroup_generated`` stops past half of G, and
 deduplicated by the minimum over conjugation by all of G, with no shared
@@ -161,6 +161,18 @@ def commutator_subgroup_members(G: FiniteGroup | Subgroup) -> frozenset[int]:
         for b in members:
             comms.add(rows[rows[ra[b]][ia]][inv[b]])
     return span_members(parent, comms)
+
+
+def derived_series_by_commutators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """G', G'', ... as sorted member tuples, each the span of every commutator
+    of the term before, down to the first term that is trivial or repeats."""
+    series, current, previous = [], G, G.order
+    while True:
+        members = tuple(sorted(commutator_subgroup_members(current)))
+        series.append(members)
+        if len(members) in (1, previous):
+            return tuple(series)
+        previous, current = len(members), Subgroup(G, members, members)
 
 
 def span_members(G: FiniteGroup, seeds) -> frozenset[int]:

@@ -15,7 +15,7 @@ import pytest
 from oracles import CosetFiberOracle, evaluate_word
 from mixedsurf import cli
 from mixedsurf.coset import todd_coxeter
-from mixedsurf.covering import CoverType, search_generating_vectors
+from mixedsurf.covering import CoverType, covering_data, search_generating_vectors
 from mixedsurf.files import load_group
 from mixedsurf.perm import derived_subgroup
 from mixedsurf.surface import check_free_action, derive_induced_vectors
@@ -97,10 +97,10 @@ def test_criterion_5_extra_automorphism_tower(families, data_dir):
     h_prime = derived_subgroup(H)
     second = derived_subgroup(h_prime)
     ok = ok and h_prime.order == 384 and second.order == 128
+    ok = ok and H.derived_series[:2] == (h_prime.members, second.members)
     details.append(f"|[H,H]|={h_prime.order}, |[[H,H],[H,H]]|={second.order}")
 
-    a, b, c = found[0].entries
-    tower = derive_induced_vectors(H, a, b, c)
+    tower = derive_induced_vectors(covering_data(found[0]))
     t1 = tuple(H.order_of(x) for x in tower.first)
     t2 = tuple(H.order_of(x) for x in tower.second)
     ok = ok and t1 == (3, 3, 4) and t2 == (4, 4, 4)

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedsurf import cli, cone, files
-from mixedsurf.cone import (VERDICT_INCONCLUSIVE, VERDICT_MORI_DREAM,
-                            NumericalClass, choose_basis, cone_report,
-                            numerical_classes)
+from mixedsurf import cli, files
+from mixedsurf.cone import (VERDICT_INCONCLUSIVE, VERDICT_MORI_DREAM, choose_basis,
+                            cone_report, numerical_classes)
 from mixedsurf.divisors import IntersectionTable, OrbitDivisor
 from mixedsurf.errors import IntegrityError, ValidationError
 from mixedsurf.files import run_pipeline
@@ -193,14 +192,6 @@ def test_numerical_classes_rejects_a_singular_basis_pair():
         numerical_classes(table, (1, 1))
     assert [c.coordinates for c in numerical_classes(table, (1, 2))] == [
         (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]
-
-
-def test_numerical_classes_partition_failure_is_integrity_error(family1, monkeypatch):
-    # A class that loses a member no longer covers every label.
-    monkeypatch.setattr(cone, "NumericalClass",
-                        lambda coords, members: NumericalClass(coords, members[1:]))
-    with pytest.raises(IntegrityError):
-        numerical_classes(family1.table, family1.report.basis)
 
 
 # The witness read off the numerical classes is the first quadruple of the

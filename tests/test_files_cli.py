@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixedsurf import cli, expected, files, perm
+from mixedsurf import cli, covering, expected, files, perm, surface
 from mixedsurf.errors import InputParseError, IntegrityError, MismatchError
 from mixedsurf.files import (load_group, load_group_record, load_surface_record,
                              resolve_word, save_group_file)
@@ -657,7 +657,7 @@ def test_vector_search_propagates_integrity_errors(data_dir, monkeypatch):
     def corrupted(*args, **kwargs):
         raise IntegrityError("corrupted candidate")
 
-    monkeypatch.setattr(files, "assemble_surface", corrupted)
+    monkeypatch.setattr(files, "attach_covering_group", corrupted)
     spec = data_dir / "family2_search.json"
     with pytest.raises(IntegrityError, match="corrupted candidate"):
         files.build_surface(spec)
@@ -667,22 +667,83 @@ def test_vector_search_propagates_integrity_errors(data_dir, monkeypatch):
 
 
 def test_vector_search_assembles_the_matching_surface_once(data_dir, monkeypatch):
-    calls = []
+    assembled, attached = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["h_vector"])
-        return assemble(*args, **kwargs)
+    def counted_assemble(*args):
+        assembled.append(args)
+        return assemble(*args)
 
-    assemble = files.assemble_surface
-    monkeypatch.setattr(files, "assemble_surface", counted)
+    def counted_attach(surface, H, h_vector):
+        attached.append(h_vector)
+        return attach(surface, H, h_vector)
+
+    assemble, attach = files.assemble_surface, files.attach_covering_group
+    monkeypatch.setattr(files, "assemble_surface", counted_assemble)
+    monkeypatch.setattr(files, "attach_covering_group", counted_attach)
     searched = files.build_surface(data_dir / "family2_search.json")
-    assert calls == [(1, 2, 7)]
+    assert len(assembled) == 1
+    assert attached == [(1, 2, 7)]
     monkeypatch.undo()
     # family2.json names the vector the search finds.
     given = files.build_surface(data_dir / "family2.json")
     assert given.h_covering.vector.entries == (1, 2, 7)
     assert searched.h_covering.fix_table == given.h_covering.fix_table
     assert searched[3:] == given[3:]  # to_h, chi, K^2, e, q, p_g
+
+
+def _search_file(tmp_path, data_dir, **fields) -> Path:
+    """A copy of family2_search.json with ``fields`` replaced and its group
+    files named by absolute path."""
+    raw = json.loads((data_dir / "family2_search.json").read_text())
+    raw["group_file"] = str(data_dir / raw["group_file"])
+    raw["extra_automorphisms"]["group_file"] = str(
+        data_dir / raw["extra_automorphisms"]["group_file"])
+    raw.update(fields)
+    path = tmp_path / "search.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_vector_search_reports_a_tau_prime_inside_g0(tmp_path, data_dir):
+    code, text = run_cli("surface", str(_search_file(tmp_path, data_dir, tau_prime="g1")))
+    assert (code, text) == (cli.EXIT_VALIDATION,
+                            "validation error: tau' must lie outside G0\n")
+
+
+def test_vector_search_reports_a_defining_vector_off_the_identity(tmp_path, data_dir):
+    path = _search_file(tmp_path, data_dir, vector=["g2", "g1", "g3"])
+    code, text = run_cli("surface", str(path))
+    assert code == cli.EXIT_VALIDATION
+    assert text.startswith("validation error: invalid generating vector: product: "), text
+
+
+def _count_calls(monkeypatch, module, name: str, record) -> None:
+    """Wrap ``module.name`` in every mixedsurf namespace that binds it, so that
+    each call first passes its argument to ``record``."""
+    original = getattr(module, name)
+
+    def counted(arg):
+        record(arg)
+        return original(arg)
+
+    for namespace in (files, perm, covering, surface):
+        if getattr(namespace, name, None) is original:
+            monkeypatch.setattr(namespace, name, counted)
+
+
+def test_warm_pipeline_derives_no_subgroup_and_validates_each_vector_once(
+        data_dir, fresh_group_memo, monkeypatch):
+    spec = data_dir / "family2.json"
+    files.run_pipeline(spec)
+    files.run_pipeline(spec)  # the second request keeps g256b and h768
+    assert sorted(g.order for g, _ in fresh_group_memo.values()) == [256, 768]
+    derived, validated = [], []
+    _count_calls(monkeypatch, perm, "derived_subgroup", derived.append)
+    _count_calls(monkeypatch, covering, "validate_generating_vector",
+                 lambda v: validated.append(v.cover_type))
+    files.run_pipeline(spec)
+    assert derived == []
+    assert validated == [covering.CoverType(0, (4, 4, 4)), covering.CoverType(0, (2, 3, 8))]
 
 
 # ----------------------------------------------------------------------

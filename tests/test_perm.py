@@ -14,7 +14,7 @@ from mixedsurf.perm import (MAX_TABLE_ORDER, FiniteGroup, Permutation, center_or
                             extend_homomorphism, fingerprint, homomorphisms,
                             subgroup_as_group, subgroup_generated)
 from oracles import (commutator_subgroup_members, conjugacy_classes_by_conjugation,
-                     homomorphisms_by_tuples, span_members)
+                     derived_series_by_commutators, homomorphisms_by_tuples, span_members)
 
 BUNDLED = ("g64", "g256a", "g256b", "h768", "toy_z4_group")
 
@@ -626,6 +626,20 @@ def test_class_map_matches_oracle_in_random_subgroups(G):
 @pytest.mark.parametrize("name", ["toy_z4_group", "g64", "g256a", "g256b"])
 def test_class_map_of_bundled_groups_matches_oracle(bundled, name):
     assert_class_map_matches_oracle(bundled[name])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(subgroup_seeds().map(lambda drawn: drawn[0]), small_permutation_groups()))
+def test_derived_series_matches_oracle_in_random_subgroups(G):
+    assert G.derived_series == derived_series_by_commutators(G)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_derived_series_of_bundled_groups_matches_oracle(bundled, name):
+    G = bundled[name]
+    assert G.derived_series == derived_series_by_commutators(G)
+    # The bundled groups are solvable: the series ends at the trivial group.
+    assert fingerprint(G).derived_series == (G.order, *map(len, G.derived_series))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,25 +1,32 @@
-"""Renumbering the points of the group files leaves the mathematics unchanged.
+"""Renumbering the points or reordering the generators of the group files
+leaves the mathematics unchanged.
 
 A surface depends only on the abstract group action (Bauer, Catanese and
 Grunewald, 2008), so conjugating every generator of a group file by one
-permutation of its points must not change what the pipeline reports.  The
-element numbering follows the point labels (``closure`` sorts each layer by
-image tuples), and with it the order of the conjugacy classes and of the
-orbit divisors.  So the comparison is of a label-free form: fingerprints,
-verdict, the multiset of (coordinates, class size), the sorted K.D values
-and the multiset of (D^2, K.D, sorted row of the pairing).
+permutation of its points must not change what the pipeline reports, and
+neither must listing the generators in another order, with every word of
+the surface files rewritten to match.  The element numbering follows the
+point labels (``closure`` sorts each layer by image tuples), and with it the
+order of the conjugacy classes and of the orbit divisors; a generator
+reordering keeps the numbering but moves the generators' indices and the
+element each word names.  So the comparison is of a label-free form:
+fingerprints, verdict, the multiset of (coordinates, class size), the
+sorted K.D values and the multiset of (D^2, K.D, sorted row of the pairing).
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 import shutil
 
 from mixedsurf.files import run_pipeline
 from mixedsurf.perm import fingerprint
 
 RELABELED = ("g64", "g256a", "g256b", "h768")
+# h768 has two generators, so it has one reordering.
+REORDERED = ("g64", "g256b", "h768")
 
 
 def relabel(images: list[int], sigma: list[int]) -> list[int]:
@@ -54,3 +61,43 @@ def test_point_relabelings_keep_the_label_free_results(data_dir, tmp_path, fresh
         relabeled = run_pipeline(tmp_path / f"family{k}.json")
         assert relabeled.surface.action.G.elements != bundled.surface.action.G.elements
         assert label_free(relabeled) == label_free(bundled), f"family {k}"
+
+
+def rename_generators(word: str, rename: dict[str, str]) -> str:
+    """The word with each symbol gN replaced by ``rename["gN"]``."""
+    return re.sub(r"g\d+", lambda m: rename[m.group()], word)
+
+
+def test_generator_reorderings_keep_the_label_free_results(data_dir, tmp_path,
+                                                           fresh_group_memo):
+    rng = random.Random(7)
+    renames = {}
+    for name in REORDERED:
+        raw = json.loads((data_dir / f"{name}.json").read_text())
+        order = list(range(len(raw["generators"])))
+        while order == sorted(order):
+            rng.shuffle(order)
+        raw["generators"] = [raw["generators"][i] for i in order]
+        (tmp_path / f"{name}.json").write_text(json.dumps(raw))
+        renames[f"{name}.json"] = {f"g{old + 1}": f"g{new + 1}"
+                                   for new, old in enumerate(order)}
+    shutil.copy(data_dir / "g256a.json", tmp_path)
+    renames["g256a.json"] = {f"g{i}": f"g{i}" for i in range(1, 5)}
+    for k in range(1, 6):
+        raw = json.loads((data_dir / f"family{k}.json").read_text())
+        rename = renames[raw["group_file"]]
+        raw["g0_generators"] = [rename_generators(w, rename) for w in raw["g0_generators"]]
+        raw["tau_prime"] = rename_generators(raw["tau_prime"], rename)
+        raw["vector"] = [rename_generators(w, rename) for w in raw["vector"]]
+        extra = raw["extra_automorphisms"]
+        if extra is not None:
+            rename = renames[extra["group_file"]]
+            extra["vector"] = [rename_generators(w, rename) for w in extra["vector"]]
+        (tmp_path / f"family{k}.json").write_text(json.dumps(raw))
+    for k in range(1, 6):
+        bundled = run_pipeline(data_dir / f"family{k}.json")
+        reordered = run_pipeline(tmp_path / f"family{k}.json")
+        S, T = bundled.surface, reordered.surface
+        assert ((T.action.G.generator_indices, T.h_group.generator_indices)
+                != (S.action.G.generator_indices, S.h_group.generator_indices))
+        assert label_free(reordered) == label_free(bundled), f"family {k}"

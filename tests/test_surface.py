@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedsurf import cli
-from mixedsurf.covering import CoverType, covering_data
+from mixedsurf import cli, files
+from mixedsurf.covering import CoverType, GeneratingVector, covering_data
 from mixedsurf.errors import IntegrityError, ValidationError
-from mixedsurf.files import build_surface, load_group
-from mixedsurf.perm import Permutation, closure, subgroup_generated
-from mixedsurf.surface import (assemble_surface, build_mixed_action,
-                               check_free_action, derive_induced_vectors,
-                               fixed_curve_witness, invariants_from,
-                               isolated_point_witness, transport_embedding)
+from mixedsurf.files import build_surface, load_group, load_group_record, realize_group
+from mixedsurf.perm import Permutation, closure, fingerprint, subgroup_generated
+from mixedsurf.surface import (TRIANGLE_TYPE, assemble_surface, attach_covering_group,
+                               build_mixed_action, check_free_action,
+                               derive_induced_vectors, fixed_curve_witness,
+                               invariants_from, isolated_point_witness,
+                               transport_embedding)
 from oracles import embedding_by_bfs, first_broken_product, free_pair
 
 
@@ -196,10 +197,11 @@ def test_derive_induced_vectors_tower(data_dir):
     from mixedsurf.files import load_surface_record, resolve_word
     H, _ = load_group(data_dir / "h768.json")
     record = load_surface_record(data_dir / "family2.json")
-    a, b, c = (resolve_word(H, w) for w in record.extra.vector)
-    tower = derive_induced_vectors(H, a, b, c)
-    assert tower.h_prime.order == 384
-    assert tower.g0_sub.order == 128
+    abc = tuple(resolve_word(H, w) for w in record.extra.vector)
+    tower = derive_induced_vectors(covering_data(GeneratingVector(H, TRIANGLE_TYPE, abc)))
+    assert [len(members) for members in H.derived_series[:2]] == [384, 128]
+    assert subgroup_generated(H, tower.first).order == 384
+    assert subgroup_generated(H, tower.second).order == 128
     d, e, f = tower.first
     assert (H.order_of(d), H.order_of(e), H.order_of(f)) == (3, 3, 4)
     assert H.mul(H.mul(d, e), f) == 0
@@ -209,19 +211,36 @@ def test_derive_induced_vectors_tower(data_dir):
 
 
 def test_derive_induced_vectors_rejects_bad_input(data_dir):
+    # The tower's [0;2,3,8] vector is validated once, when H is attached.
+    g_side = build_surface(data_dir / "family2.json", use_extra=False)
     H, _ = load_group(data_dir / "h768.json")
     b = next(i for i in range(H.order) if H.order_of(i) == 3)
     with pytest.raises(ValidationError, match="^invalid generating vector: orders: entry 1 "):
-        derive_induced_vectors(H, b, b, b)
+        attach_covering_group(g_side, H, (b, b, b))
 
 
-def test_induced_vector_must_generate_its_target(family2, data_dir, monkeypatch):
+def _take_whole_group_as_commutator_subgroup(H):
+    """Set H's derived series to (H, H'', ...): H stands in for [H,H]."""
+    H.__dict__["derived_series"] = (tuple(range(H.order)),) + H.derived_series[1:]
+
+
+def test_induced_vector_must_generate_its_target(family2, data_dir, fresh_group_memo,
+                                                 monkeypatch):
     # With [H,H] taken to be H, the induced [0;3,3,4] vector spans too little.
-    monkeypatch.setattr("mixedsurf.surface.derived_subgroup",
-                        lambda G: subgroup_generated(G, G.generator_indices))
     message = "induced [0;3,3,4] vector does not generate the target subgroup"
+    H = realize_group(load_group_record(data_dir / "h768.json"))
+    _take_whole_group_as_commutator_subgroup(H)
+    entries = family2.surface.h_covering.vector.entries
     with pytest.raises(ValidationError, match=re.escape(message)):
-        derive_induced_vectors(family2.surface.h_group, *family2.surface.h_covering.vector.entries)
+        derive_induced_vectors(covering_data(GeneratingVector(H, TRIANGLE_TYPE, entries)))
+
+    def corrupting_fingerprint(G):
+        checked = fingerprint(G)
+        if G.order == 768:
+            _take_whole_group_as_commutator_subgroup(G)
+        return checked
+
+    monkeypatch.setattr(files, "fingerprint", corrupting_fingerprint)
     out = io.StringIO()
     assert cli.run(["surface", str(data_dir / "family2.json")], out=out) == cli.EXIT_VALIDATION
     assert out.getvalue() == f"validation error: {message}\n"
@@ -274,10 +293,10 @@ def test_transport_rejects_non_homomorphic_matching(family1):
 
 
 def _transported(bundle):
-    """The embedding of family 2-5's G0 into H, rebuilt as assemble_surface builds it."""
+    """The embedding of family 2-5's G0 into H, rebuilt as attach_covering_group builds it."""
     S = bundle.surface
     g0, H = S.g0_group, S.h_group
-    tower = derive_induced_vectors(H, *S.h_covering.vector.entries)
+    tower = derive_induced_vectors(S.h_covering)
     return g0, S.covering.vector.entries, H, tower.second
 
 
@@ -336,7 +355,7 @@ def test_genus_consistency_between_covers(family2):
 
 
 def _change_h_cover(monkeypatch, change):
-    """Make assemble_surface see ``change`` applied to the [0;2,3,8] cover of H
+    """Make attach_covering_group see ``change`` applied to the [0;2,3,8] cover of H
     and the defining cover unchanged."""
     def changed(v):
         cov = covering_data(v)
