@@ -76,12 +76,14 @@ class NumericalClass(NamedTuple):
 
 
 def numerical_classes(table: IntersectionTable, basis: tuple[int, int]) -> list[NumericalClass]:
-    """Group divisors by identical basis coordinates, sorted by coordinates."""
+    """Group divisors by identical basis coordinates, sorted by coordinates.
+
+    ``basis`` is a pair from :func:`choose_basis`, whose 2x2 pairing is
+    nonsingular.
+    """
     i, j = basis
     a11, a12, a22 = table.entry(i, i), table.entry(i, j), table.entry(j, j)
     det = Fraction(a11 * a22 - a12 * a12)
-    if det == 0:
-        raise ValidationError("basis pairing is singular")
     grouped: dict[tuple[Fraction, Fraction], list[int]] = {}
     for lbl in table.labels:
         pi, pj = Fraction(table.entry(lbl, i)), Fraction(table.entry(lbl, j))

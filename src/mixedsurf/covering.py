@@ -112,8 +112,6 @@ class GeneratingVector(NamedTuple):
 
 def hurwitz_genus(order: int, cover_type: CoverType) -> int:
     """Genus of C from 2g - 2 = |H| (2g' - 2 + sum (m_i - 1)/m_i)."""
-    if order < 1:
-        raise ValidationError("group order must be positive")
     rhs = Fraction(2 * cover_type.g_prime - 2)
     for mi in cover_type.m:
         rhs += Fraction(mi - 1, mi)
@@ -185,8 +183,8 @@ def fixed_point_table(v: GeneratingVector) -> dict[int, int]:
     h_j in c, with L = lcm(m_j); every f in c has |H| w_c / (L |c|) fixed
     points, and L |c| must divide |H| w_c.  The classes are checked in
     order of class index, which is the order of their least members.
+    ``v`` is a validated vector, of a genus-0 type.
     """
-    _require_genus_zero_quotient(v.cover_type)
     G = v.group
     classes = G.class_map.classes
     L = lcm(*v.cover_type.m)
@@ -217,18 +215,17 @@ class CoveringData(NamedTuple):
 def covering_data(v: GeneratingVector) -> CoveringData:
     """Genus, stabilizer set and fixed-point table of a valid vector.
 
-    The stabilizer set is the identity plus the support of the table, and
-    the table's counts sum to the ramification sum (|H|/m_j)(m_j - 1) over
-    j, both by construction: every class weight is positive, and once
+    The stabilizer set is :func:`stabilizer_set`, which is also the identity
+    plus the support of the table; and the table's counts sum to the
+    ramification sum (|H|/m_j)(m_j - 1) over j.  Both hold by construction:
+    every class weight is positive, and once
     :func:`validate_generating_vector` has fixed the order of h_j at m_j,
     each of its m_j - 1 nontrivial powers lies in exactly one class c and
     adds |H|/(m_j |c|) to each of the |c| counts of that class.
     """
     validate_generating_vector(v)
     genus = hurwitz_genus(v.group.order, v.cover_type)
-    table = fixed_point_table(v)
-    sigma = frozenset({0}.union(f for f, count in table.items() if count))
-    return CoveringData(v, genus, sigma, table)
+    return CoveringData(v, genus, stabilizer_set(v), fixed_point_table(v))
 
 
 def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,

@@ -7,9 +7,15 @@ group G permutes these graphs:
     tau' h : graph(f) -> graph(tau h f^-1 phi(h^-1))   for h in G0.
 
 The G-orbits sum to G-invariant divisors on C x C which descend to
-irreducible effective divisors on S (orbit divisors).  Distinct graphs
-intersect transversally, in |Fix(x^-1 y)| points, so the whole pairing
-reduces to fixed-point-table lookups.  Pulled back to C x C,
+irreducible effective divisors on S (orbit divisors).  The formulas
+define a G-action on H, since ``to_h`` is an injective homomorphism
+G0 -> H and phi and tau come from
+:func:`~mixedsurf.surface.build_mixed_action`; so the orbits partition H,
+each holds the graph it was grown from, and each size divides |G|, with
+no check.  A corrupted action is left to the pairing's own checks.
+
+Distinct graphs intersect transversally, in |Fix(x^-1 y)| points, so the
+whole pairing reduces to fixed-point-table lookups.  Pulled back to C x C,
 
     D_i . D_j = (1/|G|) sum_{x in O_i} sum_{y in O_j} |Fix(x^-1 y)|.
 
@@ -58,7 +64,11 @@ class OrbitDivisor(NamedTuple):
 
 
 def graph_orbits(S: SurfaceData) -> list[OrbitDivisor]:
-    """Partition the |H| graph classes into G-orbits, deterministically labeled."""
+    """Partition the |H| graph classes into G-orbits, deterministically labeled.
+
+    Each seed is the least graph class not yet in an orbit, so it is its
+    orbit's least member and the orbits come out in label order.
+    """
     H = S.h_group
     rows, inv = H.rows, H.inverses
     act = S.action
@@ -68,29 +78,16 @@ def graph_orbits(S: SurfaceData) -> list[OrbitDivisor]:
     # a row to read f (or f^-1) in, and the index of the right factor.
     by_h = [(rows[ph], inv[hh]) for hh, ph in pairs]
     by_tau_h = [(rows[rows[tau][hh]], inv[ph]) for hh, ph in pairs]
-    assigned: dict[int, int] = {}
-    orbit_sets: list[tuple[int, ...]] = []
+    assigned: set[int] = set()
+    divisors = []
     for f in range(H.order):
         if f in assigned:
             continue
         inv_f = inv[f]
         orb = {rows[row[f]][right] for row, right in by_h}
         orb.update(rows[row[inv_f]][right] for row, right in by_tau_h)
-        if f not in orb:
-            raise IntegrityError("orbit does not contain its seed; broken embedding")
-        for t in orb:
-            if t in assigned:
-                raise IntegrityError("graph orbits are not disjoint; broken embedding")
-            assigned[t] = len(orbit_sets)
-        orbit_sets.append(tuple(sorted(orb)))
-    # The orbits cover H: each f is assigned already or seeds an orbit holding it.
-    order_g = S.action.G.order
-    divisors = []
-    for label, members in enumerate(sorted(orbit_sets, key=lambda t: t[0]), start=1):
-        if order_g % len(members) != 0:
-            raise IntegrityError(
-                f"orbit size {len(members)} does not divide |G| = {order_g}")
-        divisors.append(OrbitDivisor(label, members))
+        assigned.update(orb)
+        divisors.append(OrbitDivisor(len(divisors) + 1, tuple(sorted(orb))))
     return divisors
 
 

@@ -9,7 +9,8 @@ class is part of the interface contract:
 * ``BudgetExceeded``   -- an enumeration hit its configured budget; a
   subtype of ``ValidationError`` but distinguishable by type.
 * ``IntegrityError``   -- an internal exactness assertion failed
-  (non-integral intersection number, rank breach, broken embedding).
+  (non-integral intersection number, rank breach, two covers of one
+  curve that disagree).
   These indicate corrupted data, never user error.
 * ``MismatchError``    -- computed results disagree with expectations
   (fingerprint check, reproduction diff).

@@ -62,7 +62,7 @@ from operator import itemgetter
 from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BudgetExceeded, InputParseError, IntegrityError, ValidationError
+from .errors import BudgetExceeded, InputParseError, ValidationError
 
 MAX_TABLE_ORDER = 1 << 16  # Cayley tables store element indices in two bytes
 # closure holds each element as a tuple of `degree` images, 8 bytes each.
@@ -522,15 +522,16 @@ def _prefix_index(images: list[tuple[int, ...]], layer: list[tuple[int, ...]],
 
 
 class Subgroup:
-    """A subgroup given by sorted member indices of its parent group; immutable."""
+    """A subgroup given by sorted member indices of its parent group; immutable.
+
+    :func:`subgroup_generated` is the constructor: its members are the
+    closure of its seeds, a subgroup, so no order check is made here.
+    """
 
     __slots__ = ("parent", "members", "generators")
 
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...],
                  generators: tuple[int, ...]):
-        if parent.order % len(members) != 0:
-            raise IntegrityError(
-                f"subgroup order {len(members)} does not divide group order {parent.order}")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "generators", generators)
@@ -567,12 +568,9 @@ def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     G's elements is G, so the walk stops after the first layer that takes
     it past |G| // 2 and returns the whole group: the same value as the
     full walk, for fewer lookups.  A subgroup of index 2 holds exactly half
-    and is walked to the end.
+    and is walked to the end.  The seeds are element indices of G, as
+    every caller gets them from a word, a search or a Cayley table.
     """
-    seeds = tuple(seeds)
-    for s in seeds:
-        if not 0 <= s < G.order:
-            raise ValidationError(f"seed index {s} out of range")
     gens = tuple(dict.fromkeys(s for s in seeds if s != 0))
     sub_gens = gens if gens else (0,)
     half = G.order // 2
@@ -604,7 +602,9 @@ def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
     elements are the parent's ``Permutation`` objects, and the index keeps
     the parent's key width, which is injective on the parent's elements and
     so on the members.  The right steps and parents come from the same
-    integer pass as closure's.
+    integer pass as closure's.  The walk from ``sub.generators`` gives
+    exactly ``sub.members``: their span, or G when the span was cut short
+    at more than half of G (Lagrange).
     """
     parent = sub.parent
     rows, parent_elements = parent.rows, parent.elements
@@ -637,8 +637,6 @@ def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
         _settle_layer(order, start, end, left_parents, left_step)
         layer_ends.append(end)
         start = end
-    if len(members) != sub.order:
-        raise IntegrityError("subgroup realization does not match member count")
 
     gen_step, parents = _right_steps(left_parents, left_step, layer_ends)
     elements = tuple(parent_elements[x] for x in members)

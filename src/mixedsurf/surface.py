@@ -45,18 +45,16 @@ class MixedAction(NamedTuple):
 def build_mixed_action(G: FiniteGroup, G0: Subgroup, tau_prime: int) -> MixedAction:
     """Check G0 and tau' and materialize tau and phi.
 
-    Once G0 has index 2 in G and tau' lies outside it, nothing more needs
-    checking: an index-2 subgroup is normal and G/G0 is Z2, so
-    tau = tau'^2 lies in G0, conjugation by tau' maps G0 onto itself, and
-    phi^2 is conjugation by tau'^2 = tau.
+    G0 is a subgroup of G and tau' an element index of G, as
+    :func:`assemble_surface` builds both from G.  Once G0 has index 2 in G
+    and tau' lies outside it, nothing more needs checking: an index-2
+    subgroup is normal and G/G0 is Z2, so tau = tau'^2 lies in G0,
+    conjugation by tau' maps G0 onto itself, and phi^2 is conjugation by
+    tau'^2 = tau.
     """
-    if G0.parent is not G:
-        raise ValidationError("G0 must be a subgroup of G")
     if 2 * G0.order != G.order:
         raise ValidationError(
             f"G0 has index {G.order // G0.order if G0.order else 'inf'} in G, expected 2")
-    if not 0 <= tau_prime < G.order:
-        raise ValidationError("tau' index out of range")
     if tau_prime in G0:
         raise ValidationError("tau' must lie outside G0")
     tau = G.mul(tau_prime, tau_prime)
@@ -105,11 +103,16 @@ class SurfaceData(NamedTuple):
 
 
 def invariants_from(genus: int, order_g: int, g_prime: int) -> tuple[int, int, int, int, int]:
-    """(chi, K^2, e, q, p_g) of S from g(C), |G| and the quotient genus."""
+    """(chi, K^2, e, q, p_g) of S from g(C), |G| and the quotient genus.
+
+    A free action has the integral chi = (g-1)^2 / |G|, so a fractional one
+    is a surface file whose action is not free: a ValidationError.
+    """
     chi = Fraction((genus - 1) ** 2, order_g)
     if chi.denominator != 1:
-        raise IntegrityError(
-            f"(g-1)^2 = {(genus - 1) ** 2} is not divisible by |G| = {order_g}")
+        raise ValidationError(
+            f"(g-1)^2 = {(genus - 1) ** 2} is not divisible by |G| = {order_g}, "
+            "so the action cannot be free")
     chi = int(chi)
     q = g_prime
     return chi, 8 * chi, 4 * chi, q, chi - 1 + q
@@ -194,13 +197,10 @@ def transport_embedding(src: FiniteGroup, src_gens, dst: FiniteGroup, dst_gens) 
 
     :func:`~mixedsurf.perm.extend_homomorphism` builds it on <src_gens>, or
     raises ValidationError; it is then a homomorphism, injective, and onto
-    <dst_gens>.  What is left to check is that src_gens generate src, since
-    callers read the map at every element of src.
+    <dst_gens>.  The source entries are a validated generating vector of
+    src, so the map is defined at every element of src.
     """
-    img = extend_homomorphism(src, src_gens, dst, dst_gens)
-    if len(img) != src.order:
-        raise ValidationError("source entries do not generate the source group")
-    return img
+    return extend_homomorphism(src, src_gens, dst, dst_gens)
 
 
 def assemble_surface(G: FiniteGroup, g0_seeds, tau_prime: int, vector_entries,

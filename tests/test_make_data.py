@@ -131,15 +131,6 @@ def test_a_wrong_coset_enumeration_is_refused(make_data, monkeypatch):
         make_data.build_h()
 
 
-def test_an_extension_of_the_wrong_order_is_refused(make_data, monkeypatch):
-    # A closure that drops the generator tau' gives the span of Z2 alone.
-    z2 = closure([Permutation.from_cycles(2, [(1, 2)])])
-    real = make_data.closure
-    monkeypatch.setattr(make_data, "closure", lambda gens, budget: real(gens[:-1], budget))
-    with pytest.raises(IntegrityError, match="^extension has order 2, expected 4$"):
-        make_data.build_extension(z2, (0, 1), {0: 0, 1: 1}, 0, (1,))
-
-
 def test_a_wrong_family_1_g0_is_refused(make_data, monkeypatch):
     real = make_data.closure
     monkeypatch.setattr(make_data, "closure", lambda gens: real(gens[:3]))

@@ -46,23 +46,10 @@ def test_build_mixed_action_rejects_wrong_index(z4):
         build_mixed_action(z4, trivial, 1)
 
 
-def test_build_mixed_action_rejects_g0_of_another_group(z4):
-    other = closure([Permutation.from_cycles(4, [(1, 2, 3, 4)])])
-    g0 = subgroup_generated(other, [other.mul(1, 1)])
-    with pytest.raises(ValidationError, match="G0 must be a subgroup of G"):
-        build_mixed_action(z4, g0, 1)
-
-
-def test_build_mixed_action_rejects_tau_prime_out_of_range(z4):
-    g0 = subgroup_generated(z4, [z4.mul(1, 1)])
-    with pytest.raises(ValidationError, match="tau' index out of range"):
-        build_mixed_action(z4, g0, z4.order)
-
-
 def test_invariants_from_table_values():
     assert invariants_from(9, 64, 0) == (1, 8, 4, 0, 0)
     assert invariants_from(17, 256, 0) == (1, 8, 4, 0, 0)
-    with pytest.raises(IntegrityError):
+    with pytest.raises(ValidationError, match="9 is not divisible by .* cannot be free"):
         invariants_from(4, 64, 0)   # (g-1)^2 = 9 not divisible by 64
 
 
@@ -335,13 +322,6 @@ def test_transport_rejects_non_injective_matching(v4):
     a, b = v4.generator_indices
     with pytest.raises(ValidationError):
         transport_embedding(v4, (a, b), v4, (a, a))
-
-
-def test_transport_rejects_entries_that_do_not_generate_the_source(v4):
-    # a -> a embeds <a>, but the map must cover all of V4.
-    a, _ = v4.generator_indices
-    with pytest.raises(ValidationError, match="do not generate the source group"):
-        transport_embedding(v4, (a,), v4, (a,))
 
 
 def test_assemble_rejects_entries_outside_g0(z4):
