@@ -83,16 +83,16 @@ def numerical_classes(table: IntersectionTable, basis: tuple[int, int]) -> list[
     """
     i, j = basis
     a11, a12, a22 = table.entry(i, i), table.entry(i, j), table.entry(j, j)
-    det = Fraction(a11 * a22 - a12 * a12)
-    grouped: dict[tuple[Fraction, Fraction], list[int]] = {}
+    det = a11 * a22 - a12 * a12
+    # Cramer's rule: (x, y) = (x_num, y_num) / det solves the 2x2 system
+    # exactly.  det is the same for every label, so labels with equal
+    # coordinates are those with equal integer numerators.
+    grouped: dict[tuple[int, int], list[int]] = {}
     for lbl in table.labels:
-        pi, pj = Fraction(table.entry(lbl, i)), Fraction(table.entry(lbl, j))
-        # Cramer's rule over Fractions: (x, y) solves the 2x2 system exactly.
-        x = (pi * a22 - pj * a12) / det
-        y = (pj * a11 - pi * a12) / det
-        grouped.setdefault((x, y), []).append(lbl)
-    classes = [NumericalClass(coords, tuple(sorted(members)))
-               for coords, members in grouped.items()]
+        pi, pj = table.entry(lbl, i), table.entry(lbl, j)
+        grouped.setdefault((pi * a22 - pj * a12, pj * a11 - pi * a12), []).append(lbl)
+    classes = [NumericalClass((Fraction(x, det), Fraction(y, det)), tuple(sorted(members)))
+               for (x, y), members in grouped.items()]
     classes.sort(key=lambda c: c.coordinates)
     return classes
 

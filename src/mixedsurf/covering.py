@@ -15,12 +15,19 @@ some h_j, and then
 so the counts are constant on conjugacy classes and come from the classes
 of the nontrivial powers of the h_j alone.  The sum is taken exactly over
 the common denominator lcm(m_j), with integrality asserted.
+
+Vectors of a given type are found by one deterministic scan,
+:func:`generating_vectors`, a generator that yields one vector per class
+under simultaneous conjugation, in scan order, so a caller that needs only
+the first vector that fits stops the scan there;
+:func:`search_generating_vectors` is the same scan as a list.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
+from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm, prod
 from operator import itemgetter
@@ -228,16 +235,17 @@ def covering_data(v: GeneratingVector) -> CoveringData:
     return CoveringData(v, genus, stabilizer_set(v), fixed_point_table(v))
 
 
-def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
-                              limit: int | None = None) -> list[GeneratingVector]:
-    """Deterministic scan for generating vectors of the given genus-0 type.
+def generating_vectors(group: FiniteGroup, cover_type: CoverType,
+                       limit: int | None = None) -> Iterator[GeneratingVector]:
+    """Lazy deterministic scan for generating vectors of a genus-0 type.
 
     The first entry runs over the least members of the conjugacy classes of
     its order, read from ``group.class_map`` in class order, later entries
     over all elements of the right order; the final entry is
-    forced as the inverse of the leading product.  Results are reported in
-    scan order, deduplicated up to simultaneous conjugation, and truncated
-    at ``limit`` (``None`` = no bound; a limit below 1 is refused).
+    forced as the inverse of the leading product.  Vectors are yielded in
+    scan order, deduplicated up to simultaneous conjugation, one at a time:
+    a caller that stops drawing stops the scan there.  The scan ends after
+    ``limit`` vectors (``None`` = no bound; a limit below 1 is refused).
 
     The span of the entries chosen so far is kept as a bit mask of element
     indices.  The span of ``prefix + (h,)`` depends only on the span of
@@ -246,7 +254,9 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
     group, which that walk returns once it holds more than half of G
     (Lagrange), and whose mask is the precomputed all-ones ``full``.
     The forced last entry lies in <prefix, h>, so the last free position is
-    a flat loop that tests the last entry's order before the span.
+    a flat loop that tests the last entry's order before the span, and
+    yields each vector it keeps.  The positions before it are open frames
+    on an explicit stack, so the scan runs in this one generator frame.
 
     A vector is kept when no simultaneous conjugate is lexicographically
     smaller; no key is stored.  That keeps exactly the first vector of each
@@ -268,8 +278,9 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
 
     The unpruned scan visits |first-entry reps| times the middle pool sizes
     candidates.  That count is an upper bound on the pruned scan, taken
-    before scanning: without ``limit`` the search raises
-    :class:`BudgetExceeded` if it is over ``MAX_SEARCH_LEAVES``.
+    before scanning: without ``limit`` the scan raises
+    :class:`BudgetExceeded` if it is over ``MAX_SEARCH_LEAVES``.  That
+    error and those for unsupported arguments come before the first vector.
     """
     _require_genus_zero_quotient(cover_type)
     if cover_type.r < 2:
@@ -307,25 +318,28 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
         return [array("i", [rows[y][inv[g]] for y in rows[g]])
                 for g in range(1, n) if rows[g][f] == row_f[g]]
 
-    found: list[GeneratingVector] = []
     pools = [first_reps] + [by_order[mi] for mi in cover_type.m[1:-1]]
     last_free = len(pools) - 1
     m_last = cover_type.m[-1]
     # completions[span][h]: whether <span, h> is the whole group.
     completions: dict[int, dict[int, bool]] = {}
-
-    def descend(position: int, prefix: tuple[int, ...], product: int, span: int,
-                maps: list[array] | None) -> bool:
-        """Scan the pools from ``position`` on; True once ``limit`` is reached.
-
-        ``maps`` holds the maps of C(prefix[0]) that fix every entry of
-        ``prefix``; it is None while the prefix is f alone and the maps are
-        not built yet, and empty at position 0, where there is nothing to prune.
-        """
-        row = rows[product]
-        if position == last_free:
+    kept = 0
+    # One frame (prefix, Cayley row of its product, span, maps, pool iterator)
+    # per open position before the last free one.  ``maps`` holds the maps
+    # of C(prefix[0]) that fix every entry of ``prefix``; it is None while
+    # the prefix is f alone and the maps are not built yet, and empty at
+    # position 0, where there is nothing to prune.
+    frames: list[tuple] = []
+    prefix, product, span, maps = (), 0, 1, []
+    while True:
+        if len(prefix) < last_free:
+            if maps is None:
+                maps = centralizer_maps(prefix[0])
+            frames.append((prefix, rows[product], span, maps, iter(pools[len(prefix)])))
+        else:
+            row = rows[product]
             completes = completions.setdefault(span, {})
-            for h in pools[position]:
+            for h in pools[last_free]:
                 last = inv[row[h]]
                 if orders[last] != m_last:
                     continue
@@ -342,28 +356,35 @@ def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
                     if conjugate(conj) < pair:
                         break
                 else:
-                    found.append(GeneratingVector(G, cover_type, prefix + pair))
-                    if len(found) == limit:
-                        return True
-            return False
-        if maps is None:
-            maps = centralizer_maps(prefix[0])
-        for h in pools[position]:
-            fixing = []
-            for conj in maps:
-                image = conj[h]
-                if image < h:
+                    yield GeneratingVector(G, cover_type, prefix + pair)
+                    kept += 1
+                    if kept == limit:
+                        return
+        # Step to the next unpruned entry of the deepest open position,
+        # closing the positions whose pools are spent.
+        while frames:
+            prefix, row, span, maps, pool = frames[-1]
+            for h in pool:
+                fixing = []
+                for conj in maps:
+                    image = conj[h]
+                    if image < h:
+                        break
+                    if image == h:
+                        fixing.append(conj)
+                else:
                     break
-                if image == h:
-                    fixing.append(conj)
             else:
-                if descend(position + 1, prefix + (h,), row[h], join(span, prefix, h),
-                           fixing if prefix else None):
-                    return True
-        return False
+                frames.pop()
+                continue
+            prefix, product, span, maps = (prefix + (h,), row[h], join(span, prefix, h),
+                                           fixing if prefix else None)
+            break
+        else:
+            return
 
-    descend(0, (), 0, 1, [])
-    # descend's closure cell refers to descend itself; emptying it breaks the
-    # cycle, so G is freed now instead of whenever the cyclic collector runs.
-    del descend
-    return found
+
+def search_generating_vectors(group: FiniteGroup, cover_type: CoverType,
+                              limit: int | None = None) -> list[GeneratingVector]:
+    """The vectors of :func:`generating_vectors`, as a list in scan order."""
+    return list(generating_vectors(group, cover_type, limit))

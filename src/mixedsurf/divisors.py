@@ -150,12 +150,14 @@ def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
     divisors = tuple(sorted(orbits, key=lambda d: d.label))
     norb = len(divisors)
 
+    # Integrality is tested on ints; a Fraction is built only for a message.
     kdot = []
     for d in divisors:
-        kd = Fraction(4 * gm1 * d.n, order_g)
-        if kd.denominator != 1:
-            raise IntegrityError(f"K.D for divisor {d.label} is non-integral: {kd}")
-        kdot.append(int(kd))
+        kd, rest = divmod(4 * gm1 * d.n, order_g)
+        if rest:
+            raise IntegrityError(f"K.D for divisor {d.label} is non-integral: "
+                                 f"{Fraction(4 * gm1 * d.n, order_g)}")
+        kdot.append(kd)
 
     # s[i][j] = sum over y in O_j of |Fix(x_i^-1 y)|, x_i the minimal member
     # of O_i; from_x[y] = fix_list[x^-1 y] is one gather along a Cayley row.
@@ -175,22 +177,21 @@ def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
                     raise IntegrityError(
                         f"intersection D_{d.label}.D_{divisors[j].label} "
                         f"disagrees between its two orbits: {total} != {other}")
-            val = Fraction(total, order_g)
-            if val.denominator != 1:
+            val, rest = divmod(total, order_g)
+            if rest:
                 raise IntegrityError(
                     f"intersection D_{d.label}.D_{divisors[j].label} "
-                    f"is non-integral: {val}")
-            pairing[i][j] = pairing[j][i] = int(val)
+                    f"is non-integral: {Fraction(total, order_g)}")
+            pairing[i][j] = pairing[j][i] = val
 
     for i, (d, kd) in enumerate(zip(divisors, kdot)):
         if kd % 4 != 0:
             raise IntegrityError(
                 f"adjunction fails for divisor {d.label}: K.D = {kd} is not divisible by 4")
-        delta = Fraction(pairing[i][i], 2) + kd // 4
-        if delta.denominator != 1 or delta < 0:
+        if pairing[i][i] % 2 or pairing[i][i] // 2 + kd // 4 < 0:
             raise IntegrityError(
                 f"adjunction fails for divisor {d.label}: "
-                f"delta = {delta} is not a nonnegative integer")
+                f"delta = {Fraction(pairing[i][i], 2) + kd // 4} is not a nonnegative integer")
 
     table = IntersectionTable(divisors, tuple(tuple(row) for row in pairing),
                               tuple(kdot), gm1, order_g)

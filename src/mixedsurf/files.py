@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 from . import perm
 from .cone import ConeReport, cone_report
-from .covering import CoverType, parse_cover_type, search_generating_vectors
+from .covering import CoverType, generating_vectors, parse_cover_type
 from .divisors import IntersectionTable, graph_orbits, intersection_table
 from .errors import BudgetExceeded, InputParseError, MismatchError, ValidationError
 from .perm import FiniteGroup, GroupFingerprint, Permutation, closure, fingerprint
@@ -98,7 +98,7 @@ def load_group_record(path: str | Path) -> GroupFile:
             raise InputParseError(f"degree must be an integer: {degree!r}")
         gens = []
         for row in raw["generators"]:
-            if not isinstance(row, list) or any(type(x) is not int for x in row):
+            if not isinstance(row, list) or not {int}.issuperset(map(type, row)):
                 raise InputParseError(f"generator images must be integers: {row!r}")
             images = tuple(row)
             if len(images) != degree:
@@ -281,7 +281,9 @@ def build_surface(path: str | Path, use_extra: bool = True) -> SurfaceData:
     """Load a surface file and assemble its SurfaceData.
 
     The G side is assembled once, then H is attached with the file's vector,
-    or with the first searched one whose attachment raises no ValidationError.
+    or with the first searched one whose attachment raises no ValidationError:
+    candidates are drawn from :func:`~mixedsurf.covering.generating_vectors`
+    one at a time, so the scan stops there.
     ``use_extra=False`` ignores the extra-automorphism block, forcing the
     covering group down to G0.
     """
@@ -303,7 +305,7 @@ def build_surface(path: str | Path, use_extra: bool = True) -> SurfaceData:
         return surface
     if h_vector is not None:
         return attach_covering_group(surface, H, h_vector)
-    for candidate in search_generating_vectors(H, TRIANGLE_TYPE):
+    for candidate in generating_vectors(H, TRIANGLE_TYPE):
         try:
             return attach_covering_group(surface, H, candidate.entries)
         except ValidationError:

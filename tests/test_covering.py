@@ -4,6 +4,7 @@ import gc
 import io
 import weakref
 from array import array
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +14,7 @@ from oracles import CosetFiberOracle, fixed_point_count, generating_vector_entri
 from mixedsurf import cli, covering, surface
 from mixedsurf.covering import (MAX_BRANCH_POINTS, MAX_SEARCH_LEAVES, CoverType,
                                 GeneratingVector, covering_data, fixed_point_table,
-                                hurwitz_genus, parse_cover_type,
+                                generating_vectors, hurwitz_genus, parse_cover_type,
                                 search_generating_vectors, stabilizer_set,
                                 validate_generating_vector)
 from mixedsurf.errors import BudgetExceeded, IntegrityError, ValidationError
@@ -294,6 +295,23 @@ def test_search_frees_its_group_without_the_cyclic_collector():
             gc.enable()
 
 
+def test_a_scan_closed_after_its_first_vector_frees_its_group_without_the_cyclic_collector():
+    G = closure([Permutation.from_cycles(4, [(1, 2, 3, 4)]),
+                 Permutation.from_cycles(4, [(1, 3)])])
+    ref = weakref.ref(G)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        scan = generating_vectors(G, CoverType(0, (2, 2, 4)))
+        assert next(scan).group is G
+        scan.close()
+        del G, scan
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # The searches behind scripts/make_data.py: (group file, words generating the
 # searched subgroup or None for the whole group, type, count, first vector).
 REGENERATE_SEARCHES = [
@@ -365,6 +383,8 @@ def test_regenerate_searches_match_exhaustive_oracle(search_group, name, words, 
     for limit in LIMITS:
         found = search_generating_vectors(G, ctype, limit=limit)
         assert [v.entries for v in found] == expected[:limit]
+        drawn = islice(generating_vectors(G, ctype), limit)
+        assert [v.entries for v in drawn] == expected[:limit]
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedsurf import cli, covering, expected, files, perm, surface
-from mixedsurf.errors import InputParseError, IntegrityError, MismatchError
+from mixedsurf.errors import InputParseError, IntegrityError, MismatchError, ValidationError
 from mixedsurf.files import (load_group, load_group_record, load_surface_record,
                              resolve_word, save_group_file)
 
@@ -700,6 +700,48 @@ def test_vector_search_assembles_the_matching_surface_once(data_dir, monkeypatch
     assert given.h_covering.vector.entries == (1, 2, 7)
     assert searched.h_covering.fix_table == given.h_covering.fix_table
     assert searched[3:] == given[3:]  # to_h, chi, K^2, e, q, p_g
+
+
+def test_vector_search_draws_one_vector_from_a_lazy_scan(data_dir, monkeypatch):
+    drawn, joins = [], []
+    scan, join = files.generating_vectors, covering.subgroup_generated
+
+    def counted_scan(*args):
+        for v in scan(*args):
+            drawn.append(v.entries)
+            yield v
+
+    def counted_join(G, seeds):
+        joins.append(seeds)
+        return join(G, seeds)
+
+    monkeypatch.setattr(files, "generating_vectors", counted_scan)
+    monkeypatch.setattr(covering, "subgroup_generated", counted_join)
+    files.build_surface(data_dir / "family2_search.json")
+    assert drawn == [(1, 2, 7)]
+    lazy = len(joins)
+    joins.clear()
+    H, _ = load_group(data_dir / "h768.json")
+    covering.search_generating_vectors(H, surface.TRIANGLE_TYPE)
+    assert lazy < len(joins)
+
+
+def test_vector_search_tries_every_candidate_in_scan_order(data_dir, monkeypatch):
+    tried = []
+
+    def refused(g_side, H, h_vector):
+        tried.append(h_vector)
+        raise ValidationError("refused")
+
+    monkeypatch.setattr(files, "attach_covering_group", refused)
+    code, text = run_cli("cone", str(data_dir / "family2_search.json"))
+    H, _ = load_group(data_dir / "h768.json")
+    scan = [v.entries for v in covering.search_generating_vectors(H, surface.TRIANGLE_TYPE)]
+    assert len(scan) == 4
+    assert tried == scan
+    assert (code, text) == (cli.EXIT_VALIDATION,
+                            "validation error: no [0;2,3,8] vector of the extra-automorphism "
+                            "group induces the surface's defining vector\n")
 
 
 def _search_file(tmp_path, data_dir, **fields) -> Path:
