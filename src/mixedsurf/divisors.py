@@ -153,10 +153,11 @@ def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
     # Integrality is tested on ints; a Fraction is built only for a message.
     kdot = []
     for d in divisors:
-        kd, rest = divmod(4 * gm1 * d.n, order_g)
+        numerator = 4 * gm1 * d.n
+        kd, rest = divmod(numerator, order_g)
         if rest:
             raise IntegrityError(f"K.D for divisor {d.label} is non-integral: "
-                                 f"{Fraction(4 * gm1 * d.n, order_g)}")
+                                 f"{Fraction(numerator, order_g)}")
         kdot.append(kd)
 
     # s[i][j] = sum over y in O_j of |Fix(x_i^-1 y)|, x_i the minimal member
@@ -188,10 +189,11 @@ def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
         if kd % 4 != 0:
             raise IntegrityError(
                 f"adjunction fails for divisor {d.label}: K.D = {kd} is not divisible by 4")
-        if pairing[i][i] % 2 or pairing[i][i] // 2 + kd // 4 < 0:
+        twice_delta = pairing[i][i] + kd // 2
+        if twice_delta % 2 or twice_delta < 0:
             raise IntegrityError(
                 f"adjunction fails for divisor {d.label}: "
-                f"delta = {Fraction(pairing[i][i], 2) + kd // 4} is not a nonnegative integer")
+                f"delta = {Fraction(twice_delta, 2)} is not a nonnegative integer")
 
     table = IntersectionTable(divisors, tuple(tuple(row) for row in pairing),
                               tuple(kdot), gm1, order_g)

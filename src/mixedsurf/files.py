@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 from . import perm
 from .cone import ConeReport, cone_report
-from .covering import CoverType, generating_vectors, parse_cover_type
+from .covering import CoverType, parse_cover_type, search_generating_vectors
 from .divisors import IntersectionTable, graph_orbits, intersection_table
 from .errors import BudgetExceeded, InputParseError, MismatchError, ValidationError
 from .perm import FiniteGroup, GroupFingerprint, Permutation, closure, fingerprint
@@ -98,7 +98,7 @@ def load_group_record(path: str | Path) -> GroupFile:
             raise InputParseError(f"degree must be an integer: {degree!r}")
         gens = []
         for row in raw["generators"]:
-            if not isinstance(row, list) or not {int}.issuperset(map(type, row)):
+            if not isinstance(row, list) or any(type(x) is not int for x in row):
                 raise InputParseError(f"generator images must be integers: {row!r}")
             images = tuple(row)
             if len(images) != degree:
@@ -281,9 +281,10 @@ def build_surface(path: str | Path, use_extra: bool = True) -> SurfaceData:
     """Load a surface file and assemble its SurfaceData.
 
     The G side is assembled once, then H is attached with the file's vector,
-    or with the first searched one whose attachment raises no ValidationError:
-    candidates are drawn from :func:`~mixedsurf.covering.generating_vectors`
-    one at a time, so the scan stops there.
+    or with the first searched one whose attachment raises no ValidationError.
+    The search first asks the scan for one vector only, which stops it there;
+    the full list is taken only when that first vector does not attach.  The
+    leaf bound ``MAX_SEARCH_LEAVES`` covers that full list, not the first draw.
     ``use_extra=False`` ignores the extra-automorphism block, forcing the
     covering group down to G0.
     """
@@ -305,11 +306,17 @@ def build_surface(path: str | Path, use_extra: bool = True) -> SurfaceData:
         return surface
     if h_vector is not None:
         return attach_covering_group(surface, H, h_vector)
-    for candidate in generating_vectors(H, TRIANGLE_TYPE):
-        try:
-            return attach_covering_group(surface, H, candidate.entries)
-        except ValidationError:
-            continue
+    tried = 0
+    for limit in (1, None):
+        candidates = search_generating_vectors(H, TRIANGLE_TYPE, limit)
+        for candidate in candidates[tried:]:
+            try:
+                return attach_covering_group(surface, H, candidate.entries)
+            except ValidationError:
+                continue
+        if not candidates:
+            break
+        tried = len(candidates)
     raise ValidationError(
         "no [0;2,3,8] vector of the extra-automorphism group induces the "
         "surface's defining vector")

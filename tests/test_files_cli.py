@@ -702,22 +702,29 @@ def test_vector_search_assembles_the_matching_surface_once(data_dir, monkeypatch
     assert searched[3:] == given[3:]  # to_h, chi, K^2, e, q, p_g
 
 
-def test_vector_search_draws_one_vector_from_a_lazy_scan(data_dir, monkeypatch):
-    drawn, joins = [], []
-    scan, join = files.generating_vectors, covering.subgroup_generated
+def test_vector_search_draws_one_vector_from_the_scan(data_dir, monkeypatch):
+    drawn, limits, joins = [], [], []
+    scan, search = covering.generating_vectors, files.search_generating_vectors
+    join = covering.subgroup_generated
 
     def counted_scan(*args):
         for v in scan(*args):
             drawn.append(v.entries)
             yield v
 
+    def counted_search(G, cover_type, limit=None):
+        limits.append(limit)
+        return search(G, cover_type, limit)
+
     def counted_join(G, seeds):
         joins.append(seeds)
         return join(G, seeds)
 
-    monkeypatch.setattr(files, "generating_vectors", counted_scan)
+    monkeypatch.setattr(covering, "generating_vectors", counted_scan)
+    monkeypatch.setattr(files, "search_generating_vectors", counted_search)
     monkeypatch.setattr(covering, "subgroup_generated", counted_join)
     files.build_surface(data_dir / "family2_search.json")
+    assert limits == [1]
     assert drawn == [(1, 2, 7)]
     lazy = len(joins)
     joins.clear()
