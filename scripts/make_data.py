@@ -84,27 +84,6 @@ def free(G: FiniteGroup, members, sigma, phi, tau) -> bool:
             and fixed_curve_witness(G, members, sigma, phi, tau) is None)
 
 
-def freeness_signatures(G: FiniteGroup, pairs) -> list[list[tuple]]:
-    """The (phi, tau) pairs of G grouped by what ``free`` reads of them, in
-    order of each group's first pair.
-
-    For a stabilizer set that is a union of conjugacy classes, condition (i)
-    depends only on the permutation phi induces on the classes, and
-    condition (ii) only on the classes that {phi(h) tau h} meets.  So
-    ``free`` is constant on each group.
-    """
-    rows = G.rows
-    classes, class_of = G.class_map
-    reps = [min(cls) for cls in classes]
-    groups: dict[tuple, list[tuple]] = {}
-    for pair in pairs:
-        phi, tau = pair
-        key = (tuple(class_of[phi[x]] for x in reps),
-               frozenset(class_of[rows[rows[phi[h]][tau]][h]] for h in range(G.order)))
-        groups.setdefault(key, []).append(pair)
-    return list(groups.values())
-
-
 def dedup_extensions(G: FiniteGroup, members, pairs):
     """One (phi, tau) per class modulo re-choosing tau' inside its coset, in
     order of the classes' canonical forms."""
@@ -353,15 +332,10 @@ def make_family_1(out: Path):
         f"stabilizer-set buckets ({time.time() - t0:.1f}s)")
 
     t0 = time.time()
-    firsts = [group[0] for group in freeness_signatures(G0, pairs)]
-    log(f"family 1: {len(firsts)} freeness signatures ({time.time() - t0:.1f}s)")
-
-    t0 = time.time()
     for S, V in sorted(buckets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         # The bucket's V does not depend on (phi, tau), so the bucket's first
-        # free pair decides it.  free() is constant on a signature, so that
-        # pair is the first pair of the first free one.
-        pair = next(((phi, tau) for phi, tau in firsts if free(G0, range(n), S, phi, tau)),
+        # free pair decides it.
+        pair = next(((phi, tau) for phi, tau in pairs if free(G0, range(n), S, phi, tau)),
                     None)
         if pair is not None:
             break

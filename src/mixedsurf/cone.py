@@ -45,9 +45,10 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 def choose_basis(table: IntersectionTable) -> tuple[int, int]:
     """First label pair (i, j) with D_i^2 = D_j^2 = 0 and D_i.D_j > 0.
 
-    Falls back to the first pair with nondegenerate 2x2 pairing.  Either
-    pair proves the rank is at least 2, so the rank is computed only when
-    neither exists, to say why there is no basis.
+    Falls back to the first pair with nondegenerate 2x2 pairing.  The table
+    has rank <= 2 (:func:`~mixedsurf.divisors.intersection_table` refuses
+    more), and a symmetric matrix of rank r has a nonsingular principal
+    r x r minor, so when no pair is nondegenerate the rank is below 2.
     """
     labels = table.labels
     for i in labels:
@@ -64,8 +65,7 @@ def choose_basis(table: IntersectionTable) -> tuple[int, int]:
                    - table.entry(i, j) ** 2)
             if det != 0:
                 return (i, j)
-    raise ValidationError("pairing has rank < 2; no basis of numerical classes"
-                          if table.rank() < 2 else "no nondegenerate basis pair found")
+    raise ValidationError("pairing has rank < 2; no basis of numerical classes")
 
 
 class NumericalClass(NamedTuple):
@@ -108,11 +108,9 @@ class ConeReport(NamedTuple):
 
 def cone_report(table: IntersectionTable) -> ConeReport:
     """Verdict report; MoriDream only on a witness quadruple, read off the
-    numerical classes of a table of rank <= 2 (see the module docstring)."""
+    numerical classes of a table of rank <= 2 (see the module docstring).
+    With no basis pair, as on an empty table, it is Inconclusive, noting why."""
     notes: list[str] = []
-    if not table.divisors:
-        return ConeReport(None, (), None, None, VERDICT_INCONCLUSIVE,
-                          ("no orbit divisors",))
     negatives = [lbl for lbl in table.labels if table.entry(lbl, lbl) < 0]
     for lbl in negatives:
         notes.append(f"divisor {lbl} has negative self-intersection {table.entry(lbl, lbl)}")

@@ -16,7 +16,7 @@ composes raw image tuples: a product of bijections is a bijection, so the
 elements it finds are wrapped without re-checking.  It walks the BFS by
 left products g * e, each one C-level gather, and records every element's
 left step under each generator.  One integer pass along that search tree,
-:func:`_right_steps`, gives the right steps e * g and the BFS parents.
+:func:`_right_steps`, follows the right steps e * g to the BFS parents.
 
 ``closure`` is the only walk that composes image tuples.  A subgroup of a
 realized group is walked on the parent's Cayley table instead:
@@ -180,16 +180,16 @@ class FiniteGroup:
     """A finite permutation group with its full, canonically ordered element list.
 
     Use :func:`closure` to construct one.  Elements are addressed by index.
-    The Cayley table ``rows``, the ``inverses``, the element ``orders``, the
-    conjugacy ``class_map`` and the ``derived_series`` are built on their
+    It stores the elements, the BFS parents and the left steps; the Cayley
+    table ``rows``, the ``inverses``, the element ``orders``, the conjugacy
+    ``class_map`` and the ``derived_series`` are built from them on their
     first read; inner loops read them directly, and
     ``mul``/``inv``/``conj``/``order_of`` are one-line reads.
     """
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
                  elements: tuple[Permutation, ...], index: dict[tuple[int, ...], int],
-                 width: int, parents: tuple[tuple[int, int], ...], gen_step: list[array],
-                 left_step: list[array]):
+                 width: int, parents: tuple[tuple[int, int], ...], left_step: list[array]):
         self.degree = degree
         self.generators = generators
         self.elements = elements
@@ -200,9 +200,8 @@ class FiniteGroup:
         # parents[i] = (j, c) with elements[i] == elements[j] * generators[c];
         # parents[0] is (-1, -1) for the identity.
         self._parents = parents
-        self._gen_step = gen_step  # gen_step[c][k] = index(elements[k] * generators[c])
         self._left_step = left_step  # left_step[c][k] = index(generators[c] * elements[k])
-        self.generator_indices = tuple(step[0] for step in gen_step)
+        self.generator_indices = tuple(step[0] for step in left_step)  # g_c * e_0 == g_c
 
     @property
     def order(self) -> int:
@@ -216,9 +215,6 @@ class FiniteGroup:
         if i is None:
             raise ValidationError("permutation is not an element of this group")
         return i
-
-    def __contains__(self, p: Permutation) -> bool:
-        return self._lookup(p.images) is not None
 
     def _lookup(self, images: tuple[int, ...]) -> int | None:
         # The prefix finds the one candidate; only the full images decide.
@@ -453,9 +449,9 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
         layer_ends.append(end)
         start = end
 
-    gen_step, parents = _right_steps(left_parents, left_step, layer_ends)
+    parents = _right_steps(left_parents, left_step, layer_ends)
     elements = tuple(map(Permutation._trusted, images))
-    return FiniteGroup(degree, gens, elements, index, width, parents, gen_step, left_step)
+    return FiniteGroup(degree, gens, elements, index, width, parents, left_step)
 
 
 def _settle_layer(order: list[int], start: int, end: int,
@@ -472,8 +468,8 @@ def _settle_layer(order: list[int], start: int, end: int,
 
 
 def _right_steps(left_parents: list[tuple[int, int]], left_step: list[array],
-                 layer_ends: list[int]) -> tuple[list[array], tuple[tuple[int, int], ...]]:
-    """The right steps e_k * g_c and the BFS parents of a left-product walk.
+                 layer_ends: list[int]) -> tuple[tuple[int, int], ...]:
+    """The BFS parents of a left-product walk, found from its right steps.
 
     If e_k == g_a * e_p then e_k * g_c == g_a * (e_p * g_c), so the right
     steps follow the left parents, in index order, so that e_p's are known
@@ -481,7 +477,7 @@ def _right_steps(left_parents: list[tuple[int, int]], left_step: list[array],
     the first such (k, c) in scan order is the BFS parent of where it lands.
     """
     n = len(left_parents)
-    gen_step = [array("i", [step[0]]) * n for step in left_step]
+    right_step = [array("i", [step[0]]) * n for step in left_step]
     parents: list[tuple[int, int] | None] = [None] * n
     parents[0] = (-1, -1)
     ends = iter(layer_ends)
@@ -492,13 +488,13 @@ def _right_steps(left_parents: list[tuple[int, int]], left_step: list[array],
         if k:
             p, a = left_parents[k]
             step = left_step[a]
-            for right in gen_step:
+            for right in right_step:
                 right[k] = step[right[p]]
-        for c, right in enumerate(gen_step):
+        for c, right in enumerate(right_step):
             t = right[k]
             if t >= end and parents[t] is None:
                 parents[t] = (k, c)
-    return gen_step, tuple(parents)
+    return tuple(parents)
 
 
 def _wider(width: int, a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -521,34 +517,16 @@ def _prefix_index(images: list[tuple[int, ...]], layer: list[tuple[int, ...]],
     return index
 
 
-class Subgroup:
-    """A subgroup given by sorted member indices of its parent group; immutable.
+class Subgroup(NamedTuple):
+    """A subgroup given by sorted member indices of its parent; a plain record.
 
     :func:`subgroup_generated` is the constructor: its members are the
-    closure of its seeds, a subgroup, so no order check is made here.
+    closure of its seeds, a subgroup, so nothing is checked or derived here.
     """
 
-    __slots__ = ("parent", "members", "generators")
-
-    def __init__(self, parent: FiniteGroup, members: tuple[int, ...],
-                 generators: tuple[int, ...]):
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "generators", generators)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not Subgroup:
-            return NotImplemented
-        return (self.parent, self.members, self.generators) == (
-            other.parent, other.members, other.generators)
-
-    def __hash__(self):
-        return hash((self.parent, self.members, self.generators))
+    parent: FiniteGroup
+    members: tuple[int, ...]
+    generators: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -638,12 +616,12 @@ def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
         layer_ends.append(end)
         start = end
 
-    gen_step, parents = _right_steps(left_parents, left_step, layer_ends)
+    parents = _right_steps(left_parents, left_step, layer_ends)
     elements = tuple(parent_elements[x] for x in members)
     width = parent._width
     index = {e.images[:width]: i for i, e in enumerate(elements)}
     return FiniteGroup(parent.degree, tuple(parent_elements[g] for g in sub.generators),
-                       elements, index, width, parents, gen_step, left_step)
+                       elements, index, width, parents, left_step)
 
 
 _NOT_AN_EMBEDDING = "generator matching does not extend to an injective homomorphism"

@@ -64,9 +64,7 @@ def word_power(word: Word, k: int) -> Word:
 
 class _Parser:
     def __init__(self, text: str, alphabet: frozenset[str]):
-        self.text = text
         self.alphabet = alphabet
-        self.pos = 0
         self.tokens: list[tuple[str, int]] = []
         pos = 0
         while pos < len(text):

@@ -7,7 +7,10 @@ or one element at a time by conjugating into each branch stabilizer
 time rather than orbit by orbit; and the D_{2,8,5} comparison group is
 built directly as a semidirect product rather than by coset enumeration;
 the commutator subgroup is generated by every commutator rather than
-as a normal closure, and the derived series iterates that; and generating vectors are found by testing every
+as a normal closure, and the derived series iterates that; and the
+abelianization is read off how many cosets of the commutator subgroup
+have q-th power in it, composing ``Permutation``s, where the library
+splits cyclic factors off a quotient table; and generating vectors are found by testing every
 candidate tuple with a plain breadth-first span that walks to the end,
 where the library's ``subgroup_generated`` stops past half of G, and
 deduplicated by the minimum over conjugation by all of G, with no shared
@@ -141,7 +144,7 @@ def right_product_closure(generators: Sequence[Permutation],
 
     elements = tuple(map(Permutation._trusted, images))
     # The full image tuple is the key: width == degree.
-    return FiniteGroup(degree, gens, elements, index, degree, tuple(parents), gen_step, left)
+    return FiniteGroup(degree, gens, elements, index, degree, tuple(parents), left)
 
 
 def commutator_subgroup_members(G: FiniteGroup | Subgroup) -> frozenset[int]:
@@ -161,6 +164,48 @@ def commutator_subgroup_members(G: FiniteGroup | Subgroup) -> frozenset[int]:
         for b in members:
             comms.add(rows[rows[ra[b]][ia]][inv[b]])
     return span_members(parent, comms)
+
+
+def abelianization_by_counting(G: FiniteGroup) -> tuple[int, ...]:
+    """The elementary divisors of G/G', ascending, from counts of roots of 1.
+
+    For q = p^k, the cosets a = gG' with a^q = 1 number p^s(k), where
+    s(k) = sum of min(e_i, k) over the divisors p^e_i; so s(k) - s(k-1)
+    divisors have e_i >= k.  Each coset is a set of ``Permutation``
+    products g * n, and g^q is a ``Permutation`` power tested against G'.
+    """
+    derived = commutator_subgroup_members(G)
+    in_derived = {G.element(n).images for n in derived}
+    index = {e.images: i for i, e in enumerate(G.elements)}
+    reps, seen = [], set()
+    for i, g in enumerate(G.elements):
+        if i not in seen:
+            reps.append(g)
+            seen.update(index[(g * G.element(n)).images] for n in derived)
+    m, divisors, p = len(reps), [], 2
+    while m > 1:
+        if m % p:
+            p += 1
+            continue
+        levels, q = [0], 1
+        while m % p == 0:
+            m //= p
+            q *= p
+            roots = 0
+            for g in reps:
+                power = Permutation.identity(G.degree)
+                for _ in range(q):
+                    power = power * g
+                roots += power.images in in_derived
+            s = 0
+            while roots % p == 0 and roots > 1:
+                roots //= p
+                s += 1
+            levels.append(s)
+        at_least = [b - a for a, b in zip(levels, levels[1:])] + [0]
+        for k in range(1, len(at_least)):
+            divisors += [p ** k] * (at_least[k - 1] - at_least[k])
+    return tuple(sorted(divisors))
 
 
 def derived_series_by_commutators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:

@@ -32,7 +32,6 @@ def assert_same_closure(gens) -> FiniteGroup:
     for i, e in enumerate(got.elements):
         assert got.index_of(e) == want.index_of(e) == i
     assert got._parents == want._parents
-    assert got._gen_step == want._gen_step
     assert got._left_step == want._left_step
     assert got.generator_indices == want.generator_indices
     return got

@@ -49,14 +49,6 @@ def test_choose_basis_falls_back_to_a_nondegenerate_pair():
     assert cone_report(t).verdict == VERDICT_INCONCLUSIVE
 
 
-def test_choose_basis_without_a_nondegenerate_pair_at_rank_three():
-    # Every principal 2x2 minor is 0, yet the determinant is -4.
-    t = _synthetic_table([[1, 1, 1], [1, 1, -1], [1, -1, 1]])
-    assert t.rank() == 3
-    with pytest.raises(ValidationError, match="^no nondegenerate basis pair found$"):
-        choose_basis(t)
-
-
 def test_numerical_classes_family1(family1):
     classes = family1.report.classes
     shapes = sorted((c.coordinates, len(c.members)) for c in classes)

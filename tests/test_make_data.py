@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from mixedsurf.errors import IntegrityError, MismatchError
-from mixedsurf.perm import Permutation, closure, conjugacy_classes, homomorphisms
+from mixedsurf.perm import Permutation, closure, homomorphisms
 from mixedsurf.surface import FreenessReport
 from oracles import iso_test
 
@@ -57,34 +57,6 @@ def test_extension_classes_7_and_15_are_type_b(regenerated):
 def test_family_1_buckets_the_library_search_by_stabilizer_set(regenerated):
     _, log = regenerated
     assert "family 1: 11520 [0;2^5] vector classes in 48 stabilizer-set buckets" in log
-
-
-def test_free_is_constant_on_each_freeness_signature(make_data):
-    # Family 1's free-data search calls free() on the first pair of each
-    # signature only; that is the plain scan's result when free() is constant
-    # on every signature, for every stabilizer set: {1} and classes of
-    # involutions.
-    G0, gens = make_data.family_1_g0()
-    members = range(G0.order)
-    auts = list(homomorphisms(G0, gens, G0, members))
-    pairs = make_data.extension_pairs(G0, members, gens, auts)
-    groups = make_data.freeness_signatures(G0, pairs)
-    assert (len(pairs), len(groups)) == (2080, 303)
-    # Each pair in one group, the groups in order of their first pairs.
-    position = {id(pair): i for i, pair in enumerate(pairs)}
-    assert sorted(position[id(pair)] for group in groups for pair in group) == list(range(2080))
-    firsts = [position[id(group[0])] for group in groups]
-    assert firsts == sorted(firsts)
-    involutions = [cls for cls in conjugacy_classes(G0) if G0.order_of(min(cls)) == 2]
-    sigmas = [frozenset({0}) | cls for cls in involutions]
-    sigmas += [frozenset({0}).union(*involutions[:k]) for k in range(2, len(involutions) + 1)]
-    verdicts = set()
-    for sigma in sigmas:
-        for group in groups:
-            outcomes = {make_data.free(G0, members, sigma, phi, tau) for phi, tau in group}
-            assert len(outcomes) == 1, (sorted(sigma), position[id(group[0])])
-            verdicts |= outcomes
-    assert verdicts == {True, False}
 
 
 # G0 generated by a vector (v1, v2, (v1 v2)^-1) with v1 and v2 of the same
