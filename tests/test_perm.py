@@ -3,7 +3,7 @@ from __future__ import annotations
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedsurf import perm
@@ -476,10 +476,18 @@ def test_span_matches_oracle_in_random_subgroups(drawn):
 
 
 # The product of the elementary divisors cannot tell (4,) from (2, 2); the
-# counting oracle reads each divisor.
+# counting oracle reads each divisor.  Z4 and Z2^2 in S4 are always drawn.
+
+def s4_subgroup(*cycles) -> FiniteGroup:
+    S4 = SYMMETRIC[4]
+    seeds = [S4.index_of(Permutation.from_cycles(4, c)) for c in cycles]
+    return subgroup_as_group(subgroup_generated(S4, seeds))
+
 
 @settings(max_examples=25, deadline=None)
 @given(subgroup_seeds())
+@example((s4_subgroup([(1, 2, 3, 4)]), [0]))
+@example((s4_subgroup([(1, 2), (3, 4)], [(1, 3), (2, 4)]), [0]))
 def test_abelianization_matches_counting_oracle_in_random_subgroups(drawn):
     G, _ = drawn
     assert fingerprint(G).abelianization == abelianization_by_counting(G)
