@@ -21,6 +21,9 @@ Vectors of a given type are found by one deterministic scan,
 under simultaneous conjugation, in scan order, so a caller that needs only
 the first vector that fits stops the scan there;
 :func:`search_generating_vectors` is the same scan as a list.
+
+:func:`covering_data`'s values are kept by the vector's group, keyed by the
+type and the entries (:meth:`~mixedsurf.perm.FiniteGroup.kept`).
 """
 
 from __future__ import annotations
@@ -222,6 +225,11 @@ class CoveringData(NamedTuple):
 def covering_data(v: GeneratingVector) -> CoveringData:
     """Genus, stabilizer set and fixed-point table of a valid vector.
 
+    The group keeps these three under the key (type, entries) by
+    :meth:`~mixedsurf.perm.FiniteGroup.kept`, and the bundle is built around
+    the caller's vector each time: a kept vector would refer back to its
+    group.  A refused vector is never kept.  No caller writes to the table.
+
     The stabilizer set is :func:`stabilizer_set`, which is also the identity
     plus the support of the table; and the table's counts sum to the
     ramification sum (|H|/m_j)(m_j - 1) over j.  Both hold by construction:
@@ -230,9 +238,16 @@ def covering_data(v: GeneratingVector) -> CoveringData:
     each of its m_j - 1 nontrivial powers lies in exactly one class c and
     adds |H|/(m_j |c|) to each of the |c| counts of that class.
     """
+    genus, sigma_v, fix_table = v.group.kept(("cover", v.cover_type, v.entries),
+                                             lambda: _cover_of(v))
+    return CoveringData(v, genus, sigma_v, fix_table)
+
+
+def _cover_of(v: GeneratingVector) -> tuple[int, frozenset[int], dict[int, int]]:
+    """:func:`covering_data`'s values for ``v``, computed."""
     validate_generating_vector(v)
     genus = hurwitz_genus(v.group.order, v.cover_type)
-    return CoveringData(v, genus, stabilizer_set(v), fixed_point_table(v))
+    return genus, stabilizer_set(v), fixed_point_table(v)
 
 
 def generating_vectors(group: FiniteGroup, cover_type: CoverType,

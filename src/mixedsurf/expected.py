@@ -138,9 +138,10 @@ def _has_perfect_zero_matching(table: IntersectionTable) -> bool:
         for j in labels:
             if j != i and table.entry(i, j) == 0:
                 partner[i].append(j)
+    # intersection_table fills the pairing symmetrically, so if every
+    # divisor has one zero partner, i's partner j has i as its own: the
+    # zero pairs are then a perfect matching.
     if any(len(p) != 1 for p in partner.values()):
-        return False
-    if any(partner[partner[i][0]][0] != i for i in labels):
         return False
     others = [table.entry(i, j) for i in labels for j in labels
               if i < j and table.entry(i, j) != 0]

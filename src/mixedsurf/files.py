@@ -22,7 +22,10 @@ nothing.  The oldest kept groups are dropped while the images they hold
 (order times degree, summed) exceed ``perm.MAX_CLOSURE_CELLS``.  Every load
 still parses the file and checks its claimed fingerprint, so a file with a
 wrong claim is refused on every load, kept group or not.
-:func:`realize_group` keeps nothing.
+:func:`realize_group` keeps nothing.  A kept group keeps, by the same rule,
+the G0 it realizes and the covers of its vectors
+(:meth:`~mixedsurf.perm.FiniteGroup.kept`), so a warm pipeline builds
+neither again.
 
 Surface file (JSON, UTF-8)::
 

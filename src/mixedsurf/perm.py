@@ -49,6 +49,14 @@ same parents, e_i^-1 == g^-1 * e_p^-1, and ``FiniteGroup.class_map`` and
 and of the derived series.  Downstream code reads these index arrays and
 never composes image arrays in inner loops.
 
+A group also keeps values derived from it by a short key, with
+:meth:`FiniteGroup.kept`, under the rule of ``files.load_group``: a value
+is kept on its second request, so a one-shot process keeps nothing.  Two
+kinds are kept: :func:`subgroup_as_group`'s realizations, keyed by the
+subgroup's generators, and ``covering.covering_data``'s genus, stabilizer
+set and fixed-point table, keyed by a vector's type and entries.  No kept
+value refers back to its group.  :func:`closure` keeps nothing.
+
 Groups of order up to a few thousand are the target.
 """
 
@@ -202,6 +210,10 @@ class FiniteGroup:
         self._parents = parents
         self._left_step = left_step  # left_step[c][k] = index(generators[c] * elements[k])
         self.generator_indices = tuple(step[0] for step in left_step)  # g_c * e_0 == g_c
+        # Values derived from this group by key (see `kept`), and the keys
+        # requested once.
+        self._kept: dict = {}
+        self._noted: set = set()
 
     @property
     def order(self) -> int:
@@ -324,6 +336,29 @@ class FiniteGroup:
             if current.order in (1, previous):
                 return tuple(series)
             previous, current = current.order, derived_subgroup(current)
+
+    def kept(self, key, make):
+        """``make()``, a value derived from this group alone, kept under ``key``.
+
+        The rule of ``files.load_group``: the first request for a key
+        computes the value and only notes the key, the second computes it
+        again and keeps it, and every later request returns the kept value.
+        So a one-shot caller keeps nothing, and a value derived once per
+        process costs no memory after its last use.  A ``make`` that raises
+        leaves no note, so a failure is raised on every request.  A kept
+        value must not refer back to this group: the cycle would keep the
+        group and its tables alive past its last user.
+        """
+        kept = self._kept
+        if key in kept:
+            return kept[key]
+        value = make()
+        if key in self._noted:
+            self._noted.discard(key)
+            kept[key] = value
+        else:
+            self._noted.add(key)
+        return value
 
     def mul(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -573,20 +608,33 @@ def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
 def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
     """Realize a subgroup as a standalone FiniteGroup (same degree, own indexing).
 
-    The result is ``closure`` of the parent elements at ``sub.generators``,
+    The realization depends only on the parent and ``sub.generators``, and
+    the parent keeps it under that key by :meth:`FiniteGroup.kept`: from
+    the second request on, the same group object is returned.  It holds the
+    parent's ``Permutation`` objects but not the parent, so keeping it makes
+    no cycle.
+    """
+    parent = sub.parent
+    return parent.kept(("subgroup", sub.generators),
+                       lambda: _realize_subgroup(parent, sub.generators))
+
+
+def _realize_subgroup(parent: FiniteGroup, generators: tuple[int, ...]) -> FiniteGroup:
+    """The subgroup of ``parent`` spanned by ``generators``, realized.
+
+    The result is ``closure`` of the parent elements at ``generators``,
     to the last index, parent and step, but its walk runs on the parent's
     Cayley table: the left product g * e is ``parent.rows[g][e]``, and each
     new layer is sorted by the image tuples of its parent elements.  The
     elements are the parent's ``Permutation`` objects, and the index keeps
     the parent's key width, which is injective on the parent's elements and
     so on the members.  The right steps and parents come from the same
-    integer pass as closure's.  The walk from ``sub.generators`` gives
-    exactly ``sub.members``: their span, or G when the span was cut short
-    at more than half of G (Lagrange).
+    integer pass as closure's.  The walk from a :class:`Subgroup`'s
+    generators gives exactly its members: their span, or G when the span
+    was cut short at more than half of G (Lagrange).
     """
-    parent = sub.parent
     rows, parent_elements = parent.rows, parent.elements
-    gen_rows = [rows[g] for g in sub.generators]
+    gen_rows = [rows[g] for g in generators]
     # Parent index -> own index; a member of the layer being discovered maps
     # to ~(its discovery number) until the layer is sorted.
     local = {0: 0}
@@ -620,7 +668,7 @@ def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
     elements = tuple(parent_elements[x] for x in members)
     width = parent._width
     index = {e.images[:width]: i for i, e in enumerate(elements)}
-    return FiniteGroup(parent.degree, tuple(parent_elements[g] for g in sub.generators),
+    return FiniteGroup(parent.degree, tuple(parent_elements[g] for g in generators),
                        elements, index, width, parents, left_step)
 
 

@@ -3,13 +3,15 @@ from __future__ import annotations
 from collections import deque
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from oracles import evaluate_word, semidirect_z8_z2_r5
+from oracles import evaluate_word, right_product_closure, semidirect_z8_z2_r5
 from mixedsurf import coset
 from mixedsurf.coset import todd_coxeter
 from mixedsurf.errors import BudgetExceeded, IntegrityError, ValidationError
 from mixedsurf.perm import fingerprint
-from mixedsurf.words import Presentation
+from mixedsurf.words import Presentation, invert_word, normalize_word
 
 
 def _orders_histogram(group):
@@ -105,3 +107,87 @@ def test_a_relator_left_unscanned_fails_the_final_scan(monkeypatch):
     with pytest.raises(IntegrityError, match="relator scan does not close on the final table"):
         todd_coxeter(Presentation.parse(("x",), ["x^4", "x^6"]))
 
+
+
+# Presentations with known orders.  The triangle groups and the Coxeter
+# presentation of S4 are in Coxeter and Moser, *Generators and Relations for
+# Discrete Groups*.  The last one enumerates to the trivial group through a
+# cascade of coincidences: some merged through an inverse column, and a
+# coset that dies while its own relators are scanned.  The Coxeter
+# presentation led by a product of two of its relators also merges through
+# an inverse column, in a group that is not trivial, where merging the
+# wrong cosets changes the order.
+COMMUTATOR = "(x^-1*y^-1*x*y)"
+KNOWN = {
+    "triangle (2,3,4)": (("x", "y"), ["x^2", "y^3", "(x*y)^4"], 24),
+    "triangle (2,3,5)": (("x", "y"), ["x^2", "y^3", "(x*y)^5"], 60),
+    "Coxeter S4": (("a", "b", "c"),
+                   ["a^2", "b^2", "c^2", "(a*b)^3", "(b*c)^3", "(a*c)^2"], 24),
+    "Coxeter S4, relators reversed": (("a", "b", "c"),
+                                      ["(a*c)^2", "(b*c)^3", "(a*b)^3", "c^2", "b^2", "a^2"],
+                                      24),
+    "Coxeter S4, a product of relators first": (("a", "b", "c"),
+                                                ["(a*c)^2*a^2", "a^2", "b^2", "c^2",
+                                                 "(a*b)^3", "(b*c)^3", "(a*c)^2"], 24),
+    "S3": (("x", "y"), ["x^2", "y^3", "(x*y)^2"], 6),
+    "metacyclic 21": (("a", "b"), ["a^7", "b^3", "b^-1*a*b*a^-2"], 21),
+    "Heisenberg 27": (("x", "y"), ["x^3", "y^3", f"{COMMUTATOR}^3",
+                                   f"x^-1*{COMMUTATOR}^-1*x*{COMMUTATOR}",
+                                   f"y^-1*{COMMUTATOR}^-1*y*{COMMUTATOR}"], 27),
+    "trivial": (("x", "y"), ["y^-1*x^2*y*x^-3", "x^-1*y^2*x*y^-3"], 1),
+}
+
+
+@pytest.mark.parametrize("name", KNOWN)
+def test_known_presentations_enumerate_to_their_order(name):
+    generators, relators, order = KNOWN[name]
+    pres = Presentation.parse(generators, relators)
+    g = todd_coxeter(pres)
+    assert g.order == order
+    _check_relators_hold(pres, g)
+    oracle = right_product_closure(g.generators)
+    assert [e.images for e in g.elements] == [e.images for e in oracle.elements]
+
+
+def _letters(word):
+    """The word as a list of (symbol, +-1) letters."""
+    return [(sym, 1 if exp > 0 else -1) for sym, exp in word for _ in range(abs(exp))]
+
+
+@st.composite
+def tietze_neutral_rewrites(draw):
+    """A known presentation and a rewrite of its relators that keeps their
+    normal closure: cyclic shifts, inverses, a reordering, and an appended
+    conjugate or product of relators (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, ch. 5)."""
+    name = draw(st.sampled_from(sorted(KNOWN)))
+    generators, texts, order = KNOWN[name]
+    relators = [Presentation.parse(generators, [t]).relators[0] for t in texts]
+    rewritten = []
+    for rel in relators:
+        letters = _letters(rel)
+        k = draw(st.integers(0, len(letters) - 1))
+        rel = normalize_word(letters[k:] + letters[:k])
+        rewritten.append(invert_word(rel) if draw(st.booleans()) else rel)
+    rewritten = draw(st.permutations(rewritten))
+    first, second = (draw(st.sampled_from(relators)) for _ in range(2))
+    if draw(st.booleans()):
+        conjugator = draw(st.lists(st.tuples(st.sampled_from(generators),
+                                             st.sampled_from((1, -1))), min_size=1, max_size=3))
+        extra = normalize_word(_letters(invert_word(normalize_word(conjugator)))
+                               + _letters(first) + conjugator)
+    else:
+        extra = normalize_word(_letters(first) + _letters(second))
+    position = draw(st.integers(0, len(rewritten)))
+    rewritten.insert(position, extra)
+    return name, Presentation(generators, tuple(rewritten)), order
+
+
+@seed(20191105)
+@settings(max_examples=25, deadline=None)
+@given(tietze_neutral_rewrites())
+def test_tietze_neutral_rewrites_keep_the_order(case):
+    name, pres, order = case
+    g = todd_coxeter(pres)
+    assert g.order == order, name
+    _check_relators_hold(pres, g)

@@ -28,6 +28,7 @@ def test_parse_cover_type():
     assert parse_cover_type("[0; 2^5]") == CoverType(0, (2, 2, 2, 2, 2))
     assert parse_cover_type("[1;4^3]") == CoverType(1, (4, 4, 4))
     assert str(CoverType(0, (2, 2))) == "[0;2,2]"
+    assert CoverType(0, (2, 2)) != (0, (2, 2))  # only a CoverType equals a CoverType
     assert parse_cover_type(f"[0;2^{MAX_BRANCH_POINTS}]").r == MAX_BRANCH_POINTS
     for bad in ["[0]", "0;2,2", "[0;1,2]", "[0;x]", f"[0;3,2^{MAX_BRANCH_POINTS}]",
                 "[0;2^0]", "[0;2^0,3]"]:
@@ -207,10 +208,12 @@ def test_covering_data_bundle(z2):
     assert cov.fix_table == {1: 6}
 
 
-def test_a_non_integral_count_exits_4(data_dir, monkeypatch):
+def test_a_non_integral_count_exits_4(data_dir, fresh_group_memo, monkeypatch):
     # Family 1's order-32 G0 realized with a class map that puts every
     # element in one class of 3 elements, so every power of its [0;2^5]
-    # vector lands there: |Fix(1)| = 32 * 5 / (2 * 3).
+    # vector lands there: |Fix(1)| = 32 * 5 / (2 * 3).  With an empty group
+    # memo, g64 and the G0 it realizes are requested once and kept nowhere,
+    # so the corrupted G0 dies with the test.
     def realize_corrupted(sub):
         G0 = subgroup_as_group(sub)
         G0.__dict__["class_map"] = ClassMap((frozenset({1, 2, 3}),), array("i", [0]) * G0.order)

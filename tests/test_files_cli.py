@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from mixedsurf import cli, covering, expected, files, perm, surface
 from mixedsurf.errors import InputParseError, IntegrityError, MismatchError, ValidationError
-from mixedsurf.files import (load_group, load_group_record, load_surface_record,
-                             resolve_word, save_group_file)
+from mixedsurf.files import (element_word, load_group, load_group_record,
+                             load_surface_record, resolve_word, save_group_file)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -102,14 +102,25 @@ S9_FILE = {"name": "S9", "claimed_id": "S9", "degree": 9,
            "fingerprint": {**TRIVIAL_FINGERPRINT, "order": 362880}, "provenance": "test"}
 
 
-def test_group_past_the_table_bound_exits_3_quickly(tmp_path):
+def test_group_past_the_table_bound_exits_3_within_its_element_budget(tmp_path, monkeypatch):
+    # S9 claims its true order.  The closure is given that plus one, cuts it
+    # to its limit for degree 9, the table bound, and stops there: its
+    # message names the budget of 65,536 elements.
     path = tmp_path / "s9.json"
     path.write_text(json.dumps(S9_FILE))
-    start = time.perf_counter()
+    budgets = []
+    closure = files.closure
+
+    def recorded(generators, budget):
+        budgets.append(budget)
+        return closure(generators, budget)
+
+    monkeypatch.setattr(files, "closure", recorded)
     code, text = run_cli("group", str(path))
-    assert time.perf_counter() - start < 1
     assert code == cli.EXIT_VALIDATION
     assert "element budget of 65536 " in text
+    assert budgets == [362881]
+    assert perm.closure_limit(9) == perm.MAX_TABLE_ORDER == 65536
 
 
 def test_group_past_its_claimed_order_exits_5_one_element_later(tmp_path, data_dir,
@@ -656,6 +667,68 @@ def test_reproduce_harness_rejects_wrong_expectation(monkeypatch):
     assert "[FAIL] family 1 orbit count: 4 orbit divisors, expected 5" in text
 
 
+def test_cone_table_names_the_basis_the_witness_and_the_classes(data_dir):
+    code, text = run_cli("cone", str(data_dir / "family1.json"))
+    assert (code, text) == (cli.EXIT_OK, "verdict: MoriDream_EffEqNefEqSAmp\n"
+                            "basis: D1, D2\n"
+                            "cone generators: D1, D2\n"
+                            "witness quadruple: D1 ~ D4, D2 ~ D3\n"
+                            "class (0, 1): D2, D3\n"
+                            "class (1, 0): D1, D4\n")
+
+
+def _g0_only(monkeypatch):
+    """Make the CLI run its pipelines without the extra automorphisms: the
+    divisors of G0 alone pair with rank 1, so there is no basis."""
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda spec: files.run_pipeline(spec, use_extra=False))
+
+
+def test_cone_prints_the_notes_of_its_report(data_dir, monkeypatch):
+    _g0_only(monkeypatch)
+    code, text = run_cli("cone", str(data_dir / "family2.json"))
+    assert (code, text) == (cli.EXIT_OK, "verdict: Inconclusive\n"
+                            "note: pairing has rank < 2; no basis of numerical classes\n")
+
+
+def test_reproduce_without_a_basis_exits_5(monkeypatch):
+    _g0_only(monkeypatch)
+    code, text = run_cli("reproduce", "2")
+    assert code == cli.EXIT_MISMATCH
+    assert "[FAIL] family 2 basis: no basis of numerical classes\n" in text
+
+
+def test_reproduce_refuses_divisors_of_nonzero_square_as_a_zero_matching(monkeypatch):
+    # Families 2-5 have divisors with D^2 = 8, so no zero matching.
+    wrong = expected.FAMILY_EXPECTATIONS[2]._replace(matched_zero_pattern=True)
+    monkeypatch.setitem(expected.FAMILY_EXPECTATIONS, 2, wrong)
+    code, text = run_cli("reproduce", "2")
+    assert code == cli.EXIT_MISMATCH
+    assert text.splitlines()[-1] == ("mismatch: family 2 reproduction failed: "
+                                     "zero-pairing matching")
+
+
+def test_reproduce_refuses_a_divisor_with_two_zero_partners(monkeypatch):
+    # Family 1's pairing with D1 ~ D2 ~ D3 and D4 the other null class: every
+    # square is 0, but D1 has two zero partners, D2 and D3.
+    real = files.intersection_table
+    pairing = ((0, 0, 0, 4), (0, 0, 0, 4), (0, 0, 0, 4), (4, 4, 4, 0))
+    monkeypatch.setattr(files, "intersection_table",
+                        lambda orbits, S: real(orbits, S)._replace(pairing=pairing))
+    code, text = run_cli("reproduce", "1")
+    assert code == cli.EXIT_MISMATCH
+    assert ("[FAIL] family 1 zero-pairing matching: "
+            "off-diagonal zeros pair the divisors perfectly\n") in text
+
+
+def test_element_words_resolve_to_their_elements(data_dir):
+    G, _ = load_group(data_dir / "g64.json")
+    words = [element_word(G, i) for i in range(G.order)]
+    assert words[0] == "1"
+    assert words[G.generator_indices[1]] == "g2"
+    assert [resolve_word(G, w) for w in words] == list(range(G.order))
+
+
 def test_exit_codes_are_distinct():
     codes = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION,
              cli.EXIT_ASSERTION, cli.EXIT_MISMATCH}
@@ -791,19 +864,30 @@ def _count_calls(monkeypatch, module, name: str, record) -> None:
             monkeypatch.setattr(namespace, name, counted)
 
 
-def test_warm_pipeline_derives_no_subgroup_and_validates_each_vector_once(
+def test_warm_pipeline_validates_each_vector_until_its_cover_is_kept(
         data_dir, fresh_group_memo, monkeypatch):
+    # Groups, G0's realization on its kept G, and the covers on their kept
+    # groups are each kept on their second request.  Run 2 keeps g256b and
+    # h768; run 3 keeps G0 and H's cover, run 4 the cover of that G0.  A run
+    # that returns kept covers validates no vector.
     spec = data_dir / "family2.json"
-    files.run_pipeline(spec)
-    files.run_pipeline(spec)  # the second request keeps g256b and h768
-    assert sorted(g.order for g, _ in fresh_group_memo.values()) == [256, 768]
     derived, validated = [], []
     _count_calls(monkeypatch, perm, "derived_subgroup", derived.append)
     _count_calls(monkeypatch, covering, "validate_generating_vector",
-                 lambda v: validated.append(v.cover_type))
-    files.run_pipeline(spec)
-    assert derived == []
-    assert validated == [covering.CoverType(0, (4, 4, 4)), covering.CoverType(0, (2, 3, 8))]
+                 lambda v: validated.append(str(v.cover_type)))
+    runs = []
+    for _ in range(5):
+        derived.clear()
+        validated.clear()
+        bundle = files.run_pipeline(spec)
+        runs.append((bool(derived), tuple(validated), bundle.surface.g0_group))
+    assert sorted(g.order for g, _ in fresh_group_memo.values()) == [256, 768]
+    both = ("[0;4,4,4]", "[0;2,3,8]")
+    assert [run[:2] for run in runs] == [(True, both), (True, both), (False, both),
+                                         (False, ("[0;4,4,4]",)), (False, ())]
+    g0_groups = [run[2] for run in runs]
+    assert g0_groups[2] is g0_groups[3] is g0_groups[4]
+    assert g0_groups[1] is not g0_groups[2]
 
 
 # ----------------------------------------------------------------------

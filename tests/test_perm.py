@@ -57,6 +57,14 @@ def test_permutations_and_subgroups_are_read_only_values(d4):
             delattr(a, name)
 
 
+def test_permutations_compare_and_print_by_their_cycles():
+    p = Permutation.from_cycles(4, [(1, 3), (2, 4)])
+    assert p != (3, 4, 1, 2)  # only a Permutation equals a Permutation
+    assert p == Permutation((3, 4, 1, 2))
+    assert repr(p) == "Perm[4](1 3)(2 4)"
+    assert repr(Permutation.identity(4)) == "Permutation.identity(4)"
+
+
 def test_product_is_right_action():
     # (p * q)(i) = q(p(i)): apply p first.
     p = Permutation.from_cycles(3, [(1, 2)])

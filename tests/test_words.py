@@ -16,6 +16,7 @@ ABC = ("x", "y")
 
 def test_parse_simple():
     assert parse_word("g1*g2^-1", {"g1", "g2"}) == (("g1", 1), ("g2", -1))
+    assert parse_word(" g1 * g2^-1 \n", {"g1", "g2"}) == (("g1", 1), ("g2", -1))
 
 
 def test_parse_grouped_power_expands_and_cancels():
@@ -46,6 +47,13 @@ def test_zero_exponent_cancels():
     assert parse_word("x^0*y", ABC) == (("y", 1),)
     assert parse_word("x*x^-1", ABC) == ()
     assert print_word(()) == "1"
+
+
+def test_normalize_word_drops_zero_exponents():
+    # The parser never passes a zero exponent on; a caller that builds
+    # relators by hand can.
+    assert normalize_word([("x", 0), ("y", 2), ("y", 0), ("y", -2), ("x", 1)]) == (("x", 1),)
+    assert normalize_word([("x", 0)]) == ()
 
 
 def test_inverse_of_product_reverses():
