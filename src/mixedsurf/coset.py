@@ -77,9 +77,9 @@ class _Table:
                 self.table[delta][x ^ 1] = None
                 mu, nu = self.rep(gamma), self.rep(delta)
                 if self.table[mu][x] is not None:
-                    self.merge(nu, self.rep(self.table[mu][x]), queue)
+                    self.merge(nu, self.table[mu][x], queue)
                 elif self.table[nu][x ^ 1] is not None:
-                    self.merge(mu, self.rep(self.table[nu][x ^ 1]), queue)
+                    self.merge(mu, self.table[nu][x ^ 1], queue)
                 else:
                     self.table[mu][x] = nu
                     self.table[nu][x ^ 1] = mu

@@ -20,7 +20,12 @@ Vectors of a given type are found by one deterministic scan,
 :func:`generating_vectors`, a generator that yields one vector per class
 under simultaneous conjugation, in scan order, so a caller that needs only
 the first vector that fits stops the scan there;
-:func:`search_generating_vectors` is the same scan as a list.
+:func:`search_generating_vectors` is the same scan as a list.  The scan is
+orderly: the elements of the first entry's centralizer that fix the entries
+chosen so far are one bit mask, and an entry h is skipped with its subtree
+when one of them sends h to a smaller index.  At the last free position h
+alone is tested, since an element that fixes the prefix and h fixes the
+forced last entry, the inverse of their product.
 
 :func:`covering_data`'s values are kept by the vector's group, keyed by the
 type and the entries (:meth:`~mixedsurf.perm.FiniteGroup.kept`).
@@ -29,11 +34,9 @@ type and the entries (:meth:`~mixedsurf.perm.FiniteGroup.kept`).
 from __future__ import annotations
 
 import re
-from array import array
 from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm, prod
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, IntegrityError, ValidationError
@@ -269,9 +272,13 @@ def generating_vectors(group: FiniteGroup, cover_type: CoverType,
     group, which that walk returns once it holds more than half of G
     (Lagrange), and whose mask is the precomputed all-ones ``full``.
     The forced last entry lies in <prefix, h>, so the last free position is
-    a flat loop that tests the last entry's order before the span, and
-    yields each vector it keeps.  The positions before it are open frames
-    on an explicit stack, so the scan runs in this one generator frame.
+    a flat loop over the h whose forced last entry has the right order,
+    listed once per product of the prefix; it tests the span before
+    the centralizer and yields each vector it keeps.  A join <prefix, h>
+    that is not the whole group marks each of its members h' as not
+    completing either, since <prefix, h'> lies inside it.  The positions
+    before the last free one are open frames on an explicit stack, so the
+    scan runs in this one generator frame.
 
     A vector is kept when no simultaneous conjugate is lexicographically
     smaller; no key is stored.  That keeps exactly the first vector of each
@@ -279,17 +286,22 @@ def generating_vectors(group: FiniteGroup, cover_type: CoverType,
     lexicographic order; each first entry f is the smallest index in its
     conjugacy class, so the class members with first entry f are exactly
     its conjugates by the centralizer C(f); and those are all valid and all
-    scanned.  So only the maps of C(f) are tried, built for each f when a
-    position first needs them.
+    scanned.  So only conjugation by C(f) is tried.  Its non-identity
+    elements are listed once per f, and a set of them is an int, bit i
+    standing for the i-th.
 
-    The scan is orderly: it carries down the maps of C(f) that fix every
-    entry chosen so far.  If such a map sends the next entry h to a smaller
-    index, it sends every completion of ``prefix + (h,)`` to a
-    lexicographically smaller conjugate, so h is skipped with its whole
-    subtree.  A map that sends h to a larger index makes every completion
-    larger, so only the maps that fix h are passed on, and the last free
-    position tests just those on ``(h, last)``.  The vectors kept, their
-    order and the ``limit`` cuts are those of the unpruned scan.
+    The scan is orderly.  For each entry h it asks about, it computes two
+    masks once per f: ``lower``, the g with g h g^-1 < h, and ``fixes``, the
+    g with g h g^-1 = h.  Each open position carries one int, ``keep``: the
+    g that fix every entry chosen so far.  If ``keep & lower`` is nonzero,
+    some g fixes the prefix and sends h lower, so it sends every completion
+    of ``prefix + (h,)`` to a lexicographically smaller conjugate, and h is
+    skipped with its whole subtree.  A g that sends h higher makes every
+    completion larger, so the next position gets ``keep & fixes``.  The last
+    free position tests h alone: a g that fixes the prefix and h also fixes
+    the forced last entry (product h)^-1, so ``keep & lower`` decides there
+    too.  The vectors kept, their order and the ``limit`` cuts are those of
+    the unpruned scan.
 
     The unpruned scan visits |first-entry reps| times the middle pool sizes
     candidates.  That count is an upper bound on the pruned scan, taken
@@ -327,73 +339,86 @@ def generating_vectors(group: FiniteGroup, cover_type: CoverType,
                                          else sum(1 << m for m in members))
         return new_span
 
-    def centralizer_maps(f: int) -> list[array]:
-        """x -> g x g^-1 as a row, for each g != 1 centralizing f."""
-        row_f = rows[f]
-        return [array("i", [rows[y][inv[g]] for y in rows[g]])
-                for g in range(1, n) if rows[g][f] == row_f[g]]
+    # The non-identity elements g of C(f), f = prefix[0], as (row of g, g^-1);
+    # bit i of a mask stands for centralizer[i].
+    centralizer: list[tuple] = []
+    # masks[h]: the bits of the g with g h g^-1 < h, and of those with g h g^-1 = h.
+    masks: dict[int, tuple[int, int]] = {}
+
+    def masks_of(h: int) -> tuple[int, int]:
+        lower = fixes = 0
+        bit = 1
+        for row_g, g_inv in centralizer:
+            image = rows[row_g[h]][g_inv]
+            if image < h:
+                lower |= bit
+            elif image == h:
+                fixes |= bit
+            bit <<= 1
+        masks[h] = lower, fixes
+        return lower, fixes
 
     pools = [first_reps] + [by_order[mi] for mi in cover_type.m[1:-1]]
     last_free = len(pools) - 1
-    m_last = cover_type.m[-1]
+    last_pool, m_last = pools[last_free], cover_type.m[-1]
+    # candidates[product]: the h at the last free position whose forced last
+    # entry has order m_last.
+    candidates: dict[int, list[int]] = {}
     # completions[span][h]: whether <span, h> is the whole group.
     completions: dict[int, dict[int, bool]] = {}
     kept = 0
-    # One frame (prefix, Cayley row of its product, span, maps, pool iterator)
-    # per open position before the last free one.  ``maps`` holds the maps
-    # of C(prefix[0]) that fix every entry of ``prefix``; it is None while
-    # the prefix is f alone and the maps are not built yet, and empty at
+    # One frame (prefix, Cayley row of its product, span, keep, pool iterator)
+    # per open position before the last free one.  ``keep`` has the bits of
+    # the centralizer elements that fix every entry of ``prefix``; it is 0 at
     # position 0, where there is nothing to prune.
     frames: list[tuple] = []
-    prefix, product, span, maps = (), 0, 1, []
+    prefix, product, span, keep = (), 0, 1, 0
     while True:
         if len(prefix) < last_free:
-            if maps is None:
-                maps = centralizer_maps(prefix[0])
-            frames.append((prefix, rows[product], span, maps, iter(pools[len(prefix)])))
+            frames.append((prefix, rows[product], span, keep, iter(pools[len(prefix)])))
         else:
             row = rows[product]
+            todo = candidates.get(product)
+            if todo is None:
+                todo = candidates[product] = [h for h in last_pool
+                                              if orders[inv[row[h]]] == m_last]
             completes = completions.setdefault(span, {})
-            for h in pools[last_free]:
-                last = inv[row[h]]
-                if orders[last] != m_last:
-                    continue
+            for h in todo:
                 ok = completes.get(h)
                 if ok is None:
-                    ok = completes[h] = join(span, prefix, h) == full
-                if not ok:
-                    continue
-                if maps is None:
-                    maps = centralizer_maps(prefix[0])
-                pair = (h, last)
-                conjugate = itemgetter(h, last)
-                for conj in maps:
-                    if conjugate(conj) < pair:
-                        break
-                else:
-                    yield GeneratingVector(G, cover_type, prefix + pair)
+                    joined = join(span, prefix, h)
+                    ok = completes[h] = joined == full
+                    # Each h' in a proper join spans a part of it with the prefix.
+                    if not ok:
+                        while joined:
+                            low = joined & -joined
+                            completes[low.bit_length() - 1] = False
+                            joined ^= low
+                if ok and not (keep and keep & (masks.get(h) or masks_of(h))[0]):
+                    yield GeneratingVector(G, cover_type, prefix + (h, inv[row[h]]))
                     kept += 1
                     if kept == limit:
                         return
         # Step to the next unpruned entry of the deepest open position,
         # closing the positions whose pools are spent.
         while frames:
-            prefix, row, span, maps, pool = frames[-1]
+            prefix, row, span, keep, pool = frames[-1]
             for h in pool:
-                fixing = []
-                for conj in maps:
-                    image = conj[h]
-                    if image < h:
-                        break
-                    if image == h:
-                        fixing.append(conj)
-                else:
+                if not keep:
+                    break
+                lower, fixes = masks.get(h) or masks_of(h)
+                if not keep & lower:
+                    keep &= fixes
                     break
             else:
                 frames.pop()
                 continue
-            prefix, product, span, maps = (prefix + (h,), row[h], join(span, prefix, h),
-                                           fixing if prefix else None)
+            if not prefix:
+                row_f = rows[h]
+                centralizer = [(rows[g], inv[g]) for g in range(1, n) if rows[g][h] == row_f[g]]
+                masks = {}
+                keep = (1 << len(centralizer)) - 1
+            prefix, product, span = prefix + (h,), row[h], join(span, prefix, h)
             break
         else:
             return

@@ -19,7 +19,11 @@ twice, not on every load.  The key is the file's generator tuple: its
 content, never its path.  A group is kept on its second request; the first
 is only noted, by the hash of the generators, so a one-shot process keeps
 nothing.  The oldest kept groups are dropped while the images they hold
-(order times degree, summed) exceed ``perm.MAX_CLOSURE_CELLS``.  Every load
+(order times degree, summed) exceed ``perm.MAX_CLOSURE_CELLS``.  The budget
+counts those images only: not the groups' Cayley tables (order squared
+two-byte cells each), nor the realizations and covers each group keeps.  A
+kept realization holds its parent's ``Permutation`` objects, so it adds no
+images, but its index, steps and tables are not counted.  Every load
 still parses the file and checks its claimed fingerprint, so a file with a
 wrong claim is refused on every load, kept group or not.
 :func:`realize_group` keeps nothing.  A kept group keeps, by the same rule,

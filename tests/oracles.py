@@ -34,7 +34,9 @@ fraction-free in integers; and conjugacy classes are formed by composing
 ``Permutation``s, every conjugate of every element, where the library
 walks each class once on the Cayley table; and the cone witness is found by
 testing the seven conditions on every ordered quadruple of null divisors,
-where the library reads it off the numerical classes.
+where the library reads it off the numerical classes; and q and p_g come
+from the character of G0 on the 1-forms of C by the Eichler trace formula,
+in exact Gaussian rationals, where the library reads them off the genus.
 """
 
 from __future__ import annotations
@@ -302,6 +304,89 @@ def free_pair(G: FiniteGroup, members, sigma, phi, tau: int) -> bool:
     sigma = set(sigma)
     return ((sigma & {phi[s] for s in sigma}) == {0}
             and all(G.mul(G.mul(h, phi[h]), tau) not in sigma for h in members))
+
+
+# zeta/(1 - zeta) for the rotation zeta = exp(2 pi i k/m), keyed by (m, k), as
+# (real part, imaginary part): zeta is -1, i or -i for the branch orders 2 and
+# 4 of the bundled G0 covers, [0;2^r] and [0;4^3].
+_EICHLER_TERMS = {(2, 1): (Fraction(-1, 2), Fraction(0)),
+                  (4, 1): (Fraction(-1, 2), Fraction(1, 2)),
+                  (4, 2): (Fraction(-1, 2), Fraction(0)),
+                  (4, 3): (Fraction(-1, 2), Fraction(-1, 2))}
+
+
+def canonical_character(G: FiniteGroup, members, entries,
+                        m) -> dict[int, tuple[Fraction, Fraction]]:
+    """The character of G0 on H^0(K_C), by the Eichler trace formula.
+
+    G0 is ``members`` (element indices of G) and C -> C/G0 has the genus-0
+    generating vector ``entries`` (indices of G) of branch orders ``m``.
+    chi(1) is the genus of C, from Riemann-Hurwitz.  For f != 1,
+    chi(f) = 1 + sum over the fixed points p of f of zeta_p/(1 - zeta_p),
+    with zeta_p the rotation of f at p (Farkas and Kra, *Riemann Surfaces*,
+    ch. V).  Over branch point j the points are the cosets x<h_j>, and f
+    fixes x<h_j> with rotation exp(2 pi i k/m_j) when x^-1 f x = h_j^k,
+    0 < k < m_j; the m_j members x of the coset all satisfy it, so each x
+    weighs 1/m_j.  Values are exact Gaussian rationals (real, imaginary).
+    """
+    if not set(m) <= {2, 4}:
+        raise ValidationError(f"branch orders {m}: only rotations of order 2 and 4 are tabled")
+    genus = 1 + len(members) * (sum(Fraction(mj - 1, mj) for mj in m) - 2) / 2
+    powers: dict[int, list[tuple[int, int]]] = {}
+    for h, mj in zip(entries, m):
+        p = h
+        for k in range(1, mj):
+            powers.setdefault(p, []).append((mj, k))
+            p = G.mul(p, h)
+    chi = {0: (genus, Fraction(0))}
+    for f in members:
+        if f == 0:
+            continue
+        re, im = Fraction(1), Fraction(0)
+        for x in members:
+            for mj, k in powers.get(G.mul(G.mul(G.inv(x), f), x), ()):
+                a, b = _EICHLER_TERMS[mj, k]
+                re, im = re + a / mj, im + b / mj
+        chi[f] = (re, im)
+    return chi
+
+
+def q_and_pg_by_trace_formula(S: SurfaceData, mixed_sign: int = -1) -> tuple[Fraction, Fraction]:
+    """q and p_g of S from the character chi of G0 on V = H^0(K_C).
+
+    q = <chi, 1> over G0, the invariant 1-forms on C, and
+    p_g = (1/|G|) (sum over g in G0 of chi(g) chi(phi(g))
+                   + mixed_sign * sum over s outside G0 of chi(s^2)),
+    the dimension of the G-invariants in V (x) V: an s outside G0 swaps the
+    two factors, which acts on 2-forms with the sign ``mixed_sign``, -1 for
+    the mixed action of Bauer, Catanese and Grunewald (2008).  The formula
+    holds for any action, but p_g = chi - 1 + q only for a free one.  It reads
+    the vector's entries and type, G's multiplication, G0's members and phi:
+    not the genus, stabilizer set or fixed-point table of the library's
+    cover, nor ``surface.invariants_from``.  Raises IntegrityError when
+    either value is not a rational number.
+    """
+    act = S.action
+    G, members = act.G, act.G0.members
+    g0 = S.g0_group
+    vector = S.covering.vector
+    chi = canonical_character(G, members, [G.index_of(g0.element(e)) for e in vector.entries],
+                              vector.cover_type.m)
+    q = [sum(chi[f][0] for f in members), sum(chi[f][1] for f in members)]
+    pg = [Fraction(0), Fraction(0)]
+    for g in members:
+        (a, b), (c, d) = chi[g], chi[act.phi[g]]
+        pg[0] += a * c - b * d
+        pg[1] += a * d + b * c
+    inside = set(members)
+    for s in range(G.order):
+        if s not in inside:
+            a, b = chi[G.mul(s, s)]
+            pg[0] += mixed_sign * a
+            pg[1] += mixed_sign * b
+    if q[1] or pg[1]:
+        raise IntegrityError(f"q = {q} or p_g = {pg} has an imaginary part")
+    return q[0] / len(members), pg[0] / G.order
 
 
 def act_on_graph(S: SurfaceData, h: int, f: int, mixed: bool = False) -> int:

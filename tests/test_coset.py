@@ -116,7 +116,10 @@ def test_a_relator_left_unscanned_fails_the_final_scan(monkeypatch):
 # coset that dies while its own relators are scanned.  The Coxeter
 # presentation led by a product of two of its relators also merges through
 # an inverse column, in a group that is not trivial, where merging the
-# wrong cosets changes the order.
+# wrong cosets changes the order.  The last two reach the merge through an
+# inverse column in a way the later scans do not make up for: without it the
+# first ends with an incomplete table, the second with a relator that does
+# not close.
 COMMUTATOR = "(x^-1*y^-1*x*y)"
 KNOWN = {
     "triangle (2,3,4)": (("x", "y"), ["x^2", "y^3", "(x*y)^4"], 24),
@@ -135,6 +138,8 @@ KNOWN = {
                                    f"x^-1*{COMMUTATOR}^-1*x*{COMMUTATOR}",
                                    f"y^-1*{COMMUTATOR}^-1*y*{COMMUTATOR}"], 27),
     "trivial": (("x", "y"), ["y^-1*x^2*y*x^-3", "x^-1*y^2*x*y^-3"], 1),
+    "trivial, x*y = 1": (("x", "y"), ["x^3", "y^4", "x^4*y"], 1),
+    "Z2, y^3 = 1": (("x", "y"), ["x^2", "y^5", "x^-2*y^-3*x^-2"], 2),
 }
 
 

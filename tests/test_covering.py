@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import weakref
 from array import array
@@ -346,6 +347,17 @@ def test_regenerate_searches_are_pinned(search_group, name, words, type_text, co
     found = search_generating_vectors(search_group(name, words), parse_cover_type(type_text))
     assert len(found) == count
     assert found[0].entries == first
+
+
+def test_the_g64_search_is_pinned_in_full(search_group):
+    # The exhaustive oracle below skips this scan, and the pin above reads
+    # only its count and first vector; this digest covers all 11,520 vectors
+    # in scan order, so a change to the orderly pruning shows here.
+    name, words, type_text = REGENERATE_SEARCHES[0][:3]
+    found = search_generating_vectors(search_group(name, words), parse_cover_type(type_text))
+    assert found[-1].entries == (31, 27, 24, 11, 4)
+    assert hashlib.sha256(repr([v.entries for v in found]).encode()).hexdigest() == (
+        "85a7dc67cc68502cf9492a4b8da1890ee94e697be0104766b3762892be32f3c2")
 
 
 @pytest.mark.parametrize("search,leaves", zip(REGENERATE_SEARCHES, (182_505, 1152, 256, 768)),

@@ -63,6 +63,17 @@ def test_a_realization_is_kept_from_its_second_request():
     assert third.order == 12
 
 
+def test_a_kept_realization_holds_its_parents_elements():
+    # So a kept G0 adds no images to what files.load_group's budget counts.
+    G = fresh_s4()
+    sub = a4_of(G)
+    subgroup_as_group(sub)
+    kept = subgroup_as_group(sub)
+    assert kept is subgroup_as_group(sub)
+    assert sorted(map(G.index_of, kept.elements)) == list(sub.members)
+    assert all(e is G.elements[G.index_of(e)] for e in kept.elements)
+
+
 def test_each_subgroup_is_kept_under_its_own_generators():
     G = fresh_s4()
     a4, c4 = a4_of(G), subgroup_generated(G, [G.generator_indices[1]])
