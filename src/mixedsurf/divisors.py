@@ -6,6 +6,13 @@ group G permutes these graphs:
     h      : graph(f) -> graph(phi(h) f h^-1)          for h in G0,
     tau' h : graph(f) -> graph(tau h f^-1 phi(h^-1))   for h in G0.
 
+Write h.f = phi(h) f h^-1.  Its inverse is h f^-1 phi(h)^-1, so
+tau' h . f = tau (h.f)^-1, and the G-orbit of f is O0(f) u tau O0(f)^-1,
+with O0(f) the G0-orbit.  :func:`graph_orbits` reads only O0(f) off the
+Cayley table and gets the mixed half by one inversion and one read of
+tau's row per member.  The identity is algebra alone, true for any phi
+and tau.
+
 The G-orbits sum to G-invariant divisors on C x C which descend to
 irreducible effective divisors on S (orbit divisors).  The formulas
 define a G-action on H, since ``to_h`` is an injective homomorphism
@@ -29,19 +36,23 @@ and one representative per orbit (its minimal member) suffices:
     D_i^2     = (n_i s_ii - 2 (g-1) n_i) / |G|      (|Fix(1)| read as 0)
     K_S . D_i = 4 (g-1) n_i / |G|
 
-with n_i = |O_i|.  Each off-diagonal entry is also read from the other
-side, n_j s_ji, and the two readings must agree; every value must be an
-integer (both asserted).  Adjunction is asserted too.  The stabilizer of
-a graph, of order |G|/n_i, acts freely on it, so K_S . D_i / 4 =
-(g-1) n_i / |G| is g - 1 for the quotient curve, an integer; and
-delta_i = D_i^2/2 + K_S . D_i/4 = n_i s_ii / (2 |G|) counts the points
-where two graphs of O_i meet, on S, a nonnegative integer.  All
-arithmetic is exact; this module contains no floating point.
+with n_i = |O_i|.  :func:`intersection_table` lists the members of every
+orbit once, in label order; per representative, one gather along the
+Cayley row of x_i^-1 gives each x_i^-1 y in that order, a second gives
+their |Fix|, and s_ij is the sum of O_j's slice.  Each off-diagonal entry
+is also read from the other side, n_j s_ji, and the two readings must
+agree; every value must be an integer (both asserted).  Adjunction is
+asserted too.  The stabilizer of a graph, of order |G|/n_i, acts freely
+on it, so K_S . D_i / 4 = (g-1) n_i / |G| is g - 1 for the quotient
+curve, an integer; and delta_i = D_i^2/2 + K_S . D_i/4 = n_i s_ii / (2 |G|)
+counts the points where two graphs of O_i meet, on S, a nonnegative
+integer.  All arithmetic is exact; this module contains no floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -67,25 +78,24 @@ def graph_orbits(S: SurfaceData) -> list[OrbitDivisor]:
     """Partition the |H| graph classes into G-orbits, deterministically labeled.
 
     Each seed is the least graph class not yet in an orbit, so it is its
-    orbit's least member and the orbits come out in label order.
+    orbit's least member and the orbits come out in label order.  The
+    G0-orbit is read off the Cayley table; the mixed half is tau times its
+    inverses (module docstring).
     """
     H = S.h_group
     rows, inv = H.rows, H.inverses
-    act = S.action
-    pairs = [(S.to_h[h], S.to_h[act.phi[h]]) for h in act.G0.members]
-    tau = S.to_h[act.tau]
-    # h sends f to phi(h) f h^-1 and tau' h sends it to (tau h) f^-1 phi(h)^-1:
-    # a row to read f (or f^-1) in, and the index of the right factor.
-    by_h = [(rows[ph], inv[hh]) for hh, ph in pairs]
-    by_tau_h = [(rows[rows[tau][hh]], inv[ph]) for hh, ph in pairs]
+    act, to_h = S.action, S.to_h
+    # h sends f to phi(h) f h^-1: a row to read f in, and the index of the
+    # right factor.
+    by_h = [(rows[to_h[act.phi[h]]], inv[to_h[h]]) for h in act.G0.members]
+    tau_row = rows[to_h[act.tau]]
     assigned: set[int] = set()
     divisors = []
     for f in range(H.order):
         if f in assigned:
             continue
-        inv_f = inv[f]
-        orb = {rows[row[f]][right] for row, right in by_h}
-        orb.update(rows[row[inv_f]][right] for row, right in by_tau_h)
+        half = {rows[row[f]][right] for row, right in by_h}
+        orb = half.union(map(tau_row.__getitem__, map(inv.__getitem__, half)))
         assigned.update(orb)
         divisors.append(OrbitDivisor(len(divisors) + 1, tuple(sorted(orb))))
     return divisors
@@ -161,11 +171,16 @@ def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
         kdot.append(kd)
 
     # s[i][j] = sum over y in O_j of |Fix(x_i^-1 y)|, x_i the minimal member
-    # of O_i; from_x[y] = fix_list[x^-1 y] is one gather along a Cayley row.
+    # of O_i.  Gathered along the row of x_i^-1, in_orbit_order lists every
+    # x_i^-1 y, orbit after orbit; a second gather reads their |Fix|, and
+    # s_ij is the sum of O_j's slice.
+    in_orbit_order = itemgetter(*[y for d in divisors for y in d.members])
+    ends = list(accumulate(d.n for d in divisors))
+    slices = [slice(a, b) for a, b in zip([0, *ends], ends)]
     s = []
     for d in divisors:
-        from_x = itemgetter(*rows[inv[min(d.members)]])(fix_list)
-        s.append([sum(map(from_x.__getitem__, e.members)) for e in divisors])
+        fixes = itemgetter(*in_orbit_order(rows[inv[min(d.members)]]))(fix_list)
+        s.append([sum(fixes[k]) for k in slices])
 
     pairing = [[0] * norb for _ in range(norb)]
     for i, d in enumerate(divisors):

@@ -105,7 +105,7 @@ def load_group_record(path: str | Path) -> GroupFile:
             raise InputParseError(f"degree must be an integer: {degree!r}")
         gens = []
         for row in raw["generators"]:
-            if not isinstance(row, list) or any(type(x) is not int for x in row):
+            if not isinstance(row, list) or not {int}.issuperset(map(type, row)):
                 raise InputParseError(f"generator images must be integers: {row!r}")
             images = tuple(row)
             if len(images) != degree:

@@ -23,9 +23,12 @@ realized group is walked on the parent's Cayley table instead:
 :func:`subgroup_as_group` runs closure's walk with each left product read
 from a parent row, sorts each layer by the parent elements' images and
 shares closure's layer renumbering and integer pass, so it gives closure's
-group to the last index.  :func:`subgroup_generated`, the span of a few
-element indices, stops as soon as it holds more than half of the group:
-by Lagrange's theorem it is then the whole group.
+group to the last index.  The walk finds each member as a parent index, and
+the realization keeps these as ``FiniteGroup.positions``: element i of the
+subgroup is element ``positions[i]`` of the parent, with no lookup.
+:func:`subgroup_generated`, the span of a few element indices, stops as
+soon as it holds more than half of the group: by Lagrange's theorem it is
+then the whole group.
 
 Elements are looked up by a prefix key, the images of the first ``width``
 points, in the sense of a base (Holt, Eick and O'Brien, *Handbook of
@@ -82,13 +85,14 @@ MAX_CLOSURE_CELLS = 1 << 22
 
 
 class Permutation:
-    """A bijection of {1..n} stored as its image sequence; immutable."""
+    """A bijection of {1..n} stored as its image sequence of ints; immutable."""
 
     __slots__ = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
+        # n distinct ints from 1 to n are exactly 1..n: no sort is needed.
         n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
+        if n and (min(images) != 1 or max(images) != n or len(set(images)) != n):
             raise ValidationError(f"image sequence {images!r} is not a bijection of 1..{n}")
         _set_images(self, images)
 
@@ -192,12 +196,15 @@ class FiniteGroup:
     table ``rows``, the ``inverses``, the element ``orders``, the conjugacy
     ``class_map`` and the ``derived_series`` are built from them on their
     first read; inner loops read them directly, and
-    ``mul``/``inv``/``conj``/``order_of`` are one-line reads.
+    ``mul``/``inv``/``conj``/``order_of`` are one-line reads.  A group
+    realized by :func:`subgroup_as_group` also has ``positions``, the
+    parent's index of each element.
     """
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
                  elements: tuple[Permutation, ...], index: dict[tuple[int, ...], int],
-                 width: int, parents: tuple[tuple[int, int], ...], left_step: list[array]):
+                 width: int, parents: tuple[tuple[int, int], ...], left_step: list[array],
+                 positions: tuple[int, ...] | None = None):
         self.degree = degree
         self.generators = generators
         self.elements = elements
@@ -210,6 +217,10 @@ class FiniteGroup:
         self._parents = parents
         self._left_step = left_step  # left_step[c][k] = index(generators[c] * elements[k])
         self.generator_indices = tuple(step[0] for step in left_step)  # g_c * e_0 == g_c
+        # For a realized subgroup, positions[i] is the parent's index of
+        # elements[i]: plain ints, no reference to the parent.  None for a
+        # group built by closure.
+        self.positions = positions
         # Values derived from this group by key (see `kept`), and the keys
         # requested once.
         self._kept: dict = {}
@@ -626,9 +637,10 @@ def _realize_subgroup(parent: FiniteGroup, generators: tuple[int, ...]) -> Finit
     to the last index, parent and step, but its walk runs on the parent's
     Cayley table: the left product g * e is ``parent.rows[g][e]``, and each
     new layer is sorted by the image tuples of its parent elements.  The
-    elements are the parent's ``Permutation`` objects, and the index keeps
-    the parent's key width, which is injective on the parent's elements and
-    so on the members.  The right steps and parents come from the same
+    parent indices the walk found, in the subgroup's order, are kept as
+    ``positions``.  The elements are the parent's ``Permutation`` objects,
+    and the index keeps the parent's key width, which is injective on the
+    parent's elements and so on the members.  The right steps and parents come from the same
     integer pass as closure's.  The walk from a :class:`Subgroup`'s
     generators gives exactly its members: their span, or G when the span
     was cut short at more than half of G (Lagrange).
@@ -669,7 +681,7 @@ def _realize_subgroup(parent: FiniteGroup, generators: tuple[int, ...]) -> Finit
     width = parent._width
     index = {e.images[:width]: i for i, e in enumerate(elements)}
     return FiniteGroup(parent.degree, tuple(parent_elements[g] for g in generators),
-                       elements, index, width, parents, left_step)
+                       elements, index, width, parents, left_step, tuple(members))
 
 
 _NOT_AN_EMBEDDING = "generator matching does not extend to an injective homomorphism"

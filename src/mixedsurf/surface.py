@@ -13,10 +13,11 @@ The quotient S = (C x C)/G is smooth iff the action is free:
   ii) no fixed curves: no g outside G0 has g^2 in Sigma_V;
 where Sigma_V is the stabilizer set of the generating vector V of G0.
 
-:func:`assemble_surface` builds the G side; :func:`attach_covering_group`
-then attaches a larger H, a quotient of the (2,3,8) triangle group, whose
-[0;2,3,8] vector induces [0;3,3,4] -> [0;4^3] down H's derived series and
-so embeds G0 in H.
+:func:`assemble_surface` builds the G side, with G0 realized as a group of
+its own and its index map ``to_h`` read off that realization's
+``positions``; :func:`attach_covering_group` then attaches a larger H, a
+quotient of the (2,3,8) triangle group, whose [0;2,3,8] vector induces
+[0;3,3,4] -> [0;4^3] down H's derived series and so embeds G0 in H.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ class SurfaceData(NamedTuple):
     defining generating vector lives there.  ``h_group`` is the (possibly
     larger) automorphism group used to build orbit divisors; for surfaces
     without extra automorphisms it is ``g0_group`` itself.  ``to_h`` sends
-    the G-index of each G0 member to its h_group index.
+    the G-index of each G0 member to its h_group index: on the G side it is
+    the inverse of ``g0_group.positions`` (each realized element's index in
+    G), and :func:`attach_covering_group` composes it with G0 -> H.
     """
 
     action: MixedAction
@@ -218,8 +221,9 @@ def assemble_surface(G: FiniteGroup, g0_seeds, tau_prime: int, vector_entries,
             raise ValidationError("generating-vector entry outside G0")
 
     g0_group = subgroup_as_group(G0)
-    # G-index -> g0_group index; attach_covering_group composes it with G0 -> H.
-    to_h = {i: g0_group.index_of(G.element(i)) for i in G0.members}
+    # G-index -> g0_group index, read off the realization's parent positions;
+    # attach_covering_group composes it with G0 -> H.
+    to_h = dict(zip(g0_group.positions, range(g0_group.order)))
     defining = GeneratingVector(g0_group, cover_type,
                                 tuple(to_h[v] for v in vector_entries))
     covering = covering_data(defining)

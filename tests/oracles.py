@@ -36,7 +36,10 @@ walks each class once on the Cayley table; and the cone witness is found by
 testing the seven conditions on every ordered quadruple of null divisors,
 where the library reads it off the numerical classes; and q and p_g come
 from the character of G0 on the 1-forms of C by the Eichler trace formula,
-in exact Gaussian rationals, where the library reads them off the genus.
+in exact Gaussian rationals, where the library reads them off the genus;
+and each orbit of graphs is its seed's image under every element of G,
+each of the two formulas applied as written, where the library computes
+the G0 half and takes the mixed half as tau times its inverses.
 """
 
 from __future__ import annotations
@@ -407,6 +410,27 @@ def act_on_graph(S: SurfaceData, h: int, f: int, mixed: bool = False) -> int:
         return H.mul(H.mul(ph, f), H.inv(hh))
     tau = S.to_h[S.action.tau]
     return H.mul(H.mul(H.mul(tau, hh), H.inv(f)), H.inv(ph))
+
+
+def orbits_by_action(S: SurfaceData) -> list[tuple[int, tuple[int, ...]]]:
+    """(label, sorted members) of each G-orbit of the graph classes.
+
+    The seed is the least graph class in no orbit yet, and its orbit is its
+    image under every element of G: under h and under tau' h for every h in
+    G0, each moved by :func:`act_on_graph`.  Labels count from 1 in seed
+    order.  On a corrupted action (phi or tau not those of G) this is still
+    the seed's image set, which then need not hold the seed.
+    """
+    placed: set[int] = set()
+    orbits = []
+    for f in range(S.h_group.order):
+        if f in placed:
+            continue
+        orbit = {act_on_graph(S, h, f, mixed)
+                 for h in S.action.G0.members for mixed in (False, True)}
+        placed |= orbit
+        orbits.append((len(orbits) + 1, tuple(sorted(orbit))))
+    return orbits
 
 
 def pairing_by_double_sum(orbits, S: SurfaceData) -> tuple[tuple[int, ...], ...]:

@@ -154,6 +154,35 @@ def test_known_presentations_enumerate_to_their_order(name):
     assert [e.images for e in g.elements] == [e.images for e in oracle.elements]
 
 
+# The number of cosets each enumeration defines.  A lost deduction costs
+# cosets, not the order, since the relators close at every coset of the
+# final table: without the merge through the inverse column, "Z2, y^3 = 1"
+# defines 12 cosets instead of 10.
+H768 = (("x", "y"), ["x^2", "y^3", "(x*y)^8", "(x*y*x*y*x*y^2)^4"], 768)
+DEFINED = {
+    "triangle (2,3,4)": 31, "triangle (2,3,5)": 82, "Coxeter S4": 35,
+    "Coxeter S4, relators reversed": 46, "Coxeter S4, a product of relators first": 63,
+    "S3": 6, "metacyclic 21": 27, "Heisenberg 27": 51, "trivial": 149,
+    "trivial, x*y = 1": 6, "Z2, y^3 = 1": 10, "h768": 4176,
+}
+
+
+@pytest.mark.parametrize("name", DEFINED)
+def test_cosets_defined_are_pinned(monkeypatch, name):
+    generators, relators, order = {**KNOWN, "h768": H768}[name]
+    tables = []
+
+    class Recorded(coset._Table):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(coset, "_Table", Recorded)
+    assert todd_coxeter(Presentation.parse(generators, relators)).order == order
+    (table,) = tables
+    assert table.defined == DEFINED[name]
+
+
 def _letters(word):
     """The word as a list of (symbol, +-1) letters."""
     return [(sym, 1 if exp > 0 else -1) for sym, exp in word for _ in range(abs(exp))]

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import CosetFiberOracle, act_on_graph, pairing_by_double_sum, rank_by_fractions
+from oracles import (CosetFiberOracle, act_on_graph, orbits_by_action, pairing_by_double_sum,
+                     rank_by_fractions)
 from mixedsurf import cli, files
 from mixedsurf.divisors import (IntersectionTable, OrbitDivisor, graph_orbits,
                                 intersection_table)
@@ -79,6 +80,34 @@ def test_orbits_partition_the_group(data_dir, families):
         assert [d.label for d in divisors] == list(range(1, len(divisors) + 1)), name
         mins = [min(d.members) for d in divisors]
         assert mins == sorted(mins), name
+
+
+BUNDLED_SURFACES = ("family1", "family1_nonfree", "family2", "family2_search", "family3",
+                    "family4", "family5", "toy_z4")
+WITH_EXTRA = ("family2", "family2_search", "family3", "family4", "family5")
+
+
+@pytest.mark.parametrize("name, use_extra",
+                         [(name, False) for name in BUNDLED_SURFACES]
+                         + [(name, True) for name in WITH_EXTRA])
+def test_orbits_match_the_action_oracle(data_dir, name, use_extra):
+    S = files.build_surface(data_dir / f"{name}.json", use_extra=use_extra)
+    assert (S.h_group is not S.g0_group) == use_extra
+    assert [(d.label, d.members) for d in graph_orbits(S)] == orbits_by_action(S)
+
+
+def test_orbits_of_corrupted_actions_match_the_action_oracle(family1, family2):
+    # The corrupted actions of the two refusal tests below.  They are not
+    # actions, but each "orbit" is still its seed's image set.
+    S = family1.surface
+    G, z = S.action.G, S.action.G0.members[1]
+    phi = {h: G.mul(image, z) for h, image in S.action.phi.items()}
+    wrong = [_with_action(S, phi=phi),
+             _with_action(family2.surface, tau=family2.surface.action.G0.members[1])]
+    orbits = [graph_orbits(S) for S in wrong]
+    for S, got in zip(wrong, orbits):
+        assert [(d.label, d.members) for d in got] == orbits_by_action(S)
+    assert all(0 not in d.members for d in orbits[0])  # no orbit holds its seed 0
 
 
 def test_orbit_labels_sorted_by_minimal_member(family2):

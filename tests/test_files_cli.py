@@ -192,7 +192,8 @@ def test_non_integer_generator_images_are_parse_errors(tmp_path, row):
     path.write_text(json.dumps({"name": "bad", "claimed_id": "?", "degree": 3,
                                 "generators": [row], "fingerprint": TRIVIAL_FINGERPRINT,
                                 "provenance": "test"}))
-    with pytest.raises(InputParseError):
+    with pytest.raises(InputParseError, match=f"generator images must be integers: "
+                                              f"{re.escape(repr(row))}$"):
         load_group_record(path)
     assert run_cli("group", str(path))[0] == cli.EXIT_PARSE
 

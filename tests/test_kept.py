@@ -74,6 +74,21 @@ def test_a_kept_realization_holds_its_parents_elements():
     assert all(e is G.elements[G.index_of(e)] for e in kept.elements)
 
 
+def test_a_kept_realization_keeps_plain_parent_positions():
+    with collector_off():
+        G = fresh_s4()
+        sub = a4_of(G)
+        subgroup_as_group(sub)
+        A4 = subgroup_as_group(sub)
+        assert subgroup_as_group(sub) is A4
+        assert A4.positions == tuple(map(G.index_of, A4.elements))
+        assert {type(i) for i in A4.positions} == {int}
+        group_ref, a4_ref = weakref.ref(G), weakref.ref(A4)
+        del G, sub, A4
+        assert group_ref() is None
+        assert a4_ref() is None
+
+
 def test_each_subgroup_is_kept_under_its_own_generators():
     G = fresh_s4()
     a4, c4 = a4_of(G), subgroup_generated(G, [G.generator_indices[1]])

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import re
 from math import prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mixedsurf import perm
@@ -38,6 +39,38 @@ def test_permutation_validation():
     assert p.order() == 3
     assert Permutation.identity(4).order() == 1
     assert (p * p.inverse()).images == (1, 2, 3, 4)
+
+
+@st.composite
+def image_tuples(draw):
+    """Tuples near a permutation of 1..n: up to two entries replaced by 0,
+    n + 1, True or a repeated point, and sometimes one such entry appended."""
+    n = draw(st.integers(0, 7))
+    images = list(draw(st.permutations(range(1, n + 1))))
+    wrong = st.sampled_from([0, n + 1, True, *range(1, n + 1)])
+    for _ in range(draw(st.integers(0, 2)) if images else 0):
+        images[draw(st.integers(0, n - 1))] = draw(wrong)
+    images += draw(st.lists(wrong, max_size=1))
+    return tuple(images)
+
+
+@seed(20191105)
+@settings(max_examples=300, deadline=None)
+@given(image_tuples())
+@example(())
+@example((True,))
+@example((True, 2))
+@example((1, 1))
+@example((0, 1))
+@example((2, 3))
+def test_bijectivity_check_matches_the_sorted_definition(images):
+    n = len(images)
+    if sorted(images) == list(range(1, n + 1)):
+        assert Permutation(images).images == images
+    else:
+        message = re.escape(f"image sequence {images!r} is not a bijection of 1..{n}")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Permutation(images)
 
 
 def test_permutations_and_subgroups_are_read_only_values(d4):
@@ -448,6 +481,18 @@ def test_fingerprint_round_trip(d4):
     fp = fingerprint(d4)
     from mixedsurf.perm import GroupFingerprint
     assert GroupFingerprint.from_dict(fp.as_dict()) == fp
+
+
+@seed(20191105)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 119), min_size=1, max_size=3))
+def test_realization_positions_are_parent_indices(seeds):
+    S5 = SYMMETRIC[5]
+    sub = subgroup_generated(S5, seeds)
+    G = subgroup_as_group(sub)
+    assert G.positions == tuple(map(S5.index_of, G.elements))
+    assert sorted(G.positions) == list(sub.members)
+    assert S5.positions is None  # a closure has no parent
 
 
 def test_subgroup_as_group(s4):

@@ -240,6 +240,16 @@ def test_transport_identity_embedding(family1):
     assert all(S.to_h[g] == S.g0_group.index_of(G.element(g)) for g in S.action.G0.members)
 
 
+@pytest.mark.parametrize("name", ["family1", "family1_nonfree", "family2", "family2_search",
+                                  "family3", "family4", "family5", "toy_z4"])
+def test_g0_index_map_is_read_off_the_realization(data_dir, name):
+    S = build_surface(data_dir / f"{name}.json", use_extra=False)
+    G, g0 = S.action.G, S.g0_group
+    assert g0.positions == tuple(G.index_of(e) for e in g0.elements)
+    # to_h by its definition, one lookup per G0 member.
+    assert S.to_h == {i: g0.index_of(G.element(i)) for i in S.action.G0.members}
+
+
 def test_transport_verifies_homomorphism(family2):
     S = family2.surface
     G = S.action.G
