@@ -301,7 +301,7 @@ def family_1_g0() -> tuple[FiniteGroup, list[int]]:
     G0 = closure([e1, e2, r, s])
     if G0.order != 32:
         raise IntegrityError(f"G0 has order {G0.order}, expected 32")
-    return G0, [G0.index_of(p) for p in (e1, e2, r, s)]
+    return G0, list(G0.generator_indices)
 
 
 def make_family_1(out: Path):

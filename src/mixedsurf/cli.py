@@ -67,7 +67,7 @@ def cmd_group(args, out) -> int:
 
 
 def cmd_genvec_search(args, out) -> int:
-    group, _ = load_group(args.file)
+    group = load_group(args.file)
     ctype = parse_cover_type(args.type_text)
     found = search_generating_vectors(group, ctype, limit=args.limit)
     for k, vec in enumerate(found, start=1):

@@ -23,7 +23,7 @@ nothing.  The oldest kept groups are dropped while the images they hold
 counts those images only: not the groups' Cayley tables (order squared
 two-byte cells each), nor the realizations and covers each group keeps.  A
 kept realization holds its parent's ``Permutation`` objects, so it adds no
-images, but its index, steps and tables are not counted.  Every load
+images, but its steps and tables are not counted.  Every load
 still parses the file and checks its claimed fingerprint, so a file with a
 wrong claim is refused on every load, kept group or not.
 :func:`realize_group` keeps nothing.  A kept group keeps, by the same rule,
@@ -73,7 +73,6 @@ class GroupFile(NamedTuple):
     generators: tuple[Permutation, ...]
     fingerprint: GroupFingerprint
     provenance: str
-    path: Path | None = None
 
 
 def _load_json(path: Path) -> dict:
@@ -122,7 +121,7 @@ def load_group_record(path: str | Path) -> GroupFile:
         raise InputParseError(f"{path}: malformed group file: {exc}") from exc
     if not gens:
         raise InputParseError(f"{path}: group file lists no generators")
-    return GroupFile(name, claimed_id, degree, tuple(gens), fp, provenance, path)
+    return GroupFile(name, claimed_id, degree, tuple(gens), fp, provenance)
 
 
 def realize_group(record: GroupFile) -> FiniteGroup:
@@ -155,7 +154,7 @@ _realized: dict[tuple[Permutation, ...], tuple[FiniteGroup, GroupFingerprint]] =
 _requested: set[int] = set()
 
 
-def load_group(path: str | Path) -> tuple[FiniteGroup, GroupFile]:
+def load_group(path: str | Path) -> FiniteGroup:
     """The group a group file generates, checked against its claimed fingerprint.
 
     A group kept from earlier loads is not realized again (see the module
@@ -169,7 +168,7 @@ def load_group(path: str | Path) -> tuple[FiniteGroup, GroupFile]:
         _keep(record.generators, kept)
     group, computed = kept
     verify_group(record, computed)
-    return group, record
+    return group
 
 
 def _keep(generators: tuple[Permutation, ...],
@@ -298,14 +297,14 @@ def build_surface(path: str | Path, use_extra: bool = True) -> SurfaceData:
     record = load_surface_record(path)
     # Group files are relative to the surface file; an absolute path stays as is.
     here = record.path.parent
-    G, _ = load_group(here / record.group_file)
+    G = load_group(here / record.group_file)
     seeds = [resolve_word(G, w) for w in record.g0_generators]
     tau_prime = resolve_word(G, record.tau_prime)
     vector = [resolve_word(G, w) for w in record.vector]
 
     H = h_vector = None
     if use_extra and record.extra is not None:
-        H, _ = load_group(here / record.extra.group_file)
+        H = load_group(here / record.extra.group_file)
         if record.extra.vector is not None:
             h_vector = tuple(resolve_word(H, w) for w in record.extra.vector)
     surface = assemble_surface(G, seeds, tau_prime, vector, record.cover_type)

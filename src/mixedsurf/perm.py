@@ -30,17 +30,19 @@ subgroup is element ``positions[i]`` of the parent, with no lookup.
 soon as it holds more than half of the group: by Lagrange's theorem it is
 then the whole group.
 
-Elements are looked up by a prefix key, the images of the first ``width``
-points, in the sense of a base (Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*): a group that acts semiregularly, as every
-group of the pipeline does, is told apart by the image of point 1, so its
-key is a one-item tuple, not ``degree`` ints to hash.  Another
-permutation can share a key, so every hit is compared with the stored
-images in full.  When two distinct elements share one, the key is widened
-to at least twice its width and past their first differing point (to the
-whole tuple once that is more than half of it), and the index is rebuilt;
-the width only grows, up to the degree, so that happens at most
-ceil(log2(degree)) times.
+While it walks, :func:`closure` tells products apart by a prefix key, the
+images of the first ``width`` points, in the sense of a base (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*): a group that acts
+semiregularly, as every group of the pipeline does, is told apart by the
+image of point 1, so its key is a one-item tuple, not ``degree`` ints to
+hash.  Another permutation can share a key, so every hit is compared with
+the stored images in full.  When two distinct elements share one, the key
+is widened to at least twice its width and past their first differing
+point (to the whole tuple once that is more than half of it), and the
+walk's index is rebuilt; the width only grows, up to the degree, so that
+happens at most ceil(log2(degree)) times.  The index is dropped when the
+walk ends: after it, a group addresses its elements by index only, and
+nothing looks a permutation up.
 
 The index-level Cayley table ``FiniteGroup.rows`` is built on its first
 read, from the left steps and the parents: the row of e_i == e_p * g is the
@@ -202,16 +204,11 @@ class FiniteGroup:
     """
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
-                 elements: tuple[Permutation, ...], index: dict[tuple[int, ...], int],
-                 width: int, parents: tuple[tuple[int, int], ...], left_step: list[array],
-                 positions: tuple[int, ...] | None = None):
+                 elements: tuple[Permutation, ...], parents: tuple[tuple[int, int], ...],
+                 left_step: list[array], positions: tuple[int, ...] | None = None):
         self.degree = degree
         self.generators = generators
         self.elements = elements
-        # images[:width] -> element index; the key is injective on the
-        # elements, but a permutation outside the group can share one.
-        self._index = index
-        self._width = width
         # parents[i] = (j, c) with elements[i] == elements[j] * generators[c];
         # parents[0] is (-1, -1) for the identity.
         self._parents = parents
@@ -229,22 +226,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def element(self, i: int) -> Permutation:
-        return self.elements[i]
-
-    def index_of(self, p: Permutation) -> int:
-        i = self._lookup(p.images)
-        if i is None:
-            raise ValidationError("permutation is not an element of this group")
-        return i
-
-    def _lookup(self, images: tuple[int, ...]) -> int | None:
-        # The prefix finds the one candidate; only the full images decide.
-        i = self._index.get(images[:self._width])
-        if i is None or self.elements[i].images != images:
-            return None
-        return i
 
     @cached_property
     def rows(self) -> list[array]:
@@ -427,7 +408,8 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
     differing point (to the whole tuple once that is more than half of it),
     and the index is rebuilt.  The stored keys stay distinct, since a longer
     prefix refines them, and the width is at most the degree, so the index
-    is rebuilt at most ceil(log2(degree)) times.
+    is rebuilt at most ceil(log2(degree)) times.  The index is a local of
+    the walk: the group keeps none.
     The layer order and the sort within a layer use the full tuples.
     """
     gens = tuple(generators)
@@ -497,7 +479,7 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
 
     parents = _right_steps(left_parents, left_step, layer_ends)
     elements = tuple(map(Permutation._trusted, images))
-    return FiniteGroup(degree, gens, elements, index, width, parents, left_step)
+    return FiniteGroup(degree, gens, elements, parents, left_step)
 
 
 def _settle_layer(order: list[int], start: int, end: int,
@@ -638,10 +620,9 @@ def _realize_subgroup(parent: FiniteGroup, generators: tuple[int, ...]) -> Finit
     Cayley table: the left product g * e is ``parent.rows[g][e]``, and each
     new layer is sorted by the image tuples of its parent elements.  The
     parent indices the walk found, in the subgroup's order, are kept as
-    ``positions``.  The elements are the parent's ``Permutation`` objects,
-    and the index keeps the parent's key width, which is injective on the
-    parent's elements and so on the members.  The right steps and parents come from the same
-    integer pass as closure's.  The walk from a :class:`Subgroup`'s
+    ``positions``.  The elements are the parent's ``Permutation`` objects.
+    The right steps and parents come from the same integer pass as
+    closure's.  The walk from a :class:`Subgroup`'s
     generators gives exactly its members: their span, or G when the span
     was cut short at more than half of G (Lagrange).
     """
@@ -677,11 +658,9 @@ def _realize_subgroup(parent: FiniteGroup, generators: tuple[int, ...]) -> Finit
         start = end
 
     parents = _right_steps(left_parents, left_step, layer_ends)
-    elements = tuple(parent_elements[x] for x in members)
-    width = parent._width
-    index = {e.images[:width]: i for i, e in enumerate(elements)}
     return FiniteGroup(parent.degree, tuple(parent_elements[g] for g in generators),
-                       elements, index, width, parents, left_step, tuple(members))
+                       tuple(parent_elements[x] for x in members), parents, left_step,
+                       tuple(members))
 
 
 _NOT_AN_EMBEDDING = "generator matching does not extend to an injective homomorphism"

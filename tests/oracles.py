@@ -148,8 +148,13 @@ def right_product_closure(generators: Sequence[Permutation],
         left.append(row)
 
     elements = tuple(map(Permutation._trusted, images))
-    # The full image tuple is the key: width == degree.
-    return FiniteGroup(degree, gens, elements, index, degree, tuple(parents), left)
+    return FiniteGroup(degree, gens, elements, tuple(parents), left)
+
+
+def element_index(G: FiniteGroup) -> dict[Permutation, int]:
+    """Each element of G mapped to its index, read off ``G.elements`` with no
+    prefix key: a permutation outside G is not a key."""
+    return {e: i for i, e in enumerate(G.elements)}
 
 
 def commutator_subgroup_members(G: FiniteGroup | Subgroup) -> frozenset[int]:
@@ -180,13 +185,13 @@ def abelianization_by_counting(G: FiniteGroup) -> tuple[int, ...]:
     products g * n, and g^q is a ``Permutation`` power tested against G'.
     """
     derived = commutator_subgroup_members(G)
-    in_derived = {G.element(n).images for n in derived}
-    index = {e.images: i for i, e in enumerate(G.elements)}
+    in_derived = {G.elements[n].images for n in derived}
+    index = element_index(G)
     reps, seen = [], set()
     for i, g in enumerate(G.elements):
         if i not in seen:
             reps.append(g)
-            seen.update(index[(g * G.element(n)).images] for n in derived)
+            seen.update(index[g * G.elements[n]] for n in derived)
     m, divisors, p = len(reps), [], 2
     while m > 1:
         if m % p:
@@ -252,16 +257,16 @@ def conjugacy_classes_by_conjugation(G: FiniteGroup,
     ordered by least member.
 
     Each class is {g x g^-1 : g in G} for the least x not yet in a class,
-    every conjugate composed as permutations and looked up by ``index_of``,
-    with no Cayley table.  Conjugates have equal orders, so the classes of
-    one order are those of its elements.
+    every conjugate composed as permutations and looked up by
+    :func:`element_index`, with no Cayley table.  Conjugates have equal
+    orders, so the classes of one order are those of its elements.
     """
-    elements = G.elements
+    elements, index = G.elements, element_index(G)
     pairs = [(g, g.inverse()) for g in elements]
     classes, seen = [], set()
     for x in range(G.order):
         if x not in seen and order in (None, G.order_of(x)):
-            cls = frozenset(G.index_of(g * elements[x] * g_inv) for g, g_inv in pairs)
+            cls = frozenset(index[g * elements[x] * g_inv] for g, g_inv in pairs)
             seen |= cls
             classes.append(cls)
     return classes
@@ -373,7 +378,8 @@ def q_and_pg_by_trace_formula(S: SurfaceData, mixed_sign: int = -1) -> tuple[Fra
     G, members = act.G, act.G0.members
     g0 = S.g0_group
     vector = S.covering.vector
-    chi = canonical_character(G, members, [G.index_of(g0.element(e)) for e in vector.entries],
+    index = element_index(G)
+    chi = canonical_character(G, members, [index[g0.elements[e]] for e in vector.entries],
                               vector.cover_type.m)
     q = [sum(chi[f][0] for f in members), sum(chi[f][1] for f in members)]
     pg = [Fraction(0), Fraction(0)]

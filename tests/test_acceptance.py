@@ -89,7 +89,7 @@ def test_criterion_4_freeness(families, data_dir):
 
 
 def test_criterion_5_extra_automorphism_tower(families, data_dir):
-    H, _ = load_group(data_dir / "h768.json")
+    H = load_group(data_dir / "h768.json")
     found = search_generating_vectors(H, CoverType(0, (2, 3, 8)), limit=1)
     ok = len(found) == 1
     details = [f"[0;2,3,8] vector found: {bool(found)}"]

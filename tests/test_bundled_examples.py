@@ -8,7 +8,7 @@ import json
 from mixedsurf import cli
 from mixedsurf.cone import VERDICT_INCONCLUSIVE
 from mixedsurf.covering import CoverType, search_generating_vectors
-from mixedsurf.files import build_surface, load_group, run_pipeline
+from mixedsurf.files import build_surface, load_group, load_group_record, run_pipeline
 from mixedsurf.perm import fingerprint, subgroup_generated
 
 
@@ -20,8 +20,8 @@ def test_family1_g0_fingerprint(family1):
 
 
 def test_h768_fingerprint_and_series(data_dir):
-    _, record = load_group(data_dir / "h768.json")
-    assert record.fingerprint.order == 768
+    record = load_group_record(data_dir / "h768.json")
+    assert load_group(data_dir / "h768.json").order == record.fingerprint.order == 768
     assert record.fingerprint.derived_series[:3] == (768, 384, 128)
     assert record.fingerprint.abelianization == (2,)
 
@@ -35,7 +35,7 @@ def test_vector_entries_generate_index_two_subgroup(family1):
 
 
 def test_order_eight_element_generates_cyclic_subgroup(data_dir):
-    H, _ = load_group(data_dir / "h768.json")
+    H = load_group(data_dir / "h768.json")
     x = next(i for i in range(H.order) if H.order_of(i) == 8)
     assert subgroup_generated(H, [x]).order == 8
 
@@ -97,8 +97,8 @@ def test_order256_groups_share_fingerprint_but_are_distinct_files(data_dir):
     # The two bundled order-256 groups agree on every fingerprint invariant
     # (fingerprints do not determine isomorphism type); the pipeline relies
     # on downstream behavioral checks, not on telling them apart.
-    _, rec_a = load_group(data_dir / "g256a.json")
-    _, rec_b = load_group(data_dir / "g256b.json")
+    rec_a = load_group_record(data_dir / "g256a.json")
+    rec_b = load_group_record(data_dir / "g256b.json")
     assert rec_a.fingerprint == rec_b.fingerprint
     assert rec_a.generators != rec_b.generators
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import CosetFiberOracle, fixed_point_count, generating_vector_entries
+from oracles import (CosetFiberOracle, element_index, fixed_point_count,
+                     generating_vector_entries)
 from mixedsurf import cli, covering, surface
 from mixedsurf.covering import (MAX_BRANCH_POINTS, MAX_SEARCH_LEAVES, CoverType,
                                 GeneratingVector, covering_data, fixed_point_table,
@@ -133,8 +134,9 @@ def test_fixed_point_count_hyperelliptic(z2):
 def test_fixed_point_zero_outside_stabilizer():
     klein = closure([Permutation.from_cycles(4, [(1, 2)]),
                      Permutation.from_cycles(4, [(3, 4)])])
-    a = klein.index_of(Permutation.from_cycles(4, [(1, 2)]))
-    b = klein.index_of(Permutation.from_cycles(4, [(3, 4)]))
+    index = element_index(klein)
+    a = index[Permutation.from_cycles(4, [(1, 2)])]
+    b = index[Permutation.from_cycles(4, [(3, 4)])]
     v = GeneratingVector(klein, CoverType(0, (2, 2, 2, 2)), (a, b, a, b))
     ab = klein.mul(a, b)
     assert ab not in stabilizer_set(v)

@@ -8,6 +8,7 @@ import re
 import time
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,14 +36,15 @@ def test_load_bundled_group_files(data_dir):
     for name, order in [("g64.json", 64), ("g256a.json", 256),
                         ("g256b.json", 256), ("h768.json", 768),
                         ("toy_z4_group.json", 4)]:
-        group, record = load_group(data_dir / name)
+        group, record = load_group(data_dir / name), load_group_record(data_dir / name)
         assert group.order == order
         assert record.fingerprint.order == order
 
 
 def test_group_file_round_trip(tmp_path, d4):
     save_group_file(tmp_path / "d4.json", "d4", "G(8,3)", d4, "test")
-    group, record = load_group(tmp_path / "d4.json")
+    group = load_group(tmp_path / "d4.json")
+    record = load_group_record(tmp_path / "d4.json")
     assert group.order == 8
     assert record.claimed_id == "G(8,3)"
     assert record.provenance == "test"
@@ -320,18 +322,26 @@ def test_tampered_fingerprint_message_prints_both_fingerprints(tmp_path, data_di
 
 
 @pytest.mark.parametrize("name", ["g64", "g256a", "h768"])
-def test_transposed_generator_images_never_pass(tmp_path, data_dir, name):
+def test_transposed_generator_images_never_pass(tmp_path, data_dir, name, monkeypatch):
     # The swap keeps a bijection, so only the closure bound (exit 3) or the
-    # fingerprint (exit 5) can refuse the file.
+    # fingerprint (exit 5) can refuse the file.  The closure may grow one
+    # element past the claimed order and no further.
     raw = json.loads((data_dir / f"{name}.json").read_text())
     first = raw["generators"][0]
     first[0], first[1] = first[1], first[0]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(raw))
-    start = time.perf_counter()
+    budgets = []
+    closure = files.closure
+
+    def recorded(generators, budget=perm.MAX_TABLE_ORDER):
+        budgets.append(budget)
+        return closure(generators, budget)
+
+    monkeypatch.setattr(files, "closure", recorded)
     code, text = run_cli("group", str(path))
-    assert time.perf_counter() - start < 2
     assert code in (cli.EXIT_VALIDATION, cli.EXIT_MISMATCH), text
+    assert budgets == [raw["fingerprint"]["order"] + 1]
 
 
 def test_cmd_group_bundled_files_match(data_dir):
@@ -342,7 +352,7 @@ def test_cmd_group_bundled_files_match(data_dir):
 
 
 def test_resolve_word_round_trip(data_dir):
-    group, _ = load_group(data_dir / "g64.json")
+    group = load_group(data_dir / "g64.json")
     assert resolve_word(group, "g1*g1") == 0
     assert resolve_word(group, "1") == 0
     assert resolve_word(group, "g5^2") == group.mul(
@@ -368,7 +378,7 @@ def counted_realizations(monkeypatch) -> list[str]:
 def test_third_load_returns_the_group_kept_on_the_second(data_dir, fresh_group_memo,
                                                          monkeypatch):
     calls = counted_realizations(monkeypatch)
-    first, second, third = (load_group(data_dir / "g64.json")[0] for _ in range(3))
+    first, second, third = (load_group(data_dir / "g64.json") for _ in range(3))
     assert second is not first and third is second
     assert calls == ["g64", "g64"]
 
@@ -593,16 +603,34 @@ def test_zero_exponent_in_type_is_parse_error(tmp_path, data_dir):
     assert "exponents start at 1" in text
 
 
-def test_huge_merged_exponents_reduce_modulo_the_group_order(tmp_path, data_dir):
+def test_huge_merged_exponents_reduce_modulo_the_group_order(tmp_path, data_dir,
+                                                            monkeypatch):
     # g1^(10^8 + 1) = g1 and g1^-999998 = g1^2 in Z/4: the same surface as
     # toy_z4.json.  Merged adjacent powers were evaluated one factor at a
-    # time, for 41 s.
+    # time, for 41 s.  Reduced modulo |G|, each factor of the normalized word
+    # takes at most |G| - 1 products; the count stops a word at its bound.
     tau_prime = "g1*" + "*".join(["g1^1000000"] * 100)
     path = _toy_surface(tmp_path, data_dir, tau_prime=tau_prime,
                         vector=["g1^-999998"] * 8)
-    start = time.perf_counter()
+    evaluate, words = files.evaluate_word_index, []
+
+    def counted(group, word, assignment):
+        bound, made = (group.order - 1) * len(word), 0
+        words.append(word)
+
+        def mul(i, j):
+            nonlocal made
+            made += 1
+            if made > bound:
+                pytest.fail(f"{word} took more than {bound} products")
+            return group.mul(i, j)
+
+        return evaluate(SimpleNamespace(order=group.order, inv=group.inv, mul=mul),
+                        word, assignment)
+
+    monkeypatch.setattr(files, "evaluate_word_index", counted)
     code, text = run_cli("surface", str(path))
-    assert time.perf_counter() - start < 10
+    assert (("g1", 10**8 + 1),) in words and (("g1", -999998),) in words
     assert code == cli.EXIT_VALIDATION
     assert text == (GOLDEN / "surface_toy_z4.txt").read_text()
 
@@ -723,7 +751,7 @@ def test_reproduce_refuses_a_divisor_with_two_zero_partners(monkeypatch):
 
 
 def test_element_words_resolve_to_their_elements(data_dir):
-    G, _ = load_group(data_dir / "g64.json")
+    G = load_group(data_dir / "g64.json")
     words = [element_word(G, i) for i in range(G.order)]
     assert words[0] == "1"
     assert words[G.generator_indices[1]] == "g2"
@@ -802,7 +830,7 @@ def test_vector_search_draws_one_vector_from_the_scan(data_dir, monkeypatch):
     assert drawn == [(1, 2, 7)]
     lazy = len(joins)
     joins.clear()
-    H, _ = load_group(data_dir / "h768.json")
+    H = load_group(data_dir / "h768.json")
     covering.search_generating_vectors(H, surface.TRIANGLE_TYPE)
     assert lazy < len(joins)
 
@@ -816,7 +844,7 @@ def test_vector_search_tries_every_candidate_in_scan_order(data_dir, monkeypatch
 
     monkeypatch.setattr(files, "attach_covering_group", refused)
     code, text = run_cli("cone", str(data_dir / "family2_search.json"))
-    H, _ = load_group(data_dir / "h768.json")
+    H = load_group(data_dir / "h768.json")
     scan = [v.entries for v in covering.search_generating_vectors(H, surface.TRIANGLE_TYPE)]
     assert len(scan) == 4
     assert tried == scan

@@ -14,6 +14,7 @@ from mixedsurf import covering
 from mixedsurf.covering import CoverType, GeneratingVector, covering_data, generating_vectors
 from mixedsurf.errors import ValidationError
 from mixedsurf.perm import Permutation, closure, subgroup_as_group, subgroup_generated
+from oracles import element_index
 
 S4_TYPE = CoverType(0, (2, 3, 4))
 
@@ -39,8 +40,9 @@ def collector_off():
 
 def a4_of(G):
     """S4's subgroup A4, spanned by two 3-cycles."""
-    c1 = G.index_of(Permutation.from_cycles(4, [(1, 2, 3)]))
-    c2 = G.index_of(Permutation.from_cycles(4, [(2, 3, 4)]))
+    index = element_index(G)
+    c1 = index[Permutation.from_cycles(4, [(1, 2, 3)])]
+    c2 = index[Permutation.from_cycles(4, [(2, 3, 4)])]
     return subgroup_generated(G, [c1, c2])
 
 
@@ -70,8 +72,9 @@ def test_a_kept_realization_holds_its_parents_elements():
     subgroup_as_group(sub)
     kept = subgroup_as_group(sub)
     assert kept is subgroup_as_group(sub)
-    assert sorted(map(G.index_of, kept.elements)) == list(sub.members)
-    assert all(e is G.elements[G.index_of(e)] for e in kept.elements)
+    index = element_index(G)
+    assert sorted(map(index.__getitem__, kept.elements)) == list(sub.members)
+    assert all(e is G.elements[index[e]] for e in kept.elements)
 
 
 def test_a_kept_realization_keeps_plain_parent_positions():
@@ -81,7 +84,7 @@ def test_a_kept_realization_keeps_plain_parent_positions():
         subgroup_as_group(sub)
         A4 = subgroup_as_group(sub)
         assert subgroup_as_group(sub) is A4
-        assert A4.positions == tuple(map(G.index_of, A4.elements))
+        assert A4.positions == tuple(map(element_index(G).__getitem__, A4.elements))
         assert {type(i) for i in A4.positions} == {int}
         group_ref, a4_ref = weakref.ref(G), weakref.ref(A4)
         del G, sub, A4

@@ -16,7 +16,7 @@ from mixedsurf.perm import (MAX_TABLE_ORDER, FiniteGroup, Permutation, center_or
                             subgroup_as_group, subgroup_generated)
 from oracles import (abelianization_by_counting, commutator_subgroup_members,
                      conjugacy_classes_by_conjugation, derived_series_by_commutators,
-                     homomorphisms_by_tuples, span_members)
+                     element_index, homomorphisms_by_tuples, span_members)
 
 BUNDLED = ("g64", "g256a", "g256b", "h768", "toy_z4_group")
 
@@ -107,6 +107,7 @@ def test_product_is_right_action():
 
 def test_closure_dihedral_and_cyclic(d4):
     assert d4.order == 8
+    assert d4.elements[0].images == (1, 2, 3, 4)
     c5 = closure([Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])])
     assert c5.order == 5
 
@@ -139,45 +140,11 @@ def test_closure_idempotent(d4):
     assert again.order == d4.order
 
 
-def test_index_round_trip(d4):
-    for i in range(d4.order):
-        assert d4.index_of(d4.element(i)) == i
-    assert d4.element(0).images == (1, 2, 3, 4)
-
-
-def swapped_past_key(G: FiniteGroup, i: int) -> Permutation:
-    """Element i with the images of two points past its index key swapped."""
-    images = list(G.element(i).images)
-    a = G._width + 1
-    images[a], images[a + 1] = images[a + 1], images[a]
-    return Permutation(tuple(images))
-
-
-def test_lookup_compares_all_images(bundled):
-    # The swap keeps the key, so the key finds element i and only the full
-    # images tell the permutation apart from it.  h768 is keyed by point 1;
-    # Z3 on points 3..5 of degree 8 fixes points 1 and 2 and needs three.
-    z3 = closure([Permutation((1, 2, 4, 5, 3, 6, 7, 8))])
-    assert z3._width == 3
-    for G, picks in ((bundled["h768"], (0, 1, 400, 767)), (z3, (0, 1, 2))):
-        for i in picks:
-            p = swapped_past_key(G, i)
-            assert G._index[p.images[:G._width]] == i
-            with pytest.raises(ValidationError, match="not an element"):
-                G.index_of(p)
-
-
-def test_lookup_refuses_other_degrees(d4):
-    for images in ((1, 2, 3), (1, 2, 3, 4, 5), ()):
-        with pytest.raises(ValidationError):
-            d4.index_of(Permutation(images))
-
-
 def test_mul_matches_permutation_arithmetic(d4):
     for i in range(d4.order):
         for j in range(d4.order):
-            assert d4.element(d4.mul(i, j)).images == (d4.element(i) * d4.element(j)).images
-        assert (d4.element(i) * d4.element(d4.inv(i))).images == (1, 2, 3, 4)
+            assert d4.elements[d4.mul(i, j)] == d4.elements[i] * d4.elements[j]
+        assert (d4.elements[i] * d4.elements[d4.inv(i)]).images == (1, 2, 3, 4)
 
 
 @pytest.mark.parametrize("name", ["toy_z4_group", "g64", "g256a", "h768"])
@@ -186,13 +153,13 @@ def test_cayley_table_matches_permutation_arithmetic(bundled, name):
     # product e * f is composed here without Permutation's bijection check,
     # which would double the time: (e * f)(x) = f(e(x)).
     G = bundled[name]
-    elements = G.elements
+    elements, index = G.elements, element_index(G)
     sample = range(G.order) if G.order <= 256 else [*range(0, G.order, 97), G.order - 1]
     for i in sample:
         e = [x - 1 for x in elements[i].images]
         products = (Permutation._trusted(tuple(f.images[x] for x in e)) for f in elements)
-        assert list(G.rows[i]) == list(map(G.index_of, products))
-    assert list(G.inverses) == [G.index_of(e.inverse()) for e in elements]
+        assert list(G.rows[i]) == list(map(index.__getitem__, products))
+    assert list(G.inverses) == [index[e.inverse()] for e in elements]
 
 
 def test_cayley_table_of_the_trivial_group():
@@ -204,7 +171,7 @@ def test_cayley_table_of_the_trivial_group():
 def test_cayley_table_refuses_orders_past_two_byte_indices():
     # Closing a real group of order 2^16 + 1 or more takes seconds and
     # 100 MB, so only the element count is given; the check comes first.
-    G = FiniteGroup(1, (), range(MAX_TABLE_ORDER + 1), {}, 1, (), [])
+    G = FiniteGroup(1, (), range(MAX_TABLE_ORDER + 1), (), [])
     with pytest.raises(BudgetExceeded, match="order 65537 > 65536"):
         G.rows
 
@@ -230,7 +197,8 @@ def test_closure_bounds_elements_times_degree(monkeypatch, bundled):
 
 def test_generator_indices(bundled, d4):
     for G in (d4, *bundled.values()):
-        assert G.generator_indices == tuple(G.index_of(g) for g in G.generators)
+        index = element_index(G)
+        assert G.generator_indices == tuple(index[g] for g in G.generators)
 
 
 def test_closure_with_identity_and_repeated_generators():
@@ -238,19 +206,20 @@ def test_closure_with_identity_and_repeated_generators():
     G = closure([Permutation.identity(4), r, r])
     assert G.order == 4
     assert G.generator_indices[0] == 0
-    assert G.generator_indices[1] == G.generator_indices[2] == G.index_of(r)
+    assert G.generator_indices[1] == G.generator_indices[2] == element_index(G)[r]
 
 
 def test_order_of_matches_cycle_orders(d4):
     for i in range(d4.order):
-        assert d4.order_of(i) == d4.element(i).order()
+        assert d4.order_of(i) == d4.elements[i].order()
 
 
 def test_word_for_reconstructs_elements(d4):
+    index = element_index(d4)
     for i in range(d4.order):
         acc = 0
         for c in d4.word_for(i):
-            acc = d4.mul(acc, d4.index_of(d4.generators[c]))
+            acc = d4.mul(acc, index[d4.generators[c]])
         assert acc == i
 
 
@@ -371,7 +340,7 @@ def test_extend_homomorphism_matches_graph_subgroup_oracle(picks, conjugate):
     # Random targets rarely embed, so half the cases conjugate the sources.
     src_gens, g = picks[:2], picks[2]
     dst_gens = [S4.conj(g, s) for s in src_gens] if conjugate else picks[3:]
-    graph = closure([_pair(S4.element(s), S4.element(t)) for s, t in zip(src_gens, dst_gens)])
+    graph = closure([_pair(S4.elements[s], S4.elements[t]) for s, t in zip(src_gens, dst_gens)])
     span_s = subgroup_generated(S4, src_gens)
     embeds = graph.order == span_s.order == subgroup_generated(S4, dst_gens).order
     if not embeds:
@@ -490,13 +459,14 @@ def test_realization_positions_are_parent_indices(seeds):
     S5 = SYMMETRIC[5]
     sub = subgroup_generated(S5, seeds)
     G = subgroup_as_group(sub)
-    assert G.positions == tuple(map(S5.index_of, G.elements))
+    assert G.positions == tuple(map(element_index(S5).__getitem__, G.elements))
     assert sorted(G.positions) == list(sub.members)
     assert S5.positions is None  # a closure has no parent
 
 
 def test_subgroup_as_group(s4):
-    sub = subgroup_generated(s4, [s4.index_of(Permutation.from_cycles(4, [(1, 2, 3)]))])
+    three_cycle = element_index(s4)[Permutation.from_cycles(4, [(1, 2, 3)])]
+    sub = subgroup_generated(s4, [three_cycle])
     grp = subgroup_as_group(sub)
     assert grp.order == sub.order == 3
 
@@ -533,7 +503,8 @@ def test_span_matches_oracle_in_random_subgroups(drawn):
 
 def s4_subgroup(*cycles) -> FiniteGroup:
     S4 = SYMMETRIC[4]
-    seeds = [S4.index_of(Permutation.from_cycles(4, c)) for c in cycles]
+    index = element_index(S4)
+    seeds = [index[Permutation.from_cycles(4, c)] for c in cycles]
     return subgroup_as_group(subgroup_generated(S4, seeds))
 
 
@@ -600,14 +571,11 @@ def test_span_passing_half_inside_a_layer_is_the_whole_group(n):
 
 def assert_same_realization(sub) -> FiniteGroup:
     got = subgroup_as_group(sub)
-    want = closure([sub.parent.element(i) for i in sub.generators])
+    want = closure([sub.parent.elements[i] for i in sub.generators])
     assert [e.images for e in got.elements] == [e.images for e in want.elements]
     assert got._parents == want._parents
     assert got._left_step == want._left_step
     assert got.generator_indices == want.generator_indices
-    for i, e in enumerate(got.elements):
-        assert got.index_of(e) == want.index_of(e) == i
-    assert got._width == sub.parent._width
     return got
 
 
@@ -632,7 +600,7 @@ def test_table_realization_never_closes_image_tuples(monkeypatch, bundled, famil
     monkeypatch.setattr(perm, "closure", refuse)
     for sub in subs:
         G = subgroup_as_group(sub)
-        assert G.order == sub.order and G._width == sub.parent._width
+        assert G.order == sub.order
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,7 @@ from mixedsurf.surface import (TRIANGLE_TYPE, assemble_surface, attach_covering_
                                derive_induced_vectors, fixed_curve_witness,
                                invariants_from, isolated_point_witness,
                                transport_embedding)
-from oracles import embedding_by_bfs, first_broken_product, free_pair
+from oracles import element_index, embedding_by_bfs, first_broken_product, free_pair
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +182,7 @@ def test_freeness_helpers_match_oracle_on_random_pairs(family1, data):
 
 def test_derive_induced_vectors_tower(data_dir):
     from mixedsurf.files import load_surface_record, resolve_word
-    H, _ = load_group(data_dir / "h768.json")
+    H = load_group(data_dir / "h768.json")
     record = load_surface_record(data_dir / "family2.json")
     abc = tuple(resolve_word(H, w) for w in record.extra.vector)
     tower = derive_induced_vectors(covering_data(GeneratingVector(H, TRIANGLE_TYPE, abc)))
@@ -200,7 +200,7 @@ def test_derive_induced_vectors_tower(data_dir):
 def test_derive_induced_vectors_rejects_bad_input(data_dir):
     # The tower's [0;2,3,8] vector is validated once, when H is attached.
     g_side = build_surface(data_dir / "family2.json", use_extra=False)
-    H, _ = load_group(data_dir / "h768.json")
+    H = load_group(data_dir / "h768.json")
     b = next(i for i in range(H.order) if H.order_of(i) == 3)
     with pytest.raises(ValidationError, match="^invalid generating vector: orders: entry 1 "):
         attach_covering_group(g_side, H, (b, b, b))
@@ -237,7 +237,8 @@ def test_transport_identity_embedding(family1):
     S = family1.surface
     assert S.h_group is S.g0_group
     G = S.action.G
-    assert all(S.to_h[g] == S.g0_group.index_of(G.element(g)) for g in S.action.G0.members)
+    index = element_index(S.g0_group)
+    assert all(S.to_h[g] == index[G.elements[g]] for g in S.action.G0.members)
 
 
 @pytest.mark.parametrize("name", ["family1", "family1_nonfree", "family2", "family2_search",
@@ -245,9 +246,10 @@ def test_transport_identity_embedding(family1):
 def test_g0_index_map_is_read_off_the_realization(data_dir, name):
     S = build_surface(data_dir / f"{name}.json", use_extra=False)
     G, g0 = S.action.G, S.g0_group
-    assert g0.positions == tuple(G.index_of(e) for e in g0.elements)
+    in_g, in_g0 = element_index(G), element_index(g0)
+    assert g0.positions == tuple(in_g[e] for e in g0.elements)
     # to_h by its definition, one lookup per G0 member.
-    assert S.to_h == {i: g0.index_of(G.element(i)) for i in S.action.G0.members}
+    assert S.to_h == {i: in_g0[G.elements[i]] for i in S.action.G0.members}
 
 
 def test_transport_verifies_homomorphism(family2):
