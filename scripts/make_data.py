@@ -25,6 +25,10 @@ Construction outline:
   vectors and their stabilizer sets Sigma_V from the library's
   covering.search_generating_vectors and covering.stabilizer_set.
 
+Every surface file is one call of files.save_surface_file with the fields
+that files.load_surface_record reads back; families 2-5 and family2_search
+come from one table.  Group files go through files.save_group_file.
+
 Usage:  python scripts/make_data.py [--out DIR]
 """
 
@@ -43,8 +47,8 @@ from mixedsurf.covering import (CoverType, covering_data, search_generating_vect
                                 stabilizer_set)
 from mixedsurf.errors import IntegrityError, MismatchError
 from mixedsurf.expected import FAMILY_EXPECTATIONS, compare_family
-from mixedsurf.files import (build_surface, element_word, run_pipeline, save_group_file,
-                             save_surface_file)
+from mixedsurf.files import (ExtraBlock, build_surface, element_word, run_pipeline,
+                             save_group_file, save_surface_file)
 from mixedsurf.perm import (FiniteGroup, Permutation, closure, extend_homomorphism,
                             homomorphisms)
 from mixedsurf.surface import (TRIANGLE_TYPE, check_free_action, derive_induced_vectors,
@@ -127,6 +131,13 @@ def build_extension(G: FiniteGroup, members, phi, tau, vec_gens) -> FiniteGroup:
     # The generators span the extension, which acts regularly: a larger
     # group is a multiple of ``size`` and exceeds the budget, which raises.
     return closure(gens, budget=size + 1)
+
+
+def words_in_extension(G0: FiniteGroup, V, ext: FiniteGroup, elements) -> tuple[str, ...]:
+    """The words in ``ext``'s symbols of the G0 ``elements``, where the first
+    generators of the extension ``ext`` are the images of V."""
+    to_ext = extend_homomorphism(G0, V, ext, ext.generator_indices[:len(V)])
+    return tuple(element_word(ext, to_ext[x]) for x in elements)
 
 
 def index_two_subgroups(G: FiniteGroup) -> list[set[int]]:
@@ -247,46 +258,22 @@ def make_families_2_to_5(out: Path):
     log("wrote g256a.json, g256b.json, h768.json")
 
     # Surface files.  Family 2 pairs the rarer group with the first vector
-    # class; families 3-5 pair the common group with the other three classes.
-    def vector_words_in_ext(ext: FiniteGroup, vec):
-        # An induced vector (H-indices inside G0) in the extension, whose
-        # generators g1..g3 are the images of V0.
-        to_ext = extend_homomorphism(H, V0, ext, ext.generator_indices[:3])
-        return [element_word(ext, to_ext[v]) for v in vec]
+    # class; families 3-5 pair the common group with the other three
+    # classes.  family2-search is family 2 with H's vector left to the search.
+    def h_words(class_id):
+        return tuple(element_word(H, x) for x in classes[class_id])
 
-    assignments = {
-        2: (G_b, "g256b.json", 0),
-        3: (G_a, "g256a.json", 1),
-        4: (G_a, "g256a.json", 2),
-        5: (G_a, "g256a.json", 3),
-    }
-    for fam, (ext, gfile, class_id) in assignments.items():
-        record = {
-            "name": f"family{fam}",
-            "group_file": gfile,
-            "g0_generators": ["g1", "g2", "g3"],
-            "tau_prime": "g4",
-            "vector": vector_words_in_ext(ext, induced[class_id]),
-            "type": "[0;4^3]",
-            "extra_automorphisms": {
-                "group_file": "h768.json",
-                "vector": [element_word(H, x) for x in classes[class_id]],
-            },
-        }
-        save_surface_file(out / f"family{fam}.json", record)
-        log(f"wrote family{fam}.json (vector class {class_id})")
-
-    search_variant = {
-        "name": "family2-search",
-        "group_file": "g256b.json",
-        "g0_generators": ["g1", "g2", "g3"],
-        "tau_prime": "g4",
-        "vector": vector_words_in_ext(G_b, induced[0]),
-        "type": "[0;4^3]",
-        "extra_automorphisms": {"group_file": "h768.json", "vector": "search"},
-    }
-    save_surface_file(out / "family2_search.json", search_variant)
-    log("wrote family2_search.json")
+    surfaces = [("family2", G_b, "g256b.json", 0, h_words(0)),
+                ("family3", G_a, "g256a.json", 1, h_words(1)),
+                ("family4", G_a, "g256a.json", 2, h_words(2)),
+                ("family5", G_a, "g256a.json", 3, h_words(3)),
+                ("family2-search", G_b, "g256b.json", 0, None)]
+    for name, ext, gfile, class_id, h_vector in surfaces:
+        filename = f"{name.replace('-', '_')}.json"
+        save_surface_file(out / filename, name, gfile, ("g1", "g2", "g3"), "g4",
+                          words_in_extension(H, V0, ext, induced[class_id]), "[0;4^3]",
+                          ExtraBlock("h768.json", h_vector))
+        log(f"wrote {filename} (vector class {class_id})")
 
 
 # ----------------------------------------------------------------------
@@ -347,16 +334,9 @@ def make_family_1(out: Path):
     G = build_extension(G0, tuple(range(n)), phi, tau, V[:4])
     save_group_file(out / "g64.json", "g64", "G(64,92)", G, PROVENANCE)
 
-    record = {
-        "name": "family1",
-        "group_file": "g64.json",
-        "g0_generators": ["g1", "g2", "g3", "g4"],
-        "tau_prime": "g5",
-        "vector": ["g1", "g2", "g3", "g4", "(g1*g2*g3*g4)^-1"],
-        "type": "[0;2^5]",
-        "extra_automorphisms": None,
-    }
-    save_surface_file(out / "family1.json", record)
+    g0_words = ("g1", "g2", "g3", "g4")
+    save_surface_file(out / "family1.json", "family1", "g64.json", g0_words, "g5",
+                      (*g0_words, "(g1*g2*g3*g4)^-1"), "[0;2^5]")
     log("wrote g64.json, family1.json")
 
     # Negative fixture: the lexicographically smallest [0;2^5] generating
@@ -366,18 +346,8 @@ def make_family_1(out: Path):
     bad = next((Vb for Vb, Sb in vectors if not free(G0, range(n), Sb, phi, tau)), None)
     if bad is None:
         raise IntegrityError("no non-free family-1 vector found")
-    to_ext = extend_homomorphism(G0, V[:4], G, G.generator_indices[:4])
-    bad_words = [element_word(G, to_ext[x]) for x in bad]
-    record = {
-        "name": "family1-nonfree",
-        "group_file": "g64.json",
-        "g0_generators": ["g1", "g2", "g3", "g4"],
-        "tau_prime": "g5",
-        "vector": bad_words,
-        "type": "[0;2^5]",
-        "extra_automorphisms": None,
-    }
-    save_surface_file(out / "family1_nonfree.json", record)
+    save_surface_file(out / "family1_nonfree.json", "family1-nonfree", "g64.json", g0_words,
+                      "g5", words_in_extension(G0, V[:4], G, bad), "[0;2^5]")
     log("wrote family1_nonfree.json")
 
 
@@ -388,16 +358,8 @@ def make_toy(out: Path):
     sgen = Permutation.from_cycles(4, [(1, 2, 3, 4)])
     G = closure([sgen])
     save_group_file(out / "toy_z4_group.json", "z4", "G(4,1)", G, PROVENANCE)
-    record = {
-        "name": "toy-z4",
-        "group_file": "toy_z4_group.json",
-        "g0_generators": ["g1^2"],
-        "tau_prime": "g1",
-        "vector": ["g1^2"] * 8,
-        "type": "[0;2^8]",
-        "extra_automorphisms": None,
-    }
-    save_surface_file(out / "toy_z4.json", record)
+    save_surface_file(out / "toy_z4.json", "toy-z4", "toy_z4_group.json", ("g1^2",), "g1",
+                      ("g1^2",) * 8, "[0;2^8]")
     log("wrote toy_z4_group.json, toy_z4.json")
 
 

@@ -35,16 +35,14 @@ class _Table:
         self.p = [0]
         self.ncols = ncols
         self.budget = budget
-        self.defined = 1
 
     def define(self, alpha: int, x: int) -> int:
-        if self.defined >= self.budget:
+        if len(self.table) >= self.budget:
             raise BudgetExceeded(
                 f"coset enumeration exceeded the budget of {self.budget} cosets")
         beta = len(self.table)
         self.table.append([None] * self.ncols)
         self.p.append(beta)
-        self.defined += 1
         self.table[alpha][x] = beta
         self.table[beta][x ^ 1] = alpha
         return beta

@@ -45,6 +45,11 @@ Surface file (JSON, UTF-8)::
           "vector":     ["...", "...", "..."] | "search"   # a [0;2,3,8] vector
       }
     }
+
+:func:`save_surface_file` writes it from the fields that
+:func:`load_surface_record` returns: no ``extra`` block is written as
+``null``, and an :class:`ExtraBlock` whose ``vector`` is ``None`` as
+``"search"``.  :func:`save_group_file` writes a group file from a group.
 """
 
 from __future__ import annotations
@@ -186,14 +191,17 @@ def _keep(generators: tuple[Permutation, ...],
 
 def save_group_file(path: str | Path, name: str, claimed_id: str, group: FiniteGroup,
                     provenance: str):
-    payload = {
+    _save_json(path, {
         "name": name,
         "claimed_id": claimed_id,
         "degree": group.degree,
         "generators": [list(g.images) for g in group.generators],
         "fingerprint": fingerprint(group).as_dict(),
         "provenance": provenance,
-    }
+    })
+
+
+def _save_json(path: str | Path, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
@@ -258,10 +266,17 @@ def load_surface_record(path: str | Path) -> SurfaceFile:
     return SurfaceFile(name, group_file, g0_generators, tau_prime, vector, ctype, extra, path)
 
 
-def save_surface_file(path: str | Path, record: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+def save_surface_file(path: str | Path, name: str, group_file: str,
+                      g0_generators: tuple[str, ...], tau_prime: str, vector: tuple[str, ...],
+                      type_text: str, extra: ExtraBlock | None = None):
+    """Write the surface file that :func:`load_surface_record` reads back as
+    these fields (the cover type as its text)."""
+    block = None if extra is None else {
+        "group_file": extra.group_file,
+        "vector": "search" if extra.vector is None else extra.vector}
+    _save_json(path, {"name": name, "group_file": group_file, "g0_generators": g0_generators,
+                      "tau_prime": tau_prime, "vector": vector, "type": type_text,
+                      "extra_automorphisms": block})
 
 
 def generator_alphabet(group: FiniteGroup) -> dict[str, int]:

@@ -180,7 +180,18 @@ def test_cosets_defined_are_pinned(monkeypatch, name):
     monkeypatch.setattr(coset, "_Table", Recorded)
     assert todd_coxeter(Presentation.parse(generators, relators)).order == order
     (table,) = tables
-    assert table.defined == DEFINED[name]
+    assert len(table.table) == DEFINED[name]
+
+
+@pytest.mark.parametrize("name", DEFINED)
+def test_the_budget_bounds_the_cosets_defined(name):
+    generators, relators, order = {**KNOWN, "h768": H768}[name]
+    pres = Presentation.parse(generators, relators)
+    assert todd_coxeter(pres, max_cosets=DEFINED[name]).order == order
+    budget = DEFINED[name] - 1
+    with pytest.raises(BudgetExceeded,
+                       match=f"^coset enumeration exceeded the budget of {budget} cosets$"):
+        todd_coxeter(pres, max_cosets=budget)
 
 
 def _letters(word):

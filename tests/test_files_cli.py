@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from mixedsurf import cli, covering, expected, files, perm, surface
 from mixedsurf.errors import InputParseError, IntegrityError, MismatchError, ValidationError
 from mixedsurf.files import (element_word, load_group, load_group_record,
-                             load_surface_record, resolve_word, save_group_file)
+                             load_surface_record, realize_group, resolve_word, save_group_file,
+                             save_surface_file)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -48,6 +49,31 @@ def test_group_file_round_trip(tmp_path, d4):
     assert group.order == 8
     assert record.claimed_id == "G(8,3)"
     assert record.provenance == "test"
+
+
+# The 13 bundled files (tests/test_make_data.py checks there are no others).
+GROUP_FILES = ("g64.json", "g256a.json", "g256b.json", "h768.json", "toy_z4_group.json")
+SURFACE_FILES = ("family1.json", "family1_nonfree.json", "family2.json", "family2_search.json",
+                 "family3.json", "family4.json", "family5.json", "toy_z4.json")
+
+
+@pytest.mark.parametrize("name", GROUP_FILES)
+def test_bundled_group_file_is_written_back_byte_identical(tmp_path, data_dir, name):
+    record = load_group_record(data_dir / name)
+    save_group_file(tmp_path / name, record.name, record.claimed_id, realize_group(record),
+                    record.provenance)
+    assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", SURFACE_FILES)
+def test_bundled_surface_file_is_written_back_byte_identical(tmp_path, data_dir, name):
+    # Covers an explicit H vector (family2), "search" (family2_search) and
+    # no block (family1).
+    record = load_surface_record(data_dir / name)
+    type_text = json.loads((data_dir / name).read_text())["type"]
+    save_surface_file(tmp_path / name, record.name, record.group_file, record.g0_generators,
+                      record.tau_prime, record.vector, type_text, record.extra)
+    assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes()
 
 
 def test_non_bijective_generator_is_parse_error(tmp_path):
