@@ -13,23 +13,19 @@ Group file (JSON, UTF-8) -- field names are part of the format contract::
 
 Generators are addressed in word expressions as g1, g2, ... in file order.
 
-:func:`load_group` keeps the groups it realizes, so a process that loads a
-group file again and again closes, tabulates and fingerprints its group
-twice, not on every load.  The key is the file's generator tuple: its
-content, never its path.  A group is kept on its second request; the first
-is only noted, by the hash of the generators, so a one-shot process keeps
-nothing.  The oldest kept groups are dropped while the images they hold
-(order times degree, summed) exceed ``perm.MAX_CLOSURE_CELLS``.  The budget
-counts those images only: not the groups' Cayley tables (order squared
-two-byte cells each), nor the realizations and covers each group keeps.  A
-kept realization holds its parent's ``Permutation`` objects, so it adds no
-images, but its steps and tables are not counted.  Every load
-still parses the file and checks its claimed fingerprint, so a file with a
-wrong claim is refused on every load, kept group or not.
-:func:`realize_group` keeps nothing.  A kept group keeps, by the same rule,
-the G0 it realizes and the covers of its vectors
-(:meth:`~mixedsurf.perm.FiniteGroup.kept`), so a warm pipeline builds
-neither again.
+:func:`load_group` keeps the groups it realizes by ``perm.keep``'s rule: a
+group is kept on its second request, and the first is only noted, so a
+one-shot process keeps nothing.  The key is the file's bytes: its content,
+never its path.  A load reads the file once and, unless a group is kept
+under those bytes, parses them, realizes the group and checks its claimed
+fingerprint.  A kept group is thus a checked group, and a file with a wrong
+claim raises on every load, before it can be kept.  The oldest kept groups
+are dropped while their images (order times degree) plus their keys' bytes,
+summed, exceed ``perm.MAX_CLOSURE_CELLS``.  Nothing else is counted: not
+the Cayley tables (order squared two-byte cells each), nor the realizations
+and covers a group keeps by the same rule
+(:meth:`~mixedsurf.perm.FiniteGroup.kept`), so that a warm pipeline builds
+neither again.  :func:`realize_group` keeps nothing.
 
 Surface file (JSON, UTF-8)::
 
@@ -80,14 +76,20 @@ class GroupFile(NamedTuple):
     provenance: str
 
 
-def _load_json(path: Path) -> dict:
-    """The file's JSON document, which must be an object."""
+def _read(path: Path) -> bytes:
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    # An unreadable path, bad UTF-8, bad JSON, or JSON nested past the
-    # decoder's recursion limit (a 2 kB file of "[" is).
-    except (OSError, ValueError, RecursionError) as exc:
+        return path.read_bytes()
+    except OSError as exc:
+        raise InputParseError(f"{path}: cannot read a JSON document: {exc}") from exc
+
+
+def _json_object(path: Path, data: bytes) -> dict:
+    """The JSON document in ``data``, UTF-8 only, which must be an object."""
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    # Bad UTF-8 (decoded here: json.loads would take UTF-16 and UTF-32 bytes
+    # too), bad JSON, or JSON nested past the recursion limit (a 2 kB "[[[...").
+    except (ValueError, RecursionError) as exc:
         raise InputParseError(f"{path}: cannot read a JSON document: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputParseError(f"{path}: expected a JSON object, got {type(raw).__name__}")
@@ -96,7 +98,12 @@ def _load_json(path: Path) -> dict:
 
 def load_group_record(path: str | Path) -> GroupFile:
     path = Path(path)
-    raw = _load_json(path)
+    return _group_record(path, _read(path))
+
+
+def _group_record(path: Path, data: bytes) -> GroupFile:
+    """The group file whose bytes, read from ``path``, are ``data``."""
+    raw = _json_object(path, data)
     missing = [f for f in GROUP_FIELDS if f not in raw]
     if missing:
         raise InputParseError(f"{path}: missing group-file fields {missing}")
@@ -153,40 +160,28 @@ def verify_group(record: GroupFile, computed: GroupFingerprint):
             f"file claims {record.fingerprint}")
 
 
-# Groups kept by load_group, by generator tuple, oldest first, each with its
-# computed fingerprint; and the hashes of generator tuples requested once.
-_realized: dict[tuple[Permutation, ...], tuple[FiniteGroup, GroupFingerprint]] = {}
-_requested: set[int] = set()
+# Groups kept by load_group, by file bytes, oldest first; and the hashes of
+# the bytes requested once.
+_kept: dict[bytes, FiniteGroup] = {}
+_noted: set[int] = set()
 
 
 def load_group(path: str | Path) -> FiniteGroup:
-    """The group a group file generates, checked against its claimed fingerprint.
-
-    A group kept from earlier loads is not realized again (see the module
-    docstring); the claim is checked on every load.
-    """
-    record = load_group_record(path)
-    kept = _realized.get(record.generators)
-    if kept is None:
-        group = realize_group(record)
-        kept = group, fingerprint(group)
-        _keep(record.generators, kept)
-    group, computed = kept
-    verify_group(record, computed)
+    """The group a group file generates, checked against its claimed fingerprint
+    when it is made; a group kept under the file's bytes is returned as it is."""
+    path = Path(path)
+    data = _read(path)
+    group = perm.keep(_kept, _noted, data, lambda: _checked_group(path, data))
+    while sum(g.order * g.degree + len(k) for k, g in _kept.items()) > perm.MAX_CLOSURE_CELLS:
+        del _kept[next(iter(_kept))]
     return group
 
 
-def _keep(generators: tuple[Permutation, ...],
-          kept: tuple[FiniteGroup, GroupFingerprint]):
-    """Note a first request; keep the group on the second, within the budget."""
-    key = hash(generators)
-    if key not in _requested:
-        _requested.add(key)
-        return
-    _requested.discard(key)
-    _realized[generators] = kept
-    while sum(g.order * g.degree for g, _ in _realized.values()) > perm.MAX_CLOSURE_CELLS:
-        del _realized[next(iter(_realized))]
+def _checked_group(path: Path, data: bytes) -> FiniteGroup:
+    record = _group_record(path, data)
+    group = realize_group(record)
+    verify_group(record, fingerprint(group))
+    return group
 
 
 def save_group_file(path: str | Path, name: str, claimed_id: str, group: FiniteGroup,
@@ -237,7 +232,7 @@ def _string(value, field: str) -> str:
 
 def load_surface_record(path: str | Path) -> SurfaceFile:
     path = Path(path)
-    raw = _load_json(path)
+    raw = _json_object(path, _read(path))
     required = ("name", "group_file", "g0_generators", "tau_prime", "vector", "type")
     missing = [f for f in required if f not in raw]
     if missing:

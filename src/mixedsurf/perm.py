@@ -54,13 +54,13 @@ same parents, e_i^-1 == g^-1 * e_p^-1, and ``FiniteGroup.class_map`` and
 and of the derived series.  Downstream code reads these index arrays and
 never composes image arrays in inner loops.
 
-A group also keeps values derived from it by a short key, with
-:meth:`FiniteGroup.kept`, under the rule of ``files.load_group``: a value
-is kept on its second request, so a one-shot process keeps nothing.  Two
-kinds are kept: :func:`subgroup_as_group`'s realizations, keyed by the
-subgroup's generators, and ``covering.covering_data``'s genus, stabilizer
-set and fixed-point table, keyed by a vector's type and entries.  No kept
-value refers back to its group.  :func:`closure` keeps nothing.
+One rule keeps a value from its second request on, :func:`keep`, so a
+one-shot process keeps nothing; ``files.load_group`` keeps groups by it.  A
+group keeps values derived from it by a short key, with
+:meth:`FiniteGroup.kept`: :func:`subgroup_as_group`'s realizations, keyed
+by the subgroup's generators, and ``covering.covering_data``'s genus,
+stabilizer set and fixed-point table, keyed by a vector's type and entries.
+No kept value refers back to its group.  :func:`closure` keeps nothing.
 
 Groups of order up to a few thousand are the target.
 """
@@ -183,6 +183,24 @@ class Permutation:
 _set_images = Permutation.images.__set__
 
 
+def keep(kept: dict, noted: set[int], key, make):
+    """``make()``, kept in ``kept`` under ``key`` from its second request on.
+
+    A first request only notes ``hash(key)`` in ``noted``, so a one-shot
+    caller keeps nothing.  A ``make`` that raises leaves no note: a failure
+    is raised on every request.
+    """
+    if key in kept:
+        return kept[key]
+    value, note = make(), hash(key)
+    if note in noted:
+        noted.remove(note)
+        kept[key] = value
+    else:
+        noted.add(note)
+    return value
+
+
 class ClassMap(NamedTuple):
     """The conjugacy classes of a group and the class of each element."""
 
@@ -218,10 +236,10 @@ class FiniteGroup:
         # elements[i]: plain ints, no reference to the parent.  None for a
         # group built by closure.
         self.positions = positions
-        # Values derived from this group by key (see `kept`), and the keys
-        # requested once.
+        # Values derived from this group by key, and the hashes of the keys
+        # requested once (see `keep`).
         self._kept: dict = {}
-        self._noted: set = set()
+        self._noted: set[int] = set()
 
     @property
     def order(self) -> int:
@@ -330,27 +348,9 @@ class FiniteGroup:
             previous, current = current.order, derived_subgroup(current)
 
     def kept(self, key, make):
-        """``make()``, a value derived from this group alone, kept under ``key``.
-
-        The rule of ``files.load_group``: the first request for a key
-        computes the value and only notes the key, the second computes it
-        again and keeps it, and every later request returns the kept value.
-        So a one-shot caller keeps nothing, and a value derived once per
-        process costs no memory after its last use.  A ``make`` that raises
-        leaves no note, so a failure is raised on every request.  A kept
-        value must not refer back to this group: the cycle would keep the
-        group and its tables alive past its last user.
-        """
-        kept = self._kept
-        if key in kept:
-            return kept[key]
-        value = make()
-        if key in self._noted:
-            self._noted.discard(key)
-            kept[key] = value
-        else:
-            self._noted.add(key)
-        return value
+        """``make()``, derived from this group alone, kept under ``key`` by :func:`keep`.
+        It must not refer back to this group: the cycle would keep its tables alive."""
+        return keep(self._kept, self._noted, key, make)
 
     def mul(self, i: int, j: int) -> int:
         return self.rows[i][j]

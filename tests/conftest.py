@@ -40,9 +40,9 @@ def families(data_dir, family1, family2) -> dict[int, FamilyBundle]:
 def fresh_group_memo(monkeypatch) -> dict:
     """An empty group memo for ``files.load_group``; the process's own memo is
     put back after the test.  The fixture's value is the dict of kept groups."""
-    monkeypatch.setattr(files, "_realized", {})
-    monkeypatch.setattr(files, "_requested", set())
-    return files._realized
+    monkeypatch.setattr(files, "_kept", {})
+    monkeypatch.setattr(files, "_noted", set())
+    return files._kept
 
 
 @pytest.fixture(scope="session")

@@ -416,7 +416,8 @@ def test_one_off_load_is_not_kept(data_dir, fresh_group_memo):
 
 def test_wrong_claim_exits_5_before_and_after_the_genuine_file_is_kept(
         tmp_path, data_dir, fresh_group_memo):
-    # Same generators as g64.json, so the same memo key; only the claim differs.
+    # Same generators as g64.json, with a wrong claim: other bytes, so
+    # another memo key.
     raw = json.loads((data_dir / "g64.json").read_text())
     raw["fingerprint"]["center_order"] += 1
     path = tmp_path / "g64.json"
@@ -426,7 +427,7 @@ def test_wrong_claim_exits_5_before_and_after_the_genuine_file_is_kept(
     assert code == cli.EXIT_MISMATCH, before
     for _ in range(2):
         load_group(data_dir / "g64.json")
-    assert [g.order for g, _ in fresh_group_memo.values()] == [64]
+    assert [g.order for g in fresh_group_memo.values()] == [64]
     assert run_cli(*argv) == (cli.EXIT_MISMATCH, before)
 
 
@@ -442,15 +443,56 @@ def test_group_past_the_closure_budget_exits_3_on_every_load(tmp_path, fresh_gro
 
 def test_kept_images_past_the_closure_budget_evict_the_oldest_group(
         data_dir, fresh_group_memo, monkeypatch):
-    # g64 holds 64 x 64 images and g256a 256 x 256: together past the budget.
-    monkeypatch.setattr(perm, "MAX_CLOSURE_CELLS", 256 * 256)
+    # The budget counts images and file bytes: g64 holds 64 x 64 images and
+    # 2,731 bytes, g256a 256 x 256 and 8,274.  Each fits; together they do not.
+    monkeypatch.setattr(perm, "MAX_CLOSURE_CELLS",
+                        256 * 256 + len((data_dir / "g256a.json").read_bytes()))
     calls = counted_realizations(monkeypatch)
     for name, kept in (("g64", [64]), ("g256a", [256])):
         for _ in range(2):
             load_group(data_dir / f"{name}.json")
-        assert [g.order for g, _ in fresh_group_memo.values()] == kept
+        assert [g.order for g in fresh_group_memo.values()] == kept
     load_group(data_dir / "g64.json")
     assert calls == ["g64", "g64", "g256a", "g256a", "g64"]
+
+
+def test_two_paths_with_the_same_bytes_share_one_kept_group(tmp_path, data_dir,
+                                                           fresh_group_memo, monkeypatch):
+    copy = tmp_path / "copy.json"
+    copy.write_bytes((data_dir / "g64.json").read_bytes())
+    calls = counted_realizations(monkeypatch)
+    first, second, third = (load_group(path) for path in (data_dir / "g64.json", copy,
+                                                          data_dir / "g64.json"))
+    assert second is not first and third is second
+    assert calls == ["g64", "g64"] and len(fresh_group_memo) == 1
+
+
+def test_kept_file_rewritten_with_a_wrong_claim_is_refused_on_every_load(
+        tmp_path, data_dir, fresh_group_memo):
+    path = tmp_path / "g64.json"
+    path.write_bytes((data_dir / "g64.json").read_bytes())
+    for _ in range(2):
+        load_group(path)
+    assert len(fresh_group_memo) == 1
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["fingerprint"]["center_order"] += 1
+    path.write_text(json.dumps(raw, indent=1) + "\n", encoding="utf-8")
+    for _ in range(3):
+        with pytest.raises(MismatchError):
+            load_group(path)
+    assert len(fresh_group_memo) == 1
+
+
+def test_the_group_budget_counts_the_files_bytes(data_dir, fresh_group_memo, monkeypatch):
+    # g64's 64 x 64 images fit this budget; with its file's 2,731 bytes they do not.
+    path = data_dir / "g64.json"
+    assert len(path.read_bytes()) > 1000
+    monkeypatch.setattr(perm, "MAX_CLOSURE_CELLS", 64 * 64 + 1000)
+    calls = counted_realizations(monkeypatch)
+    for _ in range(3):
+        load_group(path)
+    assert not fresh_group_memo
+    assert calls == ["g64"] * 3
 
 
 # ----------------------------------------------------------------------
@@ -936,7 +978,7 @@ def test_warm_pipeline_validates_each_vector_until_its_cover_is_kept(
         validated.clear()
         bundle = files.run_pipeline(spec)
         runs.append((bool(derived), tuple(validated), bundle.surface.g0_group))
-    assert sorted(g.order for g, _ in fresh_group_memo.values()) == [256, 768]
+    assert sorted(g.order for g in fresh_group_memo.values()) == [256, 768]
     both = ("[0;4,4,4]", "[0;2,3,8]")
     assert [run[:2] for run in runs] == [(True, both), (True, both), (False, both),
                                          (False, ("[0;4,4,4]",)), (False, ())]
@@ -958,10 +1000,18 @@ def test_non_object_json_is_parse_error(tmp_path, command, content):
     assert "expected a JSON object" in text
 
 
-def test_non_utf8_file_is_parse_error(tmp_path):
+def test_non_utf8_file_is_parse_error(tmp_path, data_dir, fresh_group_memo):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"name": "\xe9"}')
     assert run_cli("group", str(path))[0] == cli.EXIT_PARSE
+    # g64.json in UTF-16 with a BOM, which json.loads would take as bytes.
+    utf16 = tmp_path / "g64_utf16.json"
+    utf16.write_bytes((data_dir / "g64.json").read_text(encoding="utf-8").encode("utf-16"))
+    assert utf16.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+    for argv in (("group", str(utf16)),
+                 ("genvec", "search", str(utf16), "--type", "[0;2^5]", "--limit", "1")):
+        code, text = run_cli(*argv)
+        assert code == cli.EXIT_PARSE, text
 
 
 @pytest.mark.parametrize("field,value", [

@@ -1,6 +1,7 @@
-"""The keep rule of ``FiniteGroup.kept``: nothing is kept on a first request,
-the same object is returned from the second on, a failure is never kept, and
-no kept value refers back to its group."""
+"""The keep rule of ``FiniteGroup.kept``, the shared helper ``perm.keep``:
+nothing is kept on a first request, the same object is returned from the
+second on, a failure is never kept, and no kept value refers back to its
+group."""
 
 from __future__ import annotations
 
