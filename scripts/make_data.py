@@ -145,7 +145,7 @@ def index_two_subgroups(G: FiniteGroup) -> list[set[int]]:
     that give each element the sign of its word, when every step by a
     generator adds that generator's sign."""
     out = []
-    for signs in product((0, 1), repeat=len(G.generators)):
+    for signs in product((0, 1), repeat=len(G.generator_indices)):
         sign = [sum(signs[c] for c in G.word_for(k)) % 2 for k in range(G.order)]
         if any(signs) and all(sign[G.mul(k, g)] == sign[k] ^ s for k in range(G.order)
                               for g, s in zip(G.generator_indices, signs)):

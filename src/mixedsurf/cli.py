@@ -9,10 +9,11 @@ Commands::
     mixedsurf cone <spec> [--format table|record]
     mixedsurf reproduce <1|2|3|4|5>
 
-Groups are closed up to 65,536 elements (perm.MAX_TABLE_ORDER) and
-2^22 stored images (perm.MAX_CLOSURE_CELLS); a larger group exits 3.  A
-group file is closed at most one element past the order it claims; a
-larger group exits 5.
+A group is closed only while its order times the larger of its order and
+degree stays within 2^22 cells (perm.MAX_CLOSURE_CELLS): at most 2,048
+elements, perm.closure_limit.  A larger group exits 3.  A group file is
+closed at most one element past the order it claims; a larger group exits
+5.
 
 Exit codes: 0 success; 2 parse error; 3 validation error; 4 internal
 exactness assertion; 5 mismatch (fingerprint or reproduction diff).
@@ -52,10 +53,8 @@ def cmd_group(args, out) -> int:
     out.write(f"name: {record.name}\nclaimed_id: {record.claimed_id}\n")
     out.write(f"degree: {record.degree}\norder: {group.order}\n")
     mismatches = []
-    for field in ("order", "element_orders", "abelianization", "derived_series",
-                  "center_order", "class_count"):
-        got = getattr(computed, field)
-        want = getattr(record.fingerprint, field)
+    # as_dict names the fields in order; the namedtuples give their values.
+    for field, got, want in zip(computed.as_dict(), computed, record.fingerprint):
         status = "ok" if got == want else "MISMATCH"
         if got != want:
             mismatches.append(field)

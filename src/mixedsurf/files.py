@@ -20,10 +20,9 @@ never its path.  A load reads the file once and, unless a group is kept
 under those bytes, parses them, realizes the group and checks its claimed
 fingerprint.  A kept group is thus a checked group, and a file with a wrong
 claim raises on every load, before it can be kept.  The oldest kept groups
-are dropped while their images (order times degree) plus their keys' bytes,
-summed, exceed ``perm.MAX_CLOSURE_CELLS``.  Nothing else is counted: not
-the Cayley tables (order squared two-byte cells each), nor the realizations
-and covers a group keeps by the same rule
+are dropped while their Cayley tables (order squared cells each) plus their
+keys' bytes, summed, exceed ``perm.MAX_CLOSURE_CELLS``.  Nothing else is
+counted: not the realizations and covers a group keeps by the same rule
 (:meth:`~mixedsurf.perm.FiniteGroup.kept`), so that a warm pipeline builds
 neither again.  :func:`realize_group` keeps nothing.
 
@@ -172,7 +171,7 @@ def load_group(path: str | Path) -> FiniteGroup:
     path = Path(path)
     data = _read(path)
     group = perm.keep(_kept, _noted, data, lambda: _checked_group(path, data))
-    while sum(g.order * g.degree + len(k) for k, g in _kept.items()) > perm.MAX_CLOSURE_CELLS:
+    while sum(g.order ** 2 + len(k) for k, g in _kept.items()) > perm.MAX_CLOSURE_CELLS:
         del _kept[next(iter(_kept))]
     return group
 

@@ -1,34 +1,35 @@
-"""Exact permutation groups with full element enumeration.
+"""Exact permutation groups, held as index tables.
 
 Conventions used throughout the package:
 
 * points are labeled ``1..n``; ``images[i]`` is the image of point ``i+1``;
 * products compose left to right, ``(p * q)(i) == q(p(i))``, i.e.
   permutations act on the right (the usual computational convention);
-* every :class:`FiniteGroup` stores its complete element list in a
-  deterministic order: breadth-first over words in the generators, ties
-  within a BFS layer broken by lexicographic image sequence.  The identity
-  always has index 0.
+* every :class:`FiniteGroup` numbers its elements in a deterministic
+  order: breadth-first over words in the generators, ties within a BFS
+  layer broken by lexicographic image sequence.  The identity always has
+  index 0.
 
-Bijectivity is checked once, when a :class:`Permutation` is built from
-outside data (a group file, a coset table, a test).  :func:`closure` then
-composes raw image tuples: a product of bijections is a bijection, so the
-elements it finds are wrapped without re-checking.  It walks the BFS by
-left products g * e, each one C-level gather, and records every element's
-left step under each generator.  One integer pass along that search tree,
-:func:`_right_steps`, follows the right steps e * g to the BFS parents.
+A group is its index tables: it addresses its elements by index, and only
+its generators are :class:`Permutation`s, each checked to be a bijection
+when it is built from outside data (a group file, a coset table, a test).
+:func:`closure` composes raw image tuples while it walks, and keeps none of
+them once the walk ends.  It walks the BFS by left products g * e, each one
+C-level gather, and records every element's left step under each
+generator.  One integer pass along that search tree, :func:`_right_steps`,
+follows the right steps e * g to the BFS parents.
 
 ``closure`` is the only walk that composes image tuples.  A subgroup of a
 realized group is walked on the parent's Cayley table instead:
 :func:`subgroup_as_group` runs closure's walk with each left product read
-from a parent row, sorts each layer by the parent elements' images and
-shares closure's layer renumbering and integer pass, so it gives closure's
-group to the last index.  The walk finds each member as a parent index, and
-the realization keeps these as ``FiniteGroup.positions``: element i of the
-subgroup is element ``positions[i]`` of the parent, with no lookup.
-:func:`subgroup_generated`, the span of a few element indices, stops as
-soon as it holds more than half of the group: by Lagrange's theorem it is
-then the whole group.
+from a parent row, sorts each layer by the parent elements' prefix keys
+(below) and shares closure's layer renumbering and integer pass, so it
+gives closure's group to the last index.  The walk finds each member as a
+parent index, and the realization keeps these as ``FiniteGroup.positions``:
+element i of the subgroup is element ``positions[i]`` of the parent, with
+no lookup.  :func:`subgroup_generated`, the span of a few element indices,
+stops as soon as it holds more than half of the group: by Lagrange's
+theorem it is then the whole group.
 
 While it walks, :func:`closure` tells products apart by a prefix key, the
 images of the first ``width`` points, in the sense of a base (Holt, Eick and
@@ -40,9 +41,10 @@ the stored images in full.  When two distinct elements share one, the key
 is widened to at least twice its width and past their first differing
 point (to the whole tuple once that is more than half of it), and the
 walk's index is rebuilt; the width only grows, up to the degree, so that
-happens at most ceil(log2(degree)) times.  The index is dropped when the
-walk ends: after it, a group addresses its elements by index only, and
-nothing looks a permutation up.
+happens at most ceil(log2(degree)) times.  When the walk ends the keys are
+distinct, so they order the elements as their full image tuples do: the
+group keeps them, and nothing else of the images, for its realizations'
+layer sort.  Nothing looks a permutation up.
 
 The index-level Cayley table ``FiniteGroup.rows`` is built on its first
 read, from the left steps and the parents: the row of e_i == e_p * g is the
@@ -62,7 +64,9 @@ by the subgroup's generators, and ``covering.covering_data``'s genus,
 stabilizer set and fixed-point table, keyed by a vector's type and entries.
 No kept value refers back to its group.  :func:`closure` keeps nothing.
 
-Groups of order up to a few thousand are the target.
+One budget, ``MAX_CLOSURE_CELLS``, bounds what a group holds: its images
+while it is walked, its Cayley table after.  :func:`closure_limit` turns
+it into an element count, at most 2,048.
 """
 
 from __future__ import annotations
@@ -70,19 +74,19 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from functools import cached_property
-from math import lcm
+from math import isqrt, lcm
 from operator import itemgetter
 from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputParseError, ValidationError
 
-MAX_TABLE_ORDER = 1 << 16  # Cayley tables store element indices in two bytes
-# closure holds each element as a tuple of `degree` images, 8 bytes each.
-# The largest bundled group, h768, needs 768 * 768 = 589,824 images; 2^22
-# leaves room for seven times that and stops a hostile file of degree 768 at
-# 5,461 elements (about 35 MB), where the element bound alone allows 2^16
-# (about 400 MB).
+# The most cells a group may hold: order times the larger of order and
+# degree.  closure holds each element as a tuple of `degree` images, 8 bytes
+# each, and the group then holds its Cayley table, order^2 two-byte indices.
+# The largest bundled group, h768, needs 768 * 768 = 589,824 cells; 2^22
+# leaves room for seven times that, allows at most 2,048 elements, so every
+# table index fits in two bytes, and caps a table at 8 MB.
 MAX_CLOSURE_CELLS = 1 << 22
 
 
@@ -96,7 +100,7 @@ class Permutation:
         n = len(images)
         if n and (min(images) != 1 or max(images) != n or len(set(images)) != n):
             raise ValidationError(f"image sequence {images!r} is not a bijection of 1..{n}")
-        _set_images(self, images)
+        object.__setattr__(self, "images", images)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -114,13 +118,6 @@ class Permutation:
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    @staticmethod
-    def _trusted(images: tuple[int, ...]) -> "Permutation":
-        """Wrap an image tuple already known to be a bijection (no check)."""
-        p = object.__new__(Permutation)
-        _set_images(p, images)
-        return p
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
@@ -178,11 +175,6 @@ class Permutation:
         return f"Perm[{self.degree}]{body}"
 
 
-# The slot's own setter, which skips the read-only __setattr__.  closure wraps
-# every element it finds, and this costs less than object.__setattr__.
-_set_images = Permutation.images.__set__
-
-
 def keep(kept: dict, noted: set[int], key, make):
     """``make()``, kept in ``kept`` under ``key`` from its second request on.
 
@@ -209,32 +201,36 @@ class ClassMap(NamedTuple):
 
 
 class FiniteGroup:
-    """A finite permutation group with its full, canonically ordered element list.
+    """A finite permutation group, canonically ordered, held as index tables.
 
-    Use :func:`closure` to construct one.  Elements are addressed by index.
-    It stores the elements, the BFS parents and the left steps; the Cayley
+    Use :func:`closure` to construct one.  Elements are addressed by index
+    e_0, e_1, ...; none is stored as a permutation.  It stores the BFS
+    parents, the left steps and each element's prefix key; the Cayley
     table ``rows``, the ``inverses``, the element ``orders``, the conjugacy
     ``class_map`` and the ``derived_series`` are built from them on their
     first read; inner loops read them directly, and
-    ``mul``/``inv``/``conj``/``order_of`` are one-line reads.  A group
-    realized by :func:`subgroup_as_group` also has ``positions``, the
-    parent's index of each element.
+    ``mul``/``inv``/``conj``/``order_of`` are one-line reads.  A group built
+    by :func:`closure` keeps its ``generators``.  A group realized by
+    :func:`subgroup_as_group` keeps none, ``()``, and has ``positions``
+    instead, the parent's index of each element.
     """
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
-                 elements: tuple[Permutation, ...], parents: tuple[tuple[int, int], ...],
-                 left_step: list[array], positions: tuple[int, ...] | None = None):
+                 parents: tuple[tuple[int, int], ...], left_step: list[array],
+                 keys: Sequence, positions: tuple[int, ...] | None = None):
         self.degree = degree
         self.generators = generators
-        self.elements = elements
-        # parents[i] = (j, c) with elements[i] == elements[j] * generators[c];
+        # parents[i] = (j, c) with e_i == e_j * g_c, g_c the c-th generator;
         # parents[0] is (-1, -1) for the identity.
         self._parents = parents
-        self._left_step = left_step  # left_step[c][k] = index(generators[c] * elements[k])
+        self._left_step = left_step  # left_step[c][k] = index(g_c * e_k)
         self.generator_indices = tuple(step[0] for step in left_step)  # g_c * e_0 == g_c
+        # keys[i] sorts as e_i's image tuple does, among this group's
+        # elements: a distinct prefix of it (see closure).
+        self._keys = keys
         # For a realized subgroup, positions[i] is the parent's index of
-        # elements[i]: plain ints, no reference to the parent.  None for a
-        # group built by closure.
+        # e_i: plain ints, no reference to the parent.  None for a group
+        # built by closure.
         self.positions = positions
         # Values derived from this group by key, and the hashes of the keys
         # requested once (see `keep`).
@@ -243,7 +239,7 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._parents)
 
     @cached_property
     def rows(self) -> list[array]:
@@ -255,8 +251,6 @@ class FiniteGroup:
         """
         n = self.order
         parents = self._parents
-        if n > MAX_TABLE_ORDER:
-            raise BudgetExceeded(f"no Cayley table for a group of order {n} > {MAX_TABLE_ORDER}")
         # Row i maps j to index(e_i * e_j); with e_i == e_p * generators[c] it
         # is row p read through the left steps of generators[c], one C-level
         # gather per row.  The gather reads p's row as a tuple, whose items
@@ -299,15 +293,7 @@ class FiniteGroup:
     @cached_property
     def orders(self) -> list[int]:
         """``orders[i]`` is the order of e_i."""
-        rows = self.rows
-        orders = []
-        for j in range(self.order):
-            k, acc = 1, j
-            while acc != 0:
-                acc = rows[acc][j]
-                k += 1
-            orders.append(k)
-        return orders
+        return _element_orders(self.rows)
 
     @cached_property
     def class_map(self) -> ClassMap:
@@ -377,22 +363,23 @@ class FiniteGroup:
         return word
 
     def __repr__(self):
-        return f"FiniteGroup(order={self.order}, degree={self.degree}, ngens={len(self.generators)})"
+        return (f"FiniteGroup(order={self.order}, degree={self.degree}, "
+                f"ngens={len(self.generator_indices)})")
 
 
 def closure_limit(degree: int) -> int:
-    """The most elements :func:`closure` builds from generators of ``degree``."""
-    return min(MAX_TABLE_ORDER, MAX_CLOSURE_CELLS // max(degree, 1))
+    """The most elements :func:`closure` builds from generators of ``degree``:
+    order times the larger of order and degree stays within ``MAX_CLOSURE_CELLS``."""
+    return min(isqrt(MAX_CLOSURE_CELLS), MAX_CLOSURE_CELLS // max(degree, 1))
 
 
-def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) -> FiniteGroup:
+def closure(generators: Sequence[Permutation], budget: int | None = None) -> FiniteGroup:
     """Generate the group closure of ``generators``.
 
     Element ordering is breadth-first over words in the generators with ties
     inside each layer broken by lexicographic image sequence; the identity is
     element 0.  Raises :class:`BudgetExceeded` if the closure grows past
-    ``budget`` elements, past ``MAX_TABLE_ORDER`` (a group with no Cayley
-    table is of no use downstream) or past ``MAX_CLOSURE_CELLS`` images.
+    ``budget`` elements or past :func:`closure_limit`.
 
     The search multiplies by generators on the left: layer k holds the
     products of k generators and no fewer, the same set on either side, so
@@ -410,7 +397,9 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
     prefix refines them, and the width is at most the degree, so the index
     is rebuilt at most ceil(log2(degree)) times.  The index is a local of
     the walk: the group keeps none.
-    The layer order and the sort within a layer use the full tuples.
+    The layer order and the sort within a layer use the full tuples; the
+    group keeps only the final keys, which sort the same way, and drops
+    the images.
     """
     gens = tuple(generators)
     if not gens:
@@ -418,7 +407,8 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValidationError("generators have mismatched degrees")
-    budget = min(budget, closure_limit(degree))
+    limit = closure_limit(degree)
+    budget = limit if budget is None else min(budget, limit)
 
     # (g * e).images is e read at g's images, one C-level gather.  In degree
     # 0 and 1 every permutation is the identity, and itemgetter would take
@@ -431,7 +421,7 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
     # discovered maps to ~(its discovery number) until the layer is sorted.
     width = min(1, degree)
     index: dict[tuple[int, ...], int] = {ident[:width]: 0}
-    # left_parents[k] = (p, a) with elements[k] == generators[a] * elements[p]
+    # left_parents[k] = (p, a) with e_k == g_a * e_p
     left_parents: list[tuple[int, int]] = [(-1, -1)]
     left_step = [array("i") for _ in gens]
     layer_ends: list[int] = []
@@ -459,8 +449,8 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
                     if end + len(layer) >= budget:
                         raise BudgetExceeded(
                             f"group closure exceeded the element budget of {budget} "
-                            f"(at most {MAX_TABLE_ORDER} elements and "
-                            f"{MAX_CLOSURE_CELLS} images in all)")
+                            f"(order times the larger of order and degree is at most "
+                            f"{MAX_CLOSURE_CELLS})")
                     j = ~len(layer)
                     index[key] = j
                     layer.append(prod)
@@ -478,8 +468,7 @@ def closure(generators: Sequence[Permutation], budget: int = MAX_TABLE_ORDER) ->
         start = end
 
     parents = _right_steps(left_parents, left_step, layer_ends)
-    elements = tuple(map(Permutation._trusted, images))
-    return FiniteGroup(degree, gens, elements, parents, left_step)
+    return FiniteGroup(degree, gens, parents, left_step, [im[:width] for im in images])
 
 
 def _settle_layer(order: list[int], start: int, end: int,
@@ -603,9 +592,9 @@ def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
 
     The realization depends only on the parent and ``sub.generators``, and
     the parent keeps it under that key by :meth:`FiniteGroup.kept`: from
-    the second request on, the same group object is returned.  It holds the
-    parent's ``Permutation`` objects but not the parent, so keeping it makes
-    no cycle.
+    the second request on, the same group object is returned.  It shares
+    the parent's prefix keys but does not hold the parent, so keeping it
+    makes no cycle.
     """
     parent = sub.parent
     return parent.kept(("subgroup", sub.generators),
@@ -618,15 +607,15 @@ def _realize_subgroup(parent: FiniteGroup, generators: tuple[int, ...]) -> Finit
     The result is ``closure`` of the parent elements at ``generators``,
     to the last index, parent and step, but its walk runs on the parent's
     Cayley table: the left product g * e is ``parent.rows[g][e]``, and each
-    new layer is sorted by the image tuples of its parent elements.  The
-    parent indices the walk found, in the subgroup's order, are kept as
-    ``positions``.  The elements are the parent's ``Permutation`` objects.
-    The right steps and parents come from the same integer pass as
-    closure's.  The walk from a :class:`Subgroup`'s
-    generators gives exactly its members: their span, or G when the span
-    was cut short at more than half of G (Lagrange).
+    new layer is sorted by its parent elements' prefix keys, which sort as
+    their image tuples do.  The parent indices the walk found, in the
+    subgroup's order, are kept as ``positions``, and their keys are the
+    realization's keys.  It keeps no generators.  The right steps and
+    parents come from the same integer pass as closure's.  The walk from a
+    :class:`Subgroup`'s generators gives exactly its members: their span,
+    or G when the span was cut short at more than half of G (Lagrange).
     """
-    rows, parent_elements = parent.rows, parent.elements
+    rows, parent_keys = parent.rows, parent._keys
     gen_rows = [rows[g] for g in generators]
     # Parent index -> own index; a member of the layer being discovered maps
     # to ~(its discovery number) until the layer is sorted.
@@ -649,7 +638,7 @@ def _realize_subgroup(parent: FiniteGroup, generators: tuple[int, ...]) -> Finit
                     left_parents.append((p, a))
                 found.append(j)
             left_step[a].extend(found)
-        order = sorted(range(len(layer)), key=lambda t: parent_elements[layer[t]].images)
+        order = sorted(range(len(layer)), key=lambda t: parent_keys[layer[t]])
         for rank, t in enumerate(order, end):
             local[layer[t]] = rank
         members.extend(layer[t] for t in order)
@@ -658,9 +647,8 @@ def _realize_subgroup(parent: FiniteGroup, generators: tuple[int, ...]) -> Finit
         start = end
 
     parents = _right_steps(left_parents, left_step, layer_ends)
-    return FiniteGroup(parent.degree, tuple(parent_elements[g] for g in generators),
-                       tuple(parent_elements[x] for x in members), parents, left_step,
-                       tuple(members))
+    return FiniteGroup(parent.degree, (), parents, left_step,
+                       [parent_keys[x] for x in members], tuple(members))
 
 
 _NOT_AN_EMBEDDING = "generator matching does not extend to an injective homomorphism"
@@ -843,17 +831,24 @@ def _quotient_table(rows: Sequence[Sequence[int]], normal: Iterable[int]) -> lis
     return [[coset_of[rows[a][b]] for b in reps] for a in reps]
 
 
+def _element_orders(mul_table: Sequence[Sequence[int]]) -> list[int]:
+    """The order of each element of a group given by its multiplication
+    table, identity first: the count of powers up to the identity."""
+    orders = []
+    for i in range(len(mul_table)):
+        k, acc = 1, i
+        while acc != 0:
+            acc = mul_table[acc][i]
+            k += 1
+        orders.append(k)
+    return orders
+
+
 def _abelian_invariant_factors(mul_table: list[list[int]]) -> list[int]:
     """Invariant factors of a finite abelian group given by a multiplication table."""
     factors = []
     while len(mul_table) > 1:
-        orders = []
-        for i in range(len(mul_table)):
-            k, acc = 1, i
-            while acc != 0:
-                acc = mul_table[acc][i]
-                k += 1
-            orders.append(k)
+        orders = _element_orders(mul_table)
         m = max(orders)
         factors.append(m)
         gen = orders.index(m)

@@ -52,7 +52,7 @@ from typing import Sequence
 from mixedsurf.covering import CoverType, GeneratingVector
 from mixedsurf.divisors import IntersectionTable
 from mixedsurf.errors import BudgetExceeded, IntegrityError, ValidationError
-from mixedsurf.perm import (MAX_TABLE_ORDER, FiniteGroup, Permutation, Subgroup, closure,
+from mixedsurf.perm import (FiniteGroup, Permutation, Subgroup, closure, closure_limit,
                             extend_homomorphism)
 from mixedsurf.surface import SurfaceData
 
@@ -77,14 +77,16 @@ def fixed_point_count(f: int, v: GeneratingVector) -> int:
     return int(total)
 
 
-def right_product_closure(generators: Sequence[Permutation],
-                          budget: int = MAX_TABLE_ORDER) -> FiniteGroup:
-    """Generate the group closure of ``generators`` by right products e * g.
+def right_product_closure(generators: Sequence[Permutation], budget: int | None = None
+                          ) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
+    """Generate the group closure of ``generators`` by right products e * g,
+    and return it beside its elements' image tuples.
 
     Element ordering is breadth-first over words in the generators with ties
     inside each layer broken by lexicographic image sequence; the identity is
     element 0.  Raises :class:`BudgetExceeded` if the closure grows past
-    ``budget`` elements.
+    ``budget`` elements (by default ``perm.closure_limit``).  The group's
+    sort keys are the whole image tuples.
     """
     gens = tuple(generators)
     if not gens:
@@ -92,6 +94,8 @@ def right_product_closure(generators: Sequence[Permutation],
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValidationError("generators have mismatched degrees")
+    if budget is None:
+        budget = closure_limit(degree)
 
     # (e * g).images == tuple(pad[x] for x in e.images) with pad = (0,) + g.images.
     pads = [(0,) + g.images for g in gens]
@@ -147,14 +151,33 @@ def right_product_closure(generators: Sequence[Permutation],
             row[j] = gen_step[cj][row[pj]]
         left.append(row)
 
-    elements = tuple(map(Permutation._trusted, images))
-    return FiniteGroup(degree, gens, elements, tuple(parents), left)
+    return FiniteGroup(degree, gens, tuple(parents), left, images), images
 
 
-def element_index(G: FiniteGroup) -> dict[Permutation, int]:
-    """Each element of G mapped to its index, read off ``G.elements`` with no
-    prefix key: a permutation outside G is not a key."""
-    return {e: i for i, e in enumerate(G.elements)}
+def elements_of(G: FiniteGroup, parent: FiniteGroup | None = None) -> tuple[Permutation, ...]:
+    """Each element of G as a ``Permutation``, rebuilt from its word with no
+    call into ``closure``: element i is the product of G's generators along
+    ``G.word_for(i)``, one ``Permutation`` product per letter on top of the
+    word one letter shorter, its BFS parent's.  A realized subgroup keeps
+    no generators: its element i is element ``G.positions[i]`` of
+    ``parent``, the group it was realized in.
+    """
+    if G.positions is not None:
+        return tuple(map(elements_of(parent).__getitem__, G.positions))
+    by_word = {(): Permutation.identity(G.degree)}
+    out = []
+    for i in range(G.order):
+        word = tuple(G.word_for(i))
+        if word:
+            by_word[word] = by_word[word[:-1]] * G.generators[word[-1]]
+        out.append(by_word[word])
+    return tuple(out)
+
+
+def element_index(G: FiniteGroup, parent: FiniteGroup | None = None) -> dict[Permutation, int]:
+    """Each element of G mapped to its index, read off :func:`elements_of`
+    with no prefix key: a permutation outside G is not a key."""
+    return {e: i for i, e in enumerate(elements_of(G, parent))}
 
 
 def commutator_subgroup_members(G: FiniteGroup | Subgroup) -> frozenset[int]:
@@ -176,22 +199,26 @@ def commutator_subgroup_members(G: FiniteGroup | Subgroup) -> frozenset[int]:
     return span_members(parent, comms)
 
 
-def abelianization_by_counting(G: FiniteGroup) -> tuple[int, ...]:
+def abelianization_by_counting(G: FiniteGroup,
+                               parent: FiniteGroup | None = None) -> tuple[int, ...]:
     """The elementary divisors of G/G', ascending, from counts of roots of 1.
 
     For q = p^k, the cosets a = gG' with a^q = 1 number p^s(k), where
     s(k) = sum of min(e_i, k) over the divisors p^e_i; so s(k) - s(k-1)
     divisors have e_i >= k.  Each coset is a set of ``Permutation``
     products g * n, and g^q is a ``Permutation`` power tested against G'.
+    A realized subgroup's elements are read in ``parent`` (see
+    :func:`elements_of`).
     """
     derived = commutator_subgroup_members(G)
-    in_derived = {G.elements[n].images for n in derived}
-    index = element_index(G)
+    elements = elements_of(G, parent)
+    in_derived = {elements[n].images for n in derived}
+    index = {e: i for i, e in enumerate(elements)}
     reps, seen = [], set()
-    for i, g in enumerate(G.elements):
+    for i, g in enumerate(elements):
         if i not in seen:
             reps.append(g)
-            seen.update(index[g * G.elements[n]] for n in derived)
+            seen.update(index[g * elements[n]] for n in derived)
     m, divisors, p = len(reps), [], 2
     while m > 1:
         if m % p:
@@ -251,17 +278,20 @@ def span_members(G: FiniteGroup, seeds) -> frozenset[int]:
     return frozenset(span)
 
 
-def conjugacy_classes_by_conjugation(G: FiniteGroup,
-                                     order: int | None = None) -> list[frozenset[int]]:
+def conjugacy_classes_by_conjugation(G: FiniteGroup, order: int | None = None,
+                                     parent: FiniteGroup | None = None
+                                     ) -> list[frozenset[int]]:
     """The conjugacy classes of G, or those of its elements of ``order``,
     ordered by least member.
 
     Each class is {g x g^-1 : g in G} for the least x not yet in a class,
-    every conjugate composed as permutations and looked up by
-    :func:`element_index`, with no Cayley table.  Conjugates have equal
-    orders, so the classes of one order are those of its elements.
+    every conjugate composed as permutations of :func:`elements_of` and
+    looked up by its image tuple, with no Cayley table.  Conjugates have equal
+    orders, so the classes of one order are those of its elements.  A
+    realized subgroup's elements are read in ``parent``.
     """
-    elements, index = G.elements, element_index(G)
+    elements = elements_of(G, parent)
+    index = {e: i for i, e in enumerate(elements)}
     pairs = [(g, g.inverse()) for g in elements]
     classes, seen = [], set()
     for x in range(G.order):
@@ -272,7 +302,8 @@ def conjugacy_classes_by_conjugation(G: FiniteGroup,
     return classes
 
 
-def generating_vector_entries(G: FiniteGroup, cover_type: CoverType) -> list[tuple[int, ...]]:
+def generating_vector_entries(G: FiniteGroup, cover_type: CoverType,
+                              parent: FiniteGroup | None = None) -> list[tuple[int, ...]]:
     """Every genus-0 generating vector of the type, one per simultaneous
     conjugacy class, in the library's scan order.
 
@@ -280,9 +311,10 @@ def generating_vector_entries(G: FiniteGroup, cover_type: CoverType) -> list[tup
     its order, the middle entries over all elements of their orders, in
     lexicographic order, and the last entry is the inverse of the product
     before it.  Each candidate that generates G is kept unless its minimum
-    over conjugation by every element of G was already seen.
+    over conjugation by every element of G was already seen.  A realized
+    subgroup's classes are found in ``parent``'s elements.
     """
-    reps = [min(cls) for cls in conjugacy_classes_by_conjugation(G, cover_type.m[0])]
+    reps = [min(cls) for cls in conjugacy_classes_by_conjugation(G, cover_type.m[0], parent)]
     pools = [reps] + [[x for x in range(G.order) if G.order_of(x) == mi]
                       for mi in cover_type.m[1:-1]]
     found, keys = [], set()
@@ -378,8 +410,8 @@ def q_and_pg_by_trace_formula(S: SurfaceData, mixed_sign: int = -1) -> tuple[Fra
     G, members = act.G, act.G0.members
     g0 = S.g0_group
     vector = S.covering.vector
-    index = element_index(G)
-    chi = canonical_character(G, members, [index[g0.elements[e]] for e in vector.entries],
+    index, in_g0 = element_index(G), elements_of(g0, G)
+    chi = canonical_character(G, members, [index[in_g0[e]] for e in vector.entries],
                               vector.cover_type.m)
     q = [sum(chi[f][0] for f in members), sum(chi[f][1] for f in members)]
     pg = [Fraction(0), Fraction(0)]

@@ -7,11 +7,15 @@ give the same group to the last index, and stop at the same budgets.
 
 The library tells products apart during its walk by a prefix of the
 images that it widens on a collision (``perm._wider``), the oracle by the
-whole image tuple.  Neither group keeps its key, so the widths are read by
-recording what ``_wider`` returns.
+whole image tuple.  The library's group keeps only the final prefixes, as
+sort keys for its realizations: they must be distinct prefixes of the
+oracle's images, so that they sort as the images do.  The widths are read
+by recording what ``_wider`` returns.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,14 +27,17 @@ from mixedsurf.errors import BudgetExceeded
 from mixedsurf.files import load_group_record
 from mixedsurf.perm import FiniteGroup, Permutation, closure
 from mixedsurf.words import Presentation
-from oracles import right_product_closure
+from oracles import elements_of, right_product_closure
 
 BUNDLED = ("g64", "g256a", "g256b", "h768", "toy_z4_group")
 
 
 def assert_same_closure(gens) -> FiniteGroup:
-    got, want = closure(gens), right_product_closure(gens)
-    assert [e.images for e in got.elements] == [e.images for e in want.elements]
+    got, (want, images) = closure(gens), right_product_closure(gens)
+    assert [e.images for e in elements_of(got)] == images
+    keys = got._keys
+    assert len(set(keys)) == len(keys)
+    assert all(im[:len(key)] == key for key, im in zip(keys, images))
     assert got._parents == want._parents
     assert got._left_step == want._left_step
     assert got.generator_indices == want.generator_indices
@@ -39,7 +46,7 @@ def assert_same_closure(gens) -> FiniteGroup:
 
 def assert_same_budgets(gens, order: int):
     # The closure may hold `budget` elements and no more.
-    for build in (closure, right_product_closure):
+    for build in (closure, lambda gens, budget: right_product_closure(gens, budget)[0]):
         with pytest.raises(BudgetExceeded):
             build(gens, budget=order - 1)
         assert build(gens, budget=order).order == order
@@ -54,13 +61,28 @@ def test_bundled_groups_match_oracle(data_dir, name):
 
 def g0_generators(families, family) -> tuple[Permutation, ...]:
     sub = families[family].surface.action.G0
-    return tuple(sub.parent.elements[i] for i in sub.generators)
+    elements = elements_of(sub.parent)
+    return tuple(elements[i] for i in sub.generators)
 
 
 @pytest.mark.parametrize("family", [1, 2, 3, 4, 5])
 def test_g0_realizations_match_oracle(families, family):
     G0 = assert_same_closure(g0_generators(families, family))
     assert G0.order == families[family].surface.action.G0.order
+
+
+def test_a_closed_group_holds_no_element_images(data_dir):
+    # h768's elements as 768 tuples of 768 images would hold about 4.7 MB;
+    # its parents, left steps and one-point keys hold a few hundred kB.
+    gens = load_group_record(data_dir / "h768.json").generators
+    tracemalloc.start()
+    try:
+        G = closure(gens)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.order == 768
+    assert held < 1 << 20, held
 
 
 def todd_coxeter_h768() -> FiniteGroup:

@@ -396,7 +396,7 @@ def test_search_matches_exhaustive_oracle(request, fixture, type_text):
 def test_regenerate_searches_match_exhaustive_oracle(search_group, name, words, type_text):
     G = search_group(name, words)
     ctype = parse_cover_type(type_text)
-    expected = generating_vector_entries(G, ctype)
+    expected = generating_vector_entries(G, ctype, search_group(name, None))
     for limit in LIMITS:
         found = search_generating_vectors(G, ctype, limit=limit)
         assert [v.entries for v in found] == expected[:limit]

@@ -5,7 +5,6 @@ import io
 import json
 import random
 import re
-import time
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedsurf import cli, covering, expected, files, perm, surface
-from mixedsurf.errors import InputParseError, IntegrityError, MismatchError, ValidationError
+from mixedsurf.errors import (BudgetExceeded, InputParseError, IntegrityError, MismatchError,
+                              ValidationError)
 from mixedsurf.files import (element_word, load_group, load_group_record,
                              load_surface_record, realize_group, resolve_word, save_group_file,
                              save_surface_file)
@@ -124,7 +124,8 @@ def test_trivial_degree_group_files(tmp_path, degree):
 
 
 # S9 has 362,880 elements, whose closure takes about 3 s and 200 MB; it stops
-# at MAX_TABLE_ORDER elements instead, since the file claims the true order.
+# at closure_limit(9) == 2,048 elements instead, since the file claims the
+# true order.
 S9_FILE = {"name": "S9", "claimed_id": "S9", "degree": 9,
            "generators": [[*range(2, 10), 1], [2, 1, *range(3, 10)]],
            "fingerprint": {**TRIVIAL_FINGERPRINT, "order": 362880}, "provenance": "test"}
@@ -133,7 +134,7 @@ S9_FILE = {"name": "S9", "claimed_id": "S9", "degree": 9,
 def test_group_past_the_table_bound_exits_3_within_its_element_budget(tmp_path, monkeypatch):
     # S9 claims its true order.  The closure is given that plus one, cuts it
     # to its limit for degree 9, the table bound, and stops there: its
-    # message names the budget of 65,536 elements.
+    # message names the budget of 2,048 elements.
     path = tmp_path / "s9.json"
     path.write_text(json.dumps(S9_FILE))
     budgets = []
@@ -146,9 +147,9 @@ def test_group_past_the_table_bound_exits_3_within_its_element_budget(tmp_path, 
     monkeypatch.setattr(files, "closure", recorded)
     code, text = run_cli("group", str(path))
     assert code == cli.EXIT_VALIDATION
-    assert "element budget of 65536 " in text
+    assert "element budget of 2048 " in text
     assert budgets == [362881]
-    assert perm.closure_limit(9) == perm.MAX_TABLE_ORDER == 65536
+    assert perm.closure_limit(9) == 2048
 
 
 def test_group_past_its_claimed_order_exits_5_one_element_later(tmp_path, data_dir,
@@ -360,7 +361,7 @@ def test_transposed_generator_images_never_pass(tmp_path, data_dir, name, monkey
     budgets = []
     closure = files.closure
 
-    def recorded(generators, budget=perm.MAX_TABLE_ORDER):
+    def recorded(generators, budget=None):
         budgets.append(budget)
         return closure(generators, budget)
 
@@ -437,14 +438,40 @@ def test_group_past_the_closure_budget_exits_3_on_every_load(tmp_path, fresh_gro
     for _ in range(3):
         code, text = run_cli("genvec", "search", str(path), "--type", "[0;2,3,8]")
         assert code == cli.EXIT_VALIDATION
-        assert "element budget of 65536 " in text
+        assert "element budget of 2048 " in text
+    assert not fresh_group_memo
+
+
+# S8 claims its true order, 40,320.  Closed in full, its Cayley table would
+# hold 40,320^2 two-byte indices, about 3.2 GB.  Since the budget counts the
+# table, its closure stops at closure_limit(8) == 2,048 elements, on every
+# path that loads the file.
+S8_FILE = {"name": "S8", "claimed_id": "S8", "degree": 8,
+           "generators": [[2, 1, *range(3, 9)], [*range(2, 9), 1]],
+           "fingerprint": {**TRIVIAL_FINGERPRINT, "order": 40320}, "provenance": "test"}
+S8_SURFACE = {"name": "s8", "group_file": "s8.json", "g0_generators": ["g1", "g2"],
+              "tau_prime": "g1", "vector": ["g1", "g2", "g2"], "type": "[0;2,8,8]",
+              "extra_automorphisms": None}
+
+
+@pytest.mark.parametrize("argv", [("group", "s8.json"),
+                                  ("genvec", "search", "s8.json", "--type", "[0;2,3,8]"),
+                                  ("surface", "s8_surface.json")], ids=lambda argv: argv[0])
+def test_s8_file_exits_3_within_its_element_budget(tmp_path, fresh_group_memo, argv):
+    (tmp_path / "s8.json").write_text(json.dumps(S8_FILE))
+    (tmp_path / "s8_surface.json").write_text(json.dumps(S8_SURFACE))
+    code, text = run_cli(*(str(tmp_path / a) if a.endswith(".json") else a for a in argv))
+    assert code == cli.EXIT_VALIDATION, text
+    assert text == ("validation error: group closure exceeded the element budget of 2048 "
+                    "(order times the larger of order and degree is at most 4194304)\n")
     assert not fresh_group_memo
 
 
 def test_kept_images_past_the_closure_budget_evict_the_oldest_group(
         data_dir, fresh_group_memo, monkeypatch):
-    # The budget counts images and file bytes: g64 holds 64 x 64 images and
-    # 2,731 bytes, g256a 256 x 256 and 8,274.  Each fits; together they do not.
+    # The budget counts table cells and file bytes: g64 holds 64 x 64 cells
+    # and 2,731 bytes, g256a 256 x 256 and 8,274.  Each fits; together they
+    # do not.
     monkeypatch.setattr(perm, "MAX_CLOSURE_CELLS",
                         256 * 256 + len((data_dir / "g256a.json").read_bytes()))
     calls = counted_realizations(monkeypatch)
@@ -1095,6 +1122,10 @@ SWEEP_GROUPS = ("g64.json", "g256a.json", "g256b.json", "h768.json", "toy_z4_gro
 # A run on families 2-5 that reaches the group closure takes about 0.1 s, so
 # eight mutations per file keep the sweep to a few seconds.
 SWEEP_SEED, SWEEP_MUTATIONS = 13, 8
+# A run closes at most the two group files a surface names, G's and the
+# extra block's, each at most one element past its claim, and no bundled
+# group claims more than 768 elements.
+SWEEP_ELEMENTS = 2 * (768 + 1)
 LAST_EXPONENT = re.compile(r"\^-?\d+(?=[^^]*$)")
 
 
@@ -1167,8 +1198,30 @@ def sweep_dir(tmp_path_factory, data_dir):
     return out
 
 
+@pytest.fixture
+def closed_elements(monkeypatch) -> list[int]:
+    """The elements of each group closure that ``files`` runs from now on: the
+    group's order, or the budget it stopped at."""
+    closed = []
+    closure = files.closure
+
+    def recorded(generators, budget):
+        try:
+            group = closure(generators, budget)
+        except BudgetExceeded:
+            closed.append(budget)
+            raise
+        closed.append(group.order)
+        return group
+
+    monkeypatch.setattr(files, "closure", recorded)
+    return closed
+
+
 @pytest.mark.parametrize("name", SWEEP_SURFACES)
-def test_seeded_mutations_of_bundled_surfaces_exit_cleanly(sweep_dir, data_dir, name):
+def test_seeded_mutations_of_bundled_surfaces_exit_cleanly(sweep_dir, data_dir, name,
+                                                           fresh_group_memo, closed_elements):
+    # A fresh memo: the first two loads of each group file close it.
     rng = random.Random(f"{SWEEP_SEED}:{name}")
     text = (data_dir / f"{name}.json").read_text()
     path = sweep_dir / f"{name}.json"
@@ -1178,12 +1231,11 @@ def test_seeded_mutations_of_bundled_surfaces_exit_cleanly(sweep_dir, data_dir, 
         raw = json.loads(text)
         change = mutate(raw, rng)
         path.write_text(json.dumps(raw))
-        start = time.perf_counter()
+        closed_elements.clear()
         code, out = run_cli("cone", str(path), "--format", "record")
-        elapsed = time.perf_counter() - start
         assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION, cli.EXIT_ASSERTION,
                         cli.EXIT_MISMATCH), (change, out)
         if mutate is not mutate_surface:
             assert code == cli.EXIT_PARSE, (change, out)
         assert "Traceback" not in out, (change, out)
-        assert elapsed < 2, (change, elapsed)
+        assert sum(closed_elements) <= SWEEP_ELEMENTS, (change, closed_elements)

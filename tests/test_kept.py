@@ -15,7 +15,7 @@ from mixedsurf import covering
 from mixedsurf.covering import CoverType, GeneratingVector, covering_data, generating_vectors
 from mixedsurf.errors import ValidationError
 from mixedsurf.perm import Permutation, closure, subgroup_as_group, subgroup_generated
-from oracles import element_index
+from oracles import element_index, elements_of
 
 S4_TYPE = CoverType(0, (2, 3, 4))
 
@@ -62,20 +62,19 @@ def test_a_realization_is_kept_from_its_second_request():
     assert first is not second
     assert second is third
     assert subgroup_as_group(a4_of(G)) is second  # the key is the generators
-    assert [e.images for e in first.elements] == [e.images for e in second.elements]
+    assert elements_of(first, G) == elements_of(second, G)
     assert third.order == 12
 
 
-def test_a_kept_realization_holds_its_parents_elements():
-    # So a kept G0 adds no images to what files.load_group's budget counts.
+def test_a_kept_realization_shares_its_parents_keys():
+    # Its layer-sort keys are the parent's key objects, not copies.
     G = fresh_s4()
     sub = a4_of(G)
     subgroup_as_group(sub)
     kept = subgroup_as_group(sub)
     assert kept is subgroup_as_group(sub)
-    index = element_index(G)
-    assert sorted(map(index.__getitem__, kept.elements)) == list(sub.members)
-    assert all(e is G.elements[index[e]] for e in kept.elements)
+    assert sorted(kept.positions) == list(sub.members)
+    assert all(k is G._keys[p] for k, p in zip(kept._keys, kept.positions, strict=True))
 
 
 def test_a_kept_realization_keeps_plain_parent_positions():
@@ -85,7 +84,9 @@ def test_a_kept_realization_keeps_plain_parent_positions():
         subgroup_as_group(sub)
         A4 = subgroup_as_group(sub)
         assert subgroup_as_group(sub) is A4
-        assert A4.positions == tuple(map(element_index(G).__getitem__, A4.elements))
+        elements = elements_of(G)
+        want = closure([elements[i] for i in sub.generators])
+        assert [elements[p] for p in A4.positions] == list(elements_of(want))
         assert {type(i) for i in A4.positions} == {int}
         group_ref, a4_ref = weakref.ref(G), weakref.ref(A4)
         del G, sub, A4

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from mixedsurf import perm
 from mixedsurf.errors import BudgetExceeded, ValidationError
 from mixedsurf.files import load_group_record, realize_group
-from mixedsurf.perm import (MAX_TABLE_ORDER, FiniteGroup, Permutation, center_order, closure,
+from mixedsurf.perm import (FiniteGroup, Permutation, center_order, closure,
                             conjugacy_class, conjugacy_classes, derived_subgroup,
                             extend_homomorphism, fingerprint, homomorphisms,
                             subgroup_as_group, subgroup_generated)
 from oracles import (abelianization_by_counting, commutator_subgroup_members,
                      conjugacy_classes_by_conjugation, derived_series_by_commutators,
-                     element_index, homomorphisms_by_tuples, span_members)
+                     element_index, elements_of, homomorphisms_by_tuples, span_members)
 
 BUNDLED = ("g64", "g256a", "g256b", "h768", "toy_z4_group")
 
@@ -107,7 +107,7 @@ def test_product_is_right_action():
 
 def test_closure_dihedral_and_cyclic(d4):
     assert d4.order == 8
-    assert d4.elements[0].images == (1, 2, 3, 4)
+    assert elements_of(d4)[0].images == (1, 2, 3, 4)
     c5 = closure([Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])])
     assert c5.order == 5
 
@@ -135,31 +135,34 @@ def test_closure_budget():
 
 
 def test_closure_idempotent(d4):
-    again = closure(tuple(d4.elements), budget=d4.order + 1)
-    assert {p.images for p in again.elements} == {p.images for p in d4.elements}
+    again = closure(elements_of(d4), budget=d4.order + 1)
+    assert set(elements_of(again)) == set(elements_of(d4))
     assert again.order == d4.order
 
 
 def test_mul_matches_permutation_arithmetic(d4):
+    elements = elements_of(d4)
     for i in range(d4.order):
         for j in range(d4.order):
-            assert d4.elements[d4.mul(i, j)] == d4.elements[i] * d4.elements[j]
-        assert (d4.elements[i] * d4.elements[d4.inv(i)]).images == (1, 2, 3, 4)
+            assert elements[d4.mul(i, j)] == elements[i] * elements[j]
+        assert (elements[i] * elements[d4.inv(i)]).images == (1, 2, 3, 4)
 
 
 @pytest.mark.parametrize("name", ["toy_z4_group", "g64", "g256a", "h768"])
 def test_cayley_table_matches_permutation_arithmetic(bundled, name):
     # Every row and every inverse; for h768 a sample of full rows.  The
-    # product e * f is composed here without Permutation's bijection check,
-    # which would double the time: (e * f)(x) = f(e(x)).
+    # product e * f is composed here as an image tuple, without
+    # Permutation's bijection check, which would double the time:
+    # (e * f)(x) = f(e(x)).
     G = bundled[name]
-    elements, index = G.elements, element_index(G)
+    elements = elements_of(G)
+    index = {e.images: i for i, e in enumerate(elements)}
     sample = range(G.order) if G.order <= 256 else [*range(0, G.order, 97), G.order - 1]
     for i in sample:
         e = [x - 1 for x in elements[i].images]
-        products = (Permutation._trusted(tuple(f.images[x] for x in e)) for f in elements)
+        products = (tuple(f.images[x] for x in e) for f in elements)
         assert list(G.rows[i]) == list(map(index.__getitem__, products))
-    assert list(G.inverses) == [index[e.inverse()] for e in elements]
+    assert list(G.inverses) == [index[e.inverse().images] for e in elements]
 
 
 def test_cayley_table_of_the_trivial_group():
@@ -168,25 +171,19 @@ def test_cayley_table_of_the_trivial_group():
     assert G.mul(0, 0) == 0 and G.inv(0) == 0
 
 
-def test_cayley_table_refuses_orders_past_two_byte_indices():
-    # Closing a real group of order 2^16 + 1 or more takes seconds and
-    # 100 MB, so only the element count is given; the check comes first.
-    G = FiniteGroup(1, (), range(MAX_TABLE_ORDER + 1), (), [])
-    with pytest.raises(BudgetExceeded, match="order 65537 > 65536"):
-        G.rows
-
-
 def test_closure_stops_at_the_cayley_table_bound():
     # A 9-cycle and a transposition generate S9, of order 362,880; an
-    # explicit budget above MAX_TABLE_ORDER is capped at it.
+    # explicit budget above closure_limit(9) == isqrt(2^22) == 2,048, where
+    # the Cayley table reaches MAX_CLOSURE_CELLS, is capped at it.
     s9 = [Permutation((*range(2, 10), 1)), Permutation((2, 1, *range(3, 10)))]
-    with pytest.raises(BudgetExceeded, match=f"element budget of {MAX_TABLE_ORDER} "):
+    with pytest.raises(BudgetExceeded, match="element budget of 2048 "):
         closure(s9, budget=10**6)
 
 
 def test_closure_bounds_elements_times_degree(monkeypatch, bundled):
-    # h768 closes on 768 points: 768 * 768 images.  A corrupted file of that
-    # degree could otherwise fill MAX_TABLE_ORDER tuples of 768 entries.
+    # h768 closes on 768 points: 768 * 768 images, and as many table cells.
+    # A corrupted file of that degree could otherwise fill 2,048 tuples of
+    # 768 entries.
     gens = bundled["h768"].generators
     monkeypatch.setattr(perm, "MAX_CLOSURE_CELLS", 768 * 767)
     with pytest.raises(BudgetExceeded, match="element budget of 767 "):
@@ -211,7 +208,7 @@ def test_closure_with_identity_and_repeated_generators():
 
 def test_order_of_matches_cycle_orders(d4):
     for i in range(d4.order):
-        assert d4.order_of(i) == d4.elements[i].order()
+        assert d4.order_of(i) == elements_of(d4)[i].order()
 
 
 def test_word_for_reconstructs_elements(d4):
@@ -340,7 +337,8 @@ def test_extend_homomorphism_matches_graph_subgroup_oracle(picks, conjugate):
     # Random targets rarely embed, so half the cases conjugate the sources.
     src_gens, g = picks[:2], picks[2]
     dst_gens = [S4.conj(g, s) for s in src_gens] if conjugate else picks[3:]
-    graph = closure([_pair(S4.elements[s], S4.elements[t]) for s, t in zip(src_gens, dst_gens)])
+    elements = elements_of(S4)
+    graph = closure([_pair(elements[s], elements[t]) for s, t in zip(src_gens, dst_gens)])
     span_s = subgroup_generated(S4, src_gens)
     embeds = graph.order == span_s.order == subgroup_generated(S4, dst_gens).order
     if not embeds:
@@ -459,7 +457,9 @@ def test_realization_positions_are_parent_indices(seeds):
     S5 = SYMMETRIC[5]
     sub = subgroup_generated(S5, seeds)
     G = subgroup_as_group(sub)
-    assert G.positions == tuple(map(element_index(S5).__getitem__, G.elements))
+    elements = elements_of(S5)
+    want = closure([elements[i] for i in sub.generators])
+    assert [elements[i] for i in G.positions] == list(elements_of(want))
     assert sorted(G.positions) == list(sub.members)
     assert S5.positions is None  # a closure has no parent
 
@@ -514,7 +514,7 @@ def s4_subgroup(*cycles) -> FiniteGroup:
 @example((s4_subgroup([(1, 2), (3, 4)], [(1, 3), (2, 4)]), [0]))
 def test_abelianization_matches_counting_oracle_in_random_subgroups(drawn):
     G, _ = drawn
-    assert fingerprint(G).abelianization == abelianization_by_counting(G)
+    assert fingerprint(G).abelianization == abelianization_by_counting(G, SYMMETRIC[G.degree])
 
 
 @pytest.mark.parametrize("name", ["g64", "g256a", "toy_z4_group"])
@@ -569,10 +569,12 @@ def test_span_passing_half_inside_a_layer_is_the_whole_group(n):
 # subgroup_as_group walks the parent's Cayley table; it must give closure's
 # group to the last index.
 
-def assert_same_realization(sub) -> FiniteGroup:
+def assert_same_realization(sub, grandparent: FiniteGroup | None = None) -> FiniteGroup:
+    """``grandparent`` is the group that ``sub.parent`` was realized in, if any."""
     got = subgroup_as_group(sub)
-    want = closure([sub.parent.elements[i] for i in sub.generators])
-    assert [e.images for e in got.elements] == [e.images for e in want.elements]
+    elements = elements_of(sub.parent, grandparent)
+    want = closure([elements[i] for i in sub.generators])
+    assert [elements[i] for i in got.positions] == list(elements_of(want))
     assert got._parents == want._parents
     assert got._left_step == want._left_step
     assert got.generator_indices == want.generator_indices
@@ -583,7 +585,7 @@ def assert_same_realization(sub) -> FiniteGroup:
 @given(subgroup_seeds())
 def test_table_realization_matches_closure_in_random_subgroups(drawn):
     G, seeds = drawn
-    assert_same_realization(subgroup_generated(G, seeds))
+    assert_same_realization(subgroup_generated(G, seeds), SYMMETRIC[G.degree])
 
 
 def test_table_realization_matches_closure_on_pipeline_subgroups(bundled, families):
@@ -622,7 +624,8 @@ def test_random_subgroups_satisfy_lagrange(seeds):
 
 
 def assert_class_map_matches_oracle(G: FiniteGroup) -> None:
-    classes = conjugacy_classes_by_conjugation(G)
+    # A realization drawn by subgroup_seeds is of S_n, n its degree.
+    classes = conjugacy_classes_by_conjugation(G, parent=SYMMETRIC.get(G.degree))
     assert G.class_map.classes == tuple(classes)
     assert list(G.class_map.class_of) == [
         next(k for k, cls in enumerate(classes) if x in cls) for x in range(G.order)]

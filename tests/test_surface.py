@@ -17,7 +17,8 @@ from mixedsurf.surface import (TRIANGLE_TYPE, assemble_surface, attach_covering_
                                derive_induced_vectors, fixed_curve_witness,
                                invariants_from, isolated_point_witness,
                                transport_embedding)
-from oracles import element_index, embedding_by_bfs, first_broken_product, free_pair
+from oracles import (element_index, elements_of, embedding_by_bfs, first_broken_product,
+                     free_pair)
 
 
 @pytest.fixture(scope="module")
@@ -237,8 +238,8 @@ def test_transport_identity_embedding(family1):
     S = family1.surface
     assert S.h_group is S.g0_group
     G = S.action.G
-    index = element_index(S.g0_group)
-    assert all(S.to_h[g] == index[G.elements[g]] for g in S.action.G0.members)
+    elements, index = elements_of(G), element_index(S.g0_group, G)
+    assert all(S.to_h[g] == index[elements[g]] for g in S.action.G0.members)
 
 
 @pytest.mark.parametrize("name", ["family1", "family1_nonfree", "family2", "family2_search",
@@ -246,10 +247,13 @@ def test_transport_identity_embedding(family1):
 def test_g0_index_map_is_read_off_the_realization(data_dir, name):
     S = build_surface(data_dir / f"{name}.json", use_extra=False)
     G, g0 = S.action.G, S.g0_group
-    in_g, in_g0 = element_index(G), element_index(g0)
-    assert g0.positions == tuple(in_g[e] for e in g0.elements)
+    # G0 closed afresh from the permutations of its generators.
+    elements = elements_of(G)
+    want = closure([elements[i] for i in S.action.G0.generators])
+    assert [elements[p] for p in g0.positions] == list(elements_of(want))
     # to_h by its definition, one lookup per G0 member.
-    assert S.to_h == {i: in_g0[G.elements[i]] for i in S.action.G0.members}
+    in_g0 = element_index(want)
+    assert S.to_h == {i: in_g0[elements[i]] for i in S.action.G0.members}
 
 
 def test_transport_verifies_homomorphism(family2):
