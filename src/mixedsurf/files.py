@@ -22,9 +22,11 @@ fingerprint.  A kept group is thus a checked group, and a file with a wrong
 claim raises on every load, before it can be kept.  The oldest kept groups
 are dropped while their Cayley tables (order squared cells each) plus their
 keys' bytes, summed, exceed ``perm.MAX_CLOSURE_CELLS``.  Nothing else is
-counted: not the realizations and covers a group keeps by the same rule
-(:meth:`~mixedsurf.perm.FiniteGroup.kept`), so that a warm pipeline builds
-neither again.  :func:`realize_group` keeps nothing.
+counted: not what a group keeps by the same rule
+(:meth:`~mixedsurf.perm.FiniteGroup.kept`), its realizations, covers, G0
+spans, induced towers and word indices.  So a warm pipeline neither builds
+nor checks these again, and parses no word.  :func:`realize_group` keeps
+nothing.
 
 Surface file (JSON, UTF-8)::
 
@@ -278,10 +280,17 @@ def generator_alphabet(group: FiniteGroup) -> dict[str, int]:
 
 
 def resolve_word(group: FiniteGroup, text: str) -> int:
-    """Element index of a word written in the group file's g1..gk symbols."""
-    assignment = generator_alphabet(group)
-    word = parse_word(text, assignment.keys())
-    return evaluate_word_index(group, word, assignment)
+    """Element index of a word written in the group file's g1..gk symbols.
+
+    The group keeps the index under the text by
+    :meth:`~mixedsurf.perm.FiniteGroup.kept`; a word that does not parse or
+    evaluate raises on every request.
+    """
+    def evaluate() -> int:
+        assignment = generator_alphabet(group)
+        return evaluate_word_index(group, parse_word(text, assignment.keys()), assignment)
+
+    return group.kept(("word", text), evaluate)
 
 
 def element_word(group: FiniteGroup, index: int) -> str:

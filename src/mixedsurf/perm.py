@@ -58,10 +58,20 @@ never composes image arrays in inner loops.
 
 One rule keeps a value from its second request on, :func:`keep`, so a
 one-shot process keeps nothing; ``files.load_group`` keeps groups by it.  A
-group keeps values derived from it by a short key, with
-:meth:`FiniteGroup.kept`: :func:`subgroup_as_group`'s realizations, keyed
-by the subgroup's generators, and ``covering.covering_data``'s genus,
-stabilizer set and fixed-point table, keyed by a vector's type and entries.
+group keeps values derived from it with :meth:`FiniteGroup.kept`, each
+under a short key tagged by a string of its own:
+
+* ``"subgroup"``: :func:`subgroup_as_group`'s realizations, keyed by the
+  subgroup's generators;
+* ``"cover"``: ``covering.covering_data``'s genus, stabilizer set and
+  fixed-point table, keyed by a vector's type and entries;
+* ``"span"``: the members and generators of the span of G0's seeds in
+  ``surface.assemble_surface``;
+* ``"tower"``: the vectors that H's [0;2,3,8] vector induces, in
+  ``surface.attach_covering_group``;
+* ``"word"``: a word's element index, in ``files.resolve_word``.
+
+A value that fails to be made raises on every request and is never kept.
 No kept value refers back to its group.  :func:`closure` keeps nothing.
 
 One budget, ``MAX_CLOSURE_CELLS``, bounds what a group holds: its images
@@ -335,7 +345,11 @@ class FiniteGroup:
 
     def kept(self, key, make):
         """``make()``, derived from this group alone, kept under ``key`` by :func:`keep`.
-        It must not refer back to this group: the cycle would keep its tables alive."""
+
+        ``key`` is a tuple whose first item is its memo's tag (see the module
+        docstring), so no two memos share a key.  The value must not refer
+        back to this group: the cycle would keep its tables alive.
+        """
         return keep(self._kept, self._noted, key, make)
 
     def mul(self, i: int, j: int) -> int:

@@ -212,9 +212,14 @@ def assemble_surface(G: FiniteGroup, g0_seeds, tau_prime: int, vector_entries,
     the defining cover of G0 and the invariants, with G0 as covering group.
 
     ``vector_entries`` are G-element indices (inside G0) of the defining
-    generating vector.
+    generating vector.  G keeps G0's span, its members and generators, under
+    the seeds by :meth:`~mixedsurf.perm.FiniteGroup.kept`, and the
+    :class:`Subgroup` is built around them each time: a kept one would refer
+    back to G.
     """
-    G0 = subgroup_generated(G, g0_seeds)
+    seeds = tuple(g0_seeds)
+    members, generators = G.kept(("span", seeds), lambda: subgroup_generated(G, seeds)[1:])
+    G0 = Subgroup(G, members, generators)
     action = build_mixed_action(G, G0, tau_prime)
     for v in vector_entries:
         if v not in G0:
@@ -234,9 +239,15 @@ def assemble_surface(G: FiniteGroup, g0_seeds, tau_prime: int, vector_entries,
 def attach_covering_group(S: SurfaceData, H: FiniteGroup, h_vector) -> SurfaceData:
     """The G-side surface S with H as its covering group, given H's [0;2,3,8]
     vector: its induced [0;4^3] vector must match G0's defining vector under
-    the transported isomorphism, and both covers describe the same curve."""
+    the transported isomorphism, and both covers describe the same curve.
+
+    H keeps the induced tower under ``h_vector`` by
+    :meth:`~mixedsurf.perm.FiniteGroup.kept`, beside the vector's cover, so
+    a kept tower passed :func:`derive_induced_vectors`' generation checks;
+    a vector whose tower is refused is refused on every request.
+    """
     h_covering = covering_data(GeneratingVector(H, TRIANGLE_TYPE, h_vector))
-    tower = derive_induced_vectors(h_covering)
+    tower = H.kept(("tower", h_vector), lambda: derive_induced_vectors(h_covering))
     embedding = transport_embedding(S.g0_group, S.covering.vector.entries, H, tower.second)
     if h_covering.genus != S.covering.genus:
         raise IntegrityError(

@@ -1014,6 +1014,37 @@ def test_warm_pipeline_validates_each_vector_until_its_cover_is_kept(
     assert g0_groups[1] is not g0_groups[2]
 
 
+def test_warm_pipeline_walks_no_span_and_parses_no_word_once_they_are_kept(
+        data_dir, fresh_group_memo, monkeypatch):
+    # A run walks G0's span and the two generation checks of H's tower, and
+    # parses family2.json's ten words.  Runs 1 and 2 realize G and H afresh,
+    # and run 2's are kept.  On them, the words g1-g3, requested twice a run,
+    # are kept in run 2; the span, the tower and the four words requested
+    # once a run are kept in run 3.  From run 4 on, nothing is walked or
+    # parsed.
+    walks, parses = [], []
+    walk, parse = surface.subgroup_generated, files.parse_word
+
+    def counted_walk(G, seeds):
+        walks.append(seeds)
+        return walk(G, seeds)
+
+    def counted_parse(text, alphabet):
+        parses.append(text)
+        return parse(text, alphabet)
+
+    monkeypatch.setattr(surface, "subgroup_generated", counted_walk)
+    monkeypatch.setattr(files, "parse_word", counted_parse)
+    spec = data_dir / "family2.json"
+    runs = []
+    for _ in range(6):
+        walks.clear()
+        parses.clear()
+        files.run_pipeline(spec)
+        runs.append((len(walks), len(parses)))
+    assert runs == [(3, 10), (3, 10), (3, 4), (0, 0), (0, 0), (0, 0)]
+
+
 # ----------------------------------------------------------------------
 # malformed JSON documents and surface-file fields
 
