@@ -206,9 +206,9 @@ def isomorphism_types(H: FiniteGroup, members, V0, auts, ext_reps):
 # Families 2..5.
 
 def make_families_2_to_5(out: Path):
-    t0 = time.time()
+    t0 = time.perf_counter()
     H = build_h()
-    log(f"covering group of order {H.order} built ({time.time() - t0:.1f}s)")
+    log(f"covering group of order {H.order} built ({time.perf_counter() - t0:.1f}s)")
 
     covers = [covering_data(v) for v in search_generating_vectors(H, TRIANGLE_TYPE)]
     classes = [cover.vector.entries for cover in covers]
@@ -221,9 +221,9 @@ def make_families_2_to_5(out: Path):
     members = H.derived_series[1]
     V0 = induced[0]
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     auts = list(homomorphisms(H, V0, H, members))
-    log(f"|Aut(G0)| = {len(auts)} ({time.time() - t0:.1f}s)")
+    log(f"|Aut(G0)| = {len(auts)} ({time.perf_counter() - t0:.1f}s)")
 
     # Sigma_V: the G0 members with fixed points on C, read from each class's
     # H-cover; all four classes must agree.
@@ -232,14 +232,14 @@ def make_families_2_to_5(out: Path):
         raise IntegrityError("the vector classes induce different stabilizer sets")
     sigma, = sigmas
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     pairs = [(phi, tau) for phi, tau in extension_pairs(H, members, V0, auts)
              if free(H, members, sigma, phi, tau)]
     ext_reps = dedup_extensions(H, members, pairs)
     log(f"free (phi,tau) pairs: {len(pairs)}; extension classes: {len(ext_reps)} "
-        f"({time.time() - t0:.1f}s)")
+        f"({time.perf_counter() - t0:.1f}s)")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     type_of, groups = isomorphism_types(H, members, V0, auts, ext_reps)
     if len(groups) != 2:
         raise IntegrityError(f"expected two extension isomorphism types, found {len(groups)}")
@@ -249,7 +249,7 @@ def make_families_2_to_5(out: Path):
     a, b = (0, 1) if type_of.count(0) >= type_of.count(1) else (1, 0)
     log(f"extension isomorphism types: {type_of.count(a)} classes of type a, type b "
         f"at classes {[i for i, t in enumerate(type_of) if t == b]} "
-        f"({time.time() - t0:.1f}s)")
+        f"({time.perf_counter() - t0:.1f}s)")
 
     G_a, G_b = groups[a], groups[b]
     save_group_file(out / "g256a.json", "g256a", "G(256,3678)", G_a, PROVENANCE)
@@ -295,9 +295,9 @@ def make_family_1(out: Path):
     G0, gens = family_1_g0()
     n = G0.order
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     auts = list(homomorphisms(G0, gens, G0, range(n)))
-    log(f"family 1: |Aut(G0)| = {len(auts)} ({time.time() - t0:.1f}s)")
+    log(f"family 1: |Aut(G0)| = {len(auts)} ({time.perf_counter() - t0:.1f}s)")
 
     pairs = extension_pairs(G0, range(n), gens, auts)
     log(f"family 1: {len(pairs)} (phi,tau) pairs")
@@ -308,7 +308,7 @@ def make_family_1(out: Path):
     # tuple is the smallest of its conjugacy class: the one vector the search
     # keeps for the class.  The search returns its vectors in lexicographic
     # order, so the first vector with a given S is that tuple.
-    t0 = time.time()
+    t0 = time.perf_counter()
     vectors = [(v.entries, stabilizer_set(v))
                for v in search_generating_vectors(G0, CoverType(0, (2,) * 5))]
     # The first vector of each stabilizer-set bucket.
@@ -316,9 +316,9 @@ def make_family_1(out: Path):
     for V, S in vectors:
         buckets.setdefault(S, V)
     log(f"family 1: {len(vectors)} [0;2^5] vector classes in {len(buckets)} "
-        f"stabilizer-set buckets ({time.time() - t0:.1f}s)")
+        f"stabilizer-set buckets ({time.perf_counter() - t0:.1f}s)")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     for S, V in sorted(buckets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         # The bucket's V does not depend on (phi, tau), so the bucket's first
         # free pair decides it.
@@ -329,7 +329,7 @@ def make_family_1(out: Path):
     else:
         raise IntegrityError("no free family-1 data found")
     phi, tau = pair
-    log(f"family 1: free data found, |Sigma_V| = {len(S)} ({time.time() - t0:.1f}s)")
+    log(f"family 1: free data found, |Sigma_V| = {len(S)} ({time.perf_counter() - t0:.1f}s)")
 
     G = build_extension(G0, tuple(range(n)), phi, tau, V[:4])
     save_group_file(out / "g64.json", "g64", "G(64,92)", G, PROVENANCE)
@@ -368,14 +368,14 @@ def make_toy(out: Path):
 
 def self_check(out: Path):
     for fam in (1, 2, 3, 4, 5):
-        t0 = time.time()
+        t0 = time.perf_counter()
         bundle = run_pipeline(out / f"family{fam}.json")
         items = compare_family(FAMILY_EXPECTATIONS[fam], bundle)
         bad = [(name, detail) for name, ok, detail in items if not ok]
         if bad:
             raise MismatchError(f"family {fam} self-check failed: {bad}")
         log(f"family {fam}: all {len(items)} expectation checks pass "
-            f"({time.time() - t0:.1f}s)")
+            f"({time.perf_counter() - t0:.1f}s)")
 
     for name in ("family1_nonfree", "toy_z4"):
         # A report that is not ok carries at least one witness.

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import perm
 from .cone import ConeReport, cone_report
@@ -301,6 +301,18 @@ def element_word(group: FiniteGroup, index: int) -> str:
     return "*".join(f"g{c + 1}" for c in word)
 
 
+def _field_words(path: Path, field: str, group: FiniteGroup,
+                 texts: Sequence[str]) -> list[int]:
+    """The element indices of the words in a field of the surface file at
+    ``path``.  A word that does not parse or evaluate raises its own error
+    class, its message led by the file and the field."""
+    try:
+        return [resolve_word(group, w) for w in texts]
+    except (InputParseError, ValidationError) as exc:
+        exc.args = (f"{path}: {field}: {exc}",)
+        raise
+
+
 def build_surface(path: str | Path, use_extra: bool = True) -> SurfaceData:
     """Load a surface file and assemble its SurfaceData.
 
@@ -316,15 +328,16 @@ def build_surface(path: str | Path, use_extra: bool = True) -> SurfaceData:
     # Group files are relative to the surface file; an absolute path stays as is.
     here = record.path.parent
     G = load_group(here / record.group_file)
-    seeds = [resolve_word(G, w) for w in record.g0_generators]
-    tau_prime = resolve_word(G, record.tau_prime)
-    vector = [resolve_word(G, w) for w in record.vector]
+    seeds = _field_words(record.path, "g0_generators", G, record.g0_generators)
+    [tau_prime] = _field_words(record.path, "tau_prime", G, [record.tau_prime])
+    vector = _field_words(record.path, "vector", G, record.vector)
 
     H = h_vector = None
     if use_extra and record.extra is not None:
         H = load_group(here / record.extra.group_file)
         if record.extra.vector is not None:
-            h_vector = tuple(resolve_word(H, w) for w in record.extra.vector)
+            h_vector = tuple(_field_words(record.path, "extra-automorphism vector", H,
+                                          record.extra.vector))
     surface = assemble_surface(G, seeds, tau_prime, vector, record.cover_type)
     if H is None:
         return surface

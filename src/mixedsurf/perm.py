@@ -13,38 +13,40 @@ Conventions used throughout the package:
 A group is its index tables: it addresses its elements by index, and only
 its generators are :class:`Permutation`s, each checked to be a bijection
 when it is built from outside data (a group file, a coset table, a test).
-:func:`closure` composes raw image tuples while it walks, and keeps none of
-them once the walk ends.  It walks the BFS by left products g * e, each one
-C-level gather, and records every element's left step under each
-generator.  One integer pass along that search tree, :func:`_right_steps`,
+:func:`closure` composes raw image tuples while it searches, and keeps none
+of them once it returns.  It only finds the elements: it reads its list of
+images as a queue, makes each left product g * e by one C-level gather and
+records every element's left step under each generator, in the order it
+finds them.  One walk numbers every group, :func:`_number`: breadth first
+along the left steps, each layer sorted by image tuple, or by a key that
+sorts the same (below), before it is numbered.  One integer pass along that search tree, :func:`_right_steps`,
 follows the right steps e * g to the BFS parents.
 
-``closure`` is the only walk that composes image tuples.  A subgroup of a
-realized group is walked on the parent's Cayley table instead:
-:func:`subgroup_as_group` runs closure's walk with each left product read
-from a parent row, sorts each layer by the parent elements' prefix keys
-(below) and shares closure's layer renumbering and integer pass, so it
-gives closure's group to the last index.  The walk finds each member as a
-parent index, and the realization keeps these as ``FiniteGroup.positions``:
-element i of the subgroup is element ``positions[i]`` of the parent, with
-no lookup.  :func:`subgroup_generated`, the span of a few element indices,
-stops as soon as it holds more than half of the group: by Lagrange's
-theorem it is then the whole group.
+``closure`` is the only search that composes image tuples.  A subgroup of a
+realized group is found on the parent's Cayley table instead:
+:func:`subgroup_as_group` hands ``_number`` the parent's rows at the
+subgroup's generators and the parent's prefix keys, so it gives closure's
+group to the last index.  ``_number`` finds each member as a parent index,
+and the realization keeps these as ``FiniteGroup.positions``: element i of
+the subgroup is element ``positions[i]`` of the parent, with no lookup.
+:func:`subgroup_generated`, the span of a few element indices, stops as
+soon as it holds more than half of the group: by Lagrange's theorem it is
+then the whole group.
 
-While it walks, :func:`closure` tells products apart by a prefix key, the
-images of the first ``width`` points, in the sense of a base (Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory*): a group that acts
-semiregularly, as every group of the pipeline does, is told apart by the
-image of point 1, so its key is a one-item tuple, not ``degree`` ints to
-hash.  Another permutation can share a key, so every hit is compared with
-the stored images in full.  When two distinct elements share one, the key
-is widened to at least twice its width and past their first differing
+While it searches, :func:`closure` tells products apart by a prefix key,
+the images of the first ``width`` points, in the sense of a base (Holt,
+Eick and O'Brien, *Handbook of Computational Group Theory*): a group that
+acts semiregularly, as every group of the pipeline does, is told apart by
+the image of point 1, so its key is a one-item tuple, not ``degree`` ints
+to hash.  Another permutation can share a key, so every hit is compared
+with the stored images in full.  When two distinct elements share one, the
+key is widened to at least twice its width and past their first differing
 point (to the whole tuple once that is more than half of it), and the
-walk's index is rebuilt; the width only grows, up to the degree, so that
-happens at most ceil(log2(degree)) times.  When the walk ends the keys are
-distinct, so they order the elements as their full image tuples do: the
-group keeps them, and nothing else of the images, for its realizations'
-layer sort.  Nothing looks a permutation up.
+search's index is rebuilt; the width only grows, up to the degree, so that
+happens at most ceil(log2(degree)) times.  When the search ends the keys
+are distinct, so they order the elements as their full image tuples do:
+the group keeps them, and nothing else of the images, for its
+realizations' layer sort.  Nothing looks a permutation up.
 
 The index-level Cayley table ``FiniteGroup.rows`` is built on its first
 read, from the left steps and the parents: the row of e_i == e_p * g is the
@@ -395,11 +397,11 @@ def closure(generators: Sequence[Permutation], budget: int | None = None) -> Fin
     element 0.  Raises :class:`BudgetExceeded` if the closure grows past
     ``budget`` elements or past :func:`closure_limit`.
 
-    The search multiplies by generators on the left: layer k holds the
-    products of k generators and no fewer, the same set on either side, so
-    the order is the same as a search by right products.  Each left product
-    is one gather.  The right steps and the BFS parents come from the left
-    steps, by :func:`_right_steps`.
+    The search only finds the elements: it reads its list of images as a
+    queue, multiplies each one by every generator on the left, one gather
+    per product, and records the left steps in the order it finds them.  The
+    products of k generators and no fewer are the same set on either side,
+    so :func:`_number` numbers the group from those steps alone.
 
     Products are looked up by the key ``images[:width]``, starting from
     width 1.  A hit is compared in full with the stored tuple, since a
@@ -410,10 +412,9 @@ def closure(generators: Sequence[Permutation], budget: int | None = None) -> Fin
     and the index is rebuilt.  The stored keys stay distinct, since a longer
     prefix refines them, and the width is at most the degree, so the index
     is rebuilt at most ceil(log2(degree)) times.  The index is a local of
-    the walk: the group keeps none.
-    The layer order and the sort within a layer use the full tuples; the
-    group keeps only the final keys, which sort the same way, and drops
-    the images.
+    the search: the group keeps none.  ``_number`` sorts each layer by the
+    image tuples; the group keeps only the final keys, which sort the same
+    way, and drops the images.
     """
     gens = tuple(generators)
     if not gens:
@@ -431,71 +432,74 @@ def closure(generators: Sequence[Permutation], budget: int | None = None) -> Fin
                for g in gens]
     ident = tuple(range(1, degree + 1))
     images: list[tuple[int, ...]] = [ident]
-    # Prefix images[:width] -> element index; a member of the layer being
-    # discovered maps to ~(its discovery number) until the layer is sorted.
     width = min(1, degree)
-    index: dict[tuple[int, ...], int] = {ident[:width]: 0}
-    # left_parents[k] = (p, a) with e_k == g_a * e_p
-    left_parents: list[tuple[int, int]] = [(-1, -1)]
-    left_step = [array("i") for _ in gens]
-    layer_ends: list[int] = []
+    index: dict[tuple[int, ...], int] = {ident[:width]: 0}  # images[i][:width] -> i
+    steps = [array("i") for _ in gens]  # steps[a][k] = index(g_a * e_k), in discovery order
+    for e in images:  # the list grows while it is read: a BFS queue
+        for gather, step in zip(gathers, steps):
+            prod = gather(e)
+            key = prod[:width]
+            j = index.get(key)
+            # A hit is the same element only if all its images agree; at full
+            # width the key is the whole tuple.  On a collision the wider key
+            # is new: the stored keys are distinct, so only images[j] shared
+            # prod's narrower one.
+            if j is not None and width < degree and images[j] != prod:
+                width = _wider(width, prod, images[j])
+                index = {im[:width]: i for i, im in enumerate(images)}
+                key, j = prod[:width], None
+            if j is None:
+                if len(images) >= budget:
+                    raise BudgetExceeded(
+                        f"group closure exceeded the element budget of {budget} "
+                        f"(order times the larger of order and degree is at most "
+                        f"{MAX_CLOSURE_CELLS})")
+                j = index[key] = len(images)
+                images.append(prod)
+            step.append(j)
 
+    parents, left_step, found = _number(steps, images)
+    return FiniteGroup(degree, gens, parents, left_step, [images[x][:width] for x in found])
+
+
+def _number(gen_steps: Sequence[Sequence[int]], keys: Sequence
+            ) -> tuple[tuple[tuple[int, int], ...], list[array], list[int]]:
+    """Number the group that left multiplication by ``gen_steps`` generates.
+
+    The elements are given by any numbering with the identity at 0:
+    ``gen_steps[a][x]`` is the element g_a * x, and ``keys[x]`` sorts as x's
+    image tuple does.  :func:`closure` passes its discovery steps and image
+    tuples; a realization passes its generators' parent rows and the
+    parent's prefix keys.  Layer k is the set of products of k generators
+    and no fewer: the products of layer k - 1 that are not numbered yet,
+    each with the first product that found it as its left parent.  It is
+    sorted by key and then numbered, and the left steps out of layer k - 1
+    are read once it is.  Returns the BFS parents, from :func:`_right_steps`,
+    the left steps and the given number of each element, in the new order.
+    """
+    number = {0: 0}  # given number -> new number
+    members = [0]
+    left_parents: list[tuple[int, int]] = [(-1, -1)]  # (p, a) with e_k == g_a * e_p
+    left_step = [array("i") for _ in gen_steps]
+    layer_ends: list[int] = []
     start = 0
-    while start < len(images):
-        end = len(images)
-        layer: list[tuple[int, ...]] = []
-        for a, gather in enumerate(gathers):
-            found = []
-            for p, prod in enumerate(map(gather, images[start:end]), start):
-                key = prod[:width]
-                j = index.get(key)
-                # A hit is the same element only if all its images agree; at
-                # full width the key is the whole tuple.  On a collision the
-                # wider key is new: the stored keys are distinct, so only
-                # `other` shared prod's narrower one.
-                if j is not None and width < degree:
-                    other = images[j] if j >= 0 else layer[~j]
-                    if other != prod:
-                        width = _wider(width, prod, other)
-                        index = _prefix_index(images, layer, width)
-                        key, j = prod[:width], None
-                if j is None:
-                    if end + len(layer) >= budget:
-                        raise BudgetExceeded(
-                            f"group closure exceeded the element budget of {budget} "
-                            f"(order times the larger of order and degree is at most "
-                            f"{MAX_CLOSURE_CELLS})")
-                    j = ~len(layer)
-                    index[key] = j
-                    layer.append(prod)
-                    left_parents.append((p, a))
-                found.append(j)
-            left_step[a].extend(found)
-        # Index the new layer in lexicographic order, then resolve the steps
-        # of this layer that pointed into it.
-        order = sorted(range(len(layer)), key=layer.__getitem__)
-        for rank, t in enumerate(order, end):
-            index[layer[t][:width]] = rank
-        images.extend(layer[t] for t in order)
-        _settle_layer(order, start, end, left_parents, left_step)
+    while start < len(members):
+        end = len(members)
+        products = [list(map(step.__getitem__, members[start:end])) for step in gen_steps]
+        first: dict[int, tuple[int, int]] = {}
+        for a, xs in enumerate(products):
+            for p, x in enumerate(xs, start):
+                if x not in number and x not in first:
+                    first[x] = (p, a)
+        layer = sorted(first, key=keys.__getitem__)
+        number.update(zip(layer, range(end, end + len(layer))))
+        members.extend(layer)
+        left_parents.extend(map(first.__getitem__, layer))
+        for step, xs in zip(left_step, products):
+            step.extend(map(number.__getitem__, xs))
         layer_ends.append(end)
         start = end
-
-    parents = _right_steps(left_parents, left_step, layer_ends)
-    return FiniteGroup(degree, gens, parents, left_step, [im[:width] for im in images])
-
-
-def _settle_layer(order: list[int], start: int, end: int,
-                  left_parents: list[tuple[int, int]], left_step: list[array]) -> None:
-    """Number a new layer from ``end`` on in ``order`` (its discovery numbers
-    sorted by image tuple), in the left parents and in the left steps out of
-    the layer before, ``start:end``, which hold ~t for discovery number t."""
-    final = [0] * len(order)
-    for rank, t in enumerate(order, end):
-        final[t] = rank
-    left_parents[end:] = [left_parents[end + t] for t in order]
-    for step in left_step:
-        step[start:end] = array("i", [final[~j] if j < 0 else j for j in step[start:end]])
+    return _right_steps(left_parents, left_step, layer_ends), left_step, members
 
 
 def _right_steps(left_parents: list[tuple[int, int]], left_step: list[array],
@@ -536,16 +540,6 @@ def _wider(width: int, a: tuple[int, ...], b: tuple[int, ...]) -> int:
     first = next(x for x in range(width, len(a)) if a[x] != b[x])
     wider = max(2 * width, first + 1)
     return wider if 2 * wider <= len(a) else len(a)
-
-
-def _prefix_index(images: list[tuple[int, ...]], layer: list[tuple[int, ...]],
-                  width: int) -> dict[tuple[int, ...], int]:
-    """closure's index rebuilt at a wider key: images[i][:width] -> i and
-    layer[t][:width] -> ~t.  A wider prefix refines the old, distinct keys,
-    so the new keys are distinct too."""
-    index = {im[:width]: i for i, im in enumerate(images)}
-    index.update((im[:width], ~t) for t, im in enumerate(layer))
-    return index
 
 
 class Subgroup(NamedTuple):
@@ -618,51 +612,20 @@ def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
 def _realize_subgroup(parent: FiniteGroup, generators: tuple[int, ...]) -> FiniteGroup:
     """The subgroup of ``parent`` spanned by ``generators``, realized.
 
-    The result is ``closure`` of the parent elements at ``generators``,
-    to the last index, parent and step, but its walk runs on the parent's
-    Cayley table: the left product g * e is ``parent.rows[g][e]``, and each
-    new layer is sorted by its parent elements' prefix keys, which sort as
-    their image tuples do.  The parent indices the walk found, in the
-    subgroup's order, are kept as ``positions``, and their keys are the
-    realization's keys.  It keeps no generators.  The right steps and
-    parents come from the same integer pass as closure's.  The walk from a
-    :class:`Subgroup`'s generators gives exactly its members: their span,
-    or G when the span was cut short at more than half of G (Lagrange).
+    :func:`_number` walks the parent's Cayley table, the left product g * e
+    being ``parent.rows[g][e]``, and sorts each layer by the parent's prefix
+    keys, so the result is ``closure`` of the parent elements at
+    ``generators`` to the last index, parent and step.  The parent indices
+    it numbers, in the subgroup's order, are kept as ``positions``, and
+    their keys are the realization's keys.  It keeps no generators.  The
+    walk from a :class:`Subgroup`'s generators gives exactly its members:
+    their span, or G when the span was cut short at more than half of G
+    (Lagrange).
     """
-    rows, parent_keys = parent.rows, parent._keys
-    gen_rows = [rows[g] for g in generators]
-    # Parent index -> own index; a member of the layer being discovered maps
-    # to ~(its discovery number) until the layer is sorted.
-    local = {0: 0}
-    members = [0]
-    left_parents: list[tuple[int, int]] = [(-1, -1)]
-    left_step = [array("i") for _ in gen_rows]
-    layer_ends: list[int] = []
-    start = 0
-    while start < len(members):
-        end = len(members)
-        layer: list[int] = []
-        for a, row in enumerate(gen_rows):
-            found = []
-            for p, x in enumerate(map(row.__getitem__, members[start:end]), start):
-                j = local.get(x)
-                if j is None:
-                    j = local[x] = ~len(layer)
-                    layer.append(x)
-                    left_parents.append((p, a))
-                found.append(j)
-            left_step[a].extend(found)
-        order = sorted(range(len(layer)), key=lambda t: parent_keys[layer[t]])
-        for rank, t in enumerate(order, end):
-            local[layer[t]] = rank
-        members.extend(layer[t] for t in order)
-        _settle_layer(order, start, end, left_parents, left_step)
-        layer_ends.append(end)
-        start = end
-
-    parents = _right_steps(left_parents, left_step, layer_ends)
+    keys = parent._keys
+    parents, left_step, members = _number([parent.rows[g] for g in generators], keys)
     return FiniteGroup(parent.degree, (), parents, left_step,
-                       [parent_keys[x] for x in members], tuple(members))
+                       [keys[x] for x in members], tuple(members))
 
 
 _NOT_AN_EMBEDDING = "generator matching does not extend to an injective homomorphism"

@@ -1,11 +1,13 @@
 """``perm.closure`` against the right-product closure in ``oracles``.
 
-The library searches by left products, keeps their steps and derives its
-right steps and BFS parents from them; the oracle composes every right
-product directly and walks the left steps along its parents.  Both must
-give the same group to the last index, and stop at the same budgets.
+The library finds the elements by left products and keeps their steps in
+the order it finds them; ``perm._number`` then numbers the group from those
+steps alone, layer by layer, and derives the right steps and BFS parents.
+The oracle composes every right product directly and walks the left steps
+along its parents.  Both must give the same group to the last index, and
+stop at the same budgets.
 
-The library tells products apart during its walk by a prefix of the
+The library tells products apart during its search by a prefix of the
 images that it widens on a collision (``perm._wider``), the oracle by the
 whole image tuple.  The library's group keeps only the final prefixes, as
 sort keys for its realizations: they must be distinct prefixes of the
@@ -92,6 +94,25 @@ def todd_coxeter_h768() -> FiniteGroup:
 
 def test_todd_coxeter_h768_matches_oracle():
     assert assert_same_closure(todd_coxeter_h768().generators).order == 768
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "todd_coxeter_h768"])
+def test_a_group_realized_by_its_own_generators_is_itself(data_dir, name):
+    # Closure and realization number a group by one walk: realizing G in
+    # itself from its generators gives G's numbering back, index for index.
+    if name == "todd_coxeter_h768":
+        G = todd_coxeter_h768()
+    else:
+        G = closure(load_group_record(data_dir / f"{name}.json").generators)
+    gens = G.generator_indices
+    assert 0 not in gens and len(set(gens)) == len(gens)
+    sub = perm.subgroup_generated(G, gens)
+    assert sub.generators == gens
+    R = perm.subgroup_as_group(sub)
+    assert R.positions == tuple(range(G.order))
+    assert R._parents == G._parents
+    assert R._left_step == G._left_step
+    assert R._keys == G._keys
 
 
 @pytest.fixture

@@ -1096,6 +1096,30 @@ def test_malformed_surface_fields_are_parse_errors(tmp_path, data_dir, field, va
     assert code == cli.EXIT_PARSE, text
 
 
+@pytest.mark.parametrize("word, code, message", [
+    ("g9", cli.EXIT_PARSE, "parse error: {}unknown symbol 'g9' (at position 0)"),
+    ("(g1*g2)^999999", cli.EXIT_VALIDATION,
+     "validation error: {}word expansion exceeds the letter budget"),
+])
+@pytest.mark.parametrize("field", ["g0_generators", "tau_prime", "vector",
+                                   "extra-automorphism vector"])
+def test_a_word_error_names_the_file_and_the_field(tmp_path, data_dir, field, word, code,
+                                                   message):
+    raw = json.loads((data_dir / "family2.json").read_text())
+    raw["group_file"] = str(data_dir / raw["group_file"])
+    extra = raw["extra_automorphisms"]
+    extra["group_file"] = str(data_dir / extra["group_file"])
+    if field == "tau_prime":
+        raw[field] = word
+    elif field == "extra-automorphism vector":
+        extra["vector"][1] = word
+    else:
+        raw[field][1] = word
+    path = tmp_path / "family2_word.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli("surface", str(path)) == (code, message.format(f"{path}: {field}: ") + "\n")
+
+
 def test_extra_vector_of_two_words_is_parse_error(tmp_path, data_dir):
     raw = json.loads((data_dir / "family2.json").read_text())
     raw["extra_automorphisms"]["vector"] = raw["extra_automorphisms"]["vector"][:2]

@@ -566,8 +566,8 @@ def test_span_passing_half_inside_a_layer_is_the_whole_group(n):
     assert_span_matches_oracle(G, G.generator_indices)
 
 
-# subgroup_as_group walks the parent's Cayley table; it must give closure's
-# group to the last index.
+# subgroup_as_group hands closure's numbering walk the parent's Cayley table
+# in place of the image tuples; it must give closure's group to the last index.
 
 def assert_same_realization(sub, grandparent: FiniteGroup | None = None) -> FiniteGroup:
     """``grandparent`` is the group that ``sub.parent`` was realized in, if any."""
