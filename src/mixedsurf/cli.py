@@ -187,7 +187,12 @@ def cmd_reproduce(args, out) -> int:
 
 
 def positive_int(text: str) -> int:
-    """The argparse type of ``--limit``: an integer of at least 1."""
+    """The argparse type of ``--limit``: an integer of at least 1, in ASCII
+    digits like every other number the CLI reads (``int`` takes any Unicode
+    decimal digit)."""
+    if not text.isascii():
+        raise argparse.ArgumentTypeError(f"must be a positive integer in ASCII digits, "
+                                         f"got {text!r}")
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")

@@ -80,8 +80,10 @@ class CoverType:
         return f"[{self.g_prime};{','.join(map(str, self.m))}]"
 
 
-_TYPE_RE = re.compile(r"^\[\s*(\d+)\s*;(.*)\]$")
-_ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+# Numbers are ASCII digits, as in the word grammar: \d and int() would also
+# read any Unicode decimal digit.
+_TYPE_RE = re.compile(r"^\[\s*([0-9]+)\s*;(.*)\]$")
+_ENTRY_RE = re.compile(r"^([0-9]+)(?:\^([0-9]+))?$")
 # The bundled types have at most 8 branch points.  The bound is checked
 # before "^k" is expanded, so a short type cannot ask for a huge list.
 MAX_BRANCH_POINTS = 256

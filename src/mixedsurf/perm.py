@@ -13,16 +13,26 @@ Conventions used throughout the package:
 A group is its index tables: it addresses its elements by index, and only
 its generators are :class:`Permutation`s, each checked to be a bijection
 when it is built from outside data (a group file, a coset table, a test).
-:func:`closure` composes raw image tuples while it searches, and keeps none
-of them once it returns.  It only finds the elements: it reads its list of
-images as a queue, makes each left product g * e by one C-level gather and
-records every element's left step under each generator, in the order it
-finds them.  One walk numbers every group, :func:`_number`: breadth first
-along the left steps, each layer sorted by image tuple, or by a key that
-sorts the same (below), before it is numbered.  One integer pass along that search tree, :func:`_right_steps`,
+:func:`closure` only finds the elements and their left steps, on one of two
+paths that the input alone selects.  A regular group, as every bundled
+group file and Todd-Coxeter's output are, is closed by a centralizer
+certificate, :func:`_regular_steps`: a walk of the points from point 1 by
+the generators, and each generator's left step built along it, point by
+point.  When every left step commutes with every generator the group is
+regular (the proof is in ``_regular_steps``), element x is the point 1^x,
+and no image tuple is composed.  It is tried only when there are no more
+generators k than points n, so its n * k^2 point reads never exceed the
+search's n^2 * k.  Any other group is closed by :func:`_search`, which
+composes raw image tuples and keeps none of them once it returns: it reads
+its list of images as a queue, makes each left product g * e by one
+C-level gather and records every element's left step under each
+generator, in the order it finds them.  One walk numbers every group,
+:func:`_number`: breadth first along the left steps, each layer sorted by
+image tuple, or by a key that sorts the same (below), before it is
+numbered.  One integer pass along that search tree, :func:`_right_steps`,
 follows the right steps e * g to the BFS parents.
 
-``closure`` is the only search that composes image tuples.  A subgroup of a
+``_search`` is the only code that composes image tuples.  A subgroup of a
 realized group is found on the parent's Cayley table instead:
 :func:`subgroup_as_group` hands ``_number`` the parent's rows at the
 subgroup's generators and the parent's prefix keys, so it gives closure's
@@ -33,20 +43,21 @@ the subgroup is element ``positions[i]`` of the parent, with no lookup.
 soon as it holds more than half of the group: by Lagrange's theorem it is
 then the whole group.
 
-While it searches, :func:`closure` tells products apart by a prefix key,
+While it searches, :func:`_search` tells products apart by a prefix key,
 the images of the first ``width`` points, in the sense of a base (Holt,
 Eick and O'Brien, *Handbook of Computational Group Theory*): a group that
 acts semiregularly, as every group of the pipeline does, is told apart by
 the image of point 1, so its key is a one-item tuple, not ``degree`` ints
-to hash.  Another permutation can share a key, so every hit is compared
-with the stored images in full.  When two distinct elements share one, the
-key is widened to at least twice its width and past their first differing
-point (to the whole tuple once that is more than half of it), and the
-search's index is rebuilt; the width only grows, up to the degree, so that
-happens at most ceil(log2(degree)) times.  When the search ends the keys
-are distinct, so they order the elements as their full image tuples do:
-the group keeps them, and nothing else of the images, for its
-realizations' layer sort.  Nothing looks a permutation up.
+to hash; a certified regular group's keys are that one point.  Another
+permutation can share a key, so every hit is compared with the stored
+images in full.  When two distinct elements share one, the key is widened
+to at least twice its width and past their first differing point (to the
+whole tuple once that is more than half of it), and the search's index is
+rebuilt; the width only grows, up to the degree, so that happens at most
+ceil(log2(degree)) times.  When the search ends the keys are distinct, so
+they order the elements as their full image tuples do: the group keeps
+them, and nothing else of the images, for its realizations' layer sort.
+Nothing looks a permutation up.
 
 The index-level Cayley table ``FiniteGroup.rows`` is built on its first
 read, from the left steps and the parents: the row of e_i == e_p * g is the
@@ -77,7 +88,7 @@ A value that fails to be made raises on every request and is never kept.
 No kept value refers back to its group.  :func:`closure` keeps nothing.
 
 One budget, ``MAX_CLOSURE_CELLS``, bounds what a group holds: its images
-while it is walked, its Cayley table after.  :func:`closure_limit` turns
+while it is searched, its Cayley table after.  :func:`closure_limit` turns
 it into an element count, at most 2,048.
 """
 
@@ -94,8 +105,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import BudgetExceeded, InputParseError, ValidationError
 
 # The most cells a group may hold: order times the larger of order and
-# degree.  closure holds each element as a tuple of `degree` images, 8 bytes
-# each, and the group then holds its Cayley table, order^2 two-byte indices.
+# degree.  closure's search holds each element as a tuple of `degree` images,
+# 8 bytes each, and the group then holds its Cayley table, order^2 two-byte
+# indices.
 # The largest bundled group, h768, needs 768 * 768 = 589,824 cells; 2^22
 # leaves room for seven times that, allows at most 2,048 elements, so every
 # table index fits in two bytes, and caps a table at 8 MB.
@@ -397,11 +409,105 @@ def closure(generators: Sequence[Permutation], budget: int | None = None) -> Fin
     element 0.  Raises :class:`BudgetExceeded` if the closure grows past
     ``budget`` elements or past :func:`closure_limit`.
 
-    The search only finds the elements: it reads its list of images as a
-    queue, multiplies each one by every generator on the left, one gather
-    per product, and records the left steps in the order it finds them.  The
-    products of k generators and no fewer are the same set on either side,
-    so :func:`_number` numbers the group from those steps alone.
+    A regular group is closed by :func:`_regular_steps`, a certificate read
+    off the generators' images, and composes no image tuple; every bundled
+    group file and Todd-Coxeter's output are regular.  It is tried only when
+    there are no more generators than points: a regular group of degree n
+    has n elements, and with k <= n generators the certificate's n * k^2
+    point reads never exceed the n^2 * k image reads of the search.  Any
+    other group, or one whose certificate fails, is closed by
+    :func:`_search`.  Either way one call to :func:`_number` numbers the
+    group from its left steps and keys, and the two paths give the same
+    group to the last index: the elements of a regular group differ at
+    point 1, so their one-point keys sort as their image tuples do.
+    """
+    gens = tuple(generators)
+    if not gens:
+        raise ValidationError("at least one generator is required")
+    degree = gens[0].degree
+    if any(g.degree != degree for g in gens):
+        raise ValidationError("generators have mismatched degrees")
+    limit = closure_limit(degree)
+    budget = limit if budget is None else min(budget, limit)
+
+    steps = _regular_steps(gens) if len(gens) <= degree else None
+    if steps is None:
+        steps, keys, width = _search(gens, budget)
+    elif degree > budget:
+        raise _over_budget(budget)
+    else:
+        # Element p maps point 1 to p + 1, its one-point key.
+        keys, width = [(p,) for p in range(1, degree + 1)], 1
+    parents, left_step, found = _number(steps, keys)
+    return FiniteGroup(degree, gens, parents, left_step, [keys[x][:width] for x in found])
+
+
+def _over_budget(budget: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"group closure exceeded the element budget of {budget} "
+        f"(order times the larger of order and degree is at most {MAX_CLOSURE_CELLS})")
+
+
+def _regular_steps(gens: tuple[Permutation, ...]) -> list[list[int]] | None:
+    """The left steps of a regular group, element x numbered 0^x, or None.
+
+    With points 0..n-1 and the right action q^t, a breadth-first walk from
+    point 0 by the generators gives a Schreier tree; a point it misses makes
+    the group intransitive, and None.  For each generator s, lambda_s is
+    built along the tree: lambda_s(0) = 0^s and lambda_s(q^t) =
+    lambda_s(q)^t on each tree edge.  The certificate is that
+    lambda_s(q^t) == lambda_s(q)^t for every point q and generator t, one
+    list compare per (s, t); the first failure gives None.
+
+    Why it is sound: the check says that lambda_s commutes with every
+    generator, and so with every g in G.  Take g in G_0, the stabilizer of
+    0.  Then lambda_s(0)^g == lambda_s(0^g) == lambda_s(0), so G_0 <=
+    G_{0^s} == s^-1 G_0 s.  The two have the same order, so each generator
+    normalizes G_0, and G_0 is normal in G.  G is transitive, so every
+    point stabilizer is a conjugate of G_0, that is G_0 itself, and G_0
+    fixes every point: G_0 == 1 (the centralizer of a transitive group is
+    semiregular; Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*).  So |G| == n and element x is the point 0^x.  Along the tree
+    lambda_s(0^x) is 0^(s x), by induction from 0^s, so lambda_s is the
+    left step of s.
+    """
+    n = gens[0].degree
+    right = [[x - 1 for x in g.images] for g in gens]  # right[t][q] == q^t
+    seen = bytearray(n)
+    seen[0] = 1
+    points, edges = [0], []  # edges: (q, q^t, t), each point's tree edge
+    for q in points:  # the list grows while it is read: a BFS queue
+        for t, image in enumerate(right):
+            r = image[q]
+            if not seen[r]:
+                seen[r] = 1
+                points.append(r)
+                edges.append((q, r, t))
+    if len(points) < n:
+        return None
+    steps = []
+    for s in right:
+        lam = [0] * n
+        lam[0] = s[0]
+        for q, r, t in edges:
+            lam[r] = right[t][lam[q]]
+        for t in right:
+            if list(map(lam.__getitem__, t)) != list(map(t.__getitem__, lam)):
+                return None
+        steps.append(lam)
+    return steps
+
+
+def _search(gens: tuple[Permutation, ...], budget: int
+            ) -> tuple[list[array], list[tuple[int, ...]], int]:
+    """Find the elements of any group by left products of image tuples.
+
+    Returns the left steps in the order the elements are found, their image
+    tuples and the final key width.  The search reads its list of images as
+    a queue, multiplies each one by every generator on the left, one gather
+    per product, and records the left steps in the order it finds them.
+    The products of k generators and no fewer are the same set on either
+    side, so :func:`_number` numbers the group from those steps alone.
 
     Products are looked up by the key ``images[:width]``, starting from
     width 1.  A hit is compared in full with the stored tuple, since a
@@ -416,15 +522,7 @@ def closure(generators: Sequence[Permutation], budget: int | None = None) -> Fin
     image tuples; the group keeps only the final keys, which sort the same
     way, and drops the images.
     """
-    gens = tuple(generators)
-    if not gens:
-        raise ValidationError("at least one generator is required")
     degree = gens[0].degree
-    if any(g.degree != degree for g in gens):
-        raise ValidationError("generators have mismatched degrees")
-    limit = closure_limit(degree)
-    budget = limit if budget is None else min(budget, limit)
-
     # (g * e).images is e read at g's images, one C-level gather.  In degree
     # 0 and 1 every permutation is the identity, and itemgetter would take
     # no index or return a bare item instead of a tuple.
@@ -450,16 +548,11 @@ def closure(generators: Sequence[Permutation], budget: int | None = None) -> Fin
                 key, j = prod[:width], None
             if j is None:
                 if len(images) >= budget:
-                    raise BudgetExceeded(
-                        f"group closure exceeded the element budget of {budget} "
-                        f"(order times the larger of order and degree is at most "
-                        f"{MAX_CLOSURE_CELLS})")
+                    raise _over_budget(budget)
                 j = index[key] = len(images)
                 images.append(prod)
             step.append(j)
-
-    parents, left_step, found = _number(steps, images)
-    return FiniteGroup(degree, gens, parents, left_step, [images[x][:width] for x in found])
+    return steps, images, width
 
 
 def _number(gen_steps: Sequence[Sequence[int]], keys: Sequence

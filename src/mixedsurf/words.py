@@ -1,11 +1,11 @@
-"""Parsing, printing and evaluation of element words.
+"""Parsing and evaluation of element words.
 
 Grammar (whitespace between tokens is ignored)::
 
     word   := term ('*' term)*
     term   := atom ('^' int)?
     atom   := symbol | '(' word ')'
-    int    := '-'? digit+
+    int    := '-'? [0-9]+
     symbol := [A-Za-z][A-Za-z0-9_]*
 
 Parentheses nest at most ``MAX_NESTING`` deep; the parser recurses once
@@ -15,7 +15,10 @@ before it can reach Python's recursion limit.
 A parsed word is a tuple of ``(symbol, exponent)`` pairs in normal form:
 adjacent pairs carry distinct symbols and every exponent is nonzero.
 Parenthesized powers are expanded (inverting reverses the factors), so
-``parse -> print -> parse`` is the identity on normalized words.
+printing a normalized word as its ``symbol^exponent`` factors joined by
+``*`` (the exponent 1 left out, ``1`` for the empty word) and parsing it
+back gives the word again.  Numbers, like symbols, are ASCII: ``g1^٣`` is
+refused.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import ValidationError, WordSyntaxError
 
 Word = tuple[tuple[str, int], ...]
 
-_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|-?\d+|[*^()])")
+_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|-?[0-9]+|[*^()])")
 _MAX_LETTERS = 10**6
 MAX_NESTING = 100
 
@@ -105,7 +108,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok, at = self.advance()
-            if not re.fullmatch(r"-?\d+", tok):
+            if not re.fullmatch(r"-?[0-9]+", tok):
                 raise WordSyntaxError("expected an integer exponent", at)
             try:
                 exponent = int(tok)
@@ -149,12 +152,6 @@ def parse_word(text: str, alphabet) -> Word:
     if trailing != "":
         raise WordSyntaxError(f"unexpected trailing token {trailing!r}", at)
     return word
-
-
-def print_word(word: Word) -> str:
-    if not word:
-        return "1"
-    return "*".join(s if e == 1 else f"{s}^{e}" for s, e in word)
 
 
 def evaluate_word_index(group, word: Word, assignment: dict[str, int]) -> int:

@@ -7,6 +7,11 @@ The oracle composes every right product directly and walks the left steps
 along its parents.  Both must give the same group to the last index, and
 stop at the same budgets.
 
+A regular group is closed by a centralizer certificate instead of the
+search (``perm._regular_steps``), which composes no image tuple; it must give
+the same group, and fall through to the search on any other input.  The
+calls to the search are read by recording them.
+
 The library tells products apart during its search by a prefix of the
 images that it widens on a collision (``perm._wider``), the oracle by the
 whole image tuple.  The library's group keeps only the final prefixes, as
@@ -17,6 +22,7 @@ by recording what ``_wider`` returns.
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import pytest
@@ -129,14 +135,33 @@ def widths(monkeypatch) -> list[int]:
     return seen
 
 
-def test_pipeline_groups_keep_the_one_point_key(data_dir, families, widths):
+@pytest.fixture
+def searches(monkeypatch) -> list[int]:
+    """The number of generators of every group that closure searches."""
+    seen: list[int] = []
+    search = perm._search
+
+    def recorded(gens, budget):
+        seen.append(len(gens))
+        return search(gens, budget)
+
+    monkeypatch.setattr(perm, "_search", recorded)
+    return seen
+
+
+def test_pipeline_groups_keep_the_one_point_key(data_dir, families, widths, searches):
     # Every group the pipeline realizes acts semiregularly, so the image of
     # point 1 already tells its elements apart.  A change that widens the
     # key on these groups would slow every run without failing elsewhere.
+    # The bundled group files and Todd-Coxeter's h768 are regular
+    # representations, closed by the certificate with no search: a silent
+    # fall-through to the search would slow every run the same way.
     groups = [closure(load_group_record(data_dir / f"{name}.json").generators)
               for name in BUNDLED]
-    groups += [closure(g0_generators(families, k)) for k in (1, 2, 3, 4, 5)]
     groups.append(todd_coxeter_h768())
+    assert searches == []
+    groups += [closure(g0_generators(families, k)) for k in (1, 2, 3, 4, 5)]
+    assert len(searches) == 5
     assert widths == []
     for G in groups:
         assert {row.typecode for row in G.rows} == {"H"}
@@ -194,3 +219,99 @@ def test_random_generator_lists_match_oracle(gens):
     if G.order > 1:
         assert_same_budgets(gens, G.order)
 
+
+# Small groups as image tuples, each on its natural points.
+CYCLES = {
+    "S3": (3, [[(1, 2, 3)], [(1, 2)]]),
+    "D4": (4, [[(1, 2, 3, 4)], [(1, 3)]]),
+    "Q8": (8, [[(1, 2, 3, 4), (5, 6, 7, 8)], [(1, 5, 3, 7), (2, 8, 4, 6)]]),
+    "Z2xZ4": (6, [[(1, 2)], [(3, 4, 5, 6)]]),
+    "A4": (4, [[(1, 2, 3)], [(1, 2), (3, 4)]]),
+    "S4": (4, [[(1, 2, 3, 4)], [(1, 2)]]),
+}
+NATURAL = {name: [Permutation.from_cycles(n, c) for c in cycles]
+           for name, (n, cycles) in CYCLES.items()}
+
+
+def regular_representation(gens, seed: int) -> list[Permutation]:
+    """The right regular representation of <gens>, its points shuffled by
+    ``seed``: point ``label[i]`` is the i-th element found, and g maps it to
+    the point of e_i * g.  Built from image tuples, with no call into perm."""
+    ident = tuple(range(1, gens[0].degree + 1))
+    elements, index = [ident], {ident: 0}
+    for e in elements:
+        for g in gens:
+            prod = tuple(g.images[x - 1] for x in e)
+            if prod not in index:
+                index[prod] = len(elements)
+                elements.append(prod)
+    label = list(range(1, len(elements) + 1))
+    random.Random(seed).shuffle(label)
+    out = []
+    for g in gens:
+        images = [0] * len(elements)
+        for i, e in enumerate(elements):
+            images[label[i] - 1] = label[index[tuple(g.images[x - 1] for x in e)]]
+        out.append(Permutation(tuple(images)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", NATURAL)
+def test_regular_representations_take_the_certificate(name, seed, searches):
+    gens = regular_representation(NATURAL[name], seed)
+    G = assert_same_closure(gens)
+    assert G.order == gens[0].degree
+    assert_same_budgets(gens, G.order)
+    assert searches == []
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "A4", "S4"])
+def test_transitive_groups_that_are_not_regular_are_searched(name, searches):
+    # Each acts on its natural points, transitively, with a nontrivial
+    # point stabilizer: the certificate fails and the search closes it.
+    gens = NATURAL[name]
+    G = assert_same_closure(gens)
+    assert G.order > gens[0].degree
+    assert_same_budgets(gens, G.order)
+    assert searches
+
+
+def test_identity_and_repeated_generators_take_the_certificate(searches):
+    s, r = regular_representation(NATURAL["S4"], 3)
+    gens = [Permutation.identity(24), s, s, r, Permutation.identity(24), r]
+    G = assert_same_closure(gens)
+    assert G.order == 24
+    assert_same_budgets(gens, 24)
+    assert searches == []
+
+
+def test_the_trivial_group_on_one_point_takes_the_certificate(searches):
+    assert assert_same_closure([Permutation.identity(1)]).order == 1
+    assert searches == []
+
+
+def test_more_generators_than_points_are_searched(searches):
+    # Z3 on 3 points is regular, but four generators are more than three
+    # points: the search is cheaper than the certificate's n * k^2 reads.
+    c = Permutation((2, 3, 1))
+    gens = [c, c * c, Permutation.identity(3), c]
+    G = assert_same_closure(gens)
+    assert G.order == 3
+    assert_same_budgets(gens, 3)
+    assert searches
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(NATURAL)), st.integers(0, 2**16),
+       st.lists(st.integers(0, 63), min_size=1, max_size=4))
+def test_elements_of_a_regular_representation_match_oracle(name, seed, picks):
+    # Elements of a regular representation span a subgroup that acts
+    # semiregularly: regular when it is the whole group, intransitive
+    # otherwise, where the certificate's walk misses a point.
+    G = closure(regular_representation(NATURAL[name], seed))
+    elements = elements_of(G)
+    gens = [elements[k % G.order] for k in picks]
+    H = assert_same_closure(gens)
+    if H.order > 1:
+        assert_same_budgets(gens, H.order)

@@ -38,6 +38,14 @@ def test_parse_cover_type():
             parse_cover_type(bad)
 
 
+@pytest.mark.parametrize("text", ["[0;\u0662,3,8]", "[0;2^\uff13]", "[\u0660;2,3,8]",
+                                  "[0;2,3,\U0001d7e0]"])
+def test_cover_type_numbers_are_ascii_digits(text):
+    # int() would read each of these as an ASCII type; the grammar refuses them.
+    with pytest.raises(ValidationError, match="malformed"):
+        parse_cover_type(text)
+
+
 def test_cover_type_rejects_a_negative_quotient_genus():
     with pytest.raises(ValidationError, match="quotient genus must be nonnegative"):
         CoverType(-1, (2,))

@@ -765,6 +765,30 @@ def test_genvec_search_rejects_a_nonpositive_limit(data_dir, capsys, limit):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["\u0663", "\uff13", "1\u0660"])
+def test_genvec_search_refuses_a_limit_in_non_ascii_digits(data_dir, capsys, limit):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("genvec", "search", str(data_dir / "h768.json"), "--type", "[0;2,3,8]",
+                "--limit", limit)
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "ASCII digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("type_text", ["[0;\u0662,3,8]", "[0;2^\uff13]", "[\u0660;2,3,8]"])
+def test_genvec_search_refuses_a_type_in_non_ascii_digits(data_dir, type_text):
+    code, text = run_cli("genvec", "search", str(data_dir / "h768.json"),
+                         "--type", type_text)
+    assert code == cli.EXIT_VALIDATION
+    assert text.startswith("validation error: malformed "), text
+
+
+def test_a_word_exponent_in_non_ascii_digits_exits_2(tmp_path, data_dir):
+    path = _toy_surface(tmp_path, data_dir, tau_prime="g1^\u0663")
+    code, text = run_cli("surface", str(path))
+    assert (code, text) == (cli.EXIT_PARSE, f"parse error: {path}: tau_prime: unexpected "
+                                            f"character '\u0663' (at position 3)\n")
+
+
 def test_genvec_search_with_limit_is_not_bounded_ahead(data_dir):
     # [0;2^8] on h768 has 6 * 79^6 candidates, but --limit 1 stops at the
     # first vector the scan meets.

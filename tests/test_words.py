@@ -8,10 +8,17 @@ from oracles import evaluate_word
 from mixedsurf import words
 from mixedsurf.errors import ValidationError, WordSyntaxError
 from mixedsurf.perm import Permutation
-from mixedsurf.words import (Presentation, evaluate_word_index, normalize_word,
-                             parse_word, print_word, word_power)
+from mixedsurf.words import (Presentation, Word, evaluate_word_index, normalize_word,
+                             parse_word, word_power)
 
 ABC = ("x", "y")
+
+
+def print_word(word: Word) -> str:
+    """The word's text, which ``parse_word`` reads back: the round-trip oracle."""
+    if not word:
+        return "1"
+    return "*".join(s if e == 1 else f"{s}^{e}" for s, e in word)
 
 
 def test_parse_simple():
@@ -41,6 +48,14 @@ def test_unknown_symbol_has_position():
 def test_syntax_errors(bad):
     with pytest.raises(WordSyntaxError):
         parse_word(bad, ABC)
+
+
+@pytest.mark.parametrize("text", ["x^\u0663", "x^-\u0663", "x^\uff13", "x^1\u0663"])
+def test_exponents_are_ascii_digits(text):
+    # int() reads any Unicode decimal digit; the grammar, like its symbols,
+    # takes ASCII only.
+    with pytest.raises(WordSyntaxError, match="unexpected character"):
+        parse_word(text, ABC)
 
 
 def test_zero_exponent_cancels():
