@@ -187,10 +187,11 @@ def cmd_reproduce(args, out) -> int:
 
 
 def positive_int(text: str) -> int:
-    """The argparse type of ``--limit``: an integer of at least 1, in ASCII
-    digits like every other number the CLI reads (``int`` takes any Unicode
-    decimal digit)."""
-    if not text.isascii():
+    """The argparse type of ``--limit``: an integer of at least 1, written in
+    ASCII digits and nothing else, like every other number the CLI reads.
+    ``int`` alone would also take any Unicode decimal digit, a sign,
+    underscores between digits and surrounding whitespace."""
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"must be a positive integer in ASCII digits, "
                                          f"got {text!r}")
     value = int(text)

@@ -159,9 +159,10 @@ def validate_generating_vector(v: GeneratingVector) -> None:
         o = G.order_of(h)
         if o != mi:
             failures.append(f"orders: entry {i + 1} has order {o}, expected {mi}")
+    # h_1 (h_2 (... h_r)): left products, on the entries' rows.
     acc = 0
-    for h in v.entries:
-        acc = G.mul(acc, h)
+    for h in reversed(v.entries):
+        acc = G.mul(h, acc)
     if acc != 0:
         failures.append("product: entries do not multiply to the identity")
     if subgroup_generated(G, v.entries).order != G.order:
@@ -186,7 +187,7 @@ def _power_classes(v: GeneratingVector) -> list[list[int]]:
         k = h
         while k != 0:
             powers.append(class_of[k])
-            k = G.mul(k, h)
+            k = G.mul(h, k)
         out.append(powers)
     return out
 

@@ -8,10 +8,10 @@ group G permutes these graphs:
 
 Write h.f = phi(h) f h^-1.  Its inverse is h f^-1 phi(h)^-1, so
 tau' h . f = tau (h.f)^-1, and the G-orbit of f is O0(f) u tau O0(f)^-1,
-with O0(f) the G0-orbit.  :func:`graph_orbits` reads only O0(f) off the
-Cayley table and gets the mixed half by one inversion and one read of
-tau's row per member.  The identity is algebra alone, true for any phi
-and tau.
+with O0(f) the G0-orbit.  :func:`graph_orbits` reads h.f as
+phi(h) (h f^-1)^-1, on the rows of h and phi(h) in H, and gets the mixed
+half by one inversion and one read of tau's row per member.  The
+identities are algebra alone, true for any phi and tau.
 
 The G-orbits sum to G-invariant divisors on C x C which descend to
 irreducible effective divisors on S (orbit divisors).  The formulas
@@ -79,22 +79,28 @@ def graph_orbits(S: SurfaceData) -> list[OrbitDivisor]:
 
     Each seed is the least graph class not yet in an orbit, so it is its
     orbit's least member and the orbits come out in label order.  The
-    G0-orbit is read off the Cayley table; the mixed half is tau times its
-    inverses (module docstring).
+    G0-orbit is read on the rows of G0's image in H, which H builds along
+    G0's own tree (:meth:`~mixedsurf.perm.FiniteGroup.rows_at`); the mixed
+    half is tau times its inverses (module docstring).
     """
-    H = S.h_group
-    rows, inv = H.rows, H.inverses
+    H, g0 = S.h_group, S.g0_group
+    inv = H.inverses
     act, to_h = S.action, S.to_h
-    # h sends f to phi(h) f h^-1: a row to read f in, and the index of the
-    # right factor.
-    by_h = [(rows[to_h[act.phi[h]]], inv[to_h[h]]) for h in act.G0.members]
-    tau_row = rows[to_h[act.tau]]
+    members = act.G0.members
+    # G0's generators in H: G0's realization numbers its elements by their
+    # G-indices, ``positions``, and to_h takes those to H.
+    tree_images = [to_h[g0.positions[g]] for g in g0.generator_indices]
+    # h sends f to phi(h) (h f^-1)^-1: phi(h)'s row and h's row.
+    by_h = list(zip(H.rows_at([to_h[act.phi[h]] for h in members], g0, tree_images),
+                    H.rows_at([to_h[h] for h in members], g0, tree_images)))
+    tau_row = H.row(to_h[act.tau])
     assigned: set[int] = set()
     divisors = []
     for f in range(H.order):
         if f in assigned:
             continue
-        half = {rows[row[f]][right] for row, right in by_h}
+        f_inv = inv[f]
+        half = {row_phi[inv[row_h[f_inv]]] for row_phi, row_h in by_h}
         orb = half.union(map(tau_row.__getitem__, map(inv.__getitem__, half)))
         assigned.update(orb)
         divisors.append(OrbitDivisor(len(divisors) + 1, tuple(sorted(orb))))
@@ -151,7 +157,6 @@ def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
     """
     cover = S.h_covering
     H = cover.vector.group
-    rows, inv = H.rows, H.inverses
     fix = cover.fix_table
     fix_list = [fix.get(f, 0) for f in range(H.order)]  # fix_list[0] = 0
     gm1 = cover.genus - 1
@@ -179,7 +184,7 @@ def intersection_table(orbits, S: SurfaceData) -> IntersectionTable:
     slices = [slice(a, b) for a, b in zip([0, *ends], ends)]
     s = []
     for d in divisors:
-        fixes = itemgetter(*in_orbit_order(rows[inv[min(d.members)]]))(fix_list)
+        fixes = itemgetter(*in_orbit_order(H.row(H.inv(min(d.members)))))(fix_list)
         s.append([sum(fixes[k]) for k in slices])
 
     pairing = [[0] * norb for _ in range(norb)]

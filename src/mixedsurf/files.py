@@ -20,8 +20,9 @@ never its path.  A load reads the file once and, unless a group is kept
 under those bytes, parses them, realizes the group and checks its claimed
 fingerprint.  A kept group is thus a checked group, and a file with a wrong
 claim raises on every load, before it can be kept.  The oldest kept groups
-are dropped while their Cayley tables (order squared cells each) plus their
-keys' bytes, summed, exceed ``perm.MAX_CLOSURE_CELLS``.  Nothing else is
+are dropped while their whole Cayley tables (order squared cells each, the
+most a group holds) plus their keys' bytes, summed, exceed
+``perm.MAX_CLOSURE_CELLS``.  Nothing else is
 counted: not what a group keeps by the same rule
 (:meth:`~mixedsurf.perm.FiniteGroup.kept`), its realizations, covers, G0
 spans, induced towers and word indices.  So a warm pipeline neither builds

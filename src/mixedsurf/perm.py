@@ -30,10 +30,10 @@ generator, in the order it finds them.  One walk numbers every group,
 :func:`_number`: breadth first along the left steps, each layer sorted by
 image tuple, or by a key that sorts the same (below), before it is
 numbered.  One integer pass along that search tree, :func:`_right_steps`,
-follows the right steps e * g to the BFS parents.
+follows the right steps e * g to the BFS parents; the group keeps them.
 
 ``_search`` is the only code that composes image tuples.  A subgroup of a
-realized group is found on the parent's Cayley table instead:
+realized group is found on the parent's rows instead:
 :func:`subgroup_as_group` hands ``_number`` the parent's rows at the
 subgroup's generators and the parent's prefix keys, so it gives closure's
 group to the last index.  ``_number`` finds each member as a parent index,
@@ -59,15 +59,27 @@ they order the elements as their full image tuples do: the group keeps
 them, and nothing else of the images, for its realizations' layer sort.
 Nothing looks a permutation up.
 
-The index-level Cayley table ``FiniteGroup.rows`` is built on its first
-read, from the left steps and the parents: the row of e_i == e_p * g is the
-row of e_p read through g's left steps, one gather over e_p's row held as a
-tuple of shared ints, so no entry is boxed; each row is packed into a
-two-byte array by one ``struct`` call.  ``FiniteGroup.inverses`` follow the
-same parents, e_i^-1 == g^-1 * e_p^-1, and ``FiniteGroup.class_map`` and
-``FiniteGroup.derived_series`` are the one walk of the conjugacy classes
-and of the derived series.  Downstream code reads these index arrays and
-never composes image arrays in inner loops.
+A group holds at most its index-level Cayley table, in one row store of
+``order`` slots, each a packed row or empty.  A row is built on its first
+read by the one kernel :func:`_build_rows`: the row of x * s is x's row
+read through s's row, one gather over x's row held as a tuple of shared
+ints, so no entry is boxed, then one ``struct`` pack into a two-byte array.
+It runs along the BFS parents, e_i == e_p * g_c, for one row
+(:meth:`FiniteGroup.row`, with its missing ancestors) or for the whole
+table (``FiniteGroup.rows``), and along another group's tree mapped into
+this one (:meth:`FiniteGroup.rows_at`).  Only a scan of every product
+needs the whole table, as the vector search and ``make_data.py`` do.
+Every other reader multiplies on the left by a few known elements, its
+product rewritten by an identity stated in its docstring: a word is
+evaluated right to left, a span and a homomorphism walk by left products,
+a conjugate is g (g x^-1)^-1, a commutator a (b (a^-1 b^-1)), and a
+quotient reads its coset representatives' rows.  ``FiniteGroup.inverses``
+follow the BFS parents, e_i^-1 == g^-1 * e_p^-1; ``FiniteGroup.class_map``
+conjugates by a left step and an inverse right step and reads no row; the
+``FiniteGroup.orders`` walk the powers of each class's least member on
+its row; and ``FiniteGroup.derived_series`` is the one walk of the
+derived series.  Downstream code reads these index arrays and never
+composes image arrays in inner loops.
 
 One rule keeps a value from its second request on, :func:`keep`, so a
 one-shot process keeps nothing; ``files.load_group`` keeps groups by it.  A
@@ -88,8 +100,8 @@ A value that fails to be made raises on every request and is never kept.
 No kept value refers back to its group.  :func:`closure` keeps nothing.
 
 One budget, ``MAX_CLOSURE_CELLS``, bounds what a group holds: its images
-while it is searched, its Cayley table after.  :func:`closure_limit` turns
-it into an element count, at most 2,048.
+while it is searched, at most its whole Cayley table after.
+:func:`closure_limit` turns it into an element count, at most 2,048.
 """
 
 from __future__ import annotations
@@ -100,14 +112,14 @@ from functools import cached_property
 from math import isqrt, lcm
 from operator import itemgetter
 from struct import Struct
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputParseError, ValidationError
 
 # The most cells a group may hold: order times the larger of order and
 # degree.  closure's search holds each element as a tuple of `degree` images,
-# 8 bytes each, and the group then holds its Cayley table, order^2 two-byte
-# indices.
+# 8 bytes each, and the group then holds at most its Cayley table, order^2
+# two-byte indices, once every row is read.
 # The largest bundled group, h768, needs 768 * 768 = 589,824 cells; 2^22
 # leaves room for seven times that, allows at most 2,048 elements, so every
 # table index fits in two bytes, and caps a table at 8 MB.
@@ -229,11 +241,15 @@ class FiniteGroup:
 
     Use :func:`closure` to construct one.  Elements are addressed by index
     e_0, e_1, ...; none is stored as a permutation.  It stores the BFS
-    parents, the left steps and each element's prefix key; the Cayley
-    table ``rows``, the ``inverses``, the element ``orders``, the conjugacy
-    ``class_map`` and the ``derived_series`` are built from them on their
-    first read; inner loops read them directly, and
-    ``mul``/``inv``/``conj``/``order_of`` are one-line reads.  A group built
+    parents, the left and right steps of its generators and each element's
+    prefix key.  It holds at most its Cayley table: one row store of
+    ``order`` slots, each a packed row or empty, filled on first read: by
+    :meth:`row` one row at a time, by :meth:`rows_at` several at once, along
+    this group's tree or another's, or whole by ``rows``.  The
+    ``inverses``, the element ``orders``, the conjugacy ``class_map`` and
+    the ``derived_series`` are built on their first read and read only the
+    rows of a few known elements; ``mul``/``inv``/``conj``/``order_of`` are
+    one-line reads.  A group built
     by :func:`closure` keeps its ``generators``.  A group realized by
     :func:`subgroup_as_group` keeps none, ``()``, and has ``positions``
     instead, the parent's index of each element.
@@ -241,13 +257,15 @@ class FiniteGroup:
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
                  parents: tuple[tuple[int, int], ...], left_step: list[array],
-                 keys: Sequence, positions: tuple[int, ...] | None = None):
+                 right_step: list[array], keys: Sequence,
+                 positions: tuple[int, ...] | None = None):
         self.degree = degree
         self.generators = generators
         # parents[i] = (j, c) with e_i == e_j * g_c, g_c the c-th generator;
         # parents[0] is (-1, -1) for the identity.
         self._parents = parents
         self._left_step = left_step  # left_step[c][k] = index(g_c * e_k)
+        self._right_step = right_step  # right_step[c][k] = index(e_k * g_c)
         self.generator_indices = tuple(step[0] for step in left_step)  # g_c * e_0 == g_c
         # keys[i] sorts as e_i's image tuple does, among this group's
         # elements: a distinct prefix of it (see closure).
@@ -256,6 +274,9 @@ class FiniteGroup:
         # e_i: plain ints, no reference to the parent.  None for a group
         # built by closure.
         self.positions = positions
+        # The row store: _rows[i] is e_i's Cayley row once it is built.
+        self._rows: list[array | None] = [None] * len(parents)
+        self._rows[0] = array("H", range(len(parents)))
         # Values derived from this group by key, and the hashes of the keys
         # requested once (see `keep`).
         self._kept: dict = {}
@@ -265,38 +286,65 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self._parents)
 
+    def row(self, i: int) -> array:
+        """The Cayley row of e_i: ``row(i)[j]`` is the index of e_i * e_j,
+        built by :meth:`rows_at` on its first read."""
+        row = self._rows[i]
+        return row if row is not None else self.rows_at((i,))[0]
+
     @cached_property
     def rows(self) -> list[array]:
-        """The Cayley table: ``rows[i][j]`` is the index of e_i * e_j.
+        """The whole Cayley table: ``rows[i]`` is :meth:`row` ``(i)``.
 
-        Each row is an ``array("H")``, two bytes per entry, filled by one
-        ``struct`` pack of the gathered row: the array constructor would
-        convert the row one item at a time.
+        Every slot of the row store is filled.  Only a scan of every
+        element's products needs it, as the vector search and
+        ``make_data.py`` do; everything else reads the rows of a few known
+        elements.
         """
-        n = self.order
-        parents = self._parents
-        # Row i maps j to index(e_i * e_j); with e_i == e_p * generators[c] it
-        # is row p read through the left steps of generators[c], one C-level
-        # gather per row.  The gather reads p's row as a tuple, whose items
-        # are shared int objects, so nothing is boxed; a tuple row is kept
-        # only until its last BFS child is built.
-        read_left = [itemgetter(*step) for step in self._left_step]
-        pack = Struct(f"{n}H").pack
-        last_child = [0] * n
-        for i in range(1, n):
-            last_child[parents[i][0]] = i
-        live: list[tuple[int, ...] | None] = [None] * n
-        live[0] = tuple(range(n))
-        rows = [array("H", pack(*live[0]))]
-        for i in range(1, n):
-            p, c = parents[i]
-            row = read_left[c](live[p])
-            if last_child[p] == i:
-                live[p] = None
-            if last_child[i]:
-                live[i] = row
-            rows.append(array("H", pack(*row)))
+        rows, parents = self._rows, self._parents
+        _build_rows(rows, self._gathers, self.generator_indices,
+                    [(k, *parents[k]) for k in range(1, self.order) if rows[k] is None])
         return rows
+
+    @cached_property
+    def _gathers(self) -> list[itemgetter]:
+        """Reads a row through each generator's left steps (see :func:`_build_rows`)."""
+        return [itemgetter(*step) for step in self._left_step]
+
+    def rows_at(self, elements: Sequence[int], tree: "FiniteGroup | None" = None,
+                images: Sequence[int] = ()) -> list[array]:
+        """The rows of ``elements``; the missing ones are built first, in one walk.
+
+        With no ``tree``, the walk builds the missing rows of ``elements``
+        and of their BFS ancestors, each from its parent's: e_i == e_p * g_c,
+        so row i is row p read through the left steps of g_c.
+
+        With a ``tree``, ``images[c]`` is the element of this group that
+        ``tree``'s generator c maps to, and the walk follows ``tree``'s BFS
+        tree: tree element e_k == e_p * g_c maps to x_k == x_p * images[c],
+        whose row is x_p's row read through the row of images[c].  That is
+        one gather per row not built yet, |tree| at most.  Each x_k is read
+        off x_p's row, so every row built is right whatever ``images`` are.
+        When they extend to a homomorphism whose image holds ``elements``,
+        the walk builds only the image's rows, besides those of ``images``
+        and their BFS ancestors; a row the walk misses is built as above.
+        """
+        rows = self._rows
+        found = [rows[x] for x in elements]
+        if all(found):  # a built row is never empty
+            return found
+        if tree is None:
+            parents, missing = self._parents, set()
+            for i in elements:
+                while rows[i] is None and i not in missing:
+                    missing.add(i)
+                    i = parents[i][0]
+            _build_rows(rows, self._gathers, self.generator_indices,
+                        [(k, *parents[k]) for k in sorted(missing)])
+        else:
+            _build_rows(rows, [itemgetter(*self.row(x)) for x in images], images,
+                        [(k, *p) for k, p in enumerate(tree._parents[1:], 1)])
+        return [self.row(x) for x in elements]
 
     @cached_property
     def inverses(self) -> array:
@@ -316,28 +364,48 @@ class FiniteGroup:
 
     @cached_property
     def orders(self) -> list[int]:
-        """``orders[i]`` is the order of e_i."""
-        return _element_orders(self.rows)
+        """``orders[i]`` is the order of e_i.
+
+        Conjugates have one order, so the powers of each class's least
+        member are walked on that member's row, r^(k+1) == r * r^k, and the
+        count is spread over the class by ``class_of``.
+        """
+        classes, class_of = self.class_map
+        reps = [min(cls) for cls in classes]
+        by_class = []
+        for r, row in zip(reps, self.rows_at(reps)):
+            k, acc = 1, r
+            while acc:
+                acc = row[acc]
+                k += 1
+            by_class.append(k)
+        return list(map(by_class.__getitem__, class_of))
 
     @cached_property
     def class_map(self) -> ClassMap:
         """The conjugacy classes, ordered by least member, and each element's
         class index: one breadth-first walk per class, by conjugation with
         the generators, started from the least element not in a class yet.
+
+        g x g^-1 is x's left step by g, then the inverse of the right step
+        by g: back_right[c][k] = index(e_k * generators[c]^-1).  No row is read.
         """
-        rows, inv = self.rows, self.inverses
-        by_gen = [(rows[g], inv[g]) for g in self.generator_indices]
-        class_of = array("i", [-1]) * self.order
+        n = self.order
+        conjugations = []
+        for left, right in zip(self._left_step, self._right_step):
+            back_right = sorted(range(n), key=right.__getitem__)
+            conjugations.append(array("i", map(back_right.__getitem__, left)))
+        class_of = array("i", [-1]) * n
         classes = []
-        for f in range(self.order):
+        for f in range(n):
             if class_of[f] >= 0:
                 continue
             k = len(classes)
             class_of[f] = k
             members = [f]
             for x in members:  # the list grows while it is read: a BFS queue
-                for row_g, inv_g in by_gen:
-                    y = rows[row_g[x]][inv_g]
+                for conj in conjugations:
+                    y = conj[x]
                     if class_of[y] < 0:
                         class_of[y] = k
                         members.append(y)
@@ -367,15 +435,16 @@ class FiniteGroup:
         return keep(self._kept, self._noted, key, make)
 
     def mul(self, i: int, j: int) -> int:
-        return self.rows[i][j]
+        """Index of e_i * e_j: a read of e_i's row."""
+        return self.row(i)[j]
 
     def inv(self, i: int) -> int:
         return self.inverses[i]
 
     def conj(self, g: int, x: int) -> int:
-        """Index of g * x * g^-1."""
-        rows = self.rows
-        return rows[rows[g][x]][self.inverses[g]]
+        """Index of g * x * g^-1, read as g * (g * x^-1)^-1: g's row only."""
+        row, inv = self.row(g), self.inverses
+        return row[inv[row[inv[x]]]]
 
     def order_of(self, i: int) -> int:
         return self.orders[i]
@@ -393,6 +462,42 @@ class FiniteGroup:
     def __repr__(self):
         return (f"FiniteGroup(order={self.order}, degree={self.degree}, "
                 f"ngens={len(self.generator_indices)})")
+
+
+def _build_rows(rows: list, gathers: Sequence[itemgetter], picks: Sequence[int],
+                edges: Sequence[tuple[int, int, int]]) -> None:
+    """Fill empty slots of the row store ``rows`` along a tree: the one
+    function that builds Cayley rows.
+
+    ``gathers[c]`` reads a sequence at the row of the element s_c ==
+    ``picks[c]`` (a generator's left steps are its row).  Each edge
+    (k, p, c) makes tree node k the element x_k == x_p * s_c; it comes
+    after the edge that reaches p, if one does.  A node that no edge
+    reaches is the element of its own number, with its row built: the
+    identity at the root, or a built ancestor.  Then row(x_k)[j] ==
+    x_p * (s_c * e_j), x_p's row read through s_c's row: one C-level gather
+    over x_p's row held as a tuple, so no entry is boxed, and one
+    ``struct`` pack into a two-byte array (the array constructor would
+    convert the row one item at a time).  x_k itself is read off x_p's row.
+    A slot already filled is not built again, and a node's tuple is dropped
+    once its last child is read.
+    """
+    pack = Struct(f"{len(rows)}H").pack
+    last_child = {p: k for k, p, _ in edges}
+    at: dict[int, int] = {}  # node -> its element, for the nodes an edge reaches
+    live: dict[int, tuple[int, ...]] = {}  # node -> its row as a tuple
+    for k, p, c in edges:
+        above = live.get(p)
+        if above is None:
+            above = live[p] = tuple(rows[at.get(p, p)])
+        if last_child[p] == k:
+            del live[p]
+        x = at[k] = above[picks[c]]
+        if rows[x] is None:
+            row = gathers[c](above)
+            rows[x] = array("H", pack(*row))
+            if k in last_child:
+                live[k] = row
 
 
 def closure_limit(degree: int) -> int:
@@ -438,8 +543,9 @@ def closure(generators: Sequence[Permutation], budget: int | None = None) -> Fin
     else:
         # Element p maps point 1 to p + 1, its one-point key.
         keys, width = [(p,) for p in range(1, degree + 1)], 1
-    parents, left_step, found = _number(steps, keys)
-    return FiniteGroup(degree, gens, parents, left_step, [keys[x][:width] for x in found])
+    parents, left_step, right_step, found = _number(steps, keys)
+    return FiniteGroup(degree, gens, parents, left_step, right_step,
+                       [keys[x][:width] for x in found])
 
 
 def _over_budget(budget: int) -> BudgetExceeded:
@@ -556,7 +662,7 @@ def _search(gens: tuple[Permutation, ...], budget: int
 
 
 def _number(gen_steps: Sequence[Sequence[int]], keys: Sequence
-            ) -> tuple[tuple[tuple[int, int], ...], list[array], list[int]]:
+            ) -> tuple[tuple[tuple[int, int], ...], list[array], list[array], list[int]]:
     """Number the group that left multiplication by ``gen_steps`` generates.
 
     The elements are given by any numbering with the identity at 0:
@@ -567,8 +673,9 @@ def _number(gen_steps: Sequence[Sequence[int]], keys: Sequence
     and no fewer: the products of layer k - 1 that are not numbered yet,
     each with the first product that found it as its left parent.  It is
     sorted by key and then numbered, and the left steps out of layer k - 1
-    are read once it is.  Returns the BFS parents, from :func:`_right_steps`,
-    the left steps and the given number of each element, in the new order.
+    are read once it is.  Returns the BFS parents and the right steps, from
+    :func:`_right_steps`, the left steps and the given number of each
+    element, in the new order.
     """
     number = {0: 0}  # given number -> new number
     members = [0]
@@ -592,12 +699,14 @@ def _number(gen_steps: Sequence[Sequence[int]], keys: Sequence
             step.extend(map(number.__getitem__, xs))
         layer_ends.append(end)
         start = end
-    return _right_steps(left_parents, left_step, layer_ends), left_step, members
+    parents, right_step = _right_steps(left_parents, left_step, layer_ends)
+    return parents, left_step, right_step, members
 
 
 def _right_steps(left_parents: list[tuple[int, int]], left_step: list[array],
-                 layer_ends: list[int]) -> tuple[tuple[int, int], ...]:
-    """The BFS parents of a left-product walk, found from its right steps.
+                 layer_ends: list[int]) -> tuple[tuple[tuple[int, int], ...], list[array]]:
+    """The BFS parents of a left-product walk, found from its right steps,
+    and those right steps: ``right_step[c][k]`` is the index of e_k * g_c.
 
     If e_k == g_a * e_p then e_k * g_c == g_a * (e_p * g_c), so the right
     steps follow the left parents, in index order, so that e_p's are known
@@ -622,7 +731,7 @@ def _right_steps(left_parents: list[tuple[int, int]], left_step: list[array],
             t = right[k]
             if t >= end and parents[t] is None:
                 parents[t] = (k, c)
-    return tuple(parents)
+    return tuple(parents), right_step
 
 
 def _wider(width: int, a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -659,26 +768,27 @@ class Subgroup(NamedTuple):
 def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     """Smallest subgroup of G containing the seed element indices.
 
-    A breadth-first walk by right products with the seeds, read from G's
-    Cayley table.  By Lagrange's theorem a subgroup with more than half of
-    G's elements is G, so the walk stops after the first layer that takes
-    it past |G| // 2 and returns the whole group: the same value as the
-    full walk, for fewer lookups.  A subgroup of index 2 holds exactly half
-    and is walked to the end.  The seeds are element indices of G, as
-    every caller gets them from a word, a search or a Cayley table.
+    A breadth-first walk by left products with the seeds, read from the
+    seeds' rows.  Layer k of the walk is the set of products of k seeds and
+    no fewer, whichever side they are taken on.  By Lagrange's theorem a
+    subgroup with more than half of G's elements is G, so the walk stops
+    after the first layer that takes it past |G| // 2 and returns the whole
+    group: the same value as the full walk, for fewer lookups.  A subgroup
+    of index 2 holds exactly half and is walked to the end.  The seeds are
+    element indices of G, as every caller gets them from a word, a search
+    or a Cayley table.
     """
     gens = tuple(dict.fromkeys(s for s in seeds if s != 0))
     sub_gens = gens if gens else (0,)
     half = G.order // 2
     members = {0}
     frontier = [0]
-    rows = G.rows
+    rows = G.rows_at(gens)
     while frontier:
         nxt = []
         for i in frontier:
-            row = rows[i]
-            for s in gens:
-                j = row[s]
+            for row in rows:
+                j = row[i]
                 if j not in members:
                     members.add(j)
                     nxt.append(j)
@@ -705,8 +815,8 @@ def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
 def _realize_subgroup(parent: FiniteGroup, generators: tuple[int, ...]) -> FiniteGroup:
     """The subgroup of ``parent`` spanned by ``generators``, realized.
 
-    :func:`_number` walks the parent's Cayley table, the left product g * e
-    being ``parent.rows[g][e]``, and sorts each layer by the parent's prefix
+    :func:`_number` walks the parent's rows at ``generators``, the left
+    product g * e being ``parent.row(g)[e]``, and sorts each layer by the parent's prefix
     keys, so the result is ``closure`` of the parent elements at
     ``generators`` to the last index, parent and step.  The parent indices
     it numbers, in the subgroup's order, are kept as ``positions``, and
@@ -716,8 +826,9 @@ def _realize_subgroup(parent: FiniteGroup, generators: tuple[int, ...]) -> Finit
     (Lagrange).
     """
     keys = parent._keys
-    parents, left_step, members = _number([parent.rows[g] for g in generators], keys)
-    return FiniteGroup(parent.degree, (), parents, left_step,
+    parents, left_step, right_step, members = _number([parent.row(g) for g in generators],
+                                                      keys)
+    return FiniteGroup(parent.degree, (), parents, left_step, right_step,
                        [keys[x] for x in members], tuple(members))
 
 
@@ -728,10 +839,11 @@ def extend_homomorphism(src: FiniteGroup, src_gens, dst: FiniteGroup,
                         dst_gens) -> dict[int, int]:
     """The injective homomorphism src_gens[i] -> dst_gens[i] on <src_gens>.
 
-    Walks <src_gens> breadth first, setting img(x s) = img(x) t for every
-    generator pair (s, t).  When no element gets two different images this
-    is a homomorphism: every y in the span is a positive word w in the
-    generators, so img(x y) = img(x) img(w) by induction on w.  Its image is
+    Walks <src_gens> breadth first by left products, setting img(s x) =
+    t img(x) for every generator pair (s, t), so it reads only the rows of
+    the generators.  When no element gets two different images this is a
+    homomorphism: every y in the span is a positive word w in the
+    generators, so img(y x) = img(w) img(x) by induction on w.  Its image is
     then <dst_gens>, and an injective one keeps every element's order.
     Returns the map as a dict on the span.  Raises ValidationError when the
     two lists have different lengths, or the matching is not well defined or
@@ -739,16 +851,15 @@ def extend_homomorphism(src: FiniteGroup, src_gens, dst: FiniteGroup,
     """
     if len(src_gens) != len(dst_gens):
         raise ValidationError("generator lists have different lengths")
-    src_rows, dst_rows = src.rows, dst.rows
-    pairs = tuple(zip(src_gens, dst_gens))
+    pairs = tuple(zip(src.rows_at(src_gens), dst.rows_at(dst_gens)))
     img = {0: 0}
     frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
-            row_x, row_img = src_rows[x], dst_rows[img[x]]
-            for s, t in pairs:
-                y, iy = row_x[s], row_img[t]
+            ix = img[x]
+            for row_s, row_t in pairs:
+                y, iy = row_s[x], row_t[ix]
                 known = img.get(y)
                 if known is None:
                     img[y] = iy
@@ -813,18 +924,21 @@ def derived_subgroup(G: FiniteGroup | Subgroup) -> Subgroup:
     every generator of G conjugates every generator of the subgroup into the
     subgroup, so each generator of G maps the subgroup into itself, and onto
     it, since conjugation is a bijection of a finite set; the subgroup is
-    then normalized by each generator of G and so by G.
+    then normalized by each generator of G and so by G.  Every product is
+    a left product by a generator of G or a seed, so only their rows are
+    read.
     """
     if isinstance(G, Subgroup):
         parent, gens = G.parent, G.generators
     else:
         parent, gens = G, G.generator_indices
-    rows, inv = parent.rows, parent.inverses
-    # [a,b] = a b a^-1 b^-1
-    sub = subgroup_generated(parent, [rows[rows[rows[a][b]][inv[a]]][inv[b]]
+    inv, mul, conj = parent.inverses, parent.mul, parent.conj
+    # [a,b] = a b a^-1 b^-1, read as a (b (a^-1 b^-1)): the rows of a, b and
+    # a^-1 only.
+    sub = subgroup_generated(parent, [mul(a, mul(b, mul(inv[a], inv[b])))
                                       for a in gens for b in gens])
     while True:
-        outside = sorted({rows[rows[g][m]][inv[g]] for g in gens for m in sub.generators}
+        outside = sorted({conj(g, m) for g in gens for m in sub.generators}
                          - set(sub.members))
         if not outside:
             break
@@ -888,17 +1002,21 @@ def _json_int(x) -> int:
     return x
 
 
-def _quotient_table(rows: Sequence[Sequence[int]], normal: Iterable[int]) -> list[list[int]]:
-    """Multiplication table of G/N, given G's table and the members of a normal
-    subgroup N, with cosets numbered by minimal representative."""
-    coset_of = [-1] * len(rows)
+def _quotient_table(row: Callable[[int], Sequence[int]], order: int,
+                    normal: Iterable[int]) -> list[list[int]]:
+    """Multiplication table of G/N, given the rows ``row(i)`` of G's order
+    elements and the members of a normal subgroup N, with cosets numbered by
+    minimal representative.  The coset of a is a N and (a N)(b N) == a b N,
+    so only the representatives' rows are read."""
+    coset_of = [-1] * order
     reps = []
-    for i, row in enumerate(rows):
+    for i in range(order):
         if coset_of[i] < 0:
+            row_i = row(i)
             for d in normal:
-                coset_of[row[d]] = len(reps)
+                coset_of[row_i[d]] = len(reps)
             reps.append(i)
-    return [[coset_of[rows[a][b]] for b in reps] for a in reps]
+    return [[coset_of[row(a)[b]] for b in reps] for a in reps]
 
 
 def _element_orders(mul_table: Sequence[Sequence[int]]) -> list[int]:
@@ -926,7 +1044,7 @@ def _abelian_invariant_factors(mul_table: list[list[int]]) -> list[int]:
         while acc != 0:
             cyclic.append(acc)
             acc = mul_table[acc][gen]
-        mul_table = _quotient_table(mul_table, cyclic)
+        mul_table = _quotient_table(mul_table.__getitem__, len(mul_table), cyclic)
     return factors
 
 
@@ -957,7 +1075,7 @@ def fingerprint(G: FiniteGroup) -> GroupFingerprint:
     series = [G.order, *map(len, G.derived_series)]
     if series[-1] == series[-2]:  # an unchanged last term
         series.pop()
-    invf = _abelian_invariant_factors(_quotient_table(G.rows, G.derived_series[0]))
+    invf = _abelian_invariant_factors(_quotient_table(G.row, G.order, G.derived_series[0]))
 
     return GroupFingerprint(
         order=G.order,

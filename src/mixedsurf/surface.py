@@ -136,10 +136,12 @@ def fixed_curve_witness(G: FiniteGroup, members, sigma, phi, tau: int) -> int | 
     For any tau' with tau'^2 = tau and phi = conjugation by tau',
     (tau' h)^2 = phi(h) tau h, so tau' h is then a mixed element whose square
     lies in sigma.  ``members`` lists G0 and ``sigma`` is a union of G0
-    conjugacy classes, all as element indices of G.
+    conjugacy classes, all as element indices of G.  The product is read as
+    phi(h) (tau h), on the rows of tau and of G0's members.
     """
-    mul = G.mul
-    return next((h for h in members if mul(mul(phi[h], tau), h) in sigma), None)
+    tau_row = G.row(tau)
+    phi_rows = G.rows_at([phi[h] for h in members])
+    return next((h for h, row in zip(members, phi_rows) if row[tau_row[h]] in sigma), None)
 
 
 def check_free_action(S: SurfaceData) -> FreenessReport:
@@ -184,8 +186,7 @@ def derive_induced_vectors(cover: CoveringData) -> InducedTower:
     d, e, f = H.conj(a, b), b, H.mul(c, c)
     _check_induced(H, (d, e, f), series[0], "[0;3,3,4]")
 
-    e2 = H.mul(e, e)
-    u = (H.conj(e, f), H.mul(H.mul(e2, f), H.inv(e2)), f)
+    u = (H.conj(e, f), H.conj(H.mul(e, e), f), f)
     _check_induced(H, u, series[min(1, len(series) - 1)], "[0;4^3]")
     return InducedTower((d, e, f), u)
 

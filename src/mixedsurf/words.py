@@ -156,15 +156,19 @@ def parse_word(text: str, alphabet) -> Word:
 
 def evaluate_word_index(group, word: Word, assignment: dict[str, int]) -> int:
     """Element index of the word's product, ``assignment`` mapping each
-    symbol to an element index of ``group``; the empty word gives 0."""
+    symbol to an element index of ``group``; the empty word gives 0.
+
+    The word is evaluated right to left, each factor multiplied on the left
+    of the product so far, so only the rows of the symbols and their
+    inverses are read."""
     missing = {s for s, _ in word} - set(assignment)
     if missing:
         raise ValidationError(f"unassigned symbols: {sorted(missing)}")
     acc = 0
-    for sym, exp in word:
+    for sym, exp in reversed(word):
         base = assignment[sym] if exp > 0 else group.inv(assignment[sym])
         for _ in range(abs(exp) % group.order):  # g^|G| = 1 (Lagrange)
-            acc = group.mul(acc, base)
+            acc = group.mul(base, acc)
     return acc
 
 

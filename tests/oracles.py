@@ -151,7 +151,7 @@ def right_product_closure(generators: Sequence[Permutation], budget: int | None 
             row[j] = gen_step[cj][row[pj]]
         left.append(row)
 
-    return FiniteGroup(degree, gens, tuple(parents), left, images), images
+    return FiniteGroup(degree, gens, tuple(parents), left, gen_step, images), images
 
 
 def elements_of(G: FiniteGroup, parent: FiniteGroup | None = None) -> tuple[Permutation, ...]:

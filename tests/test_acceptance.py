@@ -19,7 +19,7 @@ from mixedsurf.covering import CoverType, covering_data, search_generating_vecto
 from mixedsurf.files import load_group
 from mixedsurf.perm import derived_subgroup
 from mixedsurf.surface import check_free_action, derive_induced_vectors
-from mixedsurf.files import build_surface
+from mixedsurf.files import build_surface, run_pipeline
 from mixedsurf.words import Presentation
 
 
@@ -51,6 +51,26 @@ def test_criterion_2_families_2_to_5_reproduction(family):
     ok = code == 0 and "[FAIL]" not in text and elapsed < 60.0
     _report(f"2. family {family} reproduction",
             ok, f"exit={code}, {elapsed:.2f}s (< 60s), 15 divisors, class partition, verdict")
+
+
+@pytest.mark.parametrize("family", [2, 3, 4, 5])
+def test_criterion_2_reads_under_half_of_h768s_rows(data_dir, fresh_group_memo, family):
+    # The work bound behind the timings above: with no group kept, a family
+    # 2-5 pipeline builds fewer than half of h768's Cayley rows, and never
+    # its whole table.
+    H = run_pipeline(data_dir / f"family{family}.json").surface.h_group
+    built = sum(row is not None for row in H._rows)
+    ok = H.order == 768 and built < H.order // 2 and "rows" not in vars(H)
+    _report(f"2. family {family} work bound", ok,
+            f"{built} of {H.order} rows of h768 built (< {H.order // 2})")
+
+
+def test_criterion_2_a_vector_scan_fills_the_whole_table(data_dir, fresh_group_memo):
+    # The scan multiplies every element on its right, so it reads every row.
+    H = load_group(data_dir / "h768.json")
+    assert "rows" not in vars(H)
+    search_generating_vectors(H, CoverType(0, (2, 3, 8)), limit=1)
+    assert "rows" in vars(H) and None not in H._rows
 
 
 def test_criterion_3_genus_and_invariants(families):

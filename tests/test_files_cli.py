@@ -774,6 +774,16 @@ def test_genvec_search_refuses_a_limit_in_non_ascii_digits(data_dir, capsys, lim
     assert "ASCII digits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["1_0", "+3", " 4", "4 ", "4\n"])
+def test_genvec_search_refuses_a_limit_that_is_not_only_ascii_digits(data_dir, capsys, limit):
+    # int() reads each of these, "1_0" as 10, "+3" as 3 and " 4" as 4.
+    with pytest.raises(SystemExit) as exc:
+        run_cli("genvec", "search", str(data_dir / "g64.json"), "--type", "[0;2^5]",
+                "--limit", limit)
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "ASCII digits" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("type_text", ["[0;\u0662,3,8]", "[0;2^\uff13]", "[\u0660;2,3,8]"])
 def test_genvec_search_refuses_a_type_in_non_ascii_digits(data_dir, type_text):
     code, text = run_cli("genvec", "search", str(data_dir / "h768.json"),

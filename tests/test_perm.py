@@ -16,7 +16,8 @@ from mixedsurf.perm import (FiniteGroup, Permutation, center_order, closure,
                             subgroup_as_group, subgroup_generated)
 from oracles import (abelianization_by_counting, commutator_subgroup_members,
                      conjugacy_classes_by_conjugation, derived_series_by_commutators,
-                     element_index, elements_of, homomorphisms_by_tuples, span_members)
+                     element_index, elements_of, embedding_by_bfs, first_broken_product,
+                     homomorphisms_by_tuples, span_members)
 
 BUNDLED = ("g64", "g256a", "g256b", "h768", "toy_z4_group")
 
@@ -351,6 +352,49 @@ def test_extend_homomorphism_matches_graph_subgroup_oracle(picks, conjugate):
     for x in img:
         for y in img:
             assert img[S4.mul(x, y)] == S4.mul(img[x], img[y])
+
+
+@st.composite
+def matchings(draw):
+    """A realized subgroup R of S4 or S5, its generators and as many targets
+    in S5: R's own elements conjugated (an embedding), or random elements."""
+    R = subgroup_as_group(subgroup_generated(
+        SYMMETRIC[draw(st.sampled_from((4, 5)))],
+        draw(st.lists(st.integers(0, 23), min_size=1, max_size=3))))
+    S5 = SYMMETRIC[5]
+    src_gens = R.generator_indices + tuple(draw(st.lists(st.integers(0, R.order - 1),
+                                                         max_size=1)))
+    if draw(st.booleans()):
+        # R sits in S4 or S5; both are numbered in S5 through the permutations.
+        index = element_index(S5)
+        g = draw(st.integers(0, S5.order - 1))
+        lifted = [index[Permutation(e.images + (5,) * (5 - R.degree))]
+                  for e in elements_of(R, SYMMETRIC[R.degree])]
+        dst_gens = [S5.conj(g, lifted[s]) for s in src_gens]
+    else:
+        dst_gens = draw(st.lists(st.integers(0, S5.order - 1), min_size=len(src_gens),
+                                 max_size=len(src_gens)))
+    return R, src_gens, S5, dst_gens
+
+
+@seed(20191105)
+@settings(max_examples=80, deadline=None)
+@given(matchings())
+@example((V4, (A, B, AB), V4, (A, B, A)))  # not well defined
+@example((V4, (A, B), V4, (A, A)))  # well defined, not injective
+def test_left_walk_embedding_matches_the_bfs_oracle(case):
+    # The walk by left products img(s x) = t img(x) gives the map of the
+    # oracle's right-product walk, or refuses exactly the matchings the
+    # oracle refuses, with one error.
+    src, src_gens, dst, dst_gens = case
+    want = embedding_by_bfs(src, src_gens, dst, dst_gens)
+    if want is None:
+        with pytest.raises(ValidationError, match=re.escape(perm._NOT_AN_EMBEDDING)):
+            extend_homomorphism(src, src_gens, dst, dst_gens)
+        return
+    got = extend_homomorphism(src, src_gens, dst, dst_gens)
+    assert got == want
+    assert first_broken_product(src, dst, got) is None
 
 
 def test_homomorphisms_match_tuple_oracle(d4, s4):
